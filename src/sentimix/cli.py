@@ -257,11 +257,7 @@ def cmd_train_nbsvm(args) -> int:
                              epochs=args.epochs, seed=args.seed)
     model_id = f"nbsvm{args.n_max}"
     model_path = _out(args, "models", f"{model_id}.npz")
-    np.savez_compressed(
-        model_path,
-        grams=np.frombuffer("\n".join(space.grams).encode("utf-8"), dtype=np.uint8),
-        r=weights.r, w=clf.w, b=np.array([clf.b]),
-        meta=np.array([args.n_max, weights.alpha, clf.l2]))
+    nbsvm.save_model(model_path, space, weights, clf)
     dump_path = _out(args, "models", f"{model_id}-features.tsv")
     nbsvm.dump_feature_weights(space, weights, dump_path)
     _record_stage(args, "train-" + model_id, started, [model_path],
@@ -270,20 +266,6 @@ def cmd_train_nbsvm(args) -> int:
     print(f"trained {model_id}: {len(space)} features, "
           f"loss {clf.trace[0]:.4f} -> {clf.trace[-1]:.4f}")
     return 0
-
-
-def _load_nbsvm(args, model_id: str):
-    data = np.load(_require(_out(args, "models", f"{model_id}.npz")))
-    grams = bytes(data["grams"]).decode("utf-8").split("\n")
-    n_max = int(data["meta"][0])
-    index = {g: i for i, g in enumerate(grams)}
-    space = nbsvm.NGramFeatureSpace(n_max=n_max, index=index, grams=grams,
-                                    df_pos=np.zeros(len(grams), dtype=np.int64),
-                                    df_neg=np.zeros(len(grams), dtype=np.int64))
-    weights = nbsvm.LogRatioWeights(r=data["r"], alpha=float(data["meta"][1]))
-    clf = nbsvm.LinearClassifier(w=data["w"], b=float(data["b"][0]),
-                                 l2=float(data["meta"][2]), loss="logistic")
-    return space, weights, clf
 
 
 def cmd_train_pv(args) -> int:
@@ -365,9 +347,9 @@ def cmd_score(args) -> int:
         ensemble.write_scores_jsonl(jsonl, model_id, ids, p, lp_pos, lp_neg)
         artifacts.extend([tsv, jsonl])
     elif model_id.startswith("nbsvm"):
-        space, weights, clf = _load_nbsvm(args, model_id)
-        X = nbsvm.featurize_all(docs, space, weights)
-        p = clf.predict_proba(X)
+        space, weights, clf = nbsvm.load_model(
+            _require(_out(args, "models", f"{model_id}.npz")))
+        p = nbsvm.score_docs(docs, space, weights, clf)
         jsonl = _out(args, "scores", f"{model_id}-{args.split}.jsonl")
         ensemble.write_scores_jsonl(jsonl, model_id, [d.id for d in docs], p)
         tsv = _out(args, "scores", f"{model_id}-{args.split}.tsv")
@@ -433,12 +415,13 @@ def cmd_ensemble_search(args) -> int:
     with open(report, "w", encoding="utf-8") as f:
         f.write("models\tweights\tvalid_accuracy\n")
         f.write(",".join(models) + "\t"
-                + ",".join(f"{a:.1f}" for a in weights.alphas)
+                + ",".join(map(ensemble.format_alpha, weights.alphas))
                 + f"\t{v_acc:.4f}\n")
     _record_stage(args, "ensemble-search", started, [weights_path, report],
                   {"ensemble-search.models": ",".join(models),
                    "ensemble-search.valid_accuracy": f"{v_acc:.4f}"})
-    print("weights " + " ".join(f"{m}={a:.1f}" for m, a in zip(models, weights.alphas))
+    print("weights " + " ".join(f"{m}={ensemble.format_alpha(a)}"
+                                for m, a in zip(models, weights.alphas))
           + f" valid accuracy {v_acc:.4f}")
     return 0
 
@@ -457,7 +440,7 @@ def cmd_ablate(args) -> int:
         f.write("models\tweights\tvalid_accuracy\ttest_accuracy\n")
         for row in rows:
             f.write(",".join(row["models"]) + "\t"
-                    + ",".join(f"{a:.1f}" for a in row["weights"].alphas)
+                    + ",".join(map(ensemble.format_alpha, row["weights"].alphas))
                     + f"\t{row['valid_accuracy']:.4f}\t{row['test_accuracy']:.4f}\n")
     _record_stage(args, "ablate", started, [path])
     for row in rows:

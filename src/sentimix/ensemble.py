@@ -20,6 +20,9 @@ from .corpus import NEGATIVE, POSITIVE
 log = logging.getLogger(__name__)
 
 P_CLAMP = 1e-9
+# documents x weight tuples evaluated at once by the grid search, so its
+# decision matrices stay near 8 MB each however many tuples there are
+GRID_BLOCK_CELLS = 1 << 20
 
 
 class ScoreCoverageError(Exception):
@@ -106,8 +109,16 @@ def _grid_accuracies(P, y, step_denominator: int):
     tuples = np.array(list(itertools.product(range(step_denominator + 1), repeat=k)),
                       dtype=np.int64)[1:]  # drop the all-zero tuple
     alphas = tuples.astype(np.float64) / step_denominator
-    decisions = (lp @ alphas.T) > (ln @ alphas.T)
-    accs = (decisions == (y[:, None] > 0)).mean(axis=0)
+    positive = y[:, None] > 0
+    accs = np.empty(len(tuples))
+    # blocks of near-equal width, at least two columns: a one-column block
+    # would go through numpy's matrix-vector product, which rounds
+    # differently and can undo an exact tie
+    cells = len(tuples) * len(y)
+    n_blocks = max(1, min(-(-cells // GRID_BLOCK_CELLS), len(tuples) // 2))
+    for cols in np.array_split(np.arange(len(tuples)), n_blocks):
+        a = alphas[cols].T
+        accs[cols] = (((lp @ a) > (ln @ a)) == positive).mean(axis=0)
     return tuples, accs
 
 
@@ -237,10 +248,16 @@ def write_ratio_scores_tsv(path, doc_ids, log_p_pos, log_p_neg,
                     f"\t{ratio:.6f}\n")
 
 
+def format_alpha(a: float) -> str:
+    """Shortest text that reads back as the same float: at step 0.1 that is
+    one decimal place, at step 0.05 two where needed."""
+    return repr(float(a))
+
+
 def write_weights(path, weights: EnsembleWeights) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for m, a in zip(weights.model_ids, weights.alphas):
-            f.write(f"{m}={a:.1f}\n")
+            f.write(f"{m}={format_alpha(a)}\n")
 
 
 def read_weights(path) -> EnsembleWeights:

@@ -3,16 +3,21 @@ classified with L2-regularized logistic regression.
 
 Feature values are the log-ratio entries wherever a gram is present, zero
 elsewhere; grams unseen in training are dropped.
+
+scipy is imported only by the functions that build sparse matrices or fit
+a model; scoring a trained model needs numpy alone.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import minimize
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -109,6 +114,8 @@ def doc_gram_ids(tokens, space: NGramFeatureSpace) -> np.ndarray:
 
 def featurize(tokens, space: NGramFeatureSpace, weights: LogRatioWeights) -> sp.csr_matrix:
     """Sparse row: r_i where gram i is present, grams unseen in training dropped."""
+    import scipy.sparse as sp
+
     ids = doc_gram_ids(tokens, space)
     data = weights.r[ids]
     return sp.csr_matrix((data, ids, [0, len(ids)]), shape=(1, len(space)))
@@ -116,6 +123,8 @@ def featurize(tokens, space: NGramFeatureSpace, weights: LogRatioWeights) -> sp.
 
 def featurize_all(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
                   cached_ids=None) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     id_lists = cached_ids if cached_ids is not None \
         else [doc_gram_ids(d.tokens, space) for d in docs]
     indptr = np.zeros(len(id_lists) + 1, dtype=np.int64)
@@ -138,8 +147,31 @@ class LinearClassifier:
         return np.asarray(X @ self.w).ravel() + self.b
 
     def predict_proba(self, X) -> np.ndarray:
-        m = self.margins(X)
-        return 1.0 / (1.0 + np.exp(-np.clip(m, -500, 500)))
+        return sigmoid(self.margins(X))
+
+
+def sigmoid(m) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(m, -500, 500)))
+
+
+def doc_margins(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
+                clf: LinearClassifier) -> np.ndarray:
+    """``featurize_all(docs) @ w + b`` without building the sparse matrix.
+
+    Each row's r_i * w_i terms are summed in ascending gram-id order from
+    zero, as the CSR product does, so the margins are equal bit for bit.
+    """
+    id_lists = [doc_gram_ids(d.tokens, space) for d in docs]
+    ids = np.concatenate(id_lists) if id_lists else np.empty(0, dtype=np.int64)
+    rows = np.repeat(np.arange(len(id_lists)), [len(i) for i in id_lists])
+    return np.bincount(rows, weights=weights.r[ids] * clf.w[ids],
+                       minlength=len(id_lists)) + clf.b
+
+
+def score_docs(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
+               clf: LinearClassifier) -> np.ndarray:
+    """Positive-class probability of each document."""
+    return sigmoid(doc_margins(docs, space, weights, clf))
 
 
 def _logistic_objective(wb, X, y_signed, l2):
@@ -154,6 +186,8 @@ def _logistic_objective(wb, X, y_signed, l2):
 
 
 def _train_lbfgs(X, y_signed, l2, max_iter):
+    from scipy.optimize import minimize
+
     trace = []
     wb0 = np.zeros(X.shape[1] + 1)
 
@@ -178,6 +212,8 @@ def _train_sgd(X, y_signed, l2, epochs, seed, lr0, loss):
     """Seeded SGD with lazy L2 scaling; an epoch that raises the full
     objective is rolled back and the step size halved, so the recorded
     trace is non-increasing."""
+    import scipy.sparse as sp
+
     X = sp.csr_matrix(X)
     n, n_feat = X.shape
     v = np.zeros(n_feat)  # w = scale * v
@@ -225,6 +261,8 @@ def train_linear(X, labels, l2: float | None = None, epochs: int = 30, seed: int
     "sgd"`` gives the seeded online trainer (required for hinge loss).
     l2 defaults to 1/n_docs.
     """
+    import scipy.sparse as sp
+
     X = X if sp.issparse(X) else np.asarray(X, dtype=np.float64)
     y = np.asarray(labels)
     if X.shape[0] == 0:
@@ -253,6 +291,32 @@ def dump_feature_weights(space: NGramFeatureSpace, weights: LogRatioWeights, pat
             f.write(f"{space.grams[i]}\t{weights.r[i]:.6f}\n")
 
 
+def save_model(path, space: NGramFeatureSpace, weights: LogRatioWeights,
+               clf: LinearClassifier) -> None:
+    """npz of the newline-joined grams (UTF-8 bytes), r, w, b and
+    meta = (n_max, alpha, l2)."""
+    np.savez_compressed(
+        path,
+        grams=np.frombuffer("\n".join(space.grams).encode("utf-8"), dtype=np.uint8),
+        r=weights.r, w=clf.w, b=np.array([clf.b]),
+        meta=np.array([space.n_max, weights.alpha, clf.l2]))
+
+
+def load_model(path) -> tuple[NGramFeatureSpace, LogRatioWeights, LinearClassifier]:
+    """Inverse of save_model; document frequencies are not stored and load
+    as zeros."""
+    with np.load(path) as data:
+        text = bytes(data["grams"]).decode("utf-8")
+        r, w, b, meta = data["r"], data["w"], float(data["b"][0]), data["meta"]
+    grams = text.split("\n") if text else []  # an empty space has no grams
+    space = NGramFeatureSpace(n_max=int(meta[0]), index={g: i for i, g in enumerate(grams)},
+                              grams=grams, df_pos=np.zeros(len(grams), dtype=np.int64),
+                              df_neg=np.zeros(len(grams), dtype=np.int64))
+    weights = LogRatioWeights(r=r, alpha=float(meta[1]))
+    clf = LinearClassifier(w=w, b=b, l2=float(meta[2]), loss="logistic")
+    return space, weights, clf
+
+
 def nbsvm_pipeline(train_docs, eval_splits: dict, n_max: int, alpha: float = 1.0,
                    l2: float | None = None, optimizer: str = "lbfgs",
                    epochs: int = 30, seed: int = 0):
@@ -273,8 +337,6 @@ def nbsvm_pipeline(train_docs, eval_splits: dict, n_max: int, alpha: float = 1.0
     y_train = np.array([1] * len(pos_docs) + [0] * len(neg_docs))
     clf = train_linear(X_train, y_train, l2=l2, optimizer=optimizer,
                        epochs=epochs, seed=seed)
-    scores = {}
-    for name, docs in eval_splits.items():
-        X = featurize_all(docs, space, weights)
-        scores[name] = ([d.id for d in docs], clf.predict_proba(X))
+    scores = {name: ([d.id for d in docs], score_docs(docs, space, weights, clf))
+              for name, docs in eval_splits.items()}
     return space, weights, clf, scores

@@ -1,9 +1,18 @@
+import json
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sentimix
 from sentimix.cli import cli_dispatch
 from sentimix.corpus import read_manifest
+from sentimix.ensemble import write_scores_jsonl
 
 
 def run(argv):
@@ -119,6 +128,68 @@ class TestPipeline:
         first = capsys.readouterr().out
         assert run(args) == 0
         assert capsys.readouterr().out == first
+
+
+    def test_scoring_stages_never_load_scipy(self, pipeline_dir, tmp_path):
+        """Only fitting a model imports scipy: neither importing the CLI nor
+        the score and ensemble stages load it."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        stages = [["score", "nbsvm1", "valid", "--out-dir", str(run_dir)],
+                  ["score", "ngram", "valid", "--out-dir", str(run_dir)],
+                  ["ensemble-search", "--out-dir", str(run_dir),
+                   "--models", "ngram,pv,nbsvm3"]]
+        src = str(Path(sentimix.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", SCIPY_FREE, json.dumps(stages)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+
+SCIPY_FREE = """
+import json, sys
+from sentimix.cli import cli_dispatch
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+for argv in json.loads(sys.argv[1]):
+    assert cli_dispatch(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+"""
+
+
+class TestWeightsFile:
+    def test_step_005_weights_reach_every_output(self, tmp_path, capsys):
+        """A --step 0.05 search stores, reports and prints the tuple it
+        found, not a one-decimal rounding of it."""
+        rng = np.random.RandomState(2)
+        y = rng.randint(2, size=60)
+        ids = [f"d{i:02d}" for i in range(60)]
+        out = tmp_path / "run"
+        (out / "labels").mkdir(parents=True)
+        (out / "scores").mkdir()
+        for split in ("valid", "test"):
+            with open(out / "labels" / f"{split}.tsv", "w") as f:
+                for doc_id, v in zip(ids, y):
+                    f.write(f"{doc_id}\t{'positive' if v else 'negative'}\n")
+            write_scores_jsonl(out / "scores" / f"good-{split}.jsonl", "good", ids,
+                               np.where(y > 0, 0.9, 0.1))
+            write_scores_jsonl(out / "scores" / f"bad-{split}.jsonl", "bad", ids,
+                               np.where(y > 0, 0.1, 0.9))
+        common = ["--out-dir", str(out), "--models", "good,bad", "--step", "0.05"]
+        assert run(["ensemble-search", *common]) == 0
+        assert capsys.readouterr().out == "weights good=0.05 bad=0.0 valid accuracy 1.0000\n"
+        weights = (out / "ensemble" / "weights.txt").read_text()
+        assert weights == "good=0.05\nbad=0.0\n"
+        search = (out / "ensemble" / "search.tsv").read_text().splitlines()
+        assert search[1] == "good,bad\t0.05,0.0\t1.0000"
+        assert run(["ablate", *common]) == 0
+        ablation = (out / "ensemble" / "ablation.tsv").read_text().splitlines()
+        assert ablation[1:] == ["bad\t0.05\t0.0000\t0.0000", "good\t0.05\t1.0000\t1.0000",
+                                "good,bad\t0.05,0.0\t1.0000\t1.0000"]
 
 
 class TestExitCodes:

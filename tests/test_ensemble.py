@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sentimix.ensemble import (
     EnsembleWeights, ScoreCoverageError, ablate, apply_weights,
-    calibrate_generative, combine, evaluate_accuracy, grid_search,
+    calibrate_generative, combine, evaluate_accuracy, format_alpha, grid_search,
     inspect_errors, read_scores_jsonl, read_weights, write_scores_jsonl,
     write_weights,
 )
@@ -190,6 +190,21 @@ class TestGridSearch:
             if t[0] == t[1]:  # symmetric weights: exact tie, negative, correct
                 assert a == 1.0
 
+    @pytest.mark.parametrize("cells", [1, 40, 1000])
+    def test_blocked_grid_matches_one_block(self, cells, monkeypatch):
+        """Every tuple's accuracy is the same however the grid is blocked,
+        mirrored (exactly tied) scores included."""
+        from sentimix import ensemble
+        rng = np.random.RandomState(6)
+        P = np.clip(rng.rand(30, 3), 0.01, 0.99)
+        P[:, 2] = 1.0 - P[:, 0]
+        y = rng.randint(2, size=30)
+        whole_tuples, whole = ensemble._grid_accuracies(P, y, 10)
+        monkeypatch.setattr(ensemble, "GRID_BLOCK_CELLS", cells)
+        tuples, accs = ensemble._grid_accuracies(P, y, 10)
+        assert np.array_equal(tuples, whole_tuples)
+        assert np.array_equal(accs, whole)
+
     def test_missing_score_names_doc_and_model(self):
         scores = {"m0": {"a": 0.6}, "m1": {"a": 0.6, "b": 0.7}}
         labels = {"a": "positive", "b": "negative"}
@@ -278,3 +293,25 @@ class TestFiles:
         assert back.model_ids == w.model_ids
         assert back.alphas == pytest.approx(w.alphas)
         assert path.read_text().splitlines()[0] == "ngram=0.2"
+
+    def test_step_005_search_roundtrips_exactly(self, tmp_path):
+        """The stored weights are the searched ones, not rounded to 0.1."""
+        rng = np.random.RandomState(2)
+        y = rng.randint(2, size=60)
+        perfect = np.where(y > 0, 0.9, 0.1)
+        inverted = np.where(y > 0, 0.1, 0.9)
+        scores, ids = _scores_from_matrix(np.column_stack([perfect, inverted]))
+        labels = _labels(ids, y)
+        weights, acc = grid_search(scores, labels, step=0.05)
+        assert weights.alphas == [0.05, 0.0]  # first maximum
+        path = tmp_path / "weights.txt"
+        write_weights(path, weights)
+        back = read_weights(path)
+        assert back.model_ids == weights.model_ids
+        assert back.alphas == weights.alphas
+        assert apply_weights(scores, labels, back)[1] == acc
+
+    def test_default_step_text_is_one_decimal(self):
+        """Weights searched at step 0.1 keep their one-decimal text."""
+        for t in range(11):
+            assert format_alpha(t / 10) == f"{t / 10:.1f}"

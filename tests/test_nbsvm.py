@@ -5,11 +5,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sentimix.corpus import load_imdb, split_validation
+from sentimix.corpus import Document, load_imdb, split_validation
 from sentimix.nbsvm import (
-    LogRatioWeights, TrainingError, build_feature_space, compute_log_ratio,
-    dump_feature_weights, extract_grams, featurize, featurize_all,
-    nbsvm_pipeline, train_linear,
+    LinearClassifier, LogRatioWeights, TrainingError, build_feature_space,
+    compute_log_ratio, doc_margins, dump_feature_weights, extract_grams, featurize,
+    featurize_all, load_model, nbsvm_pipeline, save_model, train_linear,
 )
 from conftest import make_docs
 from oracles import log_count_ratio_reference
@@ -252,3 +252,58 @@ class TestPipeline:
         mags = [abs(float(l.split("\t")[1])) for l in lines]
         assert mags == sorted(mags, reverse=True)
         assert lines[0].split("\t")[0] in ("good", "bad")
+
+
+class TestScoring:
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_margins_equal_sparse_product(self, imdb_tree, n_max):
+        """Scoring from gram ids equals the CSR product bit for bit."""
+        ds = load_imdb(imdb_tree, subset=15)
+        train = ds.subset(split="train")
+        pos = [d for d in train if d.label == "positive"]
+        neg = [d for d in train if d.label != "positive"]
+        space = build_feature_space(pos, neg, n_max)
+        weights = compute_log_ratio(space, 1.0)
+        clf = train_linear(featurize_all(pos + neg, space, weights),
+                           np.array([1] * len(pos) + [0] * len(neg)))
+        unseen = Document(id="unseen", raw_text="", tokens=("zzz", "qqq", "xxx"),
+                          label="negative", split="test")
+        docs = ds.subset(split="test") + [unseen]
+        got = doc_margins(docs, space, weights, clf)
+        want = np.asarray(featurize_all(docs, space, weights) @ clf.w).ravel() + clf.b
+        assert np.array_equal(got, want)
+        assert got[-1] == clf.b
+
+    def test_no_documents(self):
+        pos, neg, space = _toy_space()
+        w = compute_log_ratio(space, alpha=1.0)
+        clf = LinearClassifier(w=np.ones(len(space)), b=0.5, l2=0.0, loss="logistic")
+        assert doc_margins([], space, w, clf).shape == (0,)
+
+    def test_gramless_model_roundtrip(self, tmp_path):
+        """A model with an empty feature space saves, loads with zero grams,
+        and scores every document at its bias."""
+        pos = make_docs([[]])
+        neg = make_docs([[]], labels=["negative"])
+        space = build_feature_space(pos, neg, 2)
+        weights = compute_log_ratio(space, alpha=1.0)
+        clf = LinearClassifier(w=np.zeros(0), b=0.25, l2=0.5, loss="logistic")
+        path = tmp_path / "nbsvm2.npz"
+        save_model(path, space, weights, clf)
+        space2, weights2, clf2 = load_model(path)
+        assert len(space2) == 0 and space2.grams == [] and space2.n_max == 2
+        docs = make_docs([["good", "film"], []])
+        assert np.array_equal(doc_margins(docs, space2, weights2, clf2), [0.25, 0.25])
+
+    def test_model_roundtrip(self, tmp_path):
+        pos, neg, space = _toy_space()
+        weights = compute_log_ratio(space, alpha=0.5)
+        clf = LinearClassifier(w=np.arange(len(space), dtype=np.float64), b=-0.125,
+                               l2=0.25, loss="logistic")
+        save_model(tmp_path / "m.npz", space, weights, clf)
+        space2, weights2, clf2 = load_model(tmp_path / "m.npz")
+        assert space2.grams == space.grams and space2.index == space.index
+        assert np.array_equal(weights2.r, weights.r) and weights2.alpha == 0.5
+        assert np.array_equal(clf2.w, clf.w) and clf2.b == clf.b and clf2.l2 == 0.25
+        assert np.array_equal(doc_margins(pos + neg, space2, weights2, clf2),
+                              doc_margins(pos + neg, space, weights, clf))
