@@ -194,7 +194,8 @@ def cmd_train_rnn(args) -> int:
             docs_l = [d for d in train if d.label == label]
             valid_l = [d for d in valid if d.label == label]
             params, history = rnn_lm.train_rnn_lm(docs_l, vocab, config,
-                                                  valid_docs=valid_l)
+                                                  valid_docs=valid_l,
+                                                  dump_dir=log_path.parent)
             path = _out(args, "models", f"rnn-{name}.bin")
             rnn_lm.save_rnn(params, path)
             artifacts.append(path)
@@ -633,27 +634,29 @@ def _apply_config(parser, argv):
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 < len(argv):
-            entries = corpus.read_manifest(argv[idx + 1])
-            defaults = {}
-            for k, v in entries.items():
-                dest = k.replace("-", "_")
-                for cast in (int, float):
-                    try:
-                        v = cast(v)
-                        break
-                    except ValueError:
-                        continue
-                defaults[dest] = v
-            for action_parser in [parser] + [
-                    sp for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)
-                    for sp in a.choices.values()]:
-                known = {a.dest for a in action_parser._actions}
-                action_parser.set_defaults(**{k: v for k, v in defaults.items()
-                                              if k in known})
+    config = None  # the last one given wins, as argparse would have it
+    for i, arg in enumerate(argv):
+        if arg == "--config" and i + 1 < len(argv):
+            config = argv[i + 1]
+        elif arg.startswith("--config="):
+            config = arg[len("--config="):]
+    if config is None:
+        return argv
+    defaults = {}
+    for k, v in corpus.read_manifest(config).items():
+        for cast in (int, float):
+            try:
+                v = cast(v)
+                break
+            except ValueError:
+                continue
+        defaults[k.replace("-", "_")] = v
+    for action_parser in [parser] + [
+            sp for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+            for sp in a.choices.values()]:
+        known = {a.dest for a in action_parser._actions}
+        action_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
     return argv
 
 

@@ -246,6 +246,21 @@ def split_validation(train_docs, fraction: float, seed: int):
     return train_sub, valid
 
 
+def length_blocks(lengths, cells: int) -> list[np.ndarray]:
+    """Document indices by descending length (ties in input order), cut into
+    blocks whose size times their longest length stays within ``cells``;
+    a block always holds at least one document."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    blocks = []
+    start = 0
+    while start < len(order):
+        stop = start + max(1, cells // max(int(lengths[order[start]]), 1))
+        blocks.append(order[start:stop])
+        start = stop
+    return blocks
+
+
 def write_token_cache(docs, path) -> None:
     """One document per line: id<TAB>label<TAB>space-separated tokens."""
     path = Path(path)

@@ -285,10 +285,15 @@ def train_linear(X, labels, l2: float | None = None, epochs: int = 30, seed: int
 
 def dump_feature_weights(space: NGramFeatureSpace, weights: LogRatioWeights, path) -> None:
     """gram<TAB>r, sorted by |r| descending (ties by gram) for inspection."""
-    order = sorted(range(len(space)), key=lambda i: (-abs(weights.r[i]), space.grams[i]))
+    grams = space.grams
+    # grams are distinct, so their rank orders ties as the strings do; a
+    # fixed-width string array would cost its longest gram for every gram
+    gram_rank = np.empty(len(grams), dtype=np.int64)
+    gram_rank[sorted(range(len(grams)), key=grams.__getitem__)] = np.arange(len(grams))
+    order = np.lexsort((gram_rank, -np.abs(weights.r)))
     with open(path, "w", encoding="utf-8") as f:
-        for i in order:
-            f.write(f"{space.grams[i]}\t{weights.r[i]:.6f}\n")
+        f.writelines(f"{grams[i]}\t{x:.6f}\n"
+                     for i, x in zip(order.tolist(), weights.r[order].tolist()))
 
 
 def save_model(path, space: NGramFeatureSpace, weights: LogRatioWeights,

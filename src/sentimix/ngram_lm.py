@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary
+from .corpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary, length_blocks
 
 log = logging.getLogger(__name__)
 
 FALLBACK_DISCOUNTS = (0.5, 1.0, 1.5)
 MIN_DISCOUNT = 1e-4  # keeps every backoff weight strictly positive
 DEFAULT_OOV_LOG_PENALTY = math.log(1e-7)
+SCORE_BLOCK_CELLS = 1 << 18  # predicted positions per backoff query
 
 
 class CountError(Exception):
@@ -79,7 +80,7 @@ def _wrapped_windows(encoded_docs: list[np.ndarray], k: int) -> np.ndarray:
     tail = np.array([EOS_ID], dtype=np.uint32)
     parts = []
     for ids in encoded_docs:
-        wrapped = np.concatenate([head, ids, tail])
+        wrapped = np.concatenate([head, np.asarray(ids, dtype=np.uint32), tail])
         parts.append(sliding_window_view(wrapped, k))
     return np.concatenate(parts) if parts else np.empty((0, k), dtype=np.uint32)
 
@@ -144,15 +145,10 @@ class KneserNeyModel:
     oov_log_penalty: float | None = None
     warnings: list[str] = field(default_factory=list)
 
-    def logprob_positions(self, ids: np.ndarray) -> np.ndarray:
-        """Natural-log probability of each predicted position (tokens + EOS)."""
+    def _backoff_logprobs(self, rows: np.ndarray) -> np.ndarray:
+        """Natural-log probability of each row's last word given the words
+        before it, for an (m, order) matrix of word ids."""
         n = self.order
-        seq = np.concatenate([
-            np.full(n - 1, BOS_ID, dtype=np.uint32),
-            np.asarray(ids, dtype=np.uint32),
-            np.array([EOS_ID], dtype=np.uint32),
-        ])
-        rows = sliding_window_view(seq, n) if n > 1 else seq[:, None]
         m = len(rows)
         out = np.empty(m)
         bow_acc = np.zeros(m)
@@ -173,11 +169,34 @@ class KneserNeyModel:
                 out[active] = bow_acc[active] + self.unigram_floor_logp
         return out
 
-    def doc_logprob_ids(self, ids: np.ndarray) -> float:
-        total = float(self.logprob_positions(ids).sum())
+    def logprob_positions(self, ids: np.ndarray) -> np.ndarray:
+        """Natural-log probability of each predicted position (tokens + EOS)."""
+        return self._backoff_logprobs(_wrapped_windows([ids], self.order))
+
+    def doc_logprobs(self, encoded_docs) -> np.ndarray:
+        """Each document's log-probability in nats (tokens + EOS, plus the OOV
+        penalty per unknown word when one is set).
+
+        One backoff query covers a block of documents, at most
+        ``SCORE_BLOCK_CELLS`` predicted positions; each document's slice is
+        then summed on its own, as ``logprob_positions(ids).sum()`` would.
+        """
+        totals = np.empty(len(encoded_docs))
+        lengths = np.array([len(ids) + 1 for ids in encoded_docs], dtype=np.int64)
+        for block in length_blocks(lengths, SCORE_BLOCK_CELLS):
+            logp = self._backoff_logprobs(
+                _wrapped_windows([encoded_docs[i] for i in block], self.order))
+            ends = np.cumsum(lengths[block])
+            for i, start, end in zip(block, ends - lengths[block], ends):
+                totals[i] = logp[start:end].sum()
         if self.oov_log_penalty is not None:
-            total += float(np.count_nonzero(np.asarray(ids) == UNK_ID)) * self.oov_log_penalty
-        return total
+            n_unk = np.array([np.count_nonzero(np.asarray(ids) == UNK_ID)
+                              for ids in encoded_docs], dtype=np.float64)
+            totals += n_unk * self.oov_log_penalty
+        return totals
+
+    def doc_logprob_ids(self, ids: np.ndarray) -> float:
+        return float(self.doc_logprobs([ids])[0])
 
     def conditional_logprobs(self, context_ids) -> np.ndarray:
         """log p(w | context) for every vocabulary index w at once."""
@@ -190,24 +209,7 @@ class KneserNeyModel:
         rows = np.empty((V, n), dtype=np.uint32)
         rows[:, : n - 1] = ctx
         rows[:, n - 1] = np.arange(V, dtype=np.uint32)
-        out = np.empty(V)
-        bow_acc = np.zeros(V)
-        active = np.arange(V)
-        for k in range(n, 0, -1):
-            sub = rows[active][:, n - k:]
-            pos, hit = _find(self.keys[k - 1], pack_rows(sub))
-            hit_idx = active[hit]
-            out[hit_idx] = bow_acc[hit_idx] + self.logp[k - 1][pos[hit]]
-            active = active[~hit]
-            if len(active) == 0:
-                return out
-            if k > 1:
-                cctx = rows[active][:, n - k:n - 1]
-                cpos, chit = _find(self.bow_keys[k - 2], pack_rows(cctx))
-                bow_acc[active[chit]] += self.bow_logs[k - 2][cpos[chit]]
-            else:
-                out[active] = bow_acc[active] + self.unigram_floor_logp
-        return out
+        return self._backoff_logprobs(rows)
 
 
 def doc_logprob(model: KneserNeyModel, tokens) -> float:
@@ -385,16 +387,15 @@ def classify_generative(clf: GenerativeClassifier, tokens) -> tuple[str, float]:
 
 
 def score_documents(clf: GenerativeClassifier, docs):
-    """Per-document (id, log_p_pos, log_p_neg, log_ratio, n_positions) arrays."""
-    ids, lps, lns, ratios, lengths = [], [], [], [], []
-    for d in docs:
-        pos_ids = clf.pos_model.vocab.encode(d.tokens)
-        neg_ids = pos_ids if clf.neg_model.vocab is clf.pos_model.vocab \
-            else clf.neg_model.vocab.encode(d.tokens)
-        lp, ln, ratio = clf.log_ratio_ids(pos_ids, neg_ids)
-        ids.append(d.id)
-        lps.append(lp)
-        lns.append(ln)
-        ratios.append(ratio)
-        lengths.append(len(d.tokens) + 1)
-    return ids, np.array(lps), np.array(lns), np.array(ratios), np.array(lengths)
+    """Per-document (id, log_p_pos, log_p_neg, log_ratio, n_positions) arrays;
+    each model scores the whole split in one ``doc_logprobs`` call."""
+    pos_vocab, neg_vocab = clf.pos_model.vocab, clf.neg_model.vocab
+    pos_ids = [pos_vocab.encode(d.tokens) for d in docs]
+    # models loaded from ARPA files hold equal but distinct vocabularies
+    neg_ids = pos_ids if neg_vocab is pos_vocab or neg_vocab.tokens == pos_vocab.tokens \
+        else [neg_vocab.encode(d.tokens) for d in docs]
+    lps = clf.pos_model.doc_logprobs(pos_ids)
+    lns = clf.neg_model.doc_logprobs(neg_ids)
+    ratios = lps - lns + clf.log_prior_pos - clf.log_prior_neg
+    return ([d.id for d in docs], lps, lns, ratios,
+            np.array([len(d.tokens) + 1 for d in docs]))

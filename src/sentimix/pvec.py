@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import length_blocks
+
 log = logging.getLogger(__name__)
+
+INFER_BLOCK_CELLS = 1 << 20  # documents x longest known-word count per block
 
 
 @dataclass
@@ -121,8 +125,9 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _hs_step(node_vecs, tree, wid, ctx_vec, lr, update_nodes=True):
-    """One hierarchical-softmax update toward word wid from ctx_vec.
+def _hs_step(node_vecs, tree, wid, ctx_vec, lr):
+    """One hierarchical-softmax update toward word wid from ctx_vec; the
+    node vectors on the word's path are updated in place.
 
     Returns (gradient to add to the context vector, loss contribution).
     The loss is computed before any update.
@@ -135,8 +140,7 @@ def _hs_step(node_vecs, tree, wid, ctx_vec, lr, update_nodes=True):
     # -log p along the path, stable around saturation
     loss = float(np.sum(np.logaddexp(0.0, np.where(labels > 0.5, -z, z))))
     g = (labels - f) * lr
-    if update_nodes:
-        node_vecs[path] += g[:, None] * ctx_vec[None, :]
+    node_vecs[path] += g[:, None] * ctx_vec[None, :]
     return g @ nodes, loss
 
 
@@ -218,30 +222,6 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
                                 train_log=train_log)
 
 
-def infer_doc_vector(model: ParagraphVectorModel, tokens, steps: int = 10,
-                     lr0: float = 0.05, lr_min: float = 0.0001,
-                     seed: int = 1) -> np.ndarray:
-    """Embed an unseen document: gradient steps on a fresh vector with word
-    vectors and tree parameters frozen."""
-    rng = np.random.RandomState(seed)
-    dvec = ((rng.rand(model.dim).astype(np.float32) - 0.5) / model.dim)
-    ids = model.encode_words(tokens)
-    if steps == 0 or not ids:
-        return dvec
-    total = steps * len(ids)
-    step = 0
-    # dm inference uses the doc vector alone as context; mixing in window
-    # word vectors would route updates into frozen parameters
-    for _ in range(steps):
-        for wid in ids:
-            lr = max(lr_min, lr0 * (1.0 - step / total))
-            step += 1
-            dd, _ = _hs_step(model.node_vecs, model.tree, wid, dvec,
-                             lr, update_nodes=False)
-            dvec += dd
-    return dvec
-
-
 def hs_word_logprob(model: ParagraphVectorModel, wid: int, ctx_vec) -> float:
     """log p(word | ctx_vec) under the hierarchical softmax."""
     path = model.tree.paths[wid]
@@ -252,9 +232,72 @@ def hs_word_logprob(model: ParagraphVectorModel, wid: int, ctx_vec) -> float:
 
 def infer_vectors(model: ParagraphVectorModel, docs, steps: int = 10,
                   lr0: float = 0.05, seed: int = 1) -> np.ndarray:
-    out = np.empty((len(docs), model.dim), dtype=np.float32)
-    for i, d in enumerate(docs):
-        out[i] = infer_doc_vector(model, d.tokens, steps=steps, lr0=lr0, seed=seed)
+    """Embed unseen documents: gradient steps on a fresh vector per document
+    with word vectors and tree parameters frozen.
+
+    Every document starts from the same seeded vector and makes ``steps``
+    passes over its known words; its rate decays linearly over its own
+    ``steps * n_words`` updates, floored at ``PvConfig.lr_min``.  dm models
+    infer with the document vector alone as context: mixing in window word
+    vectors would route updates into frozen parameters.
+
+    Documents advance in lockstep, in length-sorted blocks of at most
+    ``INFER_BLOCK_CELLS`` documents x words.  At each step the active
+    documents are grouped by the code length of their current word, and each
+    group's products are stacked matmuls: numpy makes the same BLAS call per
+    document as for a lone ``nodes @ ctx`` and ``g @ nodes``, so a vector does
+    not depend on the other documents of its batch.
+    """
+    rng = np.random.RandomState(seed)
+    init = (rng.rand(model.dim).astype(np.float32) - 0.5) / model.dim
+    out = np.tile(init, (len(docs), 1))
+    encoded = [model.encode_words(d.tokens) for d in docs]
+    lengths = np.array([len(e) for e in encoded], dtype=np.int64)
+    if steps == 0 or not lengths.any():
+        return out
+    code_len = np.array([len(c) for c in model.tree.codes], dtype=np.int64)
+    filled = np.arange(code_len.max()) < code_len[:, None]
+    paths = np.zeros(filled.shape, dtype=np.int32)
+    paths[filled] = np.concatenate(model.tree.paths)
+    labels = np.zeros(filled.shape, dtype=np.float32)
+    labels[filled] = np.concatenate(model.tree.labels)
+    for block in length_blocks(lengths, INFER_BLOCK_CELLS):
+        block = block[lengths[block] > 0]  # no known word: the start vector stays
+        if len(block) == 0:
+            continue
+        n = lengths[block]
+        ids = np.zeros((len(block), n[0]), dtype=np.int64)
+        for row, i in enumerate(block):
+            ids[row, :n[row]] = encoded[i]
+        total = steps * n
+        rows = np.arange(len(block))
+        vecs = out[block]
+        active = len(block)
+        for step in range(int(total[0])):
+            while total[active - 1] <= step:
+                active -= 1
+            lr = np.maximum(PvConfig.lr_min, lr0 * (1.0 - step / total[:active]))
+            lr = lr.astype(np.float32)
+            words = ids[rows[:active], step % n[:active]]
+            by_len = np.argsort(code_len[words], kind="stable")
+            words = words[by_len]
+            lens = code_len[words]
+            starts = [0, *(np.flatnonzero(lens[1:] != lens[:-1]) + 1).tolist()]
+            groups = [(a, b, int(lens[a])) for a, b in zip(starts, starts[1:] + [active])]
+            # z and g of every group share one padded (active, longest code)
+            # array, so the sigmoid and the rate run once per step
+            ctx = vecs[by_len]
+            z = np.zeros((active, groups[-1][2]), dtype=np.float32)
+            nodes = []
+            for a, b, ell in groups:
+                nodes.append(model.node_vecs[paths[words[a:b], :ell]])
+                z[a:b, :ell] = (nodes[-1] @ ctx[a:b, :, None])[:, :, 0]
+            g = (labels[words, :z.shape[1]] - _sigmoid(z)) * lr[by_len, None]
+            dd = np.empty_like(ctx)
+            for (a, b, ell), nd in zip(groups, nodes):
+                dd[a:b] = (g[a:b, None, :ell] @ nd)[:, 0, :]
+            vecs[by_len] = ctx + dd
+        out[block] = vecs
     return out
 
 

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, Vocabulary
+from .corpus import BOS_ID, EOS_ID, Vocabulary, length_blocks
 
 log = logging.getLogger(__name__)
 
 MAGIC = b"SXRNN1\n"
+SCORE_BLOCK_CELLS = 1 << 22  # documents x longest length x hidden units per block
 
 
 class RnnDivergenceError(Exception):
@@ -51,8 +52,39 @@ class RnnLm:
         return all(np.all(np.isfinite(a)) for a in self.arrays())
 
     def doc_logprob_ids(self, ids) -> float:
-        _, total = rnn_forward(self, ids)
-        return total
+        return float(self.doc_logprobs([ids])[0])
+
+    def doc_logprobs(self, encoded_docs) -> np.ndarray:
+        """Each document's realized log-probability (nats), equal bit for bit
+        to ``rnn_forward``'s total.
+
+        The recurrence runs over a length-sorted block of documents at once,
+        at most ``SCORE_BLOCK_CELLS`` documents x positions x hidden units;
+        each step's product is a stacked ``(B,1,H) @ (H,H)``, which numpy
+        computes with the same BLAS call per document as a lone ``h @ rec``.
+        Output layers are computed per document, as in ``rnn_forward``.
+        """
+        totals = np.empty(len(encoded_docs))
+        lengths = np.array([len(ids) + 1 for ids in encoded_docs], dtype=np.int64)
+        H = self.hidden_size
+        for block in length_blocks(lengths * H, SCORE_BLOCK_CELLS):
+            T = lengths[block]
+            xs = np.full((len(block), T[0]), BOS_ID, dtype=np.int64)
+            for row, i in enumerate(block):
+                xs[row, 1:T[row]] = encoded_docs[i]
+            states = np.empty((len(block), T[0], H), dtype=self.emb.dtype)
+            h = np.zeros((len(block), 1, H), dtype=self.emb.dtype)
+            active = len(block)
+            for t in range(T[0]):
+                while T[active - 1] <= t:
+                    active -= 1
+                h = _sigmoid(self.emb[xs[:active, t]][:, None, :] + h[:active] @ self.rec)
+                states[:active, t] = h[:, 0]
+            for row, i in enumerate(block):
+                ys = np.append(encoded_docs[i], EOS_ID).astype(np.int64)
+                logprobs = _log_softmax(self, states[row, :T[row]])
+                totals[i] = logprobs[np.arange(len(ys)), ys].sum()
+        return totals
 
 
 def init_params(vocab_size: int, hidden: int, seed: int, scale: float = 0.1,
@@ -81,12 +113,16 @@ def _states_and_logprobs(params: RnnLm, ids):
     for t in range(T):
         h = _sigmoid(params.emb[xs[t]] + h @ params.rec)
         states[t] = h
+    return xs, ys, states, _log_softmax(params, states)
+
+
+def _log_softmax(params: RnnLm, states):
+    """(T, V) float64 log predictive distributions from (T, H) states."""
     logits = states @ params.out + params.bias
     logits = logits.astype(np.float64)
     mx = logits.max(axis=1, keepdims=True)
     logz = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
-    logprobs = logits - logz[:, None]
-    return xs, ys, states, logprobs
+    return logits - logz[:, None]
 
 
 def rnn_forward(params: RnnLm, ids):
@@ -174,23 +210,23 @@ def perplexity(total_logprob: float, n_predictions: int) -> float:
 
 
 def corpus_logprob(params: RnnLm, encoded_docs) -> tuple[float, int]:
+    """Summed log-probability of the documents and their number of predictions."""
     total = 0.0
-    n = 0
-    for ids in encoded_docs:
-        _, lp = rnn_forward(params, ids)
-        total += lp
-        n += len(ids) + 1
-    return total, n
+    for lp in params.doc_logprobs(encoded_docs).tolist():
+        total += lp  # in document order, as the per-document loop summed
+    return total, sum(len(ids) + 1 for ids in encoded_docs)
 
 
 def train_rnn_lm(docs, vocab: Vocabulary, config: RnnTrainConfig,
-                 valid_docs=None) -> tuple[RnnLm, list[dict]]:
+                 valid_docs=None, dump_dir=None) -> tuple[RnnLm, list[dict]]:
     """Online SGD over documents, shuffled each epoch; single-worker and
     bit-deterministic for a fixed seed.
 
     The learning rate halves whenever validation perplexity fails to improve
     by ``halving_threshold`` relative (training perplexity when no validation
-    documents are given).
+    documents are given).  If perplexity becomes non-finite, the parameters
+    are dumped to an ``rnn-diverged-*.npz`` file in ``dump_dir`` (none is
+    written without one) and RnnDivergenceError is raised.
     """
     encoded = [vocab.encode(d.tokens) for d in docs]
     if not encoded:
@@ -210,13 +246,15 @@ def train_rnn_lm(docs, vocab: Vocabulary, config: RnnTrainConfig,
             grads, lp = _gradients_and_logprob(params, ids, truncation=config.truncation)
             grads, _ = clip_gradients(grads, config.clip)
             if not math.isfinite(lp) or perplexity(lp, len(ids) + 1) == math.inf:
-                dump = tempfile.NamedTemporaryFile(prefix="rnn-diverged-", suffix=".npz",
-                                                   delete=False)
-                np.savez(dump, emb=params.emb, rec=params.rec, out=params.out,
-                         bias=params.bias)
+                where = "no state dumped"
+                if dump_dir is not None:
+                    with tempfile.NamedTemporaryFile(prefix="rnn-diverged-", suffix=".npz",
+                                                     dir=dump_dir, delete=False) as dump:
+                        np.savez(dump, emb=params.emb, rec=params.rec, out=params.out,
+                                 bias=params.bias)
+                    where = f"state dumped to {dump.name}"
                 raise RnnDivergenceError(
-                    f"perplexity became non-finite at epoch {epoch}; "
-                    f"state dumped to {dump.name}")
+                    f"perplexity became non-finite at epoch {epoch}; {where}")
             train_lp += lp
             train_n += len(ids) + 1
             params.emb -= lr * grads.emb

@@ -183,6 +183,36 @@ def rnn_reference(emb, rec, out, bias, input_ids: list[int], bos_id: int, eos_id
     return total_lp, {"emb": demb, "rec": drec, "out": dout, "bias": dbias}
 
 
+def pv_infer_reference(node_vecs, paths, codes, dim: int, word_ids: list[int],
+                       steps: int, lr0: float, lr_min: float, seed: int):
+    """One document's paragraph-vector inference, one word at a time.
+
+    The scalar loop that batched inference must reproduce bit for bit: a
+    seeded float32 start vector, ``steps`` passes over ``word_ids`` with the
+    rate ``max(lr_min, lr0 * (1 - step / total))`` (a Python float, cast to
+    float32 by the multiply), and per word the hierarchical-softmax gradient
+    along the word's Huffman path with the node vectors frozen.  It uses
+    numpy float32 arithmetic on purpose: the result is compared exactly.
+    """
+    import numpy as np
+
+    rng = np.random.RandomState(seed)
+    dvec = (rng.rand(dim).astype(np.float32) - 0.5) / dim
+    if steps == 0 or not word_ids:
+        return dvec
+    total = steps * len(word_ids)
+    step = 0
+    for _ in range(steps):
+        for wid in word_ids:
+            lr = max(lr_min, lr0 * (1.0 - step / total))
+            step += 1
+            nodes = node_vecs[paths[wid]]
+            f = 1.0 / (1.0 + np.exp(-(nodes @ dvec)))
+            g = (1.0 - codes[wid].astype(np.float32) - f) * lr
+            dvec += g @ nodes
+    return dvec
+
+
 def huffman_min_expected_length(freqs: list[int]) -> float:
     """Minimum expected code length over prefix codes with Kraft equality.
 

@@ -291,8 +291,7 @@ def _check_hs_gradients():
     ctx = rng.randn(4)
     eps = 1e-6
     for wid in range(8):
-        dd, _ = pvec._hs_step(node_vecs.copy(), tree, wid, ctx.copy(), 1.0,
-                              update_nodes=False)
+        dd, _ = pvec._hs_step(node_vecs.copy(), tree, wid, ctx.copy(), 1.0)
         for i in range(4):
             step = np.zeros(4)
             step[i] = eps

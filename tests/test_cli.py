@@ -202,6 +202,18 @@ class TestExitCodes:
         assert err.startswith("error: missing artifact:")
         assert "\n" not in err.strip()
 
+    def test_rnn_divergence_dumps_into_models(self, imdb_tree, tmp_path, capsys):
+        out = tmp_path / "diverge"
+        assert run(["prepare", str(imdb_tree), "--out-dir", str(out), "--subset", "4"]) == 0
+        capsys.readouterr()
+        assert run(["train-rnn", "--out-dir", str(out), "--hidden", "8", "--epochs", "30",
+                    "--lr", "2e4", "--clip", "1e9", "--vocab-cap", "100"]) == 1
+        dumps = list((out / "models").glob("rnn-diverged-*.npz"))
+        assert len(dumps) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: RnnDivergenceError:") and "\n" not in err
+        assert err.endswith(f"state dumped to {dumps[0]}")
+
     def test_unknown_subcommand_is_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
@@ -269,3 +281,12 @@ class TestConfigFile:
                     "--config", str(cfg), "--seed", "9"]) == 0
         manifest2 = read_manifest(tmp_path / "cfg-run2" / "manifest.txt")
         assert manifest2["prepare.seed"] == "9"
+
+    def test_config_equals_form(self, imdb_tree, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("subset=3\nseed=5\n")
+        assert run(["prepare", str(imdb_tree), "--out-dir", str(tmp_path / "run"),
+                    f"--config={cfg}"]) == 0
+        manifest = read_manifest(tmp_path / "run" / "manifest.txt")
+        assert manifest["prepare.seed"] == "5"
+        assert manifest["prepare.n_test"] == "6"

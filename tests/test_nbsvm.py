@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from sentimix.corpus import Document, load_imdb, split_validation
 from sentimix.nbsvm import (
-    LinearClassifier, LogRatioWeights, TrainingError, build_feature_space,
-    compute_log_ratio, doc_margins, dump_feature_weights, extract_grams, featurize,
-    featurize_all, load_model, nbsvm_pipeline, save_model, train_linear,
+    LinearClassifier, LogRatioWeights, NGramFeatureSpace, TrainingError,
+    build_feature_space, compute_log_ratio, doc_margins, dump_feature_weights,
+    extract_grams, featurize, featurize_all, load_model, nbsvm_pipeline, save_model,
+    train_linear,
 )
 from conftest import make_docs
 from oracles import log_count_ratio_reference
@@ -252,6 +253,20 @@ class TestPipeline:
         mags = [abs(float(l.split("\t")[1])) for l in lines]
         assert mags == sorted(mags, reverse=True)
         assert lines[0].split("\t")[0] in ("good", "bad")
+
+    def test_feature_dump_ties_break_by_gram(self, tmp_path):
+        """Equal magnitudes of either sign order by gram text, code point by
+        code point, as Python's string order does."""
+        grams = ["b", "a", "c", "\u00e9t\u00e9", "z", "a b", "e", "zz"]
+        r = np.array([0.5, -0.5, 0.5, 1.25, -0.0, 1.25, 0.0, -2.0])
+        space = NGramFeatureSpace(n_max=2, index={g: i for i, g in enumerate(grams)},
+                                  grams=grams, df_pos=np.zeros(8, dtype=np.int64),
+                                  df_neg=np.zeros(8, dtype=np.int64))
+        path = tmp_path / "features.tsv"
+        dump_feature_weights(space, LogRatioWeights(r=r, alpha=1.0), path)
+        order = sorted(range(len(grams)), key=lambda i: (-abs(r[i]), grams[i]))
+        assert path.read_text(encoding="utf-8") == "".join(
+            f"{grams[i]}\t{r[i]:.6f}\n" for i in order)
 
 
 class TestScoring:

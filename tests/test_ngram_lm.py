@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentimix.corpus import BOS, EOS, UNK, BOS_ID, EOS_ID, build_vocab
+from sentimix import ngram_lm
+from sentimix.corpus import BOS, EOS, UNK, BOS_ID, EOS_ID, UNK_ID, build_vocab
 from sentimix.ngram_lm import (
     CountError, GenerativeClassifier, KneserNeyModel, classify_generative,
     count_ngrams, doc_logprob, estimate_kneser_ney, make_priors,
@@ -318,3 +319,60 @@ class TestClassifier:
             assert lp_pos[i] == pytest.approx(doc_logprob(clf.pos_model, d.tokens))
             _, r = classify_generative(clf, d.tokens)
             assert ratios[i] == pytest.approx(r)
+
+
+def _review_docs(n_docs, seed, n_words=40, label="positive"):
+    rng = np.random.RandomState(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    return make_docs([[words[j] for j in rng.randint(0, n_words, size=rng.randint(0, 200))]
+                      for _ in range(n_docs)], labels=[label] * n_docs)
+
+
+def _summed_positions(model, tokens):
+    """One document's log-probability from its own per-position array."""
+    ids = model.vocab.encode(tokens)
+    total = float(model.logprob_positions(ids).sum())
+    if model.oov_log_penalty is not None:
+        total += float(np.count_nonzero(ids == UNK_ID)) * model.oov_log_penalty
+    return total
+
+
+class TestBatchedScoring:
+    """One backoff query per split equals one-document scoring exactly."""
+
+    def _check(self, clf, docs):
+        ids, lp_pos, lp_neg, ratios, lengths = score_documents(clf, docs)
+        for i, d in enumerate(docs):
+            lp, ln, r = clf.log_ratio_ids(clf.pos_model.vocab.encode(d.tokens),
+                                          clf.neg_model.vocab.encode(d.tokens))
+            assert (lp_pos[i], lp_neg[i], ratios[i]) == (lp, ln, r)
+            assert lp == _summed_positions(clf.pos_model, d.tokens)
+            assert ln == _summed_positions(clf.neg_model, d.tokens)
+        assert list(lengths) == [len(d.tokens) + 1 for d in docs]
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_shared_vocab(self, order):
+        clf = train_generative_classifier(
+            _review_docs(20, 1), _review_docs(20, 2, label="negative"), order=order)
+        held_out = _review_docs(15, 3, n_words=50)  # w40..w49 are unknown
+        held_out[2] = make_docs([[]])[0]
+        self._check(clf, held_out)
+
+    def test_separate_vocab_with_oov_penalty(self):
+        clf = train_generative_classifier(_review_docs(20, 4, n_words=30),
+                                          _review_docs(20, 5, label="negative"),
+                                          order=3, separate_vocab=True)
+        assert clf.pos_model.vocab is not clf.neg_model.vocab
+        held_out = _review_docs(15, 6, n_words=50)
+        self._check(clf, held_out)
+        assert any(UNK_ID in clf.pos_model.vocab.encode(d.tokens)
+                   for d in held_out)  # the penalty is exercised
+
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_block_boundaries(self, monkeypatch, per_block):
+        clf = train_generative_classifier(
+            _review_docs(20, 7), _review_docs(20, 8, label="negative"), order=3)
+        held_out = _review_docs(11, 9)
+        longest = max(len(d.tokens) for d in held_out) + 1
+        monkeypatch.setattr(ngram_lm, "SCORE_BLOCK_CELLS", per_block * longest)
+        self._check(clf, held_out)

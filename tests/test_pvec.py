@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sentimix import pvec
 from sentimix.corpus import build_vocab
 from sentimix.pvec import (
     HuffmanTree, ParagraphVectorModel, PvConfig, _hs_step, build_huffman,
-    hs_word_logprob, infer_doc_vector, infer_vectors, pv_classify,
+    hs_word_logprob, infer_vectors, pv_classify,
     read_vectors_binary, train_pv, write_vectors_binary, write_vectors_text,
 )
 from conftest import make_docs
-from oracles import huffman_min_expected_length
+from oracles import huffman_min_expected_length, pv_infer_reference
 
 
 class TestHuffman:
@@ -102,8 +103,7 @@ class TestHierarchicalSoftmax:
         eps = 1e-6
         for wid in range(8):
             # analytic: _hs_step with lr=1 returns -d(loss)/d(ctx)
-            dd, loss0 = _hs_step(node_vecs.copy(), tree, wid, ctx.copy(), 1.0,
-                                 update_nodes=False)
+            dd, loss0 = _hs_step(node_vecs.copy(), tree, wid, ctx.copy(), 1.0)
             for i in range(4):
                 step = np.zeros(4)
                 step[i] = eps
@@ -115,7 +115,7 @@ class TestHierarchicalSoftmax:
             # node gradients via the update taken by _hs_step at lr=1
             before = node_vecs.copy()
             after = before.copy()
-            _hs_step(after, tree, wid, ctx.copy(), 1.0, update_nodes=True)
+            _hs_step(after, tree, wid, ctx.copy(), 1.0)
             analytic_nodes = after - before  # equals -d(loss)/d(nodes)
             path = tree.paths[wid]
             for p_i, node in enumerate(path):
@@ -205,6 +205,16 @@ class TestTraining:
             train_pv(docs, vocab, PvConfig(dim=2, epochs=1))
 
 
+def _infer_one(model, tokens, **kwargs):
+    return infer_vectors(model, make_docs([tokens]), **kwargs)[0]
+
+
+def _reference(model, tokens, steps=10, lr0=0.05, seed=1):
+    return pv_infer_reference(model.node_vecs, model.tree.paths, model.tree.codes,
+                              model.dim, model.encode_words(tokens), steps, lr0,
+                              PvConfig.lr_min, seed)
+
+
 class TestInference:
     @pytest.fixture()
     def trained(self):
@@ -213,28 +223,85 @@ class TestInference:
         return train_pv(docs, vocab, PvConfig(dim=4, epochs=60, lr0=0.1, seed=5))
 
     def test_zero_steps_returns_seeded_init(self, trained):
-        got = infer_doc_vector(trained, GOOD_DOC, steps=0, seed=11)
+        got = _infer_one(trained, GOOD_DOC, steps=0, seed=11)
         expected = ((np.random.RandomState(11).rand(trained.dim)
                      .astype(np.float32) - 0.5) / trained.dim)
         assert np.array_equal(got, expected)
 
     def test_model_state_frozen(self, trained):
         before = trained.state_digest()
-        infer_doc_vector(trained, GOOD_DOC, steps=5)
+        _infer_one(trained, GOOD_DOC, steps=5)
         assert trained.state_digest() == before
 
     def test_inferred_matches_trained_document(self, trained):
-        inferred_good = infer_doc_vector(trained, GOOD_DOC, steps=20, lr0=0.1)
-        inferred_bad = infer_doc_vector(trained, BAD_DOC, steps=20, lr0=0.1)
+        inferred_good = _infer_one(trained, GOOD_DOC, steps=20, lr0=0.1)
+        inferred_bad = _infer_one(trained, BAD_DOC, steps=20, lr0=0.1)
         assert _cosine(inferred_good, trained.doc_vecs[0]) > \
             _cosine(inferred_good, trained.doc_vecs[1])
         assert _cosine(inferred_bad, trained.doc_vecs[1]) > \
             _cosine(inferred_bad, trained.doc_vecs[0])
 
     def test_deterministic(self, trained):
-        a = infer_doc_vector(trained, GOOD_DOC, steps=5, seed=4)
-        b = infer_doc_vector(trained, GOOD_DOC, steps=5, seed=4)
+        a = _infer_one(trained, GOOD_DOC, steps=5, seed=4)
+        b = _infer_one(trained, GOOD_DOC, steps=5, seed=4)
         assert np.array_equal(a, b)
+
+
+def _zipf_docs(n_docs, n_words=60, seed=0, max_len=80):
+    rng = np.random.RandomState(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    p = 1.0 / np.arange(1, n_words + 1)
+    p /= p.sum()
+    return [[words[j] for j in rng.choice(n_words, size=rng.randint(0, max_len), p=p)]
+            for _ in range(n_docs)]
+
+
+class TestBatchedInference:
+    """Lockstep inference equals one-document scalar inference exactly."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        docs = make_docs(_zipf_docs(30, seed=1))
+        return train_pv(docs, build_vocab(docs), PvConfig(dim=32, epochs=2, seed=3))
+
+    def _held_out(self):
+        docs = _zipf_docs(12, seed=2, max_len=120)
+        docs[3] = ["never", "seen", "words"]
+        docs[7] = []
+        return docs
+
+    def _check(self, model, token_lists, **kwargs):
+        got = infer_vectors(model, make_docs(token_lists), **kwargs)
+        assert got.dtype == np.float32 and got.shape == (len(token_lists), model.dim)
+        for row, tokens in zip(got, token_lists):
+            assert np.array_equal(row, _reference(model, tokens, **kwargs))
+
+    @pytest.mark.parametrize("lr0", [0.25, 0.001])  # 0.001 reaches the rate floor
+    def test_mixed_lengths_match_oracle(self, model, lr0):
+        assert len({len(c) for c in model.tree.codes}) > 3  # several group sizes
+        self._check(model, self._held_out(), steps=3, lr0=lr0, seed=4)
+
+    def test_zero_steps(self, model):
+        self._check(model, self._held_out(), steps=0)
+
+    def test_two_word_vocabulary(self):
+        docs = make_docs([["a", "b", "a"], ["b", "b"]])
+        model = train_pv(docs, build_vocab(docs), PvConfig(dim=4, epochs=3, seed=2))
+        assert {len(c) for c in model.tree.codes} == {1}
+        self._check(model, [["a", "b", "b", "a"], ["b"], ["c"], ["a"] * 9], steps=4)
+
+    def test_dm_trained_model(self):
+        docs = make_docs(_zipf_docs(20, seed=5))
+        model = train_pv(docs, build_vocab(docs),
+                         PvConfig(dim=6, epochs=2, window=2, mode="dm", seed=1))
+        self._check(model, _zipf_docs(8, seed=6), steps=2)
+
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_block_boundaries(self, model, monkeypatch, per_block):
+        held_out = self._held_out()
+        longest = max(len(model.encode_words(t)) for t in held_out)
+        monkeypatch.setattr(pvec, "INFER_BLOCK_CELLS", per_block * longest)
+        self._check(model, held_out, steps=2)
 
 
 class TestClassification:

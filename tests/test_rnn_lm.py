@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from sentimix import rnn_lm
 from sentimix.corpus import BOS_ID, EOS_ID, build_vocab
 from sentimix.ngram_lm import GenerativeClassifier, classify_generative
 from sentimix.rnn_lm import (
-    RnnDivergenceError, RnnLm, RnnTrainConfig, clip_gradients, init_params,
-    load_rnn, rnn_forward, rnn_gradients, save_rnn, train_rnn_lm,
+    RnnDivergenceError, RnnLm, RnnTrainConfig, clip_gradients, corpus_logprob,
+    init_params, load_rnn, rnn_forward, rnn_gradients, save_rnn, train_rnn_lm,
 )
 from conftest import make_docs
 from oracles import rnn_reference, unigram_logprob
@@ -50,6 +51,44 @@ class TestForward:
         logprobs, total = rnn_forward(params, [])
         assert logprobs.shape[0] == 1
         assert total == pytest.approx(float(logprobs[0, EOS_ID]))
+
+
+def _ragged_ids(V, seed=0, n_docs=12):
+    rng = np.random.RandomState(seed)
+    docs = [rng.randint(2, V, size=rng.randint(0, 40)) for _ in range(n_docs)]
+    docs[4] = np.array([], dtype=np.int64)
+    return docs
+
+
+class TestBatchedScoring:
+    """Lockstep scoring equals one-document rnn_forward exactly.  H=64 is
+    wide enough that a plain (B,H) @ (H,H) product, which BLAS computes
+    with a different kernel, changes some totals."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_forward(self, dtype):
+        params = init_params(40, 64, seed=4, scale=0.5, dtype=dtype)
+        docs = _ragged_ids(40)
+        got = params.doc_logprobs(docs)
+        assert np.array_equal(got, [rnn_forward(params, ids)[1] for ids in docs])
+        assert params.doc_logprob_ids(docs[4]) == rnn_forward(params, [])[1]
+
+    def test_corpus_logprob_matches_document_loop(self):
+        params = init_params(40, 64, seed=2, scale=0.5)
+        docs = _ragged_ids(40, seed=3)
+        total = 0.0
+        for ids in docs:
+            total += rnn_forward(params, ids)[1]
+        assert corpus_logprob(params, docs) == (total, sum(len(d) + 1 for d in docs))
+
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_block_boundaries(self, monkeypatch, per_block):
+        params = init_params(40, 64, seed=5, scale=0.5)
+        docs = _ragged_ids(40, seed=6)
+        longest = max(len(d) for d in docs) + 1
+        monkeypatch.setattr(rnn_lm, "SCORE_BLOCK_CELLS", per_block * longest * 64)
+        assert np.array_equal(params.doc_logprobs(docs),
+                              [rnn_forward(params, ids)[1] for ids in docs])
 
 
 class TestGradients:
@@ -136,12 +175,12 @@ TOY_SENTENCES = [["the", "cat", "sat", "down"], ["a", "dog", "ran", "away"]] * 4
 
 
 class TestTraining:
-    def _train(self, epochs=50, seed=5, lr0=0.5, clip=5.0):
+    def _train(self, epochs=50, seed=5, lr0=0.5, clip=5.0, dump_dir=None):
         docs = make_docs(TOY_SENTENCES)
         vocab = build_vocab(docs)
         config = RnnTrainConfig(hidden=8, epochs=epochs, lr0=lr0, truncation=4,
                                 clip=clip, seed=seed)
-        params, history = train_rnn_lm(docs, vocab, config)
+        params, history = train_rnn_lm(docs, vocab, config, dump_dir=dump_dir)
         return params, history, vocab, docs
 
     def test_beats_unigram_baseline(self):
@@ -170,9 +209,13 @@ class TestTraining:
         for a, b in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
 
-    def test_divergence_raises(self):
-        with pytest.raises(RnnDivergenceError):
-            self._train(epochs=60, lr0=2e4, clip=1e9)
+    def test_divergence_raises(self, tmp_path):
+        with pytest.raises(RnnDivergenceError, match="state dumped to"):
+            self._train(epochs=60, lr0=2e4, clip=1e9, dump_dir=tmp_path)
+        dumps = list(tmp_path.glob("rnn-diverged-*.npz"))
+        assert len(dumps) == 1
+        with np.load(dumps[0]) as state:
+            assert set(state.files) == {"emb", "rec", "out", "bias"}
 
     def test_empty_corpus_error(self):
         vocab = build_vocab(make_docs([["a"]]))
