@@ -163,7 +163,7 @@ def import_arpa(fileobj) -> KneserNeyModel:
         seen_set.add(tok)
         if tok not in RESERVED:
             seen.append(tok)
-    vocab = Vocabulary(seen, [1] * len(seen), min_count=1)
+    vocab = Vocabulary(seen, [1] * len(seen))
     index = vocab.index
 
     keys, logp = [], []

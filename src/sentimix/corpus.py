@@ -70,27 +70,19 @@ class Document:
     label: str  # positive / negative / unlabeled
     split: str  # train / valid / test
 
-    def excerpt(self, limit: int = 200) -> str:
-        text = " ".join(self.tokens)
-        return text[:limit]
-
 
 class Vocabulary:
     """Token <-> index bijection with reserved markers at fixed indices."""
 
-    def __init__(self, tokens: list[str], counts: list[int], min_count: int = 1):
+    def __init__(self, tokens: list[str], counts: list[int]):
         self.tokens = list(RESERVED) + list(tokens)
         self.counts = [0, 0, 0] + [int(c) for c in counts]
-        self.min_count = min_count
         self._index = {t: i for i, t in enumerate(self.tokens)}
         if len(self._index) != len(self.tokens):
             raise CorpusError("duplicate tokens in vocabulary")
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     def index(self, token: str) -> int:
         return self._index.get(token, UNK_ID)
@@ -112,20 +104,13 @@ class Vocabulary:
 @dataclass
 class DocumentSet:
     documents: list[Document]
-    vocabulary: Vocabulary | None = None
-    split_seed: int | None = None
     warnings: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.documents)
 
-    def subset(self, split: str | None = None, label: str | None = None) -> list[Document]:
-        docs = self.documents
-        if split is not None:
-            docs = [d for d in docs if d.split == split]
-        if label is not None:
-            docs = [d for d in docs if d.label == label]
-        return docs
+    def subset(self, split: str) -> list[Document]:
+        return [d for d in self.documents if d.split == split]
 
 
 def _read_and_tokenize(args):
@@ -204,7 +189,7 @@ def build_vocab(docs, min_count: int = 1, max_size: int | None = None) -> Vocabu
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    documents = docs.documents if isinstance(docs, DocumentSet) else list(docs)
+    documents = list(docs)
     if not documents:
         raise CorpusError("cannot build a vocabulary from an empty document set")
     freq = Counter()
@@ -216,7 +201,40 @@ def build_vocab(docs, min_count: int = 1, max_size: int | None = None) -> Vocabu
     items.sort(key=lambda tc: (-tc[1], tc[0]))
     if max_size is not None:
         items = items[:max_size]
-    return Vocabulary([t for t, _ in items], [c for _, c in items], min_count=min_count)
+    return Vocabulary([t for t, _ in items], [c for _, c in items])
+
+
+def write_vocab(path, vocab: Vocabulary) -> None:
+    """token<TAB>count per line, reserved markers first, in index order."""
+    with open(path, "w", encoding="utf-8") as f:
+        for t, c in zip(vocab.tokens, vocab.counts):
+            f.write(f"{t}\t{c}\n")
+
+
+def read_vocab(path) -> Vocabulary:
+    """Inverse of write_vocab: the same tokens at the same indices."""
+    tokens, counts = [], []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            t, c = line.split("\t")
+            if t not in RESERVED:
+                tokens.append(t)
+                counts.append(int(c))
+    return Vocabulary(tokens, counts)
+
+
+def pack_strings(strings) -> np.ndarray:
+    """Newline-joined UTF-8 bytes as a uint8 array, for storing in an npz."""
+    return np.frombuffer("\n".join(strings).encode("utf-8"), dtype=np.uint8)
+
+
+def unpack_strings(data) -> list[str]:
+    """Inverse of pack_strings; an empty array holds no strings."""
+    text = bytes(data).decode("utf-8")
+    return text.split("\n") if text else []
 
 
 def split_validation(train_docs, fraction: float, seed: int):
@@ -227,7 +245,7 @@ def split_validation(train_docs, fraction: float, seed: int):
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"validation fraction must be in (0, 1), got {fraction}")
-    documents = train_docs.documents if isinstance(train_docs, DocumentSet) else list(train_docs)
+    documents = list(train_docs)
     rng = np.random.RandomState(seed)
     train_sub: list[Document] = []
     valid: list[Document] = []
@@ -266,7 +284,7 @@ def write_token_cache(docs, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        for d in (docs.documents if isinstance(docs, DocumentSet) else docs):
+        for d in docs:
             f.write(f"{d.id}\t{d.label}\t{' '.join(d.tokens)}\n")
 
 
@@ -284,10 +302,11 @@ def read_token_cache(path, split: str) -> list[Document]:
     return docs
 
 
-def write_manifest(path, entries: dict) -> None:
+def write_manifest(path, entries: dict, append: bool = True) -> None:
+    """key=value lines, appended to the file or replacing it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as f:
+    with open(path, "a" if append else "w", encoding="utf-8") as f:
         for k in entries:
             f.write(f"{k}={entries[k]}\n")
 

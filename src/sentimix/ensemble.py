@@ -12,6 +12,7 @@ import itertools
 import json
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +37,18 @@ class ScoreRecord:
     p_pos: float
     log_p_pos: float | None = None
     log_p_neg: float | None = None
+
+
+@dataclass
+class SplitScores:
+    """One model's scores for a split, in document order: what a model's
+    ``score(docs)`` returns and ``write_split_scores`` stores."""
+
+    ids: list[str]
+    p_pos: np.ndarray
+    log_p_pos: np.ndarray | None = None  # generative models: log-likelihood
+    log_p_neg: np.ndarray | None = None  # under each class model (nats)
+    table: tuple = ()  # columns of the .tsv side table; none is written if empty
 
 
 def clamp_p(p):
@@ -77,10 +90,6 @@ def combine(p_values, alphas) -> tuple[str, float]:
 class EnsembleWeights:
     model_ids: list[str]
     alphas: list[float]
-    step: float = 0.1
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.model_ids, self.alphas))
 
 
 def _aligned_matrix(scores_by_model: dict[str, dict[str, float]], labels: dict[str, str]):
@@ -137,7 +146,7 @@ def grid_search(scores_by_model: dict[str, dict[str, float]], labels: dict[str, 
     tuples, accs = _grid_accuracies(P, y, denom)
     best = int(np.argmax(accs))  # first max = lexicographically smallest
     alphas = [t / denom for t in tuples[best]]
-    weights = EnsembleWeights(model_ids=list(scores_by_model), alphas=alphas, step=step)
+    weights = EnsembleWeights(model_ids=list(scores_by_model), alphas=alphas)
     return weights, float(accs[best])
 
 
@@ -233,19 +242,27 @@ def read_scores_jsonl(path) -> dict[str, ScoreRecord]:
     return out
 
 
-def write_ratio_scores_tsv(path, doc_ids, log_p_pos, log_p_neg,
-                           log_ratio=None) -> None:
-    """id<TAB>log_p_pos<TAB>log_p_neg<TAB>log_ratio (nats).
+def write_ratio_scores_tsv(path, doc_ids, *columns) -> None:
+    """id<TAB>column<TAB>column..., each to 6 decimals: a model's side table.
 
-    log_ratio defaults to the likelihood difference; pass the classifier's
-    prior-inclusive ratio to record the actual decision statistic.
+    The generative models write log_p_pos, log_p_neg and the prior-inclusive
+    log ratio (nats); NB-SVM writes p_pos.
     """
     with open(path, "w", encoding="utf-8") as f:
         for i, doc_id in enumerate(doc_ids):
-            ratio = (log_p_pos[i] - log_p_neg[i]) if log_ratio is None \
-                else log_ratio[i]
-            f.write(f"{doc_id}\t{log_p_pos[i]:.6f}\t{log_p_neg[i]:.6f}"
-                    f"\t{ratio:.6f}\n")
+            f.write(doc_id + "".join(f"\t{c[i]:.6f}" for c in columns) + "\n")
+
+
+def write_split_scores(stem, model_id: str, scores: SplitScores) -> list[Path]:
+    """``<stem>.jsonl``, and ``<stem>.tsv`` when the model has a side table;
+    returns the paths written."""
+    paths = [Path(f"{stem}.jsonl")]
+    write_scores_jsonl(paths[0], model_id, scores.ids, scores.p_pos,
+                       scores.log_p_pos, scores.log_p_neg)
+    if scores.table:
+        paths.append(Path(f"{stem}.tsv"))
+        write_ratio_scores_tsv(paths[1], scores.ids, *scores.table)
+    return paths
 
 
 def format_alpha(a: float) -> str:

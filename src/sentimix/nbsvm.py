@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+from .corpus import NEGATIVE, POSITIVE, pack_strings, unpack_strings
+from .ensemble import SplitScores
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -49,6 +53,9 @@ class NGramFeatureSpace:
     df_neg: np.ndarray
     n_pos_docs: int = 0
     n_neg_docs: int = 0
+    # gram ids of each training document (positive ones first, each in gram
+    # text order) as build_feature_space assigned them; empty once loaded
+    train_ids: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def __len__(self) -> int:
         return len(self.grams)
@@ -79,12 +86,11 @@ def build_feature_space(pos_docs, neg_docs, n_max: int) -> NGramFeatureSpace:
     grams = [""] * n_feat
     for g, i in index.items():
         grams[i] = g
-    space = NGramFeatureSpace(n_max=n_max, index=index, grams=grams,
-                              df_pos=df_pos, df_neg=df_neg,
-                              n_pos_docs=len(per_class_ids[0]),
-                              n_neg_docs=len(per_class_ids[1]))
-    space._cached_train_ids = per_class_ids  # reused by the pipeline
-    return space
+    return NGramFeatureSpace(n_max=n_max, index=index, grams=grams,
+                             df_pos=df_pos, df_neg=df_neg,
+                             n_pos_docs=len(per_class_ids[0]),
+                             n_neg_docs=len(per_class_ids[1]),
+                             train_ids=per_class_ids[0] + per_class_ids[1])
 
 
 @dataclass
@@ -112,17 +118,10 @@ def doc_gram_ids(tokens, space: NGramFeatureSpace) -> np.ndarray:
     return np.array(sorted(ids), dtype=np.int64)
 
 
-def featurize(tokens, space: NGramFeatureSpace, weights: LogRatioWeights) -> sp.csr_matrix:
-    """Sparse row: r_i where gram i is present, grams unseen in training dropped."""
-    import scipy.sparse as sp
-
-    ids = doc_gram_ids(tokens, space)
-    data = weights.r[ids]
-    return sp.csr_matrix((data, ids, [0, len(ids)]), shape=(1, len(space)))
-
-
 def featurize_all(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
                   cached_ids=None) -> sp.csr_matrix:
+    """One sparse row per document: r_i where gram i is present, grams unseen
+    in training dropped."""
     import scipy.sparse as sp
 
     id_lists = cached_ids if cached_ids is not None \
@@ -143,11 +142,8 @@ class LinearClassifier:
     loss: str
     trace: list[float] = field(default_factory=list)
 
-    def margins(self, X) -> np.ndarray:
-        return np.asarray(X @ self.w).ravel() + self.b
-
     def predict_proba(self, X) -> np.ndarray:
-        return sigmoid(self.margins(X))
+        return sigmoid(np.asarray(X @ self.w).ravel() + self.b)
 
 
 def sigmoid(m) -> np.ndarray:
@@ -172,6 +168,18 @@ def score_docs(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
                clf: LinearClassifier) -> np.ndarray:
     """Positive-class probability of each document."""
     return sigmoid(doc_margins(docs, space, weights, clf))
+
+
+class NbsvmModel(NamedTuple):
+    space: NGramFeatureSpace
+    weights: LogRatioWeights
+    clf: LinearClassifier
+
+    def score(self, docs, temperature: float = 1.0) -> SplitScores:
+        """Fitted probabilities, also kept in the side table; ``temperature``
+        only tempers the generative models."""
+        p = score_docs(docs, self.space, self.weights, self.clf)
+        return SplitScores([d.id for d in docs], p, table=(p,))
 
 
 def _logistic_objective(wb, X, y_signed, l2):
@@ -283,6 +291,21 @@ def train_linear(X, labels, l2: float | None = None, epochs: int = 30, seed: int
     return LinearClassifier(w=w, b=b, l2=l2, loss=loss, trace=trace)
 
 
+def train_classifier(docs, n_max: int, alpha: float = 1.0, l2: float | None = None,
+                     optimizer: str = "lbfgs", epochs: int = 30, seed: int = 0) -> NbsvmModel:
+    """Gram space and log-count ratios over the positive and negative
+    documents, then the linear classifier on their features; documents with
+    any other label are left out."""
+    pos = [d for d in docs if d.label == POSITIVE]
+    neg = [d for d in docs if d.label == NEGATIVE]
+    space = build_feature_space(pos, neg, n_max)
+    weights = compute_log_ratio(space, alpha)
+    X = featurize_all(pos + neg, space, weights, cached_ids=space.train_ids)
+    y = np.array([1] * len(pos) + [0] * len(neg))
+    clf = train_linear(X, y, l2=l2, optimizer=optimizer, epochs=epochs, seed=seed)
+    return NbsvmModel(space, weights, clf)
+
+
 def dump_feature_weights(space: NGramFeatureSpace, weights: LogRatioWeights, path) -> None:
     """gram<TAB>r, sorted by |r| descending (ties by gram) for inspection."""
     grams = space.grams
@@ -296,52 +319,31 @@ def dump_feature_weights(space: NGramFeatureSpace, weights: LogRatioWeights, pat
                      for i, x in zip(order.tolist(), weights.r[order].tolist()))
 
 
-def save_model(path, space: NGramFeatureSpace, weights: LogRatioWeights,
-               clf: LinearClassifier) -> None:
-    """npz of the newline-joined grams (UTF-8 bytes), r, w, b and
-    meta = (n_max, alpha, l2)."""
+def save_model(models_dir, model: NbsvmModel) -> list[Path]:
+    """nbsvm<n>.npz, with the newline-joined grams (UTF-8 bytes), r, w, b and
+    meta = (n_max, alpha, l2), and the nbsvm<n>-features.tsv dump for
+    reading; returns [the model file]."""
+    space, weights, clf = model
+    stem = Path(models_dir) / f"nbsvm{space.n_max}"
+    path = stem.with_suffix(".npz")
     np.savez_compressed(
         path,
-        grams=np.frombuffer("\n".join(space.grams).encode("utf-8"), dtype=np.uint8),
+        grams=pack_strings(space.grams),
         r=weights.r, w=clf.w, b=np.array([clf.b]),
         meta=np.array([space.n_max, weights.alpha, clf.l2]))
+    dump_feature_weights(space, weights, f"{stem}-features.tsv")
+    return [path]
 
 
-def load_model(path) -> tuple[NGramFeatureSpace, LogRatioWeights, LinearClassifier]:
+def load_model(models_dir, n_max: int) -> NbsvmModel:
     """Inverse of save_model; document frequencies are not stored and load
     as zeros."""
-    with np.load(path) as data:
-        text = bytes(data["grams"]).decode("utf-8")
+    with np.load(Path(models_dir) / f"nbsvm{n_max}.npz") as data:
+        grams = unpack_strings(data["grams"])
         r, w, b, meta = data["r"], data["w"], float(data["b"][0]), data["meta"]
-    grams = text.split("\n") if text else []  # an empty space has no grams
     space = NGramFeatureSpace(n_max=int(meta[0]), index={g: i for i, g in enumerate(grams)},
                               grams=grams, df_pos=np.zeros(len(grams), dtype=np.int64),
                               df_neg=np.zeros(len(grams), dtype=np.int64))
     weights = LogRatioWeights(r=r, alpha=float(meta[1]))
     clf = LinearClassifier(w=w, b=b, l2=float(meta[2]), loss="logistic")
-    return space, weights, clf
-
-
-def nbsvm_pipeline(train_docs, eval_splits: dict, n_max: int, alpha: float = 1.0,
-                   l2: float | None = None, optimizer: str = "lbfgs",
-                   epochs: int = 30, seed: int = 0):
-    """Train on train_docs, score every split in eval_splits (name -> docs).
-
-    Returns (space, weights, classifier, scores) where scores maps split
-    name -> (doc ids, p_pos array).
-    """
-    from .corpus import POSITIVE
-
-    pos_docs = [d for d in train_docs if d.label == POSITIVE]
-    neg_docs = [d for d in train_docs if d.label != POSITIVE]
-    space = build_feature_space(pos_docs, neg_docs, n_max)
-    weights = compute_log_ratio(space, alpha)
-    cached = space._cached_train_ids
-    X_train = featurize_all(pos_docs + neg_docs, space, weights,
-                            cached_ids=cached[0] + cached[1])
-    y_train = np.array([1] * len(pos_docs) + [0] * len(neg_docs))
-    clf = train_linear(X_train, y_train, l2=l2, optimizer=optimizer,
-                       epochs=epochs, seed=seed)
-    scores = {name: ([d.id for d in docs], score_docs(docs, space, weights, clf))
-              for name, docs in eval_splits.items()}
-    return space, weights, clf, scores
+    return NbsvmModel(space, weights, clf)

@@ -11,11 +11,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary, length_blocks
+from . import ensemble
+from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, UNK_ID, Vocabulary, build_vocab,
+                     length_blocks, read_manifest, write_manifest)
 
 log = logging.getLogger(__name__)
 
@@ -61,17 +64,8 @@ class NGramCountTable:
     keys: list[np.ndarray]    # keys[k-1]: sorted S(4k) byte keys
     counts: list[np.ndarray]  # counts[k-1]: int64, aligned with keys[k-1]
 
-    def n_grams(self, k: int) -> int:
-        return len(self.keys[k - 1])
-
     def grams(self, k: int) -> np.ndarray:
         return unpack_keys(self.keys[k - 1], k)
-
-    def count_of(self, gram: tuple[int, ...]) -> int:
-        k = len(gram)
-        key = pack_rows(np.array([gram], dtype=np.uint32))
-        pos, hit = _find(self.keys[k - 1], key)
-        return int(self.counts[k - 1][pos[0]]) if hit[0] else 0
 
 
 def _wrapped_windows(encoded_docs: list[np.ndarray], k: int) -> np.ndarray:
@@ -98,30 +92,6 @@ def count_ngrams(docs, order: int, vocab: Vocabulary) -> NGramCountTable:
         keys_per_order.append(uniq)
         counts_per_order.append(counts.astype(np.int64))
     return NGramCountTable(order=order, keys=keys_per_order, counts=counts_per_order)
-
-
-def merge_count_tables(tables: list[NGramCountTable]) -> NGramCountTable:
-    """Deterministic merge of partial counts (sum per gram)."""
-    if not tables:
-        raise CountError("nothing to merge")
-    order = tables[0].order
-    if any(t.order != order for t in tables):
-        raise CountError("cannot merge tables of different orders")
-    keys, counts = [], []
-    for k in range(order):
-        allk = np.concatenate([t.keys[k] for t in tables])
-        allc = np.concatenate([t.counts[k] for t in tables])
-        srt = np.argsort(allk, kind="stable")
-        allk, allc = allk[srt], allc[srt]
-        if len(allk):
-            boundary = np.concatenate([[True], allk[1:] != allk[:-1]])
-            starts = np.flatnonzero(boundary)
-            keys.append(allk[starts])
-            counts.append(np.add.reduceat(allc, starts))
-        else:
-            keys.append(allk)
-            counts.append(allc)
-    return NGramCountTable(order=order, keys=keys, counts=counts)
 
 
 @dataclass
@@ -251,7 +221,7 @@ def estimate_kneser_ney(counts: NGramCountTable, vocab: Vocabulary,
     marker, which keep raw counts because nothing can precede the marker.
     """
     n = counts.order
-    if counts.n_grams(1) == 0:
+    if len(counts.keys[0]) == 0:
         raise CountError("empty count table")
     warnings: list[str] = []
     v_pred = vocab.n_predictable
@@ -341,6 +311,14 @@ class GenerativeClassifier:
         ln = self.neg_model.doc_logprob_ids(neg_ids)
         return lp, ln, lp - ln + self.log_prior_pos - self.log_prior_neg
 
+    def score(self, docs, temperature: float = 1.0) -> ensemble.SplitScores:
+        """Each class model's log-likelihood and the calibrated p_pos; the side
+        table adds the prior-inclusive log ratio."""
+        ids, lps, lns, ratios, lengths = score_documents(self, docs)
+        p = ensemble.calibrate_generative(lps, lns, self.log_prior_pos, self.log_prior_neg,
+                                          lengths, temperature=temperature)
+        return ensemble.SplitScores(ids, p, lps, lns, table=(lps, lns, ratios))
+
 
 def make_priors(n_pos: int, n_neg: int) -> tuple[float, float]:
     total = n_pos + n_neg
@@ -359,8 +337,6 @@ def train_generative_classifier(pos_docs, neg_docs, order: int,
     ``separate_vocab`` trains each model on its own vocabulary and scores
     out-of-vocabulary words with a per-word log penalty instead.
     """
-    from .corpus import build_vocab
-
     lp_pos, lp_neg = make_priors(len(pos_docs), len(neg_docs))
     if separate_vocab:
         penalty = DEFAULT_OOV_LOG_PENALTY if oov_log_penalty is None else oov_log_penalty
@@ -379,8 +355,6 @@ def train_generative_classifier(pos_docs, neg_docs, order: int,
 
 def classify_generative(clf: GenerativeClassifier, tokens) -> tuple[str, float]:
     """Positive iff the prior-weighted likelihood ratio exceeds 1; ties negative."""
-    from .corpus import NEGATIVE, POSITIVE
-
     _, _, log_ratio = clf.log_ratio_ids(clf.pos_model.vocab.encode(tokens),
                                         clf.neg_model.vocab.encode(tokens))
     return (POSITIVE if log_ratio > 0 else NEGATIVE), log_ratio
@@ -399,3 +373,39 @@ def score_documents(clf: GenerativeClassifier, docs):
     ratios = lps - lns + clf.log_prior_pos - clf.log_prior_neg
     return ([d.id for d in docs], lps, lns, ratios,
             np.array([len(d.tokens) + 1 for d in docs]))
+
+
+def save_model(models_dir, clf: GenerativeClassifier, oov_penalty: float) -> list[Path]:
+    """ngram-pos.arpa, ngram-neg.arpa and ngram.meta (order, priors, whether
+    each model has its own vocabulary, the OOV penalty, the count of
+    estimation warnings) under models_dir; returns their paths."""
+    from . import arpa
+
+    paths = [Path(models_dir) / name
+             for name in ("ngram-pos.arpa", "ngram-neg.arpa", "ngram.meta")]
+    arpa.export_arpa_path(clf.pos_model, paths[0])
+    arpa.export_arpa_path(clf.neg_model, paths[1])
+    write_manifest(paths[2], {
+        "order": clf.pos_model.order,
+        "log_prior_pos": clf.log_prior_pos,
+        "log_prior_neg": clf.log_prior_neg,
+        "separate_vocab": int(clf.pos_model.oov_log_penalty is not None),
+        "oov_penalty": oov_penalty,
+        "warnings": len(clf.pos_model.warnings) + len(clf.neg_model.warnings),
+    }, append=False)
+    return paths
+
+
+def load_model(models_dir) -> GenerativeClassifier:
+    """Inverse of save_model."""
+    from . import arpa
+
+    models_dir = Path(models_dir)
+    meta = read_manifest(models_dir / "ngram.meta")
+    pos = arpa.import_arpa_path(models_dir / "ngram-pos.arpa")
+    neg = arpa.import_arpa_path(models_dir / "ngram-neg.arpa")
+    if int(meta["separate_vocab"]):
+        pos.oov_log_penalty = neg.oov_log_penalty = math.log(float(meta["oov_penalty"]))
+    return GenerativeClassifier(pos_model=pos, neg_model=neg,
+                                log_prior_pos=float(meta["log_prior_pos"]),
+                                log_prior_neg=float(meta["log_prior_neg"]))

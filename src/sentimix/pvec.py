@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import heapq
 import logging
+import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .corpus import length_blocks
+from . import nbsvm
+from .corpus import POSITIVE, RESERVED, length_blocks, pack_strings, unpack_strings
+from .ensemble import SplitScores
 
 log = logging.getLogger(__name__)
 
@@ -27,19 +31,11 @@ INFER_BLOCK_CELLS = 1 << 20  # documents x longest known-word count per block
 class HuffmanTree:
     codes: list[np.ndarray]   # per word: bit sequence (uint8)
     paths: list[np.ndarray]   # per word: internal-node ids root->leaf (int32)
-    n_words: int
     labels: list[np.ndarray] = None  # per word: 1 - code as float32, for updates
 
     def __post_init__(self):
         if self.labels is None:
             self.labels = [1.0 - c.astype(np.float32) for c in self.codes]
-
-    @property
-    def n_internal(self) -> int:
-        return self.n_words - 1
-
-    def code_length(self, w: int) -> int:
-        return len(self.codes[w])
 
 
 def build_huffman(frequencies) -> HuffmanTree:
@@ -74,7 +70,7 @@ def build_huffman(frequencies) -> HuffmanTree:
             _, nid, left, right = node
             stack.append((left, bits + [0], path + [nid]))
             stack.append((right, bits + [1], path + [nid]))
-    return HuffmanTree(codes=codes, paths=paths, n_words=m)
+    return HuffmanTree(codes=codes, paths=paths)
 
 
 @dataclass
@@ -102,6 +98,7 @@ class ParagraphVectorModel:
     doc_vecs: np.ndarray    # (N, D) float32
     doc_ids: list[str]
     train_log: list[float] = field(default_factory=list)
+    word_freqs: list[int] = field(default_factory=list)  # the Huffman tree's input
 
     def doc_row(self, doc_id: str) -> int:
         return self._doc_rows[doc_id]
@@ -112,13 +109,6 @@ class ParagraphVectorModel:
     def encode_words(self, tokens) -> list[int]:
         idx = self.word_index
         return [idx[t] for t in tokens if t in idx]
-
-    def state_digest(self) -> str:
-        import hashlib
-        h = hashlib.sha256()
-        h.update(self.word_vecs.tobytes())
-        h.update(self.node_vecs.tobytes())
-        return h.hexdigest()
 
 
 def _sigmoid(x):
@@ -151,8 +141,6 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
     only to demonstrate the order-dependence artifact and is not a supported
     training mode.
     """
-    from .corpus import RESERVED
-
     words = [t for t in vocab.tokens if t not in RESERVED]
     freqs = [vocab.frequency(t) for t in words]
     if len(words) < 2:
@@ -219,7 +207,7 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
                                 words=words, word_index=word_index, tree=tree,
                                 word_vecs=word_vecs, node_vecs=node_vecs,
                                 doc_vecs=doc_vecs, doc_ids=[d.id for d in docs],
-                                train_log=train_log)
+                                train_log=train_log, word_freqs=freqs)
 
 
 def hs_word_logprob(model: ParagraphVectorModel, wid: int, ctx_vec) -> float:
@@ -301,22 +289,72 @@ def infer_vectors(model: ParagraphVectorModel, docs, steps: int = 10,
     return out
 
 
-def pv_classify(model: ParagraphVectorModel, train_docs, eval_splits: dict,
-                l2: float | None = None, infer_steps: int = 10, seed: int = 0):
-    """Logistic regression on document vectors; evaluation splits are embedded
-    by held-out inference.  Returns (classifier, scores dict)."""
-    from .corpus import POSITIVE
-    from .nbsvm import train_linear
+@dataclass
+class PvClassifier:
+    """Logistic regression on document vectors, and how held-out documents
+    are embedded for it."""
 
-    rows = [model.doc_row(d.id) for d in train_docs]
-    X = model.doc_vecs[rows].astype(np.float64)
+    model: ParagraphVectorModel
+    clf: nbsvm.LinearClassifier
+    infer_steps: int
+    lr0: float
+
+    def score(self, docs, temperature: float = 1.0) -> SplitScores:
+        """Documents the model was trained on keep their trained vectors; the
+        others are embedded by ``infer_vectors``.  ``temperature`` only
+        tempers the generative models."""
+        rows = [self.model._doc_rows.get(d.id, -1) for d in docs]
+        X = self.model.doc_vecs[rows]  # a copy; the rows of unseen documents are replaced
+        unseen = [i for i, r in enumerate(rows) if r < 0]
+        if unseen:
+            X[unseen] = infer_vectors(self.model, [docs[i] for i in unseen],
+                                      steps=self.infer_steps, lr0=self.lr0)
+        return SplitScores([d.id for d in docs], self.clf.predict_proba(X.astype(np.float64)))
+
+
+def fit_classifier(model: ParagraphVectorModel, train_docs, lr0: float,
+                   infer_steps: int = 10, l2: float | None = None,
+                   seed: int = 0) -> PvClassifier:
+    """Fit the logistic layer on the trained vectors of train_docs (label
+    positive = 1, anything else 0).  Held-out documents will be embedded with
+    ``infer_steps`` passes from ``lr0``, the rate the model was trained with."""
+    X = model.doc_vecs[[model.doc_row(d.id) for d in train_docs]].astype(np.float64)
     y = np.array([1 if d.label == POSITIVE else 0 for d in train_docs])
-    clf = train_linear(X, y, l2=l2, seed=seed)
-    scores = {}
-    for name, docs in eval_splits.items():
-        Xe = infer_vectors(model, docs, steps=infer_steps).astype(np.float64)
-        scores[name] = ([d.id for d in docs], clf.predict_proba(Xe))
-    return clf, scores
+    clf = nbsvm.train_linear(X, y, l2=l2, seed=seed)
+    return PvClassifier(model, clf, infer_steps, lr0)
+
+
+def save_model(models_dir, pvc: PvClassifier) -> list[Path]:
+    """pv.npz under models_dir: vocabulary, frequencies, every trained vector,
+    the logistic layer, meta = (dim, window, infer_steps, lr0) and the
+    training mode; returns its path in a list."""
+    m = pvc.model
+    path = Path(models_dir) / "pv.npz"
+    np.savez_compressed(
+        path, words=pack_strings(m.words), word_vecs=m.word_vecs, node_vecs=m.node_vecs,
+        doc_vecs=m.doc_vecs, doc_ids=pack_strings(m.doc_ids),
+        word_freqs=np.array(m.word_freqs, dtype=np.int64),
+        lr_w=pvc.clf.w, lr_b=np.array([pvc.clf.b]),
+        meta=np.array([m.dim, m.window, pvc.infer_steps, pvc.lr0], dtype=np.float64),
+        mode=np.array(m.mode))
+    return [path]
+
+
+def load_model(models_dir) -> PvClassifier:
+    """Inverse of save_model; the Huffman tree is rebuilt from the frequencies."""
+    with np.load(Path(models_dir) / "pv.npz") as data:
+        words = unpack_strings(data["words"])
+        freqs = data["word_freqs"].tolist()
+        meta = data["meta"]
+        model = ParagraphVectorModel(
+            dim=int(meta[0]), window=int(meta[1]), mode=str(data["mode"]),
+            words=words, word_index={w: i for i, w in enumerate(words)},
+            tree=build_huffman(freqs), word_vecs=data["word_vecs"],
+            node_vecs=data["node_vecs"], doc_vecs=data["doc_vecs"],
+            doc_ids=unpack_strings(data["doc_ids"]), word_freqs=freqs)
+        clf = nbsvm.LinearClassifier(w=data["lr_w"], b=float(data["lr_b"][0]),
+                                     l2=0.0, loss="logistic")
+    return PvClassifier(model, clf, infer_steps=int(meta[2]), lr0=float(meta[3]))
 
 
 def write_vectors_text(path, doc_ids, vectors) -> None:
@@ -330,7 +368,6 @@ VEC_MAGIC = b"SXVEC1\n"
 
 
 def write_vectors_binary(path, vectors) -> None:
-    import struct
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
     with open(path, "wb") as f:
         f.write(VEC_MAGIC)
@@ -339,7 +376,6 @@ def write_vectors_binary(path, vectors) -> None:
 
 
 def read_vectors_binary(path) -> np.ndarray:
-    import struct
     with open(path, "rb") as f:
         if f.read(len(VEC_MAGIC)) != VEC_MAGIC:
             raise ValueError(f"{path}: not a vector file (bad magic)")

@@ -14,10 +14,13 @@ import math
 import struct
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, Vocabulary, length_blocks
+from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, Vocabulary, length_blocks,
+                     read_manifest, read_vocab, write_manifest, write_vocab)
+from .ngram_lm import GenerativeClassifier, make_priors
 
 log = logging.getLogger(__name__)
 
@@ -48,9 +51,6 @@ class RnnLm:
     def arrays(self):
         return self.emb, self.rec, self.out, self.bias
 
-    def check_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
-
     def doc_logprob_ids(self, ids) -> float:
         return float(self.doc_logprobs([ids])[0])
 
@@ -62,7 +62,8 @@ class RnnLm:
         at most ``SCORE_BLOCK_CELLS`` documents x positions x hidden units;
         each step's product is a stacked ``(B,1,H) @ (H,H)``, which numpy
         computes with the same BLAS call per document as a lone ``h @ rec``.
-        Output layers are computed per document, as in ``rnn_forward``.
+        Output layers are computed per document, as in ``rnn_forward``, but
+        only the realized entries of the log-softmax are formed.
         """
         totals = np.empty(len(encoded_docs))
         lengths = np.array([len(ids) + 1 for ids in encoded_docs], dtype=np.int64)
@@ -82,8 +83,8 @@ class RnnLm:
                 states[:active, t] = h[:, 0]
             for row, i in enumerate(block):
                 ys = np.append(encoded_docs[i], EOS_ID).astype(np.int64)
-                logprobs = _log_softmax(self, states[row, :T[row]])
-                totals[i] = logprobs[np.arange(len(ys)), ys].sum()
+                logits, logz = _logits_logz(self, states[row, :T[row]])
+                totals[i] = (logits[np.arange(len(ys)), ys] - logz).sum()
         return totals
 
 
@@ -116,12 +117,17 @@ def _states_and_logprobs(params: RnnLm, ids):
     return xs, ys, states, _log_softmax(params, states)
 
 
-def _log_softmax(params: RnnLm, states):
-    """(T, V) float64 log predictive distributions from (T, H) states."""
+def _logits_logz(params: RnnLm, states):
+    """(T, V) float64 logits and (T,) log partition functions from (T, H) states."""
     logits = states @ params.out + params.bias
     logits = logits.astype(np.float64)
     mx = logits.max(axis=1, keepdims=True)
-    logz = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+    return logits, mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+
+
+def _log_softmax(params: RnnLm, states):
+    """(T, V) float64 log predictive distributions from (T, H) states."""
+    logits, logz = _logits_logz(params, states)
     return logits - logz[:, None]
 
 
@@ -276,6 +282,48 @@ def train_rnn_lm(docs, vocab: Vocabulary, config: RnnTrainConfig,
             lr *= 0.5
         best_ref_ppl = min(best_ref_ppl, ref_ppl)
     return params, history
+
+
+def train_classifier(train_docs, valid_docs, vocab: Vocabulary, config: RnnTrainConfig,
+                     models_dir) -> list[Path]:
+    """Train one LM per class and write the classifier under models_dir:
+    rnn-{pos,neg}.bin, rnn.vocab, rnn.meta (sizes, seed and class priors) and
+    rnn.log, which gains each class's training curve as soon as it is done.
+    Returns the paths written."""
+    models_dir = Path(models_dir)
+    priors = make_priors(sum(d.label == POSITIVE for d in train_docs),
+                         sum(d.label == NEGATIVE for d in train_docs))
+    paths = []
+    log_path = models_dir / "rnn.log"
+    with open(log_path, "w", encoding="utf-8") as logf:
+        logf.write("label\tepoch\tlr\ttrain_ppl\tvalid_ppl\n")
+        for label, name in ((POSITIVE, "pos"), (NEGATIVE, "neg")):
+            docs_l = [d for d in train_docs if d.label == label]
+            valid_l = [d for d in valid_docs if d.label == label]
+            params, history = train_rnn_lm(docs_l, vocab, config, valid_docs=valid_l,
+                                           dump_dir=models_dir)
+            paths.append(models_dir / f"rnn-{name}.bin")
+            save_rnn(params, paths[-1])
+            for h in history:
+                logf.write(f"{name}\t{h['epoch']}\t{h['lr']:.6f}\t{h['train_ppl']:.4f}"
+                           f"\t{h['valid_ppl']:.4f}\n")
+    paths += [models_dir / "rnn.vocab", models_dir / "rnn.meta", log_path]
+    write_vocab(paths[2], vocab)
+    write_manifest(paths[3], {"hidden": config.hidden, "epochs": config.epochs,
+                              "seed": config.seed, "log_prior_pos": priors[0],
+                              "log_prior_neg": priors[1]}, append=False)
+    return paths
+
+
+def load_model(models_dir) -> GenerativeClassifier:
+    """The classifier train_classifier wrote."""
+    models_dir = Path(models_dir)
+    vocab = read_vocab(models_dir / "rnn.vocab")
+    meta = read_manifest(models_dir / "rnn.meta")
+    return GenerativeClassifier(pos_model=load_rnn(models_dir / "rnn-pos.bin", vocab),
+                                neg_model=load_rnn(models_dir / "rnn-neg.bin", vocab),
+                                log_prior_pos=float(meta["log_prior_pos"]),
+                                log_prior_neg=float(meta["log_prior_neg"]))
 
 
 def save_rnn(params: RnnLm, path) -> None:

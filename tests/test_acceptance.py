@@ -310,7 +310,7 @@ def _check_huffman_kraft():
     for _ in range(10):
         freqs = rng.randint(1, 60, size=rng.randint(2, 14)).tolist()
         tree = pvec.build_huffman(freqs)
-        assert sum(Fraction(1, 2 ** tree.code_length(w))
+        assert sum(Fraction(1, 2 ** len(tree.codes[w]))
                    for w in range(len(freqs))) == 1, "Kraft equality violated"
 
 
@@ -378,8 +378,9 @@ def _check_double_run_digests(tmp_path):
             ["inspect-errors", "--models", "ngram,pv,nbsvm2"],
             ["report"],
         ]
+        stages[0].extend(["--workers", 1])  # deterministic mode; only prepare has workers
         for argv in stages:
-            run_cli([*argv, "--out-dir", out, "--workers", 1])
+            run_cli([*argv, "--out-dir", out])
         snapshot = {}
         for p in sorted(out.rglob("*")):
             if p.is_file() and p.name != "manifest.txt":  # manifest holds wall times

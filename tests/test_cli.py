@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import sentimix
-from sentimix.cli import cli_dispatch
+from sentimix import pvec
+from sentimix.cli import build_parser, cli_dispatch
 from sentimix.corpus import read_manifest
 from sentimix.ensemble import write_scores_jsonl
 
@@ -219,6 +221,14 @@ class TestExitCodes:
             run(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("model, split", [("frob", "test"), ("ngram", "dev")])
+    def test_unknown_model_or_split_is_2(self, tmp_path, capsys, model, split):
+        """Rejected while parsing, before the run directory is read."""
+        with pytest.raises(SystemExit) as exc:
+            run(["score", model, split, "--out-dir", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_unknown_flag_is_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["report", "--no-such-flag", "x", "--out-dir", "y"])
@@ -245,6 +255,44 @@ class TestExitCodes:
     def test_missing_scores_file_is_3(self, tmp_path, capsys):
         assert run(["evaluate", str(tmp_path / "none.jsonl"),
                     str(tmp_path / "none.tsv")]) == 3
+
+
+# the smallest valid argument list of every subcommand
+MINIMAL_ARGV = {
+    "prepare": ["aclImdb", "--out-dir", "run"],
+    **{cmd: ["--out-dir", "run"]
+       for cmd in ("train-ngram", "train-rnn", "train-nbsvm", "train-pv",
+                   "ensemble-search", "ablate", "inspect-errors", "report")},
+    "score": ["ngram", "test", "--out-dir", "run"],
+    "evaluate": ["s.jsonl", "labels.tsv"],
+}
+REJECTED = [([cmd, *argv], "--workers") for cmd, argv in MINIMAL_ARGV.items()
+            if cmd != "prepare"] + [(["evaluate", *MINIMAL_ARGV["evaluate"]], "--out-dir")]
+
+
+class TestOptions:
+    def test_minimal_argv_covers_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(MINIMAL_ARGV)
+        for cmd, argv in MINIMAL_ARGV.items():
+            build_parser().parse_args([cmd, *argv])
+
+    @pytest.mark.parametrize("argv, flag", REJECTED, ids=[a[0] for a, _ in REJECTED])
+    def test_flag_the_stage_does_not_read_is_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+class TestModelFiles:
+    def test_pv_mode_survives_the_model_file(self, imdb_tree, tmp_path):
+        out = tmp_path / "run"
+        assert run(["prepare", str(imdb_tree), "--out-dir", str(out), "--subset", "4"]) == 0
+        assert run(["train-pv", "--out-dir", str(out), "--dim", "4", "--epochs", "1",
+                    "--min-count", "1", "--mode", "dm"]) == 0
+        assert pvec.load_model(out / "models").model.mode == "dm"
 
 
 class TestUnsupPath:

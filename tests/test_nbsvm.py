@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from sentimix.corpus import Document, load_imdb, split_validation
 from sentimix.nbsvm import (
-    LinearClassifier, LogRatioWeights, NGramFeatureSpace, TrainingError,
-    build_feature_space, compute_log_ratio, doc_margins, dump_feature_weights,
-    extract_grams, featurize, featurize_all, load_model, nbsvm_pipeline, save_model,
+    LinearClassifier, LogRatioWeights, NbsvmModel, NGramFeatureSpace, TrainingError,
+    build_feature_space, compute_log_ratio, doc_gram_ids, doc_margins,
+    dump_feature_weights,
+    extract_grams, featurize_all, load_model, save_model, train_classifier,
     train_linear,
 )
 from conftest import make_docs
@@ -120,6 +121,11 @@ class TestLogRatio:
             compute_log_ratio(space, alpha=1.0)
 
 
+def featurize(tokens, space, weights):
+    """One document's feature row."""
+    return featurize_all(make_docs([tokens]), space, weights)
+
+
 class TestFeaturize:
     def test_toy_values(self):
         _, _, space = _toy_space()
@@ -211,14 +217,28 @@ class TestTrainLinear:
 
 
 class TestPipeline:
+    def test_training_leaves_out_other_labels(self):
+        """Only positive and negative documents train; an unlabeled one is
+        not counted as negative."""
+        docs = make_docs([["good", "film"], ["bad", "film"], ["meh"]],
+                         labels=["positive", "negative", "unlabeled"])
+        model = train_classifier(docs, n_max=1)
+        assert (model.space.n_pos_docs, model.space.n_neg_docs) == (1, 1)
+        assert "meh" not in model.space.index
+
+    def test_training_ids_are_the_featurization(self):
+        pos, neg, space = _toy_space()
+        assert len(space.train_ids) == len(pos + neg)
+        for ids, d in zip(space.train_ids, pos + neg):
+            assert np.array_equal(np.sort(ids), doc_gram_ids(d.tokens, space))
+
     def test_synthetic_corpus_end_to_end(self, imdb_tree):
         ds = load_imdb(imdb_tree)
         train_all = ds.subset(split="train")
         train, valid = split_validation(train_all, 0.25, seed=0)
         test = ds.subset(split="test")
-        space, weights, clf, scores = nbsvm_pipeline(
-            train, {"valid": valid, "test": test}, n_max=2)
-        ids, p = scores["test"]
+        scores = train_classifier(train, n_max=2).score(test)
+        ids, p = scores.ids, scores.p_pos
         assert len(ids) == len(test)
         assert np.all((p > 0.0) & (p < 1.0))
         labels = {d.id: d.label for d in test}
@@ -236,11 +256,10 @@ class TestPipeline:
                                      label=("negative" if d.label == "positive"
                                             else "positive"), split=d.split)
                          for d in train]
-        _, _, _, scores = nbsvm_pipeline(train, {"test": test}, n_max=2, seed=0)
-        _, _, _, scores_swapped = nbsvm_pipeline(swapped_train, {"test": test},
-                                                 n_max=2, seed=0)
-        p = dict(zip(*scores["test"]))
-        q = dict(zip(*scores_swapped["test"]))
+        scores = train_classifier(train, n_max=2, seed=0).score(test)
+        scores_swapped = train_classifier(swapped_train, n_max=2, seed=0).score(test)
+        p = dict(zip(scores.ids, scores.p_pos))
+        q = dict(zip(scores_swapped.ids, scores_swapped.p_pos))
         for doc_id in p:
             assert q[doc_id] == pytest.approx(1.0 - p[doc_id], abs=1e-5)
 
@@ -303,9 +322,8 @@ class TestScoring:
         space = build_feature_space(pos, neg, 2)
         weights = compute_log_ratio(space, alpha=1.0)
         clf = LinearClassifier(w=np.zeros(0), b=0.25, l2=0.5, loss="logistic")
-        path = tmp_path / "nbsvm2.npz"
-        save_model(path, space, weights, clf)
-        space2, weights2, clf2 = load_model(path)
+        save_model(tmp_path, NbsvmModel(space, weights, clf))
+        space2, weights2, clf2 = load_model(tmp_path, 2)
         assert len(space2) == 0 and space2.grams == [] and space2.n_max == 2
         docs = make_docs([["good", "film"], []])
         assert np.array_equal(doc_margins(docs, space2, weights2, clf2), [0.25, 0.25])
@@ -315,8 +333,9 @@ class TestScoring:
         weights = compute_log_ratio(space, alpha=0.5)
         clf = LinearClassifier(w=np.arange(len(space), dtype=np.float64), b=-0.125,
                                l2=0.25, loss="logistic")
-        save_model(tmp_path / "m.npz", space, weights, clf)
-        space2, weights2, clf2 = load_model(tmp_path / "m.npz")
+        assert save_model(tmp_path, NbsvmModel(space, weights, clf)) == [
+            tmp_path / f"nbsvm{space.n_max}.npz"]
+        space2, weights2, clf2 = load_model(tmp_path, space.n_max)
         assert space2.grams == space.grams and space2.index == space.index
         assert np.array_equal(weights2.r, weights.r) and weights2.alpha == 0.5
         assert np.array_equal(clf2.w, clf.w) and clf2.b == clf.b and clf2.l2 == 0.25

@@ -10,7 +10,7 @@ from sentimix.corpus import BOS, EOS, UNK, BOS_ID, EOS_ID, UNK_ID, build_vocab
 from sentimix.ngram_lm import (
     CountError, GenerativeClassifier, KneserNeyModel, classify_generative,
     count_ngrams, doc_logprob, estimate_kneser_ney, make_priors,
-    merge_count_tables, pack_rows, score_documents, train_generative_classifier,
+    pack_rows, score_documents, train_generative_classifier,
     train_kn_model,
 )
 from conftest import make_docs
@@ -54,16 +54,6 @@ class TestCounting:
         for k in range(3):
             assert np.array_equal(t1.keys[k], t2.keys[k])
             assert np.array_equal(t1.counts[k], t2.counts[k])
-
-    def test_parallel_merge_equals_whole(self):
-        docs = make_docs([["a", "b"], ["b", "c", "a"], ["c"], ["a", "a"]])
-        vocab = build_vocab(docs)
-        whole = count_ngrams(docs, 2, vocab)
-        parts = [count_ngrams(docs[:2], 2, vocab), count_ngrams(docs[2:], 2, vocab)]
-        merged = merge_count_tables(parts)
-        for k in range(2):
-            assert np.array_equal(whole.keys[k], merged.keys[k])
-            assert np.array_equal(whole.counts[k], merged.counts[k])
 
     @given(corpora)
     @settings(max_examples=50, deadline=None)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from sentimix import pvec
 from sentimix.corpus import build_vocab
 from sentimix.pvec import (
     HuffmanTree, ParagraphVectorModel, PvConfig, _hs_step, build_huffman,
-    hs_word_logprob, infer_vectors, pv_classify,
+    fit_classifier, hs_word_logprob, infer_vectors, load_model, save_model,
     read_vectors_binary, train_pv, write_vectors_binary, write_vectors_text,
 )
 from conftest import make_docs
@@ -19,12 +20,12 @@ from oracles import huffman_min_expected_length, pv_infer_reference
 class TestHuffman:
     def test_two_leaves(self):
         tree = build_huffman([1, 1])
-        assert tree.code_length(0) == tree.code_length(1) == 1
+        assert len(tree.codes[0]) == len(tree.codes[1]) == 1
 
     def test_forced_merge_order(self):
         tree = build_huffman([4, 1, 1])
-        assert tree.code_length(0) == 1
-        assert tree.code_length(1) == tree.code_length(2) == 2
+        assert len(tree.codes[0]) == 1
+        assert len(tree.codes[1]) == len(tree.codes[2]) == 2
 
     def test_vocab_too_small(self):
         with pytest.raises(ValueError):
@@ -34,7 +35,7 @@ class TestHuffman:
     @settings(max_examples=100, deadline=None)
     def test_kraft_equality_exact(self, freqs):
         tree = build_huffman(freqs)
-        assert sum(Fraction(1, 2 ** tree.code_length(w))
+        assert sum(Fraction(1, 2 ** len(tree.codes[w]))
                    for w in range(len(freqs))) == 1
 
     @given(st.lists(st.integers(min_value=1, max_value=50), min_size=2, max_size=12))
@@ -44,7 +45,7 @@ class TestHuffman:
         for i, fi in enumerate(freqs):
             for j, fj in enumerate(freqs):
                 if fi > fj:
-                    assert tree.code_length(i) <= tree.code_length(j)
+                    assert len(tree.codes[i]) <= len(tree.codes[j])
 
     def test_optimal_expected_length_eight_words(self):
         rng = np.random.RandomState(7)
@@ -52,7 +53,7 @@ class TestHuffman:
             freqs = rng.randint(1, 40, size=8).tolist()
             tree = build_huffman(freqs)
             total = sum(freqs)
-            got = sum(f * tree.code_length(i) for i, f in enumerate(freqs)) / total
+            got = sum(f * len(tree.codes[i]) for i, f in enumerate(freqs)) / total
             assert got == pytest.approx(huffman_min_expected_length(freqs), abs=1e-12)
 
     def test_deterministic(self):
@@ -229,9 +230,10 @@ class TestInference:
         assert np.array_equal(got, expected)
 
     def test_model_state_frozen(self, trained):
-        before = trained.state_digest()
+        before = [a.copy() for a in (trained.word_vecs, trained.node_vecs)]
         _infer_one(trained, GOOD_DOC, steps=5)
-        assert trained.state_digest() == before
+        assert np.array_equal(trained.word_vecs, before[0])
+        assert np.array_equal(trained.node_vecs, before[1])
 
     def test_inferred_matches_trained_document(self, trained):
         inferred_good = _infer_one(trained, GOOD_DOC, steps=20, lr0=0.1)
@@ -309,11 +311,39 @@ class TestClassification:
         docs = _toy_corpus()
         vocab = build_vocab(docs)
         model = train_pv(docs, vocab, PvConfig(dim=4, epochs=100, lr0=0.1, seed=3))
-        clf, scores = pv_classify(model, docs, {"train": docs}, l2=1e-4)
-        ids, p = scores["train"]
-        labels = {d.id: d.label for d in docs}
-        for doc_id, prob in zip(ids, p):
-            assert (prob > 0.5) == (labels[doc_id] == "positive")
+        pvc = fit_classifier(model, docs, 0.1, l2=1e-4)
+        held_out = [replace(d, id="new-" + d.id) for d in docs]
+        labels = {d.id: d.label for d in docs + held_out}
+        for split in (docs, held_out):  # trained vectors, then inferred ones
+            scores = pvc.score(split)
+            for doc_id, prob in zip(scores.ids, scores.p_pos):
+                assert (prob > 0.5) == (labels[doc_id] == "positive")
+
+    def test_score_keeps_trained_vectors_and_infers_the_rest(self):
+        docs = _toy_corpus()
+        model = train_pv(docs, build_vocab(docs), PvConfig(dim=4, epochs=3, seed=3))
+        pvc = fit_classifier(model, docs, 0.05, infer_steps=3)
+        new = [replace(docs[0], id="new")]
+        got = pvc.score([docs[1], new[0], docs[2]]).p_pos
+        X = np.stack([model.doc_vecs[1], infer_vectors(model, new, steps=3)[0],
+                      model.doc_vecs[2]]).astype(np.float64)
+        assert np.array_equal(got, pvc.clf.predict_proba(X))
+
+    @pytest.mark.parametrize("mode", ["dbow", "dm"])
+    def test_model_file_roundtrip(self, tmp_path, mode):
+        docs = _toy_corpus()
+        model = train_pv(docs, build_vocab(docs),
+                         PvConfig(dim=4, epochs=2, window=2, mode=mode, seed=3))
+        pvc = fit_classifier(model, docs, 0.05, infer_steps=3)
+        assert save_model(tmp_path, pvc) == [tmp_path / "pv.npz"]
+        back = load_model(tmp_path)
+        assert back.model.mode == mode
+        assert (back.infer_steps, back.lr0) == (3, 0.05)
+        for name in ("word_vecs", "node_vecs", "doc_vecs"):
+            assert np.array_equal(getattr(back.model, name), getattr(model, name))
+        assert back.model.words == model.words and back.model.doc_ids == model.doc_ids
+        held_out = [replace(d, id="new-" + d.id) for d in docs]
+        assert np.array_equal(back.score(held_out).p_pos, pvc.score(held_out).p_pos)
 
 
 class TestVectorFiles:
