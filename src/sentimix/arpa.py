@@ -4,6 +4,12 @@ Probabilities are written in base-10 logs.  Contexts that exist only as
 backoff states (runs of the start marker) get the conventional -99 log
 probability.  Unigram lines cover the whole vocabulary so an imported model
 never misses a vocabulary word.
+
+Both directions work a section at a time in array passes: export formats a
+whole section with one ``%`` operation, and import takes each line's field
+count from the section's bytes, splits its text once and converts whole
+columns of fields.  Only a malformed section is walked line by line, to
+report its first bad line.
 """
 
 from __future__ import annotations
@@ -18,179 +24,276 @@ from .ngram_lm import KneserNeyModel, pack_rows, unpack_keys, _find
 LOG10 = math.log(10.0)
 PSEUDO_LOGP10 = -99.0
 
+# line breaks of str.splitlines() other than "\n"
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# whitespace of str.split() outside ASCII that may remain inside a line
+_WIDE_SPACES = "".join(map(chr, [0xa0, 0x1680, *range(0x2000, 0x200b), 0x202f, 0x205f, 0x3000]))
+# the backoff weight given to entries without one, so that all have the same width
+_NAN_FIELD = np.frombuffer(b" nan", dtype=np.uint8)
+
 
 class ArpaParseError(Exception):
     pass
 
 
-def _section_lines(model: KneserNeyModel, k: int) -> list[str]:
+# ------------------------------------------------------------------ export
+
+def _format_lines(tokens: np.ndarray, rows: np.ndarray, lp10: np.ndarray,
+                  bow10: np.ndarray | None = None, has_bow: np.ndarray | None = None) -> str:
+    """Lines "logp<TAB>w1 ... wk", with "<TAB>bow" where ``has_bow`` holds and
+    a final newline each, formatted by one ``%`` over the whole section."""
+    m, k = rows.shape
+    plain = "%.7f\t" + " ".join(["%s"] * k) + "\n"
+    table = np.empty((m, k + 2), dtype=object)
+    table[:, 0] = lp10
+    table[:, 1:k + 1] = tokens[rows]
+    if bow10 is None:
+        return plain * m % tuple(table[:, :k + 1].ravel().tolist())
+    table[:, k + 1] = bow10
+    keep = np.ones((m, k + 2), dtype=bool)
+    keep[:, k + 1] = has_bow
+    template = "".join(np.where(has_bow, plain[:-1] + "\t%.7f\n", plain).tolist())
+    return template % tuple(table[keep].tolist())
+
+
+def _section_text(model: KneserNeyModel, k: int) -> tuple[int, str]:
+    """Order k's entry count and its lines, each ending in a newline."""
     vocab = model.vocab
     n = model.order
-    lines: list[str] = []
+    tokens = np.array(vocab.tokens, dtype=object)
     if k == 1:
-        all_ids = np.arange(len(vocab), dtype=np.uint32)[:, None]
-        keys = pack_rows(all_ids)
+        rows = np.arange(len(vocab), dtype=np.uint32)[:, None]
+        keys = pack_rows(rows)
         lp10 = np.full(len(vocab), model.unigram_floor_logp / LOG10)
         pos, hit = _find(model.keys[0], keys)
         lp10[hit] = model.logp[0][pos[hit]] / LOG10
         lp10[BOS_ID] = PSEUDO_LOGP10
-        if n > 1:
-            bpos, bhit = _find(model.bow_keys[0], keys)
-            bow10 = model.bow_logs[0][bpos] / LOG10
-        for i, token in enumerate(vocab.tokens):
-            if n > 1 and bhit[i]:
-                lines.append("%.7f\t%s\t%.7f" % (lp10[i], token, bow10[i]))
-            else:
-                lines.append("%.7f\t%s" % (lp10[i], token))
-        return lines
+        if n == 1:
+            return len(rows), _format_lines(tokens, rows, lp10)
+        bpos, bhit = _find(model.bow_keys[0], keys)
+        return len(rows), _format_lines(tokens, rows, lp10,
+                                        model.bow_logs[0][bpos] / LOG10, bhit)
 
-    grams = unpack_keys(model.keys[k - 1], k).tolist()
+    rows = unpack_keys(model.keys[k - 1], k)
     lp10 = model.logp[k - 1] / LOG10
-    tokens = vocab.tokens
-    if k < n:
-        bpos, bhit = _find(model.bow_keys[k - 1], model.keys[k - 1])
-        bow10 = model.bow_logs[k - 1][bpos] / LOG10
-        for i, row in enumerate(grams):
-            text = " ".join(tokens[c] for c in row)
-            if bhit[i]:
-                lines.append("%.7f\t%s\t%.7f" % (lp10[i], text, bow10[i]))
-            else:
-                lines.append("%.7f\t%s" % (lp10[i], text))
-        # backoff-only contexts at this length (runs of the start marker)
-        cpos, chit = _find(model.keys[k - 1], model.bow_keys[k - 1])
-        for i in np.flatnonzero(~chit):
-            row = unpack_keys(model.bow_keys[k - 1][i:i + 1], k)[0]
-            text = " ".join(tokens[c] for c in row)
-            lines.append("%.7f\t%s\t%.7f"
-                         % (PSEUDO_LOGP10, text, model.bow_logs[k - 1][i] / LOG10))
-    else:
-        for i, row in enumerate(grams):
-            text = " ".join(tokens[c] for c in row)
-            lines.append("%.7f\t%s" % (lp10[i], text))
-    return lines
+    if k == n:
+        return len(rows), _format_lines(tokens, rows, lp10)
+    bpos, bhit = _find(model.bow_keys[k - 1], model.keys[k - 1])
+    bow10 = model.bow_logs[k - 1][bpos] / LOG10
+    text = _format_lines(tokens, rows, lp10, bow10, bhit)
+    # backoff-only contexts at this length (runs of the start marker)
+    _, chit = _find(model.keys[k - 1], model.bow_keys[k - 1])
+    only = np.flatnonzero(~chit)
+    text += _format_lines(tokens, unpack_keys(model.bow_keys[k - 1][only], k),
+                          np.full(len(only), PSEUDO_LOGP10),
+                          model.bow_logs[k - 1][only] / LOG10, np.ones(len(only), dtype=bool))
+    return len(rows) + len(only), text
 
 
 def export_arpa(model: KneserNeyModel, fileobj) -> None:
-    sections = [_section_lines(model, k) for k in range(1, model.order + 1)]
+    sections = [_section_text(model, k) for k in range(1, model.order + 1)]
     fileobj.write("\\data\\\n")
-    for k in range(1, model.order + 1):
-        fileobj.write(f"ngram {k}={len(sections[k - 1])}\n")
+    for k, (count, _) in enumerate(sections, start=1):
+        fileobj.write(f"ngram {k}={count}\n")
     fileobj.write("\n")
-    for k in range(1, model.order + 1):
+    for k, (_, text) in enumerate(sections, start=1):
         fileobj.write(f"\\{k}-grams:\n")
-        fileobj.write("\n".join(sections[k - 1]))
-        fileobj.write("\n\n")
+        fileobj.write(text)
+        fileobj.write("\n" if text else "\n\n")
     fileobj.write("\\end\\\n")
 
 
-def _parse_header(lines: list[str]):
-    i = 0
-    nlines = len(lines)
-    while i < nlines and lines[i].strip() != "\\data\\":
-        i += 1
-    if i == nlines:
-        raise ArpaParseError("line %d: missing \\data\\ header" % nlines)
+# ------------------------------------------------------------------ import
+
+def _marker_lines(text: str) -> list[tuple[int, int, int, str]]:
+    """(line number, start, end, stripped line) of every line whose first
+    non-blank character is a backslash; ``text`` breaks lines only at "\\n"."""
+    marks = []
+    lineno, counted = 1, 0
+    p = text.find("\\")
+    while p >= 0:
+        start = text.rfind("\n", 0, p) + 1
+        end = text.find("\n", p)
+        if end < 0:
+            end = len(text)
+        if not text[start:p].strip():
+            lineno += text.count("\n", counted, start)
+            counted = start
+            marks.append((lineno, start, end, text[start:end].strip()))
+        p = text.find("\\", end)
+    return marks
+
+
+def _parse_header(text: str, marks) -> tuple[dict[int, int], int]:
+    """The declared entry count of each order, and the index in ``marks`` of
+    the first line after the counts that starts with a backslash."""
+    i = next((j for j, m in enumerate(marks) if m[3] == "\\data\\"), None)
+    if i is None:
+        raise ArpaParseError("line %d: missing \\data\\ header" % len(text.splitlines()))
+    lineno, _, end, _ = marks[i]
     i += 1
+    stop = marks[i][1] if i < len(marks) else len(text)
     declared: dict[int, int] = {}
-    while i < nlines:
-        line = lines[i].strip()
+    for n, line in enumerate(text[end + 1:stop].split("\n"), start=lineno + 1):
+        line = line.strip()
         if not line:
-            i += 1
             continue
-        if line.startswith("\\"):
-            break
         if not line.startswith("ngram "):
-            raise ArpaParseError(f"line {i + 1}: expected 'ngram k=count', got {line!r}")
+            raise ArpaParseError(f"line {n}: expected 'ngram k=count', got {line!r}")
         try:
             k_str, count_str = line[len("ngram "):].split("=")
             declared[int(k_str)] = int(count_str)
         except ValueError as e:
-            raise ArpaParseError(f"line {i + 1}: malformed count line {line!r}") from e
-        i += 1
+            raise ArpaParseError(f"line {n}: malformed count line {line!r}") from e
     if not declared or sorted(declared) != list(range(1, max(declared) + 1)):
         raise ArpaParseError("malformed \\data\\ section: missing orders")
     return declared, i
 
 
+def _section_blocks(text: str, marks, i: int, declared) -> dict[int, tuple[int, str]]:
+    """Each declared order's (number of its first line, text of its lines).
+
+    A section runs from its header to the next header or the end marker; a
+    repeated header starts its section afresh, and lines after the end
+    marker are ignored."""
+    blocks: dict[int, tuple[int, str]] = {}
+    open_k = None
+    open_at = (0, 0)
+    for lineno, start, end, line in marks[i:]:
+        is_end = line == "\\end\\"
+        is_header = line.endswith("-grams:")
+        if open_k is not None and (is_end or is_header):
+            blocks[open_k] = (open_at[0], text[open_at[1]:start])
+        if is_end:
+            break
+        if is_header:
+            try:
+                open_k = int(line[1:-len("-grams:")])
+            except ValueError as e:
+                raise ArpaParseError(f"line {lineno}: bad section header {line!r}") from e
+            if open_k not in declared:
+                raise ArpaParseError(f"line {lineno}: undeclared section {line!r}")
+            open_at = (lineno + 1, end + 1)
+        elif open_k is None:
+            raise ArpaParseError(f"line {lineno}: data outside any n-gram section: {line!r}")
+    else:
+        raise ArpaParseError("missing \\end\\ terminator")
+    return {k: blocks.get(k, (0, "")) for k in declared}
+
+
+class _Section:
+    """One section's text, and the number of fields on each of its lines.
+
+    The text breaks lines only at "\\n", so its ASCII whitespace is tab,
+    space, "\\x1f" and "\\n"; wider whitespace is read as a space."""
+
+    def __init__(self, k: int, first_line: int, block: str):
+        self.k, self.first_line, self.block = k, first_line, block
+        if not block.isascii() and any(c in block for c in _WIDE_SPACES):
+            block = block.translate(dict.fromkeys(map(ord, _WIDE_SPACES), " "))
+        self.raw = np.frombuffer(("\n" + block).encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        space = (self.raw == 32) | (self.raw == 9) | (self.raw == 10) | (self.raw == 31)
+        before_field = np.flatnonzero(space[:-1] > space[1:])
+        self.breaks = np.flatnonzero(self.raw == 10)  # the newline before each line
+        self.line_counts = np.diff(np.searchsorted(before_field, self.breaks),
+                                   append=len(before_field))
+        self.counts = self.line_counts[self.line_counts > 0]
+
+    def columns(self) -> tuple[list[str], list[str], list[str]]:
+        """The entries' log probabilities, backoff weights and words, entry by
+        entry.  When some entries have a backoff weight, each entry without
+        one gets "nan", which reads as none, so every column is a slice."""
+        k = self.k
+        raw, width = self.raw, k + 1
+        if (self.counts == k + 2).any():
+            width = k + 2
+            ends = np.append(self.breaks[1:], len(raw))[self.line_counts == k + 1]
+            raw = np.insert(raw, np.repeat(ends, 4), np.tile(_NAN_FIELD, len(ends)))
+        fields = raw.tobytes().decode("utf-8", "surrogatepass").split()
+        lps, bows = fields[0::width], []
+        if width == k + 2:
+            bows = fields[k + 1::width]
+            del fields[k + 1::width]
+        del fields[0::k + 1]
+        return lps, bows, fields
+
+    def fail(self, unigram_pass: bool = False) -> None:
+        """Walk the section line by line and raise the error its first bad
+        line gives (the unigram pass checks each 1-gram line's word)."""
+        k = self.k
+        seen = set()
+        for lineno, line in enumerate(self.block.split("\n"), start=self.first_line):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split()
+            if unigram_pass:
+                if len(fields) < 2:
+                    raise ArpaParseError(f"line {lineno}: expected 1-gram line, got {line!r}")
+                if fields[1] in seen:
+                    raise ArpaParseError(f"line {lineno}: duplicate unigram {fields[1]!r}")
+                seen.add(fields[1])
+                continue
+            if len(fields) not in (k + 1, k + 2):
+                raise ArpaParseError(
+                    f"line {lineno}: expected {k}-gram line, got {len(fields)} fields")
+            if len(fields) == k + 2:
+                try:
+                    float(fields[-1])
+                except ValueError as e:
+                    raise ArpaParseError(f"line {lineno}: bad backoff weight") from e
+            try:
+                float(fields[0])
+            except ValueError as e:
+                raise ArpaParseError(f"line {lineno}: bad log probability") from e
+
+
+def _floats(section: _Section, strings: list[str]) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, strings), dtype=np.float64, count=len(strings))
+    except ValueError:
+        section.fail()
+        raise
+
+
 def import_arpa(fileobj) -> KneserNeyModel:
     """Parse an ARPA file back into a backoff model (natural-log tables)."""
-    lines = fileobj.read().splitlines()
-    declared, i = _parse_header(lines)
+    text = fileobj.read()
+    if any(c in text for c in _BREAKS):
+        text = "\n".join(text.splitlines() + [""])
+    marks = _marker_lines(text)
+    declared, i = _parse_header(text, marks)
     order = max(declared)
+    blocks = _section_blocks(text, marks, i, declared)
+    del text, marks
 
-    # slice out each section's (line_number, text) entries
-    sections: dict[int, list[tuple[int, str]]] = {}
-    current = None
-    ended = False
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line:
-            continue
-        if line == "\\end\\":
-            ended = True
-            break
-        if line.startswith("\\") and line.endswith("-grams:"):
-            try:
-                current = int(line[1:-len("-grams:")])
-            except ValueError as e:
-                raise ArpaParseError(f"line {i}: bad section header {line!r}") from e
-            if current not in declared:
-                raise ArpaParseError(f"line {i}: undeclared section {line!r}")
-            sections[current] = []
-            continue
-        if current is None:
-            raise ArpaParseError(f"line {i}: data outside any n-gram section: {line!r}")
-        sections[current].append((i, line))
-    if not ended:
-        raise ArpaParseError("missing \\end\\ terminator")
-    sections = {k: sections.get(k, []) for k in declared}
+    sections = {k: _Section(k, *block) for k, block in blocks.items()}
+    del blocks
     for k, n_declared in declared.items():
-        found = len(sections[k])
+        found = len(sections[k].counts)
         if found != n_declared:
             raise ArpaParseError(
                 f"section \\{k}-grams: declared {n_declared} entries, found {found}")
 
-    seen: list[str] = []
-    seen_set = set()
-    for lineno, line in sections[1]:
-        fields = line.split()
-        if len(fields) < 2:
-            raise ArpaParseError(f"line {lineno}: expected 1-gram line, got {line!r}")
-        tok = fields[1]
-        if tok in seen_set:
-            raise ArpaParseError(f"line {lineno}: duplicate unigram {tok!r}")
-        seen_set.add(tok)
-        if tok not in RESERVED:
-            seen.append(tok)
-    vocab = Vocabulary(seen, [1] * len(seen))
-    index = vocab.index
-
     keys, logp = [], []
     bow_keys, bow_logs = [], []
     for k in range(1, order + 1):
+        section = sections.pop(k)
         n_k = declared[k]
-        rows = np.empty((n_k, k), dtype=np.uint32)
-        lps = np.empty(n_k)
-        bows = np.full(n_k, np.nan)
-        for j, (lineno, line) in enumerate(sections[k]):
-            fields = line.split()
-            if len(fields) == k + 1:
-                pass
-            elif len(fields) == k + 2:
-                try:
-                    bows[j] = float(fields[-1])
-                except ValueError as e:
-                    raise ArpaParseError(f"line {lineno}: bad backoff weight") from e
-            else:
-                raise ArpaParseError(
-                    f"line {lineno}: expected {k}-gram line, got {len(fields)} fields")
-            try:
-                lps[j] = float(fields[0])
-            except ValueError as e:
-                raise ArpaParseError(f"line {lineno}: bad log probability") from e
-            for c in range(k):
-                rows[j, c] = index(fields[1 + c])
+        if not np.isin(section.counts, (k + 1, k + 2)).all():
+            if k == 1:  # a short line or a repeated word is reported first
+                section.fail(unigram_pass=True)
+            section.fail()
+        lp_strs, bow_strs, words = section.columns()
+        if k == 1:
+            if len(set(words)) != len(words):
+                section.fail(unigram_pass=True)
+            seen = [w for w in words if w not in RESERVED]
+            vocab = Vocabulary(seen, [1] * len(seen))
+        lps = _floats(section, lp_strs)
+        bows = _floats(section, bow_strs) if bow_strs else np.full(n_k, np.nan)
+        rows = vocab.encode(words).reshape(n_k, k)
+        del section, lp_strs, bow_strs, words  # before the next order is split
         packed = pack_rows(rows)
         srt = np.argsort(packed, kind="stable")
         keys.append(packed[srt])

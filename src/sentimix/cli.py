@@ -29,6 +29,7 @@ MODELS = {
     **{f"nbsvm{n}": functools.partial(nbsvm.load_model, n_max=n) for n in (1, 2, 3)},
     "pv": pvec.load_model,
 }
+TEMPERED = ("ngram", "rnn")  # the models whose score reads --temperature
 SPLITS = ("train", "valid", "test")
 REPORT_TABLES = [
     ("# Individual models (test accuracy)",
@@ -38,6 +39,19 @@ REPORT_TABLES = [
      [("nbsvm1", "Unigrams"), ("nbsvm2", "Unigrams+Bigrams"),
       ("nbsvm3", "Unigrams+Bigrams+Trigrams")]),
 ]
+
+
+class UsageError(Exception):
+    """Arguments that parse but do not fit together (exit 2)."""
+
+
+class _StoreGiven(argparse.Action):
+    """Store the value and note that the flag was given on the command line,
+    not installed as a default by --config."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest + "_given", True)
 
 
 def _out(args, *parts) -> Path:
@@ -110,11 +124,13 @@ def cmd_prepare(args) -> int:
     corpus.write_vocab(vocab_path, vocab)
     artifacts.append(vocab_path)
 
+    warnings = docs.warnings
     if args.with_unsup:
         unsup = corpus.load_unsup(args.imdb_dir, subset=args.subset)
         unsup_cache = _out(args, "cache", "unsup.tsv")
-        corpus.write_token_cache(unsup, unsup_cache)
+        corpus.write_token_cache(unsup.documents, unsup_cache)
         artifacts.append(unsup_cache)
+        warnings = warnings + unsup.warnings
 
     _record_stage(args, "prepare", artifacts, {
         "prepare.seed": args.seed,
@@ -125,7 +141,7 @@ def cmd_prepare(args) -> int:
         "prepare.n_valid": len(valid),
         "prepare.n_test": len(test),
         "prepare.vocab_size": len(vocab),
-        "prepare.corpus_warnings": ";".join(docs.warnings) or "none",
+        "prepare.corpus_warnings": ";".join(warnings) or "none",
     })
     print(f"prepared {len(train_sub)} train / {len(valid)} valid / {len(test)} test "
           f"documents, vocabulary {len(vocab)}")
@@ -205,6 +221,11 @@ def cmd_train_pv(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.model not in TEMPERED and args.temperature_given:
+        raise UsageError(f"--temperature has no effect on {args.model}; "
+                         f"it tempers {' and '.join(TEMPERED)} only")
+    if not args.temperature > 0:
+        raise UsageError(f"--temperature must be > 0, got {args.temperature}")
     docs = _load_split(args, args.split, args.subset)
     model = MODELS[args.model](Path(args.out_dir) / "models")
     scores = model.score(docs, temperature=args.temperature)
@@ -409,8 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_stage(sub, "score", cmd_score, "score a split with a trained model")
     p.add_argument("model", choices=MODELS)
     p.add_argument("split", choices=SPLITS)
-    p.add_argument("--temperature", type=float, default=1.0,
-                   help="divides the generative models' calibrated log ratio")
+    p.add_argument("--temperature", type=float, default=1.0, action=_StoreGiven,
+                   help="divides the calibrated log ratio of ngram and rnn (> 0)")
+    p.set_defaults(temperature_given=False)
     p.add_argument("--subset", type=int, default=None,
                    help="cap documents per class, matching train --subset")
 
@@ -476,6 +498,9 @@ def cli_dispatch(argv=None) -> int:
     args.started = time.time()  # a stage's wall time in the manifest counts from here
     try:
         return args.func(args)
+    except UsageError as e:
+        print(f"error: usage: {e}", file=sys.stderr)
+        return 2
     except FileNotFoundError as e:
         print(f"error: missing artifact: {e.filename}", file=sys.stderr)
         return 3

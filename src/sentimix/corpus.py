@@ -71,13 +71,20 @@ class Document:
     split: str  # train / valid / test
 
 
+class _TokenIndex(dict):
+    """token -> index; a token not in the vocabulary gets the <unk> index."""
+
+    def __missing__(self, token: str) -> int:
+        return UNK_ID
+
+
 class Vocabulary:
     """Token <-> index bijection with reserved markers at fixed indices."""
 
     def __init__(self, tokens: list[str], counts: list[int]):
         self.tokens = list(RESERVED) + list(tokens)
         self.counts = [0, 0, 0] + [int(c) for c in counts]
-        self._index = {t: i for i, t in enumerate(self.tokens)}
+        self._index = _TokenIndex(zip(self.tokens, range(len(self.tokens))))
         if len(self._index) != len(self.tokens):
             raise CorpusError("duplicate tokens in vocabulary")
 
@@ -85,15 +92,15 @@ class Vocabulary:
         return len(self.tokens)
 
     def index(self, token: str) -> int:
-        return self._index.get(token, UNK_ID)
+        return self._index[token]
 
     def frequency(self, token: str) -> int:
         i = self._index.get(token)
         return 0 if i is None else self.counts[i]
 
     def encode(self, tokens) -> np.ndarray:
-        get = self._index.get
-        return np.fromiter((get(t, UNK_ID) for t in tokens), dtype=np.uint32, count=len(tokens))
+        return np.fromiter(map(self._index.__getitem__, tokens), dtype=np.uint32,
+                           count=len(tokens))
 
     @property
     def n_predictable(self) -> int:
@@ -174,11 +181,12 @@ def load_imdb(root_dir, config: TokenizerConfig = DEFAULT_TOKENIZER,
 
 
 def load_unsup(root_dir, config: TokenizerConfig = DEFAULT_TOKENIZER,
-               subset: int | None = None) -> list[Document]:
+               subset: int | None = None) -> DocumentSet:
     """Load the unlabeled train/unsup reviews (optional, for paragraph vectors)."""
     warnings: list[str] = []
-    return _load_leaf(Path(root_dir), "train/unsup", UNLABELED, "train", config,
+    docs = _load_leaf(Path(root_dir), "train/unsup", UNLABELED, "train", config,
                       subset, warnings)
+    return DocumentSet(documents=docs, warnings=warnings)
 
 
 def build_vocab(docs, min_count: int = 1, max_size: int | None = None) -> Vocabulary:

@@ -17,8 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ensemble
-from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, UNK_ID, Vocabulary, build_vocab,
-                     length_blocks, read_manifest, write_manifest)
+from .corpus import (BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocab, length_blocks,
+                     read_manifest, write_manifest)
 
 log = logging.getLogger(__name__)
 
@@ -165,9 +165,6 @@ class KneserNeyModel:
             totals += n_unk * self.oov_log_penalty
         return totals
 
-    def doc_logprob_ids(self, ids: np.ndarray) -> float:
-        return float(self.doc_logprobs([ids])[0])
-
     def conditional_logprobs(self, context_ids) -> np.ndarray:
         """log p(w | context) for every vocabulary index w at once."""
         n = self.order
@@ -180,11 +177,6 @@ class KneserNeyModel:
         rows[:, : n - 1] = ctx
         rows[:, n - 1] = np.arange(V, dtype=np.uint32)
         return self._backoff_logprobs(rows)
-
-
-def doc_logprob(model: KneserNeyModel, tokens) -> float:
-    """Sum of log p(token | context) over the wrapped sequence, in nats."""
-    return model.doc_logprob_ids(model.vocab.encode(tokens))
 
 
 def _estimate_discounts(adjusted: np.ndarray, order_k: int,
@@ -306,11 +298,6 @@ class GenerativeClassifier:
     log_prior_pos: float
     log_prior_neg: float
 
-    def log_ratio_ids(self, pos_ids: np.ndarray, neg_ids: np.ndarray) -> tuple[float, float, float]:
-        lp = self.pos_model.doc_logprob_ids(pos_ids)
-        ln = self.neg_model.doc_logprob_ids(neg_ids)
-        return lp, ln, lp - ln + self.log_prior_pos - self.log_prior_neg
-
     def score(self, docs, temperature: float = 1.0) -> ensemble.SplitScores:
         """Each class model's log-likelihood and the calibrated p_pos; the side
         table adds the prior-inclusive log ratio."""
@@ -351,13 +338,6 @@ def train_generative_classifier(pos_docs, neg_docs, order: int,
         neg_model = train_kn_model(neg_docs, order, vocab)
     return GenerativeClassifier(pos_model=pos_model, neg_model=neg_model,
                                 log_prior_pos=lp_pos, log_prior_neg=lp_neg)
-
-
-def classify_generative(clf: GenerativeClassifier, tokens) -> tuple[str, float]:
-    """Positive iff the prior-weighted likelihood ratio exceeds 1; ties negative."""
-    _, _, log_ratio = clf.log_ratio_ids(clf.pos_model.vocab.encode(tokens),
-                                        clf.neg_model.vocab.encode(tokens))
-    return (POSITIVE if log_ratio > 0 else NEGATIVE), log_ratio
 
 
 def score_documents(clf: GenerativeClassifier, docs):

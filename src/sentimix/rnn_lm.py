@@ -51,9 +51,6 @@ class RnnLm:
     def arrays(self):
         return self.emb, self.rec, self.out, self.bias
 
-    def doc_logprob_ids(self, ids) -> float:
-        return float(self.doc_logprobs([ids])[0])
-
     def doc_logprobs(self, encoded_docs) -> np.ndarray:
         """Each document's realized log-probability (nats), equal bit for bit
         to ``rnn_forward``'s total.

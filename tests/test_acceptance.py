@@ -24,8 +24,8 @@ import pytest
 from sentimix import ensemble, nbsvm, pvec, rnn_lm
 from sentimix.arpa import export_arpa, import_arpa
 from sentimix.corpus import BOS, BOS_ID, EOS_ID, build_vocab, file_digest
-from sentimix.ngram_lm import count_ngrams, doc_logprob, estimate_kneser_ney, train_kn_model
-from conftest import make_docs
+from sentimix.ngram_lm import count_ngrams, estimate_kneser_ney, train_kn_model
+from conftest import doc_logprob, make_docs
 from oracles import KneserNeyReference, grid_search_reference, rnn_reference
 from synth import build_imdb_tree
 

@@ -7,9 +7,10 @@ import pytest
 from sentimix.arpa import ArpaParseError, export_arpa, import_arpa
 from sentimix.corpus import EOS, build_vocab
 from sentimix.ngram_lm import (
-    KneserNeyModel, count_ngrams, doc_logprob, estimate_kneser_ney, pack_rows,
+    KneserNeyModel, count_ngrams, estimate_kneser_ney, pack_rows, train_generative_classifier,
 )
-from conftest import make_docs
+from conftest import doc_logprob, make_docs
+from oracles import export_arpa_reference, import_arpa_reference
 
 LOG10 = math.log(10.0)
 
@@ -136,3 +137,217 @@ def test_header_counts_match_section_lengths():
     for line in lines:
         if line.split("\t")[1:2] == [EOS]:
             assert len(line.split("\t")) == 2
+
+
+
+# ---------------------------------------------- array passes vs line-by-line reference
+
+def _text(model, writer=export_arpa) -> str:
+    buf = io.StringIO()
+    writer(model, buf)
+    return buf.getvalue()
+
+
+def _assert_same_model(got, want):
+    assert got.order == want.order
+    assert got.vocab.tokens == want.vocab.tokens
+    for name in ("keys", "logp", "bow_keys", "bow_logs"):
+        assert len(getattr(got, name)) == len(getattr(want, name))
+        for a, b in zip(getattr(got, name), getattr(want, name)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.unigram_floor_logp == want.unigram_floor_logp
+
+
+def _import_both(text):
+    """Import with the array passes and with the line-by-line reference: both
+    give equal arrays, or both raise ArpaParseError with the same message
+    (then None is returned)."""
+    try:
+        want = import_arpa_reference(io.StringIO(text))
+    except ArpaParseError as e:
+        with pytest.raises(ArpaParseError) as got:
+            import_arpa(io.StringIO(text))
+        assert str(got.value) == str(e)
+        return None
+    got = import_arpa(io.StringIO(text))
+    _assert_same_model(got, want)
+    return got
+
+
+# a non-ASCII word, a percent sign and backslashes that are not section markers
+ODD_WORDS = ["naïve", "100%", "\\", "\\end\\", "\\1-grams:"]
+
+
+def _classifier(order, separate_vocab=False, seed=0):
+    rng = np.random.RandomState(seed)
+    words = [f"w{i}" for i in range(25)] + ODD_WORDS
+
+    def docs(n, label):
+        return make_docs([[words[j] for j in rng.randint(0, len(words), rng.randint(0, 30))]
+                          for _ in range(n)], labels=[label] * n)
+
+    return train_generative_classifier(docs(12, "positive"), docs(12, "negative"), order,
+                                       separate_vocab=separate_vocab)
+
+
+@pytest.mark.parametrize("separate_vocab", [False, True], ids=["shared", "separate"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_array_passes_match_reference(order, separate_vocab):
+    """Export gives the reference's text byte for byte, and importing it
+    gives the reference's arrays bit for bit, dtype included."""
+    clf = _classifier(order, separate_vocab)
+    for model in (clf.pos_model, clf.neg_model):
+        text = _text(model)
+        assert text == _text(model, export_arpa_reference)
+        if order >= 3:  # a start-marker context exported as a pseudo-entry
+            assert "-99.0000000\t<s> <s>\t" in text
+        _import_both(text)
+
+
+WHITESPACE_VARIANTS = {
+    "spaces": lambda t: t.replace("\t", " "),
+    "runs": lambda t: t.replace("\t", " \t  ").replace(" w", "\t w"),
+    "trailing": lambda t: t.replace("\n", " \t\n"),
+    "leading": lambda t: t.replace("\n", "\n  "),
+    "blank lines": lambda t: t.replace("\n", "\n\n \t\n"),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "cr": lambda t: t.replace("\n", "\r"),
+    "odd breaks": lambda t: t.replace("\n", "\x0b", 5).replace("\n", "\u2028", 9)
+                             .replace("\n", "\x85", 13).replace("\n", "\x1c", 17),
+    "line separators": lambda t: t.replace("\n", "\u2028"),
+    "odd spaces": lambda t: t.replace("\t", "\x1f", 7).replace("\t", "\xa0", 11)
+                             .replace("\t", "\u3000"),
+    "no final newline": lambda t: t.rstrip("\n"),
+}
+
+
+@pytest.mark.parametrize("variant", WHITESPACE_VARIANTS)
+def test_whitespace_variants_read_the_same(variant):
+    text = _text(_classifier(3).pos_model)
+    plain = import_arpa(io.StringIO(text))
+    got = _import_both(WHITESPACE_VARIANTS[variant](text))
+    assert got is not None
+    _assert_same_model(got, plain)
+
+
+def test_unknown_higher_order_words_read_as_unk():
+    text = _text(_classifier(3).pos_model)
+    start = text.index("\\2-grams:\n") + len("\\2-grams:\n")
+    line = text[start:text.index("\n", start)]
+    fields = line.split("\t")
+    fields[1] = fields[1].split(" ")[0] + " never-seen"
+    got = _import_both(text.replace(line, "\t".join(fields), 1))
+    assert got is not None and len(got.vocab) == len(import_arpa(io.StringIO(text)).vocab)
+
+
+def _small_arpa():
+    return _text(_toy_model([["a", "b", "c"], ["a", "b"]], order=2))
+
+
+def _edit_line(text, header, offset, new):
+    lines = text.split("\n")
+    lines[lines.index(header) + offset] = new
+    return "\n".join(lines)
+
+
+MALFORMED = {
+    "empty file": lambda t: "",
+    "missing data header": lambda t: t.replace("\\data\\", "data"),
+    "count line without ngram": lambda t: t.replace("ngram 2=", "count 2="),
+    "malformed count line": lambda t: t.replace("ngram 2=", "ngram two="),
+    "missing orders": lambda t: t.replace("ngram 1=", "ngram 3="),
+    "no orders": lambda t: "\\data\\\n\n\\end\\\n",
+    "bad section header": lambda t: t.replace("\\2-grams:", "\\two-grams:"),
+    "undeclared section": lambda t: t.replace("\\2-grams:", "\\7-grams:"),
+    "data outside sections": lambda t: t.replace("\\1-grams:", "\\1-grams"),
+    "missing end": lambda t: t.replace("\\end\\", ""),
+    "count mismatch": lambda t: t.replace("ngram 2=", "ngram 2=9"),
+    "counts out of order": lambda t: t.replace("ngram 1=", "ngram 0=").replace(
+        "ngram 2=", "ngram 1=").replace("ngram 0=", "ngram 2=9"),
+    "short unigram line": lambda t: _edit_line(t, "\\1-grams:", 3, "-1.5"),
+    "duplicate unigram": lambda t: _edit_line(t, "\\1-grams:", 5, "-1.5\ta"),
+    "extra unigram fields": lambda t: _edit_line(t, "\\1-grams:", 2, "-1.5\t</s>\tb c"),
+    "extra bigram fields": lambda t: _edit_line(t, "\\2-grams:", 2, "-1.5\ta b c d e"),
+    "bad backoff": lambda t: _edit_line(t, "\\1-grams:", 4, "-1.5\ta\tnot-a-number"),
+    "bad log probability": lambda t: _edit_line(t, "\\2-grams:", 1, "x\ta b"),
+    "bad line then bad count": lambda t: _edit_line(
+        _edit_line(t, "\\2-grams:", 1, "x\ta b"), "\\2-grams:", 2, "-1\ta"),
+    "bad backoff and probability on one line":
+        lambda t: _edit_line(t, "\\1-grams:", 2, "p\t</s>\tq"),
+    "bad lines in two sections": lambda t: _edit_line(
+        _edit_line(t, "\\2-grams:", 1, "x\ta b"), "\\1-grams:", 5, "y\tb"),
+    "backslash line in a section": lambda t: _edit_line(t, "\\2-grams:", 1, "\\x\ta b"),
+    "grams: line in a section": lambda t: _edit_line(t, "\\2-grams:", 1, "\\3grams:"),
+    "missing data header, crlf and a final blank line":
+        lambda t: t.replace("\\data\\", "data").replace("\n", "\r\n") + "\r\n",
+}
+
+UNUSUAL = {
+    "sections in reverse order": lambda t: "\\data\\\n" + t[t.index("ngram 1"):t.index(
+        "\\1-grams:")] + t[t.index("\\2-grams:"):t.index("\\end\\")]
+        + t[t.index("\\1-grams:"):t.index("\\2-grams:")] + "\\end\\\n",
+    "repeated section header": lambda t: t.replace(
+        "\\2-grams:\n", "\\2-grams:\n-1\tq r\n\\2-grams:\n"),
+    "empty declared section": lambda t: t.replace("ngram 2=5", "ngram 2=0").replace(
+        t[t.index("\\2-grams:\n") + 10:t.index("\\end\\")], "\n"),
+    "junk before data header": lambda t: "notes\n\\1-grams:\n" + t,
+    "lines after end": lambda t: t + "\\2-grams:\ngarbage\n",
+    "bare nan backoff": lambda t: _edit_line(t, "\\1-grams:", 4, "-1.5\ta\tnan"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSUAL)
+def test_unusual_layouts_read_as_reference(case):
+    assert _import_both(UNUSUAL[case](_small_arpa())) is not None
+
+
+MESSAGES = ["missing \\data\\ header", "expected 'ngram k=count'", "malformed count line",
+            "missing orders", "bad section header", "undeclared section",
+            "data outside any n-gram section", "missing \\end\\ terminator",
+            "declared", "expected 1-gram line, got '", "duplicate unigram",
+            "-gram line, got", "bad backoff weight", "bad log probability"]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_files_raise_the_reference_error(case):
+    assert _import_both(MALFORMED[case](_small_arpa())) is None
+
+
+def test_malformed_cases_cover_every_error():
+    seen = set()
+    for make in MALFORMED.values():
+        with pytest.raises(ArpaParseError) as err:
+            import_arpa(io.StringIO(make(_small_arpa())))
+        seen |= {m for m in MESSAGES if m in str(err.value)}
+    assert seen == set(MESSAGES)
+
+
+def test_random_edits_agree_with_reference():
+    """Seeded edits of a small file (characters, line breaks, whitespace,
+    backslashes and section markers inserted or deleted, lines repeated,
+    dropped or swapped) are read or rejected exactly as the reference does."""
+    base = _text(_classifier(3, seed=4).pos_model)
+    pieces = ["\\", "\n", " ", "\t", "\r", "\xa0", "x", "-", "1", ".", "e", "nan",
+              "\\end\\", "\\2-grams:", "\\3-grams:", "ngram 2=4\n"]
+    rng = np.random.RandomState(7)
+    outcomes = set()
+    for _ in range(300):
+        text = base
+        for _ in range(rng.randint(1, 4)):
+            op = rng.randint(4)
+            if op == 0:
+                at = rng.randint(len(text) + 1)
+                text = text[:at] + pieces[rng.randint(len(pieces))] + text[at:]
+            elif op == 1:
+                at = rng.randint(len(text))
+                text = text[:at] + text[at + 1:]
+            else:
+                lines = text.split("\n")
+                i, j = rng.randint(len(lines), size=2)
+                if op == 2:
+                    lines.insert(j, lines[i])
+                else:
+                    lines[i], lines[j] = lines[j], lines[i]
+                text = "\n".join(lines)
+        outcomes.add(_import_both(text) is None)
+    assert outcomes == {True, False}

@@ -286,6 +286,43 @@ class TestOptions:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
+class TestTemperature:
+    """--temperature is a usage error unless a generative model reads it and
+    it is positive; the check comes before the run directory is read."""
+
+    def _assert_usage_error(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "--temperature" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("model", ["nbsvm1", "nbsvm2", "nbsvm3", "pv"])
+    @pytest.mark.parametrize("flag", [["--temperature", "2"], ["--temperature=1"],
+                                      ["--temp", "2"]])
+    def test_flag_with_discriminative_model_is_2(self, tmp_path, capsys, model, flag):
+        self._assert_usage_error(
+            ["score", model, "valid", "--out-dir", str(tmp_path / "none"), *flag], capsys)
+
+    @pytest.mark.parametrize("model", ["ngram", "rnn"])
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+    def test_non_positive_is_2(self, tmp_path, capsys, model, value):
+        self._assert_usage_error(["score", model, "valid", "--out-dir", str(tmp_path / "none"),
+                                  f"--temperature={value}"], capsys)
+
+    def test_config_default_is_not_a_given_flag(self, imdb_tree, tmp_path, capsys):
+        """A config file's temperature is a default for every score stage,
+        and the stages that do not read it leave it alone."""
+        out = str(tmp_path / "run")
+        cfg = tmp_path / "score.cfg"
+        cfg.write_text("temperature=2\n")
+        assert run(["prepare", str(imdb_tree), "--out-dir", out, "--subset", "4"]) == 0
+        assert run(["train-nbsvm", "--out-dir", out, "--n-max", "1"]) == 0
+        assert run(["score", "nbsvm1", "valid", "--out-dir", out, "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        self._assert_usage_error(["score", "nbsvm1", "valid", "--out-dir", out,
+                                  "--config", str(cfg), "--temperature", "2"], capsys)
+
+
 class TestModelFiles:
     def test_pv_mode_survives_the_model_file(self, imdb_tree, tmp_path):
         out = tmp_path / "run"
@@ -305,6 +342,15 @@ class TestUnsupPath:
         assert run(["train-pv", "--out-dir", out, "--dim", "4", "--epochs", "2",
                     "--min-count", "2", "--use-unsup"]) == 0
         assert "31 documents" in capsys.readouterr().out  # 16 labeled train + 15 unsup
+
+    def test_empty_unsup_warning_reaches_manifest(self, tmp_path):
+        from synth import build_imdb_tree
+        tree = build_imdb_tree(tmp_path / "imdb", n_per_leaf=4, seed=3)
+        (tree / "train" / "unsup").mkdir()
+        out = tmp_path / "run"
+        assert run(["prepare", str(tree), "--out-dir", str(out), "--with-unsup"]) == 0
+        manifest = read_manifest(out / "manifest.txt")
+        assert manifest["prepare.corpus_warnings"] == "empty corpus directory: train/unsup"
 
     def test_use_unsup_without_cache_is_3(self, imdb_tree, tmp_path, capsys):
         out = str(tmp_path / "run")

@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 from sentimix import ngram_lm
 from sentimix.corpus import BOS, EOS, UNK, BOS_ID, EOS_ID, UNK_ID, build_vocab
 from sentimix.ngram_lm import (
-    CountError, GenerativeClassifier, KneserNeyModel, classify_generative,
-    count_ngrams, doc_logprob, estimate_kneser_ney, make_priors,
-    pack_rows, score_documents, train_generative_classifier,
-    train_kn_model,
+    CountError, GenerativeClassifier, KneserNeyModel, count_ngrams,
+    estimate_kneser_ney, make_priors, pack_rows, score_documents,
+    train_generative_classifier, train_kn_model,
 )
-from conftest import make_docs
+from conftest import classify_generative, doc_logprob, log_ratio, make_docs
 from oracles import KneserNeyReference
 
 
@@ -333,8 +332,7 @@ class TestBatchedScoring:
     def _check(self, clf, docs):
         ids, lp_pos, lp_neg, ratios, lengths = score_documents(clf, docs)
         for i, d in enumerate(docs):
-            lp, ln, r = clf.log_ratio_ids(clf.pos_model.vocab.encode(d.tokens),
-                                          clf.neg_model.vocab.encode(d.tokens))
+            lp, ln, r = log_ratio(clf, d.tokens)
             assert (lp_pos[i], lp_neg[i], ratios[i]) == (lp, ln, r)
             assert lp == _summed_positions(clf.pos_model, d.tokens)
             assert ln == _summed_positions(clf.neg_model, d.tokens)

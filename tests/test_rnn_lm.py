@@ -5,12 +5,12 @@ import pytest
 
 from sentimix import rnn_lm
 from sentimix.corpus import BOS_ID, EOS_ID, build_vocab
-from sentimix.ngram_lm import GenerativeClassifier, classify_generative
+from sentimix.ngram_lm import GenerativeClassifier
 from sentimix.rnn_lm import (
     RnnDivergenceError, RnnLm, RnnTrainConfig, clip_gradients, corpus_logprob,
     init_params, load_rnn, rnn_forward, rnn_gradients, save_rnn, train_rnn_lm,
 )
-from conftest import make_docs
+from conftest import classify_generative, make_docs
 from oracles import rnn_reference, unigram_logprob
 
 
@@ -71,7 +71,7 @@ class TestBatchedScoring:
         docs = _ragged_ids(40)
         got = params.doc_logprobs(docs)
         assert np.array_equal(got, [rnn_forward(params, ids)[1] for ids in docs])
-        assert params.doc_logprob_ids(docs[4]) == rnn_forward(params, [])[1]
+        assert params.doc_logprobs([docs[4]])[0] == rnn_forward(params, [])[1]
 
     def test_corpus_logprob_matches_document_loop(self):
         params = init_params(40, 64, seed=2, scale=0.5)
