@@ -165,6 +165,11 @@ def cmd_train_ngram(args) -> int:
 
 
 def cmd_train_rnn(args) -> int:
+    for flag, value in (("--hidden", args.hidden), ("--epochs", args.epochs),
+                        ("--lr", args.lr), ("--truncation", args.truncation),
+                        ("--clip", args.clip), ("--vocab-cap", args.vocab_cap)):
+        if not value > 0:
+            raise UsageError(f"{flag} must be > 0, got {value}")
     train = _load_split(args, "train", args.subset)
     valid = _load_split(args, "valid", args.subset)
     vocab = corpus.build_vocab(train, min_count=1, max_size=args.vocab_cap)

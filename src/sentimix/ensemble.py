@@ -70,22 +70,6 @@ def calibrate_generative(log_p_pos, log_p_neg, log_prior_pos: float, log_prior_n
     return clamp_p(1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))))
 
 
-def combine(p_values, alphas) -> tuple[str, float]:
-    """Decision and combined posterior for one document.
-
-    Positive iff sum a*ln(p) > sum a*ln(1-p); the returned score is the
-    normalized weighted-geometric-mean posterior.
-    """
-    p = clamp_p(np.asarray(p_values, dtype=np.float64))
-    a = np.asarray(alphas, dtype=np.float64)
-    if len(p) != len(a):
-        raise ValueError("one weight per model required")
-    s_pos = float(a @ np.log(p))
-    s_neg = float(a @ np.log1p(-p))
-    label = POSITIVE if s_pos > s_neg else NEGATIVE
-    return label, 1.0 / (1.0 + np.exp(s_neg - s_pos))
-
-
 @dataclass
 class EnsembleWeights:
     model_ids: list[str]

@@ -210,14 +210,6 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
                                 train_log=train_log, word_freqs=freqs)
 
 
-def hs_word_logprob(model: ParagraphVectorModel, wid: int, ctx_vec) -> float:
-    """log p(word | ctx_vec) under the hierarchical softmax."""
-    path = model.tree.paths[wid]
-    labels = 1.0 - model.tree.codes[wid].astype(np.float64)
-    z = (model.node_vecs[path].astype(np.float64) @ np.asarray(ctx_vec, dtype=np.float64))
-    return float(-np.sum(np.logaddexp(0.0, np.where(labels > 0.5, -z, z))))
-
-
 def infer_vectors(model: ParagraphVectorModel, docs, steps: int = 10,
                   lr0: float = 0.05, seed: int = 1) -> np.ndarray:
     """Embed unseen documents: gradient steps on a fresh vector per document
@@ -373,14 +365,3 @@ def write_vectors_binary(path, vectors) -> None:
         f.write(VEC_MAGIC)
         f.write(struct.pack("<II", vectors.shape[0], vectors.shape[1]))
         f.write(vectors.tobytes())
-
-
-def read_vectors_binary(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        if f.read(len(VEC_MAGIC)) != VEC_MAGIC:
-            raise ValueError(f"{path}: not a vector file (bad magic)")
-        n, d = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(), dtype=np.float32)
-    if len(data) != n * d:
-        raise ValueError(f"{path}: size mismatch")
-    return data.reshape(n, d).copy()

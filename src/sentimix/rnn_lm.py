@@ -4,7 +4,9 @@ models.
 
 hidden_t = sigmoid(emb[x_t] + hidden_{t-1} @ rec); the output layer is a
 full-vocabulary softmax.  Training is online SGD, one document at a time,
-with global-norm gradient clipping.
+with global-norm gradient clipping; backpropagation through time runs by
+lag over blocks of output positions, and the two class models train at once
+in two processes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ log = logging.getLogger(__name__)
 
 MAGIC = b"SXRNN1\n"
 SCORE_BLOCK_CELLS = 1 << 22  # documents x longest length x hidden units per block
+BPTT_BLOCK_CELLS = 1 << 17  # output positions x lags x hidden units per block
 
 
 class RnnDivergenceError(Exception):
@@ -53,14 +56,15 @@ class RnnLm:
 
     def doc_logprobs(self, encoded_docs) -> np.ndarray:
         """Each document's realized log-probability (nats), equal bit for bit
-        to ``rnn_forward``'s total.
+        to summing the realized entries of ``_states_and_logprobs`` for each
+        document on its own.
 
         The recurrence runs over a length-sorted block of documents at once,
         at most ``SCORE_BLOCK_CELLS`` documents x positions x hidden units;
         each step's product is a stacked ``(B,1,H) @ (H,H)``, which numpy
         computes with the same BLAS call per document as a lone ``h @ rec``.
-        Output layers are computed per document, as in ``rnn_forward``, but
-        only the realized entries of the log-softmax are formed.
+        Output layers are computed per document, as in training, but only
+        the realized entries of the log-softmax are formed.
         """
         totals = np.empty(len(encoded_docs))
         lengths = np.array([len(ids) + 1 for ids in encoded_docs], dtype=np.int64)
@@ -128,25 +132,14 @@ def _log_softmax(params: RnnLm, states):
     return logits - logz[:, None]
 
 
-def rnn_forward(params: RnnLm, ids):
-    """Per-position log predictive distributions and their realized sum (nats)."""
-    _, ys, _, logprobs = _states_and_logprobs(params, ids)
-    total = float(logprobs[np.arange(len(ys)), ys].sum())
-    return logprobs, total
-
-
-def rnn_gradients(params: RnnLm, ids, truncation: int | None = None):
-    """Gradients of the negative log-likelihood, as an RnnLm of same shapes.
+def _gradients_and_logprob(params: RnnLm, ids, truncation: int | None = None):
+    """Gradients of the document's negative log-likelihood, as an RnnLm of the
+    same shapes and dtype, and its realized log-probability (nats).
 
     ``truncation`` is the number of time steps (including the step of the
     output itself) each output's error is propagated through; None means
     full backpropagation through time.
     """
-    grads, _ = _gradients_and_logprob(params, ids, truncation)
-    return grads
-
-
-def _gradients_and_logprob(params: RnnLm, ids, truncation: int | None = None):
     xs, ys, states, logprobs = _states_and_logprobs(params, ids)
     T = len(xs)
     if truncation is None:
@@ -162,23 +155,59 @@ def _gradients_and_logprob(params: RnnLm, ids, truncation: int | None = None):
     dout = states64.T @ dlogits
     dbias = dlogits.sum(axis=0)
     dh_direct = dlogits @ params.out.T.astype(np.float64)
-
-    demb = np.zeros(params.emb.shape, dtype=np.float64)
-    drec = np.zeros(params.rec.shape, dtype=np.float64)
-    sigp = states64 * (1.0 - states64)
-    for t in range(T):
-        dh = dh_direct[t]
-        for s in range(t, max(-1, t - truncation), -1):
-            da = dh * sigp[s]
-            demb[xs[s]] += da
-            if s == 0:
-                break
-            drec += np.outer(states64[s - 1], da)
-            dh = da @ params.rec.T.astype(np.float64)
+    demb, drec = _backprop_through_time(xs, states64, dh_direct,
+                                        params.rec.T.astype(np.float64),
+                                        params.vocab_size, truncation)
     grads = RnnLm(emb=demb.astype(dtype), rec=drec.astype(dtype),
                   out=dout.astype(dtype), bias=dbias.astype(dtype))
     total_lp = float(logprobs[np.arange(T), ys].sum())
     return grads, total_lp
+
+
+def _backprop_through_time(xs, states64, dh_direct, rec_t, vocab_size: int,
+                           truncation: int):
+    """float64 (demb, drec) of truncated BPTT, equal bit for bit to walking
+    every output position t and, for each, s = t, t-1, ... back through
+    ``truncation`` steps (the loop kept in ``tests/oracles.py``).
+
+    Output positions go in blocks of at most ``BPTT_BLOCK_CELLS`` positions
+    x lags x hidden units.  Within a block, the errors one step further back
+    are one stacked ``(n,1,H) @ (H,H)`` product per lag, which numpy computes
+    with the same BLAS call per position as a lone ``da @ rec.T``.  Both
+    gradients then accumulate in the loop's order, t ascending and then lag
+    ascending: ``demb`` rows with ``np.add.at``, and ``drec`` as an axis-0
+    sum, which numpy adds up one slice after the other, over the running
+    ``drec`` followed by at most ``BPTT_BLOCK_CELLS`` cells of outer products.
+    With one hidden unit a slice is a single number and numpy would sum the
+    run pairwise, so there each sum takes one outer product.
+    """
+    T, H = states64.shape
+    sigp = states64 * (1.0 - states64)
+    demb = np.zeros((vocab_size, H))
+    drec = np.zeros((H, H))
+    per_block = max(1, BPTT_BLOCK_CELLS // (min(truncation, T) * H))
+    per_sum = max(1, BPTT_BLOCK_CELLS // (H * H)) if H > 1 else 1
+    for t0 in range(0, T, per_block):
+        t1 = min(T, t0 + per_block)
+        lags = min(truncation, t1)
+        da = np.zeros((t1 - t0, lags, H))  # da[t - t0, k]: t's error at step t - k
+        da[:, 0] = dh_direct[t0:t1] * sigp[t0:t1]
+        for k in range(1, lags):
+            lo = max(t0, k)  # the first position with a step k back
+            dh = da[lo - t0:, k - 1, None, :] @ rec_t
+            da[lo - t0:, k] = dh[:, 0] * sigp[lo - k:t1 - k]
+        s = (np.arange(t0, t1)[:, None] - np.arange(lags)).ravel()
+        reached = s >= 0
+        s, da = s[reached], da.reshape(-1, H)[reached]
+        np.add.at(demb, xs[s], da)
+        prev, da = states64[s[s > 0] - 1], da[s > 0]
+        stack = np.empty((min(per_sum, len(da)) + 1, H, H))
+        for c in range(0, len(da), per_sum):
+            n = min(per_sum, len(da) - c)
+            stack[0] = drec
+            np.multiply(prev[c:c + n, :, None], da[c:c + n, None, :], out=stack[1:n + 1])
+            drec = np.add.reduce(stack[:n + 1], axis=0)
+    return demb, drec
 
 
 def clip_gradients(grads: RnnLm, max_norm: float) -> tuple[RnnLm, float]:
@@ -220,17 +249,46 @@ def corpus_logprob(params: RnnLm, encoded_docs) -> tuple[float, int]:
     return total, sum(len(ids) + 1 for ids in encoded_docs)
 
 
-def train_rnn_lm(docs, vocab: Vocabulary, config: RnnTrainConfig,
-                 valid_docs=None, dump_dir=None) -> tuple[RnnLm, list[dict]]:
+def train_rnn_lm(docs, vocab: Vocabulary, config: RnnTrainConfig, valid_docs=None,
+                 dump_dir=None, name: str = "rnn") -> tuple[RnnLm, list[dict]]:
     """Online SGD over documents, shuffled each epoch; single-worker and
     bit-deterministic for a fixed seed.
 
     The learning rate halves whenever validation perplexity fails to improve
     by ``halving_threshold`` relative (training perplexity when no validation
-    documents are given).  If perplexity becomes non-finite, the parameters
-    are dumped to an ``rnn-diverged-*.npz`` file in ``dump_dir`` (none is
-    written without one) and RnnDivergenceError is raised.
+    documents are given; the history's ``valid_ppl`` is then nan).  If
+    perplexity becomes non-finite, the parameters are dumped to an
+    ``rnn-diverged-*.npz`` file in ``dump_dir`` (none is written without one)
+    and RnnDivergenceError is raised.  ``name`` labels the per-epoch log lines.
     """
+    outcome = _train(docs, vocab, config, valid_docs, name)
+    if isinstance(outcome, _Divergence):
+        raise outcome.error(dump_dir)
+    return outcome
+
+
+@dataclass
+class _Divergence:
+    """Perplexity became non-finite in ``epoch``; ``params`` as they were then."""
+    epoch: int
+    params: RnnLm
+
+    def error(self, dump_dir=None) -> RnnDivergenceError:
+        """The error to raise, once the parameters are dumped into dump_dir."""
+        where = "no state dumped"
+        if dump_dir is not None:
+            with tempfile.NamedTemporaryFile(prefix="rnn-diverged-", suffix=".npz",
+                                             dir=dump_dir, delete=False) as dump:
+                np.savez(dump, emb=self.params.emb, rec=self.params.rec,
+                         out=self.params.out, bias=self.params.bias)
+            where = f"state dumped to {dump.name}"
+        return RnnDivergenceError(
+            f"perplexity became non-finite at epoch {self.epoch}; {where}")
+
+
+def _train(docs, vocab: Vocabulary, config: RnnTrainConfig, valid_docs,
+           name: str) -> tuple[RnnLm, list[dict]] | _Divergence:
+    """train_rnn_lm's training loop, which writes no file."""
     encoded = [vocab.encode(d.tokens) for d in docs]
     if not encoded:
         raise ValueError("empty training corpus")
@@ -249,15 +307,7 @@ def train_rnn_lm(docs, vocab: Vocabulary, config: RnnTrainConfig,
             grads, lp = _gradients_and_logprob(params, ids, truncation=config.truncation)
             grads, _ = clip_gradients(grads, config.clip)
             if not math.isfinite(lp) or perplexity(lp, len(ids) + 1) == math.inf:
-                where = "no state dumped"
-                if dump_dir is not None:
-                    with tempfile.NamedTemporaryFile(prefix="rnn-diverged-", suffix=".npz",
-                                                     dir=dump_dir, delete=False) as dump:
-                        np.savez(dump, emb=params.emb, rec=params.rec, out=params.out,
-                                 bias=params.bias)
-                    where = f"state dumped to {dump.name}"
-                raise RnnDivergenceError(
-                    f"perplexity became non-finite at epoch {epoch}; {where}")
+                return _Divergence(epoch, params)
             train_lp += lp
             train_n += len(ids) + 1
             params.emb -= lr * grads.emb
@@ -271,10 +321,10 @@ def train_rnn_lm(docs, vocab: Vocabulary, config: RnnTrainConfig,
         else:
             ref_ppl = train_ppl
         entry = {"epoch": epoch, "lr": lr, "train_ppl": train_ppl,
-                 "valid_ppl": ref_ppl if valid_encoded is not None else None}
+                 "valid_ppl": ref_ppl if valid_encoded is not None else math.nan}
         history.append(entry)
-        log.info("rnn epoch %d: train_ppl=%.3f valid_ppl=%s lr=%.5f",
-                 epoch, train_ppl, entry["valid_ppl"], lr)
+        log.info("%s epoch %d: train_ppl=%.3f valid_ppl=%.3f lr=%.5f",
+                 name, epoch, train_ppl, entry["valid_ppl"], lr)
         if ref_ppl > best_ref_ppl * (1.0 - config.halving_threshold):
             lr *= 0.5
         best_ref_ppl = min(best_ref_ppl, ref_ppl)
@@ -286,30 +336,88 @@ def train_classifier(train_docs, valid_docs, vocab: Vocabulary, config: RnnTrain
     """Train one LM per class and write the classifier under models_dir:
     rnn-{pos,neg}.bin, rnn.vocab, rnn.meta (sizes, seed and class priors) and
     rnn.log, which gains each class's training curve as soon as it is done.
-    Returns the paths written."""
+    Returns the paths written.
+
+    The negative-class model trains in a child process while this one trains
+    the positive-class model.  The child writes no file and sends back its
+    model and history, its divergence or its error; files are written and
+    errors raised here, in class order as if the models had trained one after
+    the other, and a failure of the positive model stops the child.  The
+    child is started with the ``spawn`` method, which imports the calling
+    program's main module again: a script that calls this must keep its own
+    work under ``if __name__ == "__main__":``.
+    """
+    import multiprocessing  # here, not at the top: every CLI stage imports this module
+
     models_dir = Path(models_dir)
     priors = make_priors(sum(d.label == POSITIVE for d in train_docs),
                          sum(d.label == NEGATIVE for d in train_docs))
-    paths = []
+    ctx = multiprocessing.get_context("spawn")
+    receiver, sender = ctx.Pipe(duplex=False)
+    neg = ctx.Process(target=_train_and_send, daemon=True, args=(
+        sender, log.getEffectiveLevel(), vocab, config,
+        [d for d in train_docs if d.label == NEGATIVE],
+        [d for d in valid_docs if d.label == NEGATIVE]))
+    neg.start()
+    sender.close()
     log_path = models_dir / "rnn.log"
-    with open(log_path, "w", encoding="utf-8") as logf:
-        logf.write("label\tepoch\tlr\ttrain_ppl\tvalid_ppl\n")
-        for label, name in ((POSITIVE, "pos"), (NEGATIVE, "neg")):
-            docs_l = [d for d in train_docs if d.label == label]
-            valid_l = [d for d in valid_docs if d.label == label]
-            params, history = train_rnn_lm(docs_l, vocab, config, valid_docs=valid_l,
-                                           dump_dir=models_dir)
-            paths.append(models_dir / f"rnn-{name}.bin")
-            save_rnn(params, paths[-1])
-            for h in history:
-                logf.write(f"{name}\t{h['epoch']}\t{h['lr']:.6f}\t{h['train_ppl']:.4f}"
-                           f"\t{h['valid_ppl']:.4f}\n")
+    try:
+        with open(log_path, "w", encoding="utf-8") as logf:
+            logf.write("label\tepoch\tlr\ttrain_ppl\tvalid_ppl\n")
+            pos = train_rnn_lm([d for d in train_docs if d.label == POSITIVE], vocab, config,
+                               valid_docs=[d for d in valid_docs if d.label == POSITIVE],
+                               dump_dir=models_dir, name="rnn-pos")
+            paths = [_write_class(models_dir, "pos", *pos, logf)]
+            outcome = _receive(receiver, neg)
+            if isinstance(outcome, _Divergence):
+                raise outcome.error(models_dir)
+            paths.append(_write_class(models_dir, "neg", *outcome, logf))
+    finally:
+        receiver.close()
+        neg.terminate()  # it has sent its outcome, or the outcome is not wanted
+        neg.join()
     paths += [models_dir / "rnn.vocab", models_dir / "rnn.meta", log_path]
     write_vocab(paths[2], vocab)
     write_manifest(paths[3], {"hidden": config.hidden, "epochs": config.epochs,
                               "seed": config.seed, "log_prior_pos": priors[0],
                               "log_prior_neg": priors[1]}, append=False)
     return paths
+
+
+def _train_and_send(conn, log_level: int, vocab: Vocabulary, config: RnnTrainConfig,
+                    docs, valid_docs) -> None:
+    """Child process of train_classifier: train the negative-class model and
+    send the outcome, or the error that stopped it."""
+    logging.basicConfig(level=log_level, format="%(levelname)s %(message)s")
+    try:
+        outcome = _train(docs, vocab, config, valid_docs, "rnn-neg")
+    except Exception as e:  # raised by the parent, after the positive model
+        outcome = e
+    with conn:
+        conn.send(outcome)
+
+
+def _receive(receiver, child):
+    """The child's (params, history) or _Divergence; raises the error it sent."""
+    try:
+        outcome = receiver.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError("the process training the negative-class model exited "
+                           f"with code {child.exitcode}") from None
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _write_class(models_dir: Path, name: str, params: RnnLm, history: list[dict],
+                 logf) -> Path:
+    path = models_dir / f"rnn-{name}.bin"
+    save_rnn(params, path)
+    for h in history:
+        logf.write(f"{name}\t{h['epoch']}\t{h['lr']:.6f}\t{h['train_ppl']:.4f}"
+                   f"\t{h['valid_ppl']:.4f}\n")
+    return path
 
 
 def load_model(models_dir) -> GenerativeClassifier:

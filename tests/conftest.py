@@ -1,12 +1,19 @@
+import os
+import struct
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # oracles / synth helpers
 
-from sentimix.corpus import Document
+import sentimix
+from sentimix import rnn_lm
+from sentimix.corpus import NEGATIVE, POSITIVE, Document
+from sentimix.ensemble import clamp_p
+from sentimix.pvec import VEC_MAGIC, ParagraphVectorModel
 from synth import build_imdb_tree
 
 # reproducible CI: property tests replay the same example corpus every run
@@ -37,6 +44,65 @@ def classify_generative(clf, tokens) -> tuple[str, float]:
     """Positive iff the prior-weighted likelihood ratio exceeds 1; ties negative."""
     ratio = log_ratio(clf, tokens)[2]
     return ("positive" if ratio > 0 else "negative"), ratio
+
+
+def src_env() -> dict[str, str]:
+    """This environment with the package's source directory first on
+    PYTHONPATH, for tests that start ``python`` in a subprocess."""
+    src = str(Path(sentimix.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def rnn_forward(params: rnn_lm.RnnLm, ids):
+    """One document's per-position log predictive distributions and their
+    realized sum (nats), from the recurrence run for it alone."""
+    _, ys, _, logprobs = rnn_lm._states_and_logprobs(params, ids)
+    total = float(logprobs[np.arange(len(ys)), ys].sum())
+    return logprobs, total
+
+
+def rnn_gradients(params: rnn_lm.RnnLm, ids, truncation: int | None = None) -> rnn_lm.RnnLm:
+    """Gradients of one document's negative log-likelihood, as training
+    computes them."""
+    grads, _ = rnn_lm._gradients_and_logprob(params, ids, truncation)
+    return grads
+
+
+def combine(p_values, alphas) -> tuple[str, float]:
+    """Decision and combined posterior for one document.
+
+    Positive iff sum a*ln(p) > sum a*ln(1-p); the returned score is the
+    normalized weighted-geometric-mean posterior.
+    """
+    p = clamp_p(np.asarray(p_values, dtype=np.float64))
+    a = np.asarray(alphas, dtype=np.float64)
+    if len(p) != len(a):
+        raise ValueError("one weight per model required")
+    s_pos = float(a @ np.log(p))
+    s_neg = float(a @ np.log1p(-p))
+    label = POSITIVE if s_pos > s_neg else NEGATIVE
+    return label, 1.0 / (1.0 + np.exp(s_neg - s_pos))
+
+
+def hs_word_logprob(model: ParagraphVectorModel, wid: int, ctx_vec) -> float:
+    """log p(word | ctx_vec) under the hierarchical softmax."""
+    path = model.tree.paths[wid]
+    labels = 1.0 - model.tree.codes[wid].astype(np.float64)
+    z = (model.node_vecs[path].astype(np.float64) @ np.asarray(ctx_vec, dtype=np.float64))
+    return float(-np.sum(np.logaddexp(0.0, np.where(labels > 0.5, -z, z))))
+
+
+def read_vectors_binary(path) -> np.ndarray:
+    """The vectors pvec.write_vectors_binary wrote."""
+    with open(path, "rb") as f:
+        if f.read(len(VEC_MAGIC)) != VEC_MAGIC:
+            raise ValueError(f"{path}: not a vector file (bad magic)")
+        n, d = struct.unpack("<II", f.read(8))
+        data = np.frombuffer(f.read(), dtype=np.float32)
+    if len(data) != n * d:
+        raise ValueError(f"{path}: size mismatch")
+    return data.reshape(n, d).copy()
 
 
 @pytest.fixture(scope="session")

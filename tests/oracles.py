@@ -1,10 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written with plain dicts, scalars and explicit loops,
-deliberately sharing no code with the package under test.  The exception is
-the line-by-line ARPA reader and writer at the end: they are the reference
-for the array passes in ``sentimix.arpa`` and build or read the package's
-own model type, so they use its key packing.
+deliberately sharing no code with the package under test.  There are two
+exceptions, the bit-exact references for rewrites that must not change a
+bit: the scalar BPTT loop, which the lag-blocked one in ``sentimix.rnn_lm``
+must equal and which shares its forward pass, and the line-by-line ARPA
+reader and writer at the end, which are the reference for the array passes
+in ``sentimix.arpa`` and build or read the package's own model type, so they
+use its key packing.
 """
 
 from __future__ import annotations
@@ -184,6 +187,48 @@ def rnn_reference(emb, rec, out, bias, input_ids: list[int], bos_id: int, eos_id
                 dh = [sum(rec[i][j] * da[j] for j in range(H)) for i in range(H)]
             s -= 1
     return total_lp, {"emb": demb, "rec": drec, "out": dout, "bias": dbias}
+
+
+def rnn_gradients_reference(params, ids, truncation: int | None = None):
+    """(gradients as an RnnLm, realized log-probability) of one document,
+    with BPTT walked one (t, s) pair at a time: t ascending, then s = t,
+    t-1, ... descending.  The lag-blocked ``_backprop_through_time`` must
+    equal it bit for bit."""
+    import numpy as np
+    from sentimix.rnn_lm import RnnLm, _states_and_logprobs
+
+    xs, ys, states, logprobs = _states_and_logprobs(params, ids)
+    T = len(xs)
+    if truncation is None:
+        truncation = T
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
+    dtype = params.emb.dtype
+    states64 = states.astype(np.float64)
+
+    dlogits = np.exp(logprobs)
+    dlogits[np.arange(T), ys] -= 1.0
+
+    dout = states64.T @ dlogits
+    dbias = dlogits.sum(axis=0)
+    dh_direct = dlogits @ params.out.T.astype(np.float64)
+
+    demb = np.zeros(params.emb.shape, dtype=np.float64)
+    drec = np.zeros(params.rec.shape, dtype=np.float64)
+    sigp = states64 * (1.0 - states64)
+    for t in range(T):
+        dh = dh_direct[t]
+        for s in range(t, max(-1, t - truncation), -1):
+            da = dh * sigp[s]
+            demb[xs[s]] += da
+            if s == 0:
+                break
+            drec += np.outer(states64[s - 1], da)
+            dh = da @ params.rec.T.astype(np.float64)
+    grads = RnnLm(emb=demb.astype(dtype), rec=drec.astype(dtype),
+                  out=dout.astype(dtype), bias=dbias.astype(dtype))
+    total_lp = float(logprobs[np.arange(T), ys].sum())
+    return grads, total_lp
 
 
 def pv_infer_reference(node_vecs, paths, codes, dim: int, word_ids: list[int],

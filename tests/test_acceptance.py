@@ -25,7 +25,7 @@ from sentimix import ensemble, nbsvm, pvec, rnn_lm
 from sentimix.arpa import export_arpa, import_arpa
 from sentimix.corpus import BOS, BOS_ID, EOS_ID, build_vocab, file_digest
 from sentimix.ngram_lm import count_ngrams, estimate_kneser_ney, train_kn_model
-from conftest import doc_logprob, make_docs
+from conftest import doc_logprob, make_docs, rnn_forward, rnn_gradients, src_env
 from oracles import KneserNeyReference, grid_search_reference, rnn_reference
 from synth import build_imdb_tree
 
@@ -65,7 +65,7 @@ def _skip(n, name, reason):
 
 def run_cli(argv):
     proc = subprocess.run([sys.executable, "-m", "sentimix.cli", *map(str, argv)],
-                          capture_output=True, text=True)
+                          env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, \
         f"stage {argv} failed:\n{proc.stdout}\n{proc.stderr}"
     return proc.stdout
@@ -260,7 +260,7 @@ def _check_arpa_roundtrip():
 def _check_rnn_gradients():
     params = rnn_lm.init_params(5, 3, seed=1, dtype=np.float64)
     ids = [2, 3, 4, 2, 3, 4]
-    grads = rnn_lm.rnn_gradients(params, ids, truncation=6)
+    grads = rnn_gradients(params, ids, truncation=6)
     rng = np.random.RandomState(0)
     eps = 1e-5
     arrays = list(zip(params.arrays(), grads.arrays()))
@@ -269,15 +269,15 @@ def _check_rnn_gradients():
         idx = tuple(rng.randint(s) for s in a.shape)
         old = a[idx]
         a[idx] = old + eps
-        lp1 = rnn_lm.rnn_forward(params, ids)[1]
+        lp1 = rnn_forward(params, ids)[1]
         a[idx] = old - eps
-        lp2 = rnn_lm.rnn_forward(params, ids)[1]
+        lp2 = rnn_forward(params, ids)[1]
         a[idx] = old
         numeric = -(lp1 - lp2) / (2 * eps)
         rel = abs(numeric - g[idx]) / max(abs(numeric) + abs(g[idx]), 1e-8)
         assert rel < 1e-4, f"RNN gradient check failed at {idx}: rel={rel}"
     # and the scalar-oracle cross-check at a truncated setting
-    g2 = rnn_lm.rnn_gradients(params, ids, truncation=2)
+    g2 = rnn_gradients(params, ids, truncation=2)
     _, ref = rnn_reference(params.emb.tolist(), params.rec.tolist(),
                            params.out.tolist(), params.bias.tolist(),
                            ids, BOS_ID, EOS_ID, truncation=2)

@@ -1,20 +1,19 @@
 import argparse
 import json
-import os
+import multiprocessing
 import re
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sentimix
 from sentimix import pvec
 from sentimix.cli import build_parser, cli_dispatch
 from sentimix.corpus import read_manifest
 from sentimix.ensemble import write_scores_jsonl
+from conftest import src_env
 
 
 def run(argv):
@@ -141,11 +140,8 @@ class TestPipeline:
                   ["score", "ngram", "valid", "--out-dir", str(run_dir)],
                   ["ensemble-search", "--out-dir", str(run_dir),
                    "--models", "ngram,pv,nbsvm3"]]
-        src = str(Path(sentimix.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run([sys.executable, "-c", SCIPY_FREE, json.dumps(stages)],
-                              env=env, capture_output=True, text=True, timeout=300)
+                              env=src_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -215,6 +211,35 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: RnnDivergenceError:") and "\n" not in err
         assert err.endswith(f"state dumped to {dumps[0]}")
+
+    def test_rnn_negative_divergence_dumps_into_models(self, tmp_path, capsys):
+        """Only the negative-class model diverges: the positive one is still
+        written, the stage exits 1 with one stderr line, and the one dump is
+        the negative model's, written by this process."""
+        tree = tmp_path / "imdb"
+        rng = np.random.RandomState(0)
+        for split in ("train", "test"):
+            for leaf, rating in (("pos", 8), ("neg", 2)):
+                (tree / split / leaf).mkdir(parents=True)
+                for i in range(6):
+                    text = ("good good good" if leaf == "pos"
+                            else " ".join(rng.choice(list("abcdefghij"), size=30)))
+                    (tree / split / leaf / f"{i}_{rating}.txt").write_text(text)
+        out = tmp_path / "diverge"
+        assert run(["prepare", str(tree), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["train-rnn", "--out-dir", str(out), "--hidden", "8", "--epochs", "30",
+                    "--lr", "80", "--clip", "1e9", "--vocab-cap", "100"]) == 1
+        assert not multiprocessing.active_children()
+        models = out / "models"
+        dumps = list(models.glob("rnn-diverged-*.npz"))
+        assert len(dumps) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: RnnDivergenceError:") and "\n" not in err
+        assert err.endswith(f"state dumped to {dumps[0]}")
+        assert (models / "rnn-pos.bin").exists() and not (models / "rnn-neg.bin").exists()
+        log_rows = (models / "rnn.log").read_text().splitlines()[1:]
+        assert log_rows and all(row.startswith("pos\t") for row in log_rows)
 
     def test_unknown_subcommand_is_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -321,6 +346,36 @@ class TestTemperature:
         capsys.readouterr()
         self._assert_usage_error(["score", "nbsvm1", "valid", "--out-dir", out,
                                   "--config", str(cfg), "--temperature", "2"], capsys)
+
+
+class TestTrainRnn:
+    @pytest.mark.parametrize("flag, value", [
+        ("--truncation", "0"), ("--hidden", "0"), ("--epochs", "0"), ("--clip", "0"),
+        ("--lr", "-1"), ("--lr", "nan"), ("--vocab-cap", "0"), ("--truncation", "-3")])
+    def test_non_positive_flag_is_2(self, tmp_path, capsys, flag, value):
+        """Rejected before anything is read: the run directory does not exist."""
+        assert run(["train-rnn", "--out-dir", str(tmp_path / "none"), f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {flag} must be > 0") and err.count("\n") == 1
+        assert not (tmp_path / "none").exists()
+
+    def test_empty_validation_split_logs_nan(self, tmp_path, capsys):
+        """With no validation documents the learning-rate schedule follows
+        training perplexity and rnn.log's valid_ppl column reads nan."""
+        from synth import build_imdb_tree
+        tree = build_imdb_tree(tmp_path / "imdb", n_per_leaf=20, seed=5)
+        out = tmp_path / "run"
+        assert run(["prepare", str(tree), "--out-dir", str(out),
+                    "--valid-fraction", "0.01"]) == 0
+        assert read_manifest(out / "manifest.txt")["prepare.n_valid"] == "0"
+        assert run(["train-rnn", "--out-dir", str(out), "--hidden", "4", "--epochs", "2",
+                    "--vocab-cap", "50"]) == 0
+        rows = [line.split("\t") for line in
+                (out / "models" / "rnn.log").read_text().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [("pos", "1"), ("pos", "2"),
+                                                ("neg", "1"), ("neg", "2")]
+        assert all(r[4] == "nan" and float(r[3]) > 0 for r in rows)
+        assert run(["score", "rnn", "test", "--out-dir", str(out)]) == 0
 
 
 class TestModelFiles:

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from sentimix.ensemble import (
     EnsembleWeights, ScoreCoverageError, ablate, apply_weights,
-    calibrate_generative, combine, evaluate_accuracy, format_alpha, grid_search,
+    calibrate_generative, evaluate_accuracy, format_alpha, grid_search,
     inspect_errors, read_scores_jsonl, read_weights, write_scores_jsonl,
     write_weights,
 )
+from conftest import combine
 from oracles import grid_search_reference
 
 

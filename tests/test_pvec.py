@@ -10,10 +10,10 @@ from sentimix import pvec
 from sentimix.corpus import build_vocab
 from sentimix.pvec import (
     HuffmanTree, ParagraphVectorModel, PvConfig, _hs_step, build_huffman,
-    fit_classifier, hs_word_logprob, infer_vectors, load_model, save_model,
-    read_vectors_binary, train_pv, write_vectors_binary, write_vectors_text,
+    fit_classifier, infer_vectors, load_model, save_model, train_pv,
+    write_vectors_binary, write_vectors_text,
 )
-from conftest import make_docs
+from conftest import hs_word_logprob, make_docs, read_vectors_binary
 from oracles import huffman_min_expected_length, pv_infer_reference
 
 

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +12,10 @@ from sentimix.corpus import BOS_ID, EOS_ID, build_vocab
 from sentimix.ngram_lm import GenerativeClassifier
 from sentimix.rnn_lm import (
     RnnDivergenceError, RnnLm, RnnTrainConfig, clip_gradients, corpus_logprob,
-    init_params, load_rnn, rnn_forward, rnn_gradients, save_rnn, train_rnn_lm,
+    init_params, load_rnn, save_rnn, train_rnn_lm,
 )
-from conftest import classify_generative, make_docs
-from oracles import rnn_reference, unigram_logprob
+from conftest import classify_generative, make_docs, rnn_forward, rnn_gradients
+from oracles import rnn_gradients_reference, rnn_reference, unigram_logprob
 
 
 def _params(V=5, H=3, seed=3, dtype=np.float64):
@@ -150,6 +154,50 @@ class TestGradients:
             rnn_gradients(_params(), [2], truncation=0)
 
 
+def _lengths_with_repeats():
+    """Documents of 0, 1, 2 and 201 words over a 20-word vocabulary, so
+    that words repeat and demb rows gather several updates."""
+    rng = np.random.RandomState(8)
+    return [[], [5], [7, 7]] + [rng.randint(2, 20, size=201).tolist()]
+
+
+class TestLagBlockedBptt:
+    """The lag-blocked backward pass equals the scalar (t, s) loop bit for
+    bit, with one block and with many small ones."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("H", [1, 3, 16, 64])
+    def test_matches_scalar_loop(self, monkeypatch, dtype, H):
+        params = init_params(20, H, seed=H, scale=0.5, dtype=dtype)
+        for ids in _lengths_with_repeats():
+            for truncation in (1, 2, 3, 10, None, len(ids) + 5):
+                ref, ref_lp = rnn_gradients_reference(params, ids, truncation)
+                # one block and one sum; then several blocks and several sums
+                for cells in (1 << 30, 7 * H):
+                    monkeypatch.setattr(rnn_lm, "BPTT_BLOCK_CELLS", cells)
+                    grads, lp = rnn_lm._gradients_and_logprob(params, ids, truncation)
+                    assert lp == ref_lp
+                    for name, got, want in zip(("emb", "rec", "out", "bias"),
+                                               grads.arrays(), ref.arrays()):
+                        assert got.dtype == want.dtype == dtype, name
+                        assert np.array_equal(got, want), (name, len(ids), truncation, cells)
+
+    def test_memory_does_not_grow_as_t_squared(self):
+        """Full BPTT over a 600-word document: positions x lags x hidden
+        units would be 46 MB of float64 errors at once; blocks keep the
+        whole gradient's peak to a few MB (5.6 MB at 2^17 cells)."""
+        H, T = 16, 600
+        params = init_params(20, H, seed=1, scale=0.5, dtype=np.float64)
+        ids = np.random.RandomState(2).randint(2, 20, size=T - 1)
+        tracemalloc.start()
+        try:
+            rnn_lm._gradients_and_logprob(params, ids, truncation=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < T * T * H * 8 // 4
+
+
 class TestClipping:
     def test_large_gradient_scaled_to_threshold(self):
         g = RnnLm(emb=np.full((2, 2), 10.0), rec=np.full((2, 2), 10.0),
@@ -221,6 +269,53 @@ class TestTraining:
         vocab = build_vocab(make_docs([["a"]]))
         with pytest.raises(ValueError):
             train_rnn_lm([], vocab, RnnTrainConfig(hidden=4, epochs=1))
+
+
+class TestTrainClassifier:
+    """The negative-class model trains in a child process; what the parent
+    writes equals training both models here, one after the other."""
+
+    def _data(self):
+        pos = make_docs(TOY_SENTENCES)
+        neg = make_docs([list(reversed(s)) for s in TOY_SENTENCES],
+                        labels=["negative"] * len(TOY_SENTENCES))
+        config = RnnTrainConfig(hidden=8, epochs=3, lr0=0.3, truncation=3, seed=2)
+        return pos, neg, build_vocab(pos + neg), config
+
+    def test_child_trains_the_same_bits(self, tmp_path):
+        pos, neg, vocab, config = self._data()
+        rnn_lm.train_classifier(pos + neg, pos[:2] + neg[:2], vocab, config, tmp_path)
+        assert not multiprocessing.active_children()
+        log_rows = []
+        for name, docs in (("pos", pos), ("neg", neg)):
+            params, history = train_rnn_lm(docs, vocab, config, valid_docs=docs[:2])
+            save_rnn(params, tmp_path / "here.bin")
+            assert ((tmp_path / f"rnn-{name}.bin").read_bytes()
+                    == (tmp_path / "here.bin").read_bytes()), name
+            log_rows += [f"{name}\t{h['epoch']}\t{h['lr']:.6f}\t{h['train_ppl']:.4f}"
+                         f"\t{h['valid_ppl']:.4f}" for h in history]
+        assert (tmp_path / "rnn.log").read_text().splitlines()[1:] == log_rows
+
+    def test_child_error_raised_after_positive_model(self, tmp_path):
+        """A document the child cannot encode fails the negative model only."""
+        pos, neg, vocab, config = self._data()
+        broken = [replace(neg[0], tokens=None)]
+        with pytest.raises(TypeError, match="not iterable"):
+            rnn_lm.train_classifier(pos + broken, [], vocab, config, tmp_path)
+        assert (tmp_path / "rnn-pos.bin").exists()
+        assert not (tmp_path / "rnn-neg.bin").exists()
+        assert not multiprocessing.active_children()
+
+    def test_positive_error_stops_the_child(self, tmp_path):
+        pos, neg, vocab, config = self._data()
+        config.epochs = 1_000_000  # the child would train for hours
+        broken = [replace(pos[0], tokens=None)]
+        started = time.monotonic()
+        with pytest.raises(TypeError, match="not iterable"):
+            rnn_lm.train_classifier(broken + neg, [], vocab, config, tmp_path)
+        assert time.monotonic() - started < 60
+        assert not multiprocessing.active_children()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rnn.log"]
 
 
 class TestModelFile:
