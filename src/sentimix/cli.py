@@ -75,6 +75,17 @@ def _record_stage(args, stage: str, artifacts: list[Path], extra: dict | None = 
     corpus.write_manifest(Path(args.out_dir) / "manifest.txt", entries)
 
 
+def _check_flags(positive=(), non_negative=()) -> None:
+    """Usage error for the first (flag, value) out of its range; NaN is in
+    neither, and a None value is an optional flag left unset."""
+    for flag, value in positive:
+        if not value > 0:
+            raise UsageError(f"{flag} must be > 0, got {value}")
+    for flag, value in non_negative:
+        if value is not None and not value >= 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
+
+
 def _load_split(args, split: str, subset: int | None = None) -> list[corpus.Document]:
     docs = corpus.read_token_cache(_out(args, "cache", f"{split}.tsv"), split)
     if subset is not None:
@@ -96,10 +107,13 @@ def _write_labels(path, docs) -> None:
 def _read_labels(path) -> dict[str, str]:
     labels = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if line:
-                doc_id, label = line.split("\t")
+                try:
+                    doc_id, label = line.split("\t")
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno} is not id<TAB>label") from None
                 labels[doc_id] = label
     return labels
 
@@ -165,11 +179,9 @@ def cmd_train_ngram(args) -> int:
 
 
 def cmd_train_rnn(args) -> int:
-    for flag, value in (("--hidden", args.hidden), ("--epochs", args.epochs),
-                        ("--lr", args.lr), ("--truncation", args.truncation),
-                        ("--clip", args.clip), ("--vocab-cap", args.vocab_cap)):
-        if not value > 0:
-            raise UsageError(f"{flag} must be > 0, got {value}")
+    _check_flags(positive=[("--hidden", args.hidden), ("--epochs", args.epochs),
+                           ("--lr", args.lr), ("--truncation", args.truncation),
+                           ("--clip", args.clip), ("--vocab-cap", args.vocab_cap)])
     train = _load_split(args, "train", args.subset)
     valid = _load_split(args, "valid", args.subset)
     vocab = corpus.build_vocab(train, min_count=1, max_size=args.vocab_cap)
@@ -185,6 +197,8 @@ def cmd_train_rnn(args) -> int:
 
 
 def cmd_train_nbsvm(args) -> int:
+    _check_flags(positive=[("--alpha", args.alpha), ("--epochs", args.epochs)],
+                 non_negative=[("--l2", args.l2)])
     train = _load_split(args, "train", args.subset)
     space, _, clf = model = nbsvm.train_classifier(
         train, args.n_max, alpha=args.alpha, l2=args.l2, optimizer=args.optimizer,
@@ -200,6 +214,10 @@ def cmd_train_nbsvm(args) -> int:
 
 
 def cmd_train_pv(args) -> int:
+    _check_flags(positive=[("--dim", args.dim), ("--epochs", args.epochs), ("--lr", args.lr),
+                           ("--min-count", args.min_count)],
+                 non_negative=[("--window", args.window), ("--infer-steps", args.infer_steps),
+                               ("--l2", args.l2)])
     train = _load_split(args, "train", args.subset)
     pv_docs = list(train)
     if args.use_unsup:

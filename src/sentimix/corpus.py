@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
+import zipfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -245,6 +247,16 @@ def unpack_strings(data) -> list[str]:
     return text.split("\n") if text else []
 
 
+def read_npz(path) -> dict[str, np.ndarray]:
+    """Every array of the npz archive at path, read at once; a damaged
+    archive (cut short or corrupt) raises ValueError naming the file."""
+    try:
+        with np.load(path) as data:
+            return {name: data[name] for name in data.files}
+    except (zipfile.BadZipFile, EOFError, ValueError, zlib.error) as e:
+        raise ValueError(f"{path}: damaged model archive ({e})") from None
+
+
 def split_validation(train_docs, fraction: float, seed: int):
     """Stratified train/valid split; valid size is floor(fraction * n) per label.
 
@@ -297,13 +309,21 @@ def write_token_cache(docs, path) -> None:
 
 
 def read_token_cache(path, split: str) -> list[Document]:
+    """The documents write_token_cache wrote.  Every line it writes ends in a
+    newline, so a last line without one means the file was cut short."""
     docs = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
+        for lineno, line in enumerate(f, 1):
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}: truncated: line {lineno} has no newline")
+            line = line[:-1]
             if not line:
                 continue
-            doc_id, label, text = line.split("\t", 2)
+            try:
+                doc_id, label, text = line.split("\t", 2)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} is not id<TAB>label<TAB>tokens") \
+                    from None
             tokens = tuple(text.split()) if text else ()
             docs.append(Document(id=doc_id, raw_text=text, tokens=tokens,
                                  label=label, split=split))

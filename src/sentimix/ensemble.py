@@ -268,7 +268,10 @@ def read_weights(path) -> EnsembleWeights:
             line = line.strip()
             if not line:
                 continue
-            m, a = line.split("=", 1)
+            try:
+                m, a = line.split("=", 1)
+                alphas.append(float(a))
+            except ValueError:
+                raise ValueError(f"{path}: {line!r} is not model=weight") from None
             model_ids.append(m)
-            alphas.append(float(a))
     return EnsembleWeights(model_ids=model_ids, alphas=alphas)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .corpus import NEGATIVE, POSITIVE, pack_strings, unpack_strings
+from .corpus import NEGATIVE, POSITIVE, pack_strings, read_npz, unpack_strings
 from .ensemble import SplitScores
 
 if TYPE_CHECKING:
@@ -338,9 +338,9 @@ def save_model(models_dir, model: NbsvmModel) -> list[Path]:
 def load_model(models_dir, n_max: int) -> NbsvmModel:
     """Inverse of save_model; document frequencies are not stored and load
     as zeros."""
-    with np.load(Path(models_dir) / f"nbsvm{n_max}.npz") as data:
-        grams = unpack_strings(data["grams"])
-        r, w, b, meta = data["r"], data["w"], float(data["b"][0]), data["meta"]
+    data = read_npz(Path(models_dir) / f"nbsvm{n_max}.npz")
+    grams = unpack_strings(data["grams"])
+    r, w, b, meta = data["r"], data["w"], float(data["b"][0]), data["meta"]
     space = NGramFeatureSpace(n_max=int(meta[0]), index={g: i for i, g in enumerate(grams)},
                               grams=grams, df_pos=np.zeros(len(grams), dtype=np.int64),
                               df_neg=np.zeros(len(grams), dtype=np.int64))

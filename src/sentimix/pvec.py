@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import nbsvm
-from .corpus import POSITIVE, RESERVED, length_blocks, pack_strings, unpack_strings
+from .corpus import (POSITIVE, RESERVED, length_blocks, pack_strings, read_npz,
+                     unpack_strings)
 from .ensemble import SplitScores
 
 log = logging.getLogger(__name__)
 
 INFER_BLOCK_CELLS = 1 << 20  # documents x longest known-word count per block
+LOSS_BUFFER_STEPS = 1 << 12  # training steps whose loss is computed in one pass
 
 
 @dataclass
@@ -82,7 +84,6 @@ class PvConfig:
     lr_min: float = 0.0001
     mode: str = "dbow"  # or "dm"
     seed: int = 1
-    shuffle: bool = True  # unshuffled training is unsupported; kept for the regression test
 
 
 @dataclass
@@ -115,32 +116,70 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _hs_step(node_vecs, tree, wid, ctx_vec, lr):
-    """One hierarchical-softmax update toward word wid from ctx_vec; the
-    node vectors on the word's path are updated in place.
+def _hs_update(node_vecs, path, label, ctx, lr, z):
+    """One hierarchical-softmax step toward the word with this Huffman path
+    and label (1 - code) from context vector ``ctx`` at float32 rate ``lr``.
 
-    Returns (gradient to add to the context vector, loss contribution).
-    The loss is computed before any update.
+    The node rows on the path are gathered once and written back once,
+    updated in place; ``z`` receives their pre-update scores
+    ``node_vecs[path] @ ctx``, from which the step's loss is computed later.
+    Returns the gradient to add to the context vector.
     """
-    path = tree.paths[wid]
-    labels = tree.labels[wid]
-    nodes = node_vecs[path]  # copy
-    z = nodes @ ctx_vec
-    f = _sigmoid(z)
-    # -log p along the path, stable around saturation
-    loss = float(np.sum(np.logaddexp(0.0, np.where(labels > 0.5, -z, z))))
-    g = (labels - f) * lr
-    node_vecs[path] += g[:, None] * ctx_vec[None, :]
-    return g @ nodes, loss
+    rows = node_vecs.take(path, axis=0)
+    rows.dot(ctx, z)
+    g = np.negative(z)  # becomes (label - sigmoid(z)) * lr, one ufunc at a time
+    np.exp(g, g)
+    np.add(g, 1.0, g)
+    np.divide(1.0, g, g)
+    np.subtract(label, g, g)
+    np.multiply(g, lr, g)
+    dctx = g.dot(rows)
+    rows += np.multiply.outer(g, ctx)
+    node_vecs[path] = rows
+    return dctx
+
+
+def _add_losses(total: float, z, pending: list[int], labels, code_len) -> float:
+    """total plus each pending step's -log p(word | context), added in step
+    order; empties pending.  Step k's word is pending[k] and its pre-update
+    scores are z[k]: one array pass per code length, each row summed along
+    its path the way ``np.sum`` sums a lone step's."""
+    wids = np.asarray(pending, dtype=np.int64)
+    lens = code_len[wids]
+    losses = np.empty(len(wids), dtype=np.float32)
+    for ell in np.unique(lens).tolist():
+        sel = np.flatnonzero(lens == ell)
+        zs = z[sel, :ell]
+        losses[sel] = np.sum(np.logaddexp(0.0, np.where(labels[wids[sel], :ell] > 0.5, -zs, zs)),
+                             axis=1)
+    for loss in losses.tolist():
+        total += loss
+    pending.clear()
+    return total
+
+
+def _padded_tree(tree: HuffmanTree):
+    """(code length, path, label) of every word as arrays, paths and labels
+    padded with zeros to the longest code."""
+    code_len = np.array([len(c) for c in tree.codes], dtype=np.int64)
+    filled = np.arange(code_len.max()) < code_len[:, None]
+    paths = np.zeros(filled.shape, dtype=np.int32)
+    paths[filled] = np.concatenate(tree.paths)
+    labels = np.zeros(filled.shape, dtype=np.float32)
+    labels[filled] = np.concatenate(tree.labels)
+    return code_len, paths, labels
 
 
 def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
     """Train word/document vectors; deterministic for a fixed seed.
 
-    Document order is shuffled every epoch; ``config.shuffle=False`` exists
-    only to demonstrate the order-dependence artifact and is not a supported
-    training mode.
+    Document order is shuffled every epoch.  Each word step makes one
+    ``_hs_update``; its rate decays linearly over all steps, floored at
+    ``lr_min``.  The loss of the training curve is computed apart from the
+    updates, ``LOSS_BUFFER_STEPS`` steps at a time, and added in step order.
     """
+    if config.mode not in ("dbow", "dm"):
+        raise ValueError(f"unknown training mode {config.mode!r}")
     words = [t for t in vocab.tokens if t not in RESERVED]
     freqs = [vocab.frequency(t) for t in words]
     if len(words) < 2:
@@ -161,43 +200,49 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
     encoded = [np.array([word_index[t] for t in d.tokens if t in word_index],
                         dtype=np.int64) for d in docs]
     total_steps = max(1, config.epochs * sum(len(e) for e in encoded))
+    code_len, _, padded_labels = _padded_tree(tree)
+    lens = code_len.tolist()
+    z_buf = np.empty((LOSS_BUFFER_STEPS, padded_labels.shape[1]), dtype=np.float32)
+    pending: list[int] = []  # the words of z_buf's filled rows, in step order
+    dm = config.mode == "dm"
     step = 0
     train_log: list[float] = []
     for epoch in range(config.epochs):
-        order = rng.permutation(N) if config.shuffle else np.arange(N)
+        order = rng.permutation(N)
         epoch_loss = 0.0
         epoch_words = 0
         for di in order:
             ids = encoded[di]
-            if len(ids) == 0:
+            n = len(ids)
+            if n == 0:
                 continue
+            # the rate of each step, as max(lr_min, lr0 * (1 - step / total)) in
+            # float64, cast to float32 as the multiply by the gradient would
+            rates = np.maximum(config.lr_min, config.lr0 * (
+                1.0 - np.arange(step, step + n) / total_steps)).astype(np.float32)
+            step += n
+            epoch_words += n
             dvec = doc_vecs[di]
-            if config.mode == "dbow":
-                for wid in ids:
-                    lr = max(config.lr_min, config.lr0 * (1.0 - step / total_steps))
-                    step += 1
-                    dd, loss = _hs_step(node_vecs, tree, wid, dvec, lr)
-                    dvec += dd
-                    epoch_loss += loss
-                    epoch_words += 1
-            elif config.mode == "dm":
-                w = config.window
-                for t in range(len(ids)):
-                    lr = max(config.lr_min, config.lr0 * (1.0 - step / total_steps))
-                    step += 1
-                    lo, hi = max(0, t - w), min(len(ids), t + w + 1)
+            for t, (wid, lr) in enumerate(zip(ids.tolist(), rates)):
+                if len(pending) == LOSS_BUFFER_STEPS:
+                    epoch_loss = _add_losses(epoch_loss, z_buf, pending, padded_labels,
+                                             code_len)
+                z = z_buf[len(pending), :lens[wid]]
+                pending.append(wid)
+                path, label = tree.paths[wid], tree.labels[wid]
+                if dm:
+                    lo, hi = max(0, t - config.window), min(n, t + config.window + 1)
                     ctx_ids = np.concatenate([ids[lo:t], ids[t + 1:hi]])
                     n_contrib = len(ctx_ids) + 1
                     ctx = (dvec + word_vecs[ctx_ids].sum(axis=0)) / n_contrib \
-                        if len(ctx_ids) else dvec.copy()
-                    dd, loss = _hs_step(node_vecs, tree, ids[t], ctx, lr)
+                        if len(ctx_ids) else dvec
+                    dd = _hs_update(node_vecs, path, label, ctx, lr, z)
                     dd /= n_contrib
                     dvec += dd
                     word_vecs[ctx_ids] += dd[None, :]
-                    epoch_loss += loss
-                    epoch_words += 1
-            else:
-                raise ValueError(f"unknown training mode {config.mode!r}")
+                else:
+                    dvec += _hs_update(node_vecs, path, label, dvec, lr, z)
+        epoch_loss = _add_losses(epoch_loss, z_buf, pending, padded_labels, code_len)
         avg = epoch_loss / max(epoch_words, 1)
         train_log.append(avg)
         if not np.isfinite(avg):
@@ -235,12 +280,7 @@ def infer_vectors(model: ParagraphVectorModel, docs, steps: int = 10,
     lengths = np.array([len(e) for e in encoded], dtype=np.int64)
     if steps == 0 or not lengths.any():
         return out
-    code_len = np.array([len(c) for c in model.tree.codes], dtype=np.int64)
-    filled = np.arange(code_len.max()) < code_len[:, None]
-    paths = np.zeros(filled.shape, dtype=np.int32)
-    paths[filled] = np.concatenate(model.tree.paths)
-    labels = np.zeros(filled.shape, dtype=np.float32)
-    labels[filled] = np.concatenate(model.tree.labels)
+    code_len, paths, labels = _padded_tree(model.tree)
     for block in length_blocks(lengths, INFER_BLOCK_CELLS):
         block = block[lengths[block] > 0]  # no known word: the start vector stays
         if len(block) == 0:
@@ -334,18 +374,18 @@ def save_model(models_dir, pvc: PvClassifier) -> list[Path]:
 
 def load_model(models_dir) -> PvClassifier:
     """Inverse of save_model; the Huffman tree is rebuilt from the frequencies."""
-    with np.load(Path(models_dir) / "pv.npz") as data:
-        words = unpack_strings(data["words"])
-        freqs = data["word_freqs"].tolist()
-        meta = data["meta"]
-        model = ParagraphVectorModel(
-            dim=int(meta[0]), window=int(meta[1]), mode=str(data["mode"]),
-            words=words, word_index={w: i for i, w in enumerate(words)},
-            tree=build_huffman(freqs), word_vecs=data["word_vecs"],
-            node_vecs=data["node_vecs"], doc_vecs=data["doc_vecs"],
-            doc_ids=unpack_strings(data["doc_ids"]), word_freqs=freqs)
-        clf = nbsvm.LinearClassifier(w=data["lr_w"], b=float(data["lr_b"][0]),
-                                     l2=0.0, loss="logistic")
+    data = read_npz(Path(models_dir) / "pv.npz")
+    words = unpack_strings(data["words"])
+    freqs = data["word_freqs"].tolist()
+    meta = data["meta"]
+    model = ParagraphVectorModel(
+        dim=int(meta[0]), window=int(meta[1]), mode=str(data["mode"]),
+        words=words, word_index={w: i for i, w in enumerate(words)},
+        tree=build_huffman(freqs), word_vecs=data["word_vecs"],
+        node_vecs=data["node_vecs"], doc_vecs=data["doc_vecs"],
+        doc_ids=unpack_strings(data["doc_ids"]), word_freqs=freqs)
+    clf = nbsvm.LinearClassifier(w=data["lr_w"], b=float(data["lr_b"][0]),
+                                 l2=0.0, loss="logistic")
     return PvClassifier(model, clf, infer_steps=int(meta[2]), lr0=float(meta[3]))
 
 

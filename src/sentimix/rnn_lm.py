@@ -445,11 +445,14 @@ def load_rnn(path, vocab: Vocabulary | None = None) -> RnnLm:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not an RNN model file (bad magic)")
-        v, h = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(), dtype=np.float32)
+        header, body = f.read(8), f.read()
+    if len(header) != 8:
+        raise ValueError(f"{path}: truncated header")
+    v, h = struct.unpack("<II", header)
     expected = v * h + h * h + h * v + v
-    if len(data) != expected:
+    if len(body) != 4 * expected:
         raise ValueError(f"{path}: size mismatch for dims V={v} H={h}")
+    data = np.frombuffer(body, dtype=np.float32)
     ofs = 0
     def take(*shape):
         nonlocal ofs

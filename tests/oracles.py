@@ -1,13 +1,15 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written with plain dicts, scalars and explicit loops,
-deliberately sharing no code with the package under test.  There are two
+deliberately sharing no code with the package under test.  There are three
 exceptions, the bit-exact references for rewrites that must not change a
 bit: the scalar BPTT loop, which the lag-blocked one in ``sentimix.rnn_lm``
-must equal and which shares its forward pass, and the line-by-line ARPA
-reader and writer at the end, which are the reference for the array passes
-in ``sentimix.arpa`` and build or read the package's own model type, so they
-use its key packing.
+must equal and which shares its forward pass; the one-word-at-a-time
+paragraph-vector training loop, which ``sentimix.pvec.train_pv`` must equal
+and which builds the package's Huffman tree and model type; and the
+line-by-line ARPA reader and writer at the end, which are the reference for
+the array passes in ``sentimix.arpa`` and build or read the package's own
+model type, so they use its key packing.
 """
 
 from __future__ import annotations
@@ -259,6 +261,108 @@ def pv_infer_reference(node_vecs, paths, codes, dim: int, word_ids: list[int],
             g = (1.0 - codes[wid].astype(np.float32) - f) * lr
             dvec += g @ nodes
     return dvec
+
+
+def hs_step_reference(node_vecs, tree, wid, ctx_vec, lr):
+    """One hierarchical-softmax update toward word wid from ctx_vec; the
+    node vectors on the word's path are updated in place.
+
+    Returns (gradient to add to the context vector, loss contribution).
+    The loss is computed before any update.
+    """
+    import numpy as np
+
+    path = tree.paths[wid]
+    labels = tree.labels[wid]
+    nodes = node_vecs[path]  # copy
+    z = nodes @ ctx_vec
+    f = 1.0 / (1.0 + np.exp(-z))
+    # -log p along the path, stable around saturation
+    loss = float(np.sum(np.logaddexp(0.0, np.where(labels > 0.5, -z, z))))
+    g = (labels - f) * lr
+    node_vecs[path] += g[:, None] * ctx_vec[None, :]
+    return g @ nodes, loss
+
+
+def pv_train_reference(docs, vocab, config, shuffle: bool = True):
+    """Paragraph-vector training one word at a time, one
+    ``hs_step_reference`` per word step: the loop that ``pvec.train_pv`` must
+    equal bit for bit (every vector array and ``train_log``).
+
+    Document order is shuffled every epoch; ``shuffle=False`` exists only to
+    demonstrate the order-dependence artifact and is not a supported
+    training mode.
+    """
+    import numpy as np
+    from sentimix.corpus import RESERVED
+    from sentimix.pvec import ParagraphVectorModel, build_huffman
+
+    words = [t for t in vocab.tokens if t not in RESERVED]
+    freqs = [vocab.frequency(t) for t in words]
+    if len(words) < 2:
+        raise ValueError("paragraph vectors need at least 2 trainable words")
+    if config.epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    tree = build_huffman(freqs)
+    word_index = {w: i for i, w in enumerate(words)}
+    rng = np.random.RandomState(config.seed)
+    D = config.dim
+    W = len(words)
+    docs = list(docs)
+    N = len(docs)
+    word_vecs = ((rng.rand(W, D).astype(np.float32) - 0.5) / D)
+    doc_vecs = ((rng.rand(N, D).astype(np.float32) - 0.5) / D)
+    node_vecs = np.zeros((W - 1, D), dtype=np.float32)
+
+    encoded = [np.array([word_index[t] for t in d.tokens if t in word_index],
+                        dtype=np.int64) for d in docs]
+    total_steps = max(1, config.epochs * sum(len(e) for e in encoded))
+    step = 0
+    train_log: list[float] = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(N) if shuffle else np.arange(N)
+        epoch_loss = 0.0
+        epoch_words = 0
+        for di in order:
+            ids = encoded[di]
+            if len(ids) == 0:
+                continue
+            dvec = doc_vecs[di]
+            if config.mode == "dbow":
+                for wid in ids:
+                    lr = max(config.lr_min, config.lr0 * (1.0 - step / total_steps))
+                    step += 1
+                    dd, loss = hs_step_reference(node_vecs, tree, wid, dvec, lr)
+                    dvec += dd
+                    epoch_loss += loss
+                    epoch_words += 1
+            elif config.mode == "dm":
+                w = config.window
+                for t in range(len(ids)):
+                    lr = max(config.lr_min, config.lr0 * (1.0 - step / total_steps))
+                    step += 1
+                    lo, hi = max(0, t - w), min(len(ids), t + w + 1)
+                    ctx_ids = np.concatenate([ids[lo:t], ids[t + 1:hi]])
+                    n_contrib = len(ctx_ids) + 1
+                    ctx = (dvec + word_vecs[ctx_ids].sum(axis=0)) / n_contrib \
+                        if len(ctx_ids) else dvec.copy()
+                    dd, loss = hs_step_reference(node_vecs, tree, ids[t], ctx, lr)
+                    dd /= n_contrib
+                    dvec += dd
+                    word_vecs[ctx_ids] += dd[None, :]
+                    epoch_loss += loss
+                    epoch_words += 1
+            else:
+                raise ValueError(f"unknown training mode {config.mode!r}")
+        avg = epoch_loss / max(epoch_words, 1)
+        train_log.append(avg)
+        if not np.isfinite(avg):
+            raise FloatingPointError(f"paragraph-vector training diverged at epoch {epoch + 1}")
+    return ParagraphVectorModel(dim=D, window=config.window, mode=config.mode,
+                                words=words, word_index=word_index, tree=tree,
+                                word_vecs=word_vecs, node_vecs=node_vecs,
+                                doc_vecs=doc_vecs, doc_ids=[d.id for d in docs],
+                                train_log=train_log, word_freqs=freqs)
 
 
 def huffman_min_expected_length(freqs: list[int]) -> float:

@@ -26,7 +26,9 @@ from sentimix.arpa import export_arpa, import_arpa
 from sentimix.corpus import BOS, BOS_ID, EOS_ID, build_vocab, file_digest
 from sentimix.ngram_lm import count_ngrams, estimate_kneser_ney, train_kn_model
 from conftest import doc_logprob, make_docs, rnn_forward, rnn_gradients, src_env
-from oracles import KneserNeyReference, grid_search_reference, rnn_reference
+from oracles import (
+    KneserNeyReference, grid_search_reference, hs_step_reference, rnn_reference,
+)
 from synth import build_imdb_tree
 
 LOG10 = math.log(10.0)
@@ -291,7 +293,7 @@ def _check_hs_gradients():
     ctx = rng.randn(4)
     eps = 1e-6
     for wid in range(8):
-        dd, _ = pvec._hs_step(node_vecs.copy(), tree, wid, ctx.copy(), 1.0)
+        dd, _ = hs_step_reference(node_vecs.copy(), tree, wid, ctx.copy(), 1.0)
         for i in range(4):
             step = np.zeros(4)
             step[i] = eps

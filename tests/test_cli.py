@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from sentimix import pvec
+from sentimix import pvec, rnn_lm
 from sentimix.cli import build_parser, cli_dispatch
 from sentimix.corpus import read_manifest
 from sentimix.ensemble import write_scores_jsonl
@@ -138,6 +138,8 @@ class TestPipeline:
         shutil.copytree(pipeline_dir, run_dir)
         stages = [["score", "nbsvm1", "valid", "--out-dir", str(run_dir)],
                   ["score", "ngram", "valid", "--out-dir", str(run_dir)],
+                  ["score", "pv", "valid", "--out-dir", str(run_dir)],
+                  ["score", "rnn", "valid", "--out-dir", str(run_dir)],
                   ["ensemble-search", "--out-dir", str(run_dir),
                    "--models", "ngram,pv,nbsvm3"]]
         proc = subprocess.run([sys.executable, "-c", SCIPY_FREE, json.dumps(stages)],
@@ -376,6 +378,88 @@ class TestTrainRnn:
                                                 ("neg", "1"), ("neg", "2")]
         assert all(r[4] == "nan" and float(r[3]) > 0 for r in rows)
         assert run(["score", "rnn", "test", "--out-dir", str(out)]) == 0
+
+
+def _cut(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _cut_mid_line(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:data.index(b"\n", len(data) // 2) - 3])
+
+
+def _bad_magic(path):
+    data = path.read_bytes()
+    path.write_bytes(b"NOTRNN!" + data[7:])
+
+
+FAULTS = {
+    "truncated-pv-npz": ("models/pv.npz", _cut, ["score", "pv", "test"]),
+    "bad-magic-rnn": ("models/rnn-pos.bin", _bad_magic, ["score", "rnn", "test"]),
+    "truncated-rnn": ("models/rnn-pos.bin", _cut, ["score", "rnn", "test"]),
+    "truncated-rnn-header": ("models/rnn-pos.bin",
+                             lambda p: p.write_bytes(p.read_bytes()[:len(rnn_lm.MAGIC) + 3]),
+                             ["score", "rnn", "test"]),
+    "truncated-cache": ("cache/test.tsv", _cut_mid_line, ["score", "pv", "test"]),
+    "truncated-cache-inspect": ("cache/test.tsv", _cut_mid_line,
+                                ["inspect-errors", "--models", "ngram,pv,nbsvm3"]),
+    "malformed-labels": ("labels/valid.tsv",
+                         lambda p: p.write_text(p.read_text() + "no-label-here\n"),
+                         ["ensemble-search", "--models", "ngram,pv,nbsvm3"]),
+    "malformed-weights": ("ensemble/weights.txt", lambda p: p.write_text("ngram 0.5\n"),
+                          ["inspect-errors", "--models", "ngram,pv,nbsvm3"]),
+}
+
+
+class TestFaultInjection:
+    """A damaged artifact fails the stage that reads it: exit 1 and one
+    stderr line, which names the file."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_damaged_artifact_is_1(self, pipeline_dir, tmp_path, capsys, fault):
+        rel, damage, argv = FAULTS[fault]
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        damage(run_dir / rel)
+        capsys.readouterr()
+        assert run([*argv, "--out-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(run_dir / rel) in err
+
+
+class TestTrainFlags:
+    """Out-of-range training flags are usage errors, raised before anything
+    is read: the run directory does not exist."""
+
+    def _assert_usage_error(self, tmp_path, capsys, argv, flag, rule):
+        assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {flag} must be {rule}, got ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--dim", "0", "> 0"), ("--lr", "-0.1", "> 0"), ("--lr", "nan", "> 0"),
+        ("--epochs", "0", "> 0"), ("--min-count", "0", "> 0"),
+        ("--infer-steps", "-2", ">= 0"), ("--window", "-1", ">= 0"), ("--l2", "-1", ">= 0")])
+    def test_train_pv_invalid_flag_is_2(self, tmp_path, capsys, flag, value, rule):
+        self._assert_usage_error(tmp_path, capsys, ["train-pv", f"{flag}={value}"], flag, rule)
+
+    @pytest.mark.parametrize("argv, flag, rule", [
+        (["--l2", "-1"], "--l2", ">= 0"), (["--l2", "nan"], "--l2", ">= 0"),
+        (["--alpha", "0"], "--alpha", "> 0"),
+        (["--optimizer", "sgd", "--epochs", "0"], "--epochs", "> 0")])
+    def test_train_nbsvm_invalid_flag_is_2(self, tmp_path, capsys, argv, flag, rule):
+        self._assert_usage_error(tmp_path, capsys, ["train-nbsvm", *argv], flag, rule)
+
+    @pytest.mark.parametrize("argv", [["train-nbsvm", "--l2", "0"],
+                                      ["train-pv", "--l2", "0", "--infer-steps", "0",
+                                       "--window", "0"]])
+    def test_zero_where_allowed_reaches_the_run_directory(self, tmp_path, argv):
+        assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 3
 
 
 class TestModelFiles:

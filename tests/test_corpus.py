@@ -190,6 +190,24 @@ class TestArtifacts:
         assert [d.tokens for d in back] == [d.tokens for d in docs]
         assert [d.label for d in back] == [d.label for d in docs]
 
+    @pytest.mark.parametrize("cut", [1, 9, -5])
+    def test_truncated_token_cache_is_rejected(self, tmp_path, cut):
+        """The writer ends every line with a newline, so a last line without
+        one is a cut file, not a short document."""
+        docs = make_docs([["good", "movie", "!"], ["bad", "plot"]])
+        path = tmp_path / "cache.tsv"
+        write_token_cache(docs, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut % len(data)])
+        with pytest.raises(ValueError, match="cache.tsv.*truncated"):
+            read_token_cache(path, "train")
+
+    def test_malformed_token_cache_line_names_the_file(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text("doc000\tpositive\tgood\nno-tabs-here\n")
+        with pytest.raises(ValueError, match="cache.tsv.*line 2"):
+            read_token_cache(path, "train")
+
     def test_manifest_roundtrip(self, tmp_path):
         path = tmp_path / "manifest.txt"
         write_manifest(path, {"seed": 42, "fraction": 0.2})

@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from sentimix import pvec
 from sentimix.corpus import build_vocab
 from sentimix.pvec import (
-    HuffmanTree, ParagraphVectorModel, PvConfig, _hs_step, build_huffman,
+    HuffmanTree, ParagraphVectorModel, PvConfig, build_huffman,
     fit_classifier, infer_vectors, load_model, save_model, train_pv,
     write_vectors_binary, write_vectors_text,
 )
 from conftest import hs_word_logprob, make_docs, read_vectors_binary
-from oracles import huffman_min_expected_length, pv_infer_reference
+from oracles import (
+    hs_step_reference, huffman_min_expected_length, pv_infer_reference, pv_train_reference,
+)
 
 
 class TestHuffman:
@@ -103,8 +105,8 @@ class TestHierarchicalSoftmax:
         ctx = rng.randn(4)
         eps = 1e-6
         for wid in range(8):
-            # analytic: _hs_step with lr=1 returns -d(loss)/d(ctx)
-            dd, loss0 = _hs_step(node_vecs.copy(), tree, wid, ctx.copy(), 1.0)
+            # analytic: hs_step_reference with lr=1 returns -d(loss)/d(ctx)
+            dd, loss0 = hs_step_reference(node_vecs.copy(), tree, wid, ctx.copy(), 1.0)
             for i in range(4):
                 step = np.zeros(4)
                 step[i] = eps
@@ -113,10 +115,10 @@ class TestHierarchicalSoftmax:
                 numeric = (lp1 - lp2) / (2 * eps)
                 denom = max(abs(numeric) + abs(dd[i]), 1e-10)
                 assert abs(-dd[i] - numeric) / denom < 1e-4
-            # node gradients via the update taken by _hs_step at lr=1
+            # node gradients via the update taken by hs_step_reference at lr=1
             before = node_vecs.copy()
             after = before.copy()
-            _hs_step(after, tree, wid, ctx.copy(), 1.0)
+            hs_step_reference(after, tree, wid, ctx.copy(), 1.0)
             analytic_nodes = after - before  # equals -d(loss)/d(nodes)
             path = tree.paths[wid]
             for p_i, node in enumerate(path):
@@ -195,8 +197,8 @@ class TestTraining:
         docs = _toy_corpus()
         vocab = build_vocab(docs)
         shuffled = train_pv(docs, vocab, PvConfig(dim=4, epochs=10, seed=2))
-        unshuffled = train_pv(docs, vocab,
-                              PvConfig(dim=4, epochs=10, seed=2, shuffle=False))
+        unshuffled = pv_train_reference(docs, vocab, PvConfig(dim=4, epochs=10, seed=2),
+                                        shuffle=False)
         assert not np.array_equal(shuffled.doc_vecs, unshuffled.doc_vecs)
 
     def test_tiny_vocab_error(self):
@@ -204,6 +206,82 @@ class TestTraining:
         vocab = build_vocab(docs)
         with pytest.raises(ValueError):
             train_pv(docs, vocab, PvConfig(dim=2, epochs=1))
+
+
+def _fibonacci_docs(n_words=19):
+    """Word i appears fib(i) times, so the Huffman tree is a chain and the
+    rarest words' codes are n_words - 1 long."""
+    fib = [1, 1]
+    while len(fib) < n_words:
+        fib.append(fib[-1] + fib[-2])
+    tokens = [f"f{i}" for i, count in enumerate(fib) for _ in range(count)]
+    np.random.RandomState(0).shuffle(tokens)
+    return [tokens[i:i + 400] for i in range(0, len(tokens), 400)]
+
+
+class TestTrainingMatchesReference:
+    """train_pv equals the one-word-at-a-time loop of tests/oracles.py bit
+    for bit: every vector array under np.array_equal, the curve under ==."""
+
+    def _check(self, token_lists, min_count=1, **config):
+        docs = make_docs(token_lists)
+        vocab = build_vocab(docs, min_count=min_count)
+        cfg = PvConfig(**{"dim": 3, "epochs": 2, "window": 2, "seed": 4, **config})
+        got = train_pv(docs, vocab, cfg)
+        want = pv_train_reference(docs, vocab, cfg)
+        for name in ("word_vecs", "node_vecs", "doc_vecs"):
+            assert getattr(got, name).dtype == np.float32
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.train_log == want.train_log
+        return got
+
+    @pytest.mark.parametrize("mode", ["dbow", "dm"])
+    @pytest.mark.parametrize("dim", [1, 3, 16, 100])
+    def test_mixed_lengths(self, mode, dim):
+        token_lists = _zipf_docs(16, seed=3)
+        token_lists[2] = []
+        token_lists[5] = ["never", "seen"]  # below min_count: no known word
+        model = self._check(token_lists, min_count=2, dim=dim, window=3, mode=mode, seed=dim)
+        assert "never" not in model.word_index
+        assert len({len(c) for c in model.tree.codes}) > 3
+
+    @pytest.mark.parametrize("mode", ["dbow", "dm"])
+    @pytest.mark.parametrize("dim", [1, 3, 16, 100])
+    def test_two_word_vocabulary(self, mode, dim):
+        model = self._check([["a", "b", "a"], ["b", "b", "b", "a"], []], dim=dim, mode=mode,
+                            epochs=3)
+        assert {len(c) for c in model.tree.codes} == {1}
+
+    @pytest.mark.parametrize("mode", ["dbow", "dm"])
+    def test_rates_reach_the_floor(self, mode):
+        # lr0 = 1.5 lr_min: the linear decay crosses lr_min a third of the way in
+        self._check(_zipf_docs(8, seed=5), lr0=1.5 * PvConfig.lr_min, epochs=3, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["dbow", "dm"])
+    def test_codes_longer_than_16(self, mode):
+        model = self._check(_fibonacci_docs(), epochs=1, mode=mode, lr0=0.1)
+        assert max(len(c) for c in model.tree.codes) > 16
+
+    @pytest.mark.parametrize("mode", ["dbow", "dm"])
+    @pytest.mark.parametrize("buffer_steps", [1, 7])
+    def test_loss_flush_inside_a_document(self, monkeypatch, mode, buffer_steps):
+        token_lists = _zipf_docs(6, seed=7, max_len=40)
+        assert max(map(len, token_lists)) > buffer_steps
+        monkeypatch.setattr(pvec, "LOSS_BUFFER_STEPS", buffer_steps)
+        self._check(token_lists, epochs=3, mode=mode)
+
+    @pytest.mark.parametrize("mode, lr0, epoch", [("dbow", 3e9, 1), ("dbow", 1.4, 2),
+                                                  ("dm", 6.0, 2)])
+    def test_divergence_at_the_same_epoch(self, mode, lr0, epoch):
+        docs = make_docs(_zipf_docs(10, seed=8))
+        cfg = PvConfig(dim=8, epochs=6, lr0=lr0, mode=mode, seed=1)
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError) as want:
+                pv_train_reference(docs, build_vocab(docs), cfg)
+            with pytest.raises(FloatingPointError) as got:
+                train_pv(docs, build_vocab(docs), cfg)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"diverged at epoch {epoch}")
 
 
 def _infer_one(model, tokens, **kwargs):
