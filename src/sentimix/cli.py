@@ -55,15 +55,10 @@ class _StoreGiven(argparse.Action):
 
 
 def _out(args, *parts) -> Path:
-    p = Path(args.out_dir).joinpath(*parts)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _models_dir(args) -> Path:
-    p = Path(args.out_dir) / "models"
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    """parts joined under --out-dir, with every directory they name before the
+    last part created; ``_out(args, "models", "")`` is the models directory."""
+    Path(args.out_dir, *parts[:-1]).mkdir(parents=True, exist_ok=True)
+    return Path(args.out_dir, *parts)
 
 
 def _record_stage(args, stage: str, artifacts: list[Path], extra: dict | None = None) -> None:
@@ -75,15 +70,19 @@ def _record_stage(args, stage: str, artifacts: list[Path], extra: dict | None = 
     corpus.write_manifest(Path(args.out_dir) / "manifest.txt", entries)
 
 
-def _check_flags(positive=(), non_negative=()) -> None:
+def _check_flags(positive=(), non_negative=(), fractions=()) -> None:
     """Usage error for the first (flag, value) out of its range; NaN is in
-    neither, and a None value is an optional flag left unset."""
+    none, and a None value is an optional flag left unset.  ``fractions``
+    holds (flag, value, closed): value in (0, 1), or in (0, 1] if closed."""
     for flag, value in positive:
-        if not value > 0:
+        if value is not None and not value > 0:
             raise UsageError(f"{flag} must be > 0, got {value}")
     for flag, value in non_negative:
         if value is not None and not value >= 0:
             raise UsageError(f"{flag} must be >= 0, got {value}")
+    for flag, value, closed in fractions:
+        if not (0 < value < 1 or closed and value == 1):
+            raise UsageError(f"{flag} must be in (0, 1{']' if closed else ')'}, got {value}")
 
 
 def _load_split(args, split: str, subset: int | None = None) -> list[corpus.Document]:
@@ -121,6 +120,9 @@ def _read_labels(path) -> dict[str, str]:
 # ------------------------------------------------------------------ stages
 
 def cmd_prepare(args) -> int:
+    _check_flags(positive=[("--subset", args.subset), ("--min-count", args.min_count),
+                           ("--workers", args.workers)],
+                 fractions=[("--valid-fraction", args.valid_fraction, False)])
     docs = corpus.load_imdb(args.imdb_dir, subset=args.subset, workers=args.workers)
     train_all = docs.subset(split="train")
     test = docs.subset(split="test")
@@ -150,7 +152,7 @@ def cmd_prepare(args) -> int:
         "prepare.seed": args.seed,
         "prepare.valid_fraction": args.valid_fraction,
         "prepare.min_count": args.min_count,
-        "prepare.tokenizer_hash": corpus.DEFAULT_TOKENIZER.config_hash(),
+        "prepare.tokenizer_hash": corpus.TOKENIZER_HASH,
         "prepare.n_train": len(train_sub),
         "prepare.n_valid": len(valid),
         "prepare.n_test": len(test),
@@ -163,6 +165,11 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train_ngram(args) -> int:
+    _check_flags(positive=[("--order", args.order), ("--min-count", args.min_count),
+                           ("--subset", args.subset)],
+                 fractions=[("--oov-penalty", args.oov_penalty, True)])
+    if args.oov_penalty_given and not args.separate_vocab:
+        raise UsageError("--oov-penalty has no effect without --separate-vocab")
     train = _load_split(args, "train", args.subset)
     pos = [d for d in train if d.label == POSITIVE]
     neg = [d for d in train if d.label == NEGATIVE]
@@ -170,7 +177,7 @@ def cmd_train_ngram(args) -> int:
         pos, neg, order=args.order, separate_vocab=args.separate_vocab,
         oov_log_penalty=math.log(args.oov_penalty) if args.separate_vocab else None,
         min_count=args.min_count)
-    artifacts = ngram_lm.save_model(_models_dir(args), clf, args.oov_penalty)
+    artifacts = ngram_lm.save_model(_out(args, "models", ""), clf, args.oov_penalty)
     _record_stage(args, "train-ngram", artifacts,
                   {"train-ngram.order": args.order,
                    "train-ngram.n_train": len(train)})
@@ -181,14 +188,16 @@ def cmd_train_ngram(args) -> int:
 def cmd_train_rnn(args) -> int:
     _check_flags(positive=[("--hidden", args.hidden), ("--epochs", args.epochs),
                            ("--lr", args.lr), ("--truncation", args.truncation),
-                           ("--clip", args.clip), ("--vocab-cap", args.vocab_cap)])
+                           ("--clip", args.clip), ("--vocab-cap", args.vocab_cap),
+                           ("--subset", args.subset)])
     train = _load_split(args, "train", args.subset)
     valid = _load_split(args, "valid", args.subset)
     vocab = corpus.build_vocab(train, min_count=1, max_size=args.vocab_cap)
     config = rnn_lm.RnnTrainConfig(hidden=args.hidden, epochs=args.epochs,
                                    lr0=args.lr, truncation=args.truncation,
                                    clip=args.clip, seed=args.seed)
-    artifacts = rnn_lm.train_classifier(train, valid, vocab, config, _models_dir(args))
+    artifacts = rnn_lm.train_classifier(train, valid, vocab, config,
+                                        _out(args, "models", ""))
     _record_stage(args, "train-rnn", artifacts,
                   {"train-rnn.hidden": args.hidden, "train-rnn.vocab": len(vocab)})
     print(f"trained RNN models (H={args.hidden}, vocab {len(vocab)}) "
@@ -197,14 +206,13 @@ def cmd_train_rnn(args) -> int:
 
 
 def cmd_train_nbsvm(args) -> int:
-    _check_flags(positive=[("--alpha", args.alpha), ("--epochs", args.epochs)],
+    _check_flags(positive=[("--alpha", args.alpha), ("--subset", args.subset)],
                  non_negative=[("--l2", args.l2)])
     train = _load_split(args, "train", args.subset)
-    space, _, clf = model = nbsvm.train_classifier(
-        train, args.n_max, alpha=args.alpha, l2=args.l2, optimizer=args.optimizer,
-        epochs=args.epochs, seed=args.seed)
+    space, _, clf = model = nbsvm.train_classifier(train, args.n_max, alpha=args.alpha,
+                                                   l2=args.l2)
     model_id = f"nbsvm{args.n_max}"
-    artifacts = nbsvm.save_model(_models_dir(args), model)
+    artifacts = nbsvm.save_model(_out(args, "models", ""), model)
     _record_stage(args, "train-" + model_id, artifacts,
                   {f"train-{model_id}.features": len(space),
                    f"train-{model_id}.final_loss": f"{clf.trace[-1]:.6f}"})
@@ -215,9 +223,11 @@ def cmd_train_nbsvm(args) -> int:
 
 def cmd_train_pv(args) -> int:
     _check_flags(positive=[("--dim", args.dim), ("--epochs", args.epochs), ("--lr", args.lr),
-                           ("--min-count", args.min_count)],
+                           ("--min-count", args.min_count), ("--subset", args.subset)],
                  non_negative=[("--window", args.window), ("--infer-steps", args.infer_steps),
                                ("--l2", args.l2)])
+    if args.window_given and args.mode == "dbow":
+        raise UsageError("--window has no effect under --mode dbow")
     train = _load_split(args, "train", args.subset)
     pv_docs = list(train)
     if args.use_unsup:
@@ -227,9 +237,8 @@ def cmd_train_pv(args) -> int:
     config = pvec.PvConfig(dim=args.dim, window=args.window, epochs=args.epochs,
                            lr0=args.lr, mode=args.mode, seed=args.seed)
     model = pvec.train_pv(pv_docs, vocab, config)
-    pvc = pvec.fit_classifier(model, train, args.lr, infer_steps=args.infer_steps,
-                              l2=args.l2, seed=args.seed)
-    artifacts = pvec.save_model(_models_dir(args), pvc)
+    pvc = pvec.fit_classifier(model, train, args.lr, infer_steps=args.infer_steps, l2=args.l2)
+    artifacts = pvec.save_model(_out(args, "models", ""), pvc)
     artifacts.append(_out(args, "vectors", "pv-train.tsv"))
     pvec.write_vectors_text(artifacts[-1], model.doc_ids, model.doc_vecs)
     artifacts.append(_out(args, "vectors", "pv-train.bin"))
@@ -247,8 +256,7 @@ def cmd_score(args) -> int:
     if args.model not in TEMPERED and args.temperature_given:
         raise UsageError(f"--temperature has no effect on {args.model}; "
                          f"it tempers {' and '.join(TEMPERED)} only")
-    if not args.temperature > 0:
-        raise UsageError(f"--temperature must be > 0, got {args.temperature}")
+    _check_flags(positive=[("--temperature", args.temperature), ("--subset", args.subset)])
     docs = _load_split(args, args.split, args.subset)
     model = MODELS[args.model](Path(args.out_dir) / "models")
     scores = model.score(docs, temperature=args.temperature)
@@ -272,27 +280,42 @@ def _model_list(args) -> list[str]:
     return chosen
 
 
-def _read_model_scores(args, models: list[str], split: str) -> dict[str, dict[str, float]]:
-    return {m: _read_p_pos(_out(args, "scores", f"{m}-{split}.jsonl")) for m in models}
-
-
 def _read_p_pos(path) -> dict[str, float]:
     return {doc_id: rec.p_pos for doc_id, rec in ensemble.read_scores_jsonl(path).items()}
 
 
-def cmd_ensemble_search(args) -> int:
+def _ensemble_inputs(args, *splits) -> tuple[list[str], list]:
+    """The resolved model list and, per split, (scores: model -> id -> p_pos,
+    labels: id -> label)."""
     models = _model_list(args)
-    valid_scores = _read_model_scores(args, models, "valid")
-    valid_labels = _read_labels(_out(args, "labels", "valid.tsv"))
+    inputs = []
+    for split in splits:
+        scores = {m: _read_p_pos(_out(args, "scores", f"{m}-{split}.jsonl")) for m in models}
+        inputs.append((scores, _read_labels(_out(args, "labels", f"{split}.tsv"))))
+    return models, inputs
+
+
+def _write_ensemble_tsv(args, name: str, header: str, rows) -> Path:
+    """ensemble/<name>: the header line, then each row of fields tab-joined."""
+    path = _out(args, "ensemble", name)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        f.writelines("\t".join(row) + "\n" for row in rows)
+    return path
+
+
+def _weights_fields(models, weights: ensemble.EnsembleWeights) -> list[str]:
+    """The models and weights columns of search.tsv and ablation.tsv."""
+    return [",".join(models), ",".join(map(ensemble.format_alpha, weights.alphas))]
+
+
+def cmd_ensemble_search(args) -> int:
+    models, [(valid_scores, valid_labels)] = _ensemble_inputs(args, "valid")
     weights, v_acc = ensemble.grid_search(valid_scores, valid_labels, step=args.step)
     weights_path = _out(args, "ensemble", "weights.txt")
     ensemble.write_weights(weights_path, weights)
-    report = _out(args, "ensemble", "search.tsv")
-    with open(report, "w", encoding="utf-8") as f:
-        f.write("models\tweights\tvalid_accuracy\n")
-        f.write(",".join(models) + "\t"
-                + ",".join(map(ensemble.format_alpha, weights.alphas))
-                + f"\t{v_acc:.4f}\n")
+    report = _write_ensemble_tsv(args, "search.tsv", "models\tweights\tvalid_accuracy",
+                                 [_weights_fields(models, weights) + [f"{v_acc:.4f}"]])
     _record_stage(args, "ensemble-search", [weights_path, report],
                   {"ensemble-search.models": ",".join(models),
                    "ensemble-search.valid_accuracy": f"{v_acc:.4f}"})
@@ -303,20 +326,12 @@ def cmd_ensemble_search(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    models = _model_list(args)
-    valid_scores = _read_model_scores(args, models, "valid")
-    test_scores = _read_model_scores(args, models, "test")
-    valid_labels = _read_labels(_out(args, "labels", "valid.tsv"))
-    test_labels = _read_labels(_out(args, "labels", "test.tsv"))
-    rows = ensemble.ablate(valid_scores, valid_labels, test_scores, test_labels,
-                           step=args.step)
-    path = _out(args, "ensemble", "ablation.tsv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("models\tweights\tvalid_accuracy\ttest_accuracy\n")
-        for row in rows:
-            f.write(",".join(row["models"]) + "\t"
-                    + ",".join(map(ensemble.format_alpha, row["weights"].alphas))
-                    + f"\t{row['valid_accuracy']:.4f}\t{row['test_accuracy']:.4f}\n")
+    _, [valid, test] = _ensemble_inputs(args, "valid", "test")
+    rows = ensemble.ablate(*valid, *test, step=args.step)
+    path = _write_ensemble_tsv(
+        args, "ablation.tsv", "models\tweights\tvalid_accuracy\ttest_accuracy",
+        [_weights_fields(row["models"], row["weights"])
+         + [f"{row['valid_accuracy']:.4f}", f"{row['test_accuracy']:.4f}"] for row in rows])
     _record_stage(args, "ablate", [path])
     for row in rows:
         print(f"{','.join(row['models'])}: valid {row['valid_accuracy']:.4f} "
@@ -331,9 +346,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect_errors(args) -> int:
-    models = _model_list(args)
-    test_scores = _read_model_scores(args, models, "test")
-    test_labels = _read_labels(_out(args, "labels", "test.tsv"))
+    models, [(test_scores, test_labels)] = _ensemble_inputs(args, "test")
     weights = ensemble.read_weights(_out(args, "ensemble", "weights.txt"))
     ens_pred, _ = ensemble.apply_weights(test_scores, test_labels, weights)
     single_preds = {
@@ -341,12 +354,8 @@ def cmd_inspect_errors(args) -> int:
         for m, col in test_scores.items()}
     texts = {d.id: " ".join(d.tokens) for d in _load_split(args, "test")}
     report = ensemble.inspect_errors(single_preds, ens_pred, test_labels, texts)
-    path = _out(args, "ensemble", "errors.tsv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("model\tdoc_id\tlabel\texcerpt\n")
-        for m in models:
-            for doc_id, truth, excerpt in report[m]:
-                f.write(f"{m}\t{doc_id}\t{truth}\t{excerpt}\n")
+    path = _write_ensemble_tsv(args, "errors.tsv", "model\tdoc_id\tlabel\texcerpt",
+                               [(m, *fields) for m in models for fields in report[m]])
     _record_stage(args, "inspect-errors", [path])
     for m in models:
         print(f"{m}: {len(report[m])} documents corrected by the ensemble")
@@ -412,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--separate-vocab", action="store_true")
-    p.add_argument("--oov-penalty", type=float, default=1e-7)
+    p.add_argument("--oov-penalty", type=float, default=1e-7, action=_StoreGiven,
+                   help="probability of an unseen word, in (0, 1] (needs --separate-vocab)")
+    p.set_defaults(oov_penalty_given=False)
     p.add_argument("--subset", type=int, default=None)
 
     p = _add_stage(sub, "train-rnn", cmd_train_rnn, "train the RNN class language models")
@@ -430,15 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=3, choices=(1, 2, 3))
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--optimizer", default="lbfgs", choices=("lbfgs", "sgd"))
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--subset", type=int, default=None)
 
     p = _add_stage(sub, "train-pv", cmd_train_pv,
                    "train paragraph vectors + linear classifier")
     p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--window", type=int, default=10, action=_StoreGiven,
+                   help="context words each side (--mode dm only)")
+    p.set_defaults(window_given=False)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--mode", default="dbow", choices=("dbow", "dm"))

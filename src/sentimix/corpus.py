@@ -40,34 +40,20 @@ class CorpusError(Exception):
     """Structural problem with the input corpus."""
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    lowercase: bool = True
-    punctuation: str = "split"  # "split" keeps punctuation as tokens, "drop" removes it
-
-    def config_hash(self) -> str:
-        key = f"lowercase={self.lowercase};punctuation={self.punctuation}"
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
+# names the rules of tokenize in the manifest; the key text spells out the
+# rules (lowercased, punctuation split into tokens), so the value never moves
+TOKENIZER_HASH = hashlib.sha256(b"lowercase=True;punctuation=split").hexdigest()[:16]
 
 
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
-def tokenize(raw_text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
+def tokenize(raw_text: str) -> list[str]:
     """Deterministic tokenization: strip <br> tags, lowercase, split punctuation."""
     text = _BR_RE.sub(" ", raw_text)
-    if config.lowercase:
-        text = text.lower()
-    tokens = _TOKEN_RE.findall(text)
-    if config.punctuation == "drop":
-        tokens = [t for t in tokens if t[0].isalnum() or t[0] == "_"]
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass(frozen=True)
 class Document:
     id: str
-    raw_text: str
     tokens: tuple[str, ...]
     label: str  # positive / negative / unlabeled
     split: str  # train / valid / test
@@ -123,17 +109,17 @@ class DocumentSet:
 
 
 def _read_and_tokenize(args):
-    path_str, rel, label, split, config = args
+    path_str, rel, label, split = args
     p = Path(path_str)
     try:
         raw = p.read_text(encoding="utf-8", errors="replace")
     except OSError as e:
         raise CorpusError(f"unreadable corpus file: {p}: {e}") from e
-    return Document(id=f"{rel}/{p.stem}", raw_text=raw,
-                    tokens=tuple(tokenize(raw, config)), label=label, split=split)
+    return Document(id=f"{rel}/{p.stem}", tokens=tuple(tokenize(raw)), label=label,
+                    split=split)
 
 
-def _load_leaf(root: Path, rel: str, label: str, split: str, config: TokenizerConfig,
+def _load_leaf(root: Path, rel: str, label: str, split: str,
                subset: int | None, warnings: list[str], pool=None) -> list[Document]:
     leaf = root / rel
     if not leaf.is_dir():
@@ -145,13 +131,12 @@ def _load_leaf(root: Path, rel: str, label: str, split: str, config: TokenizerCo
         log.warning(msg)
     if subset is not None:
         paths = paths[:subset]
-    jobs = [(str(p), rel, label, split, config) for p in paths]
+    jobs = [(str(p), rel, label, split) for p in paths]
     mapper = pool.map if pool is not None else map
     return list(mapper(_read_and_tokenize, jobs))
 
 
-def load_imdb(root_dir, config: TokenizerConfig = DEFAULT_TOKENIZER,
-              subset: int | None = None, workers: int = 1) -> DocumentSet:
+def load_imdb(root_dir, subset: int | None = None, workers: int = 1) -> DocumentSet:
     """Load the IMDB layout, deterministically ordered (lexicographic by path).
 
     ``subset`` caps the number of files taken per leaf directory, for
@@ -170,8 +155,8 @@ def load_imdb(root_dir, config: TokenizerConfig = DEFAULT_TOKENIZER,
     try:
         for split in ("train", "test"):
             for leaf, label in (("pos", POSITIVE), ("neg", NEGATIVE)):
-                docs.extend(_load_leaf(root, f"{split}/{leaf}", label, split, config,
-                                       subset, warnings, pool=pool))
+                docs.extend(_load_leaf(root, f"{split}/{leaf}", label, split, subset,
+                                       warnings, pool=pool))
     finally:
         if pool is not None:
             pool.close()
@@ -182,12 +167,10 @@ def load_imdb(root_dir, config: TokenizerConfig = DEFAULT_TOKENIZER,
     return DocumentSet(documents=docs, warnings=warnings)
 
 
-def load_unsup(root_dir, config: TokenizerConfig = DEFAULT_TOKENIZER,
-               subset: int | None = None) -> DocumentSet:
+def load_unsup(root_dir, subset: int | None = None) -> DocumentSet:
     """Load the unlabeled train/unsup reviews (optional, for paragraph vectors)."""
     warnings: list[str] = []
-    docs = _load_leaf(Path(root_dir), "train/unsup", UNLABELED, "train", config,
-                      subset, warnings)
+    docs = _load_leaf(Path(root_dir), "train/unsup", UNLABELED, "train", subset, warnings)
     return DocumentSet(documents=docs, warnings=warnings)
 
 
@@ -325,8 +308,7 @@ def read_token_cache(path, split: str) -> list[Document]:
                 raise ValueError(f"{path}: line {lineno} is not id<TAB>label<TAB>tokens") \
                     from None
             tokens = tuple(text.split()) if text else ()
-            docs.append(Document(id=doc_id, raw_text=text, tokens=tokens,
-                                 label=label, split=split))
+            docs.append(Document(id=doc_id, tokens=tokens, label=label, split=split))
     return docs
 
 

@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 GRAM_SEP = " "
+MAX_ITER = 200  # L-BFGS iteration cap
 
 
 class TrainingError(Exception):
@@ -139,7 +140,6 @@ class LinearClassifier:
     w: np.ndarray
     b: float
     l2: float
-    loss: str
     trace: list[float] = field(default_factory=list)
 
     def predict_proba(self, X) -> np.ndarray:
@@ -193,9 +193,20 @@ def _logistic_objective(wb, X, y_signed, l2):
     return loss, np.concatenate([gw, [gb]])
 
 
-def _train_lbfgs(X, y_signed, l2, max_iter):
+def train_linear(X, labels, l2: float | None = None) -> LinearClassifier:
+    """L2-regularized logistic regression by deterministic full-batch L-BFGS;
+    labels are 1 (positive) / 0 (negative) and l2 defaults to 1/n_docs.
+    ``trace`` holds the objective at the start and after every iteration."""
+    import scipy.sparse as sp
     from scipy.optimize import minimize
 
+    X = X if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+    y = np.asarray(labels)
+    if X.shape[0] == 0:
+        raise TrainingError("empty training set")
+    y_signed = np.where(y > 0, 1.0, -1.0)
+    if l2 is None:
+        l2 = 1.0 / X.shape[0]
     trace = []
     wb0 = np.zeros(X.shape[1] + 1)
 
@@ -205,94 +216,14 @@ def _train_lbfgs(X, y_signed, l2, max_iter):
     record(wb0)
     res = minimize(_logistic_objective, wb0, args=(X, y_signed, l2),
                    method="L-BFGS-B", jac=True, callback=record,
-                   options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-8})
-    return res.x[:-1], float(res.x[-1]), trace
-
-
-def _full_loss(X, y_signed, w, b, l2, loss):
-    m = y_signed * (np.asarray(X @ w).ravel() + b)
-    if loss == "hinge":
-        return float(np.mean(np.maximum(0.0, 1.0 - m)) + 0.5 * l2 * (w @ w))
-    return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * l2 * (w @ w))
-
-
-def _train_sgd(X, y_signed, l2, epochs, seed, lr0, loss):
-    """Seeded SGD with lazy L2 scaling; an epoch that raises the full
-    objective is rolled back and the step size halved, so the recorded
-    trace is non-increasing."""
-    import scipy.sparse as sp
-
-    X = sp.csr_matrix(X)
-    n, n_feat = X.shape
-    v = np.zeros(n_feat)  # w = scale * v
-    scale = 1.0
-    b = 0.0
-    rng = np.random.RandomState(seed)
-    lr = lr0
-    trace = [_full_loss(X, y_signed, v, b, l2, loss)]
-    for _ in range(epochs):
-        prev = (v.copy(), scale, b, lr)
-        for i in rng.permutation(n):
-            start, end = X.indptr[i], X.indptr[i + 1]
-            cols = X.indices[start:end]
-            vals = X.data[start:end]
-            m = y_signed[i] * (scale * float(vals @ v[cols]) + b)
-            if loss == "hinge":
-                g = -y_signed[i] if m < 1.0 else 0.0
-            else:
-                g = -y_signed[i] / (1.0 + np.exp(np.clip(m, -500, 500)))
-            scale *= (1.0 - lr * l2)
-            if abs(scale) < 1e-9:
-                v *= scale
-                scale = 1.0
-            if g != 0.0:
-                v[cols] -= lr * g * vals / scale
-                b -= lr * g
-        w_now = scale * v
-        cur = _full_loss(X, y_signed, w_now, b, l2, loss)
-        if not np.isfinite(cur):
-            raise TrainingError("SGD diverged; use a smaller initial step size")
-        if cur > trace[-1]:
-            v, scale, b, lr = prev[0], prev[1], prev[2], prev[3] * 0.5
-            trace.append(trace[-1])
-        else:
-            trace.append(cur)
-    return scale * v, b, trace
-
-
-def train_linear(X, labels, l2: float | None = None, epochs: int = 30, seed: int = 0,
-                 loss: str = "logistic", optimizer: str = "lbfgs",
-                 lr0: float = 0.05, max_iter: int = 200) -> LinearClassifier:
-    """L2-regularized linear classifier; labels are 1 (positive) / 0 (negative).
-
-    The default optimizer is deterministic full-batch L-BFGS; ``optimizer=
-    "sgd"`` gives the seeded online trainer (required for hinge loss).
-    l2 defaults to 1/n_docs.
-    """
-    import scipy.sparse as sp
-
-    X = X if sp.issparse(X) else np.asarray(X, dtype=np.float64)
-    y = np.asarray(labels)
-    if X.shape[0] == 0:
-        raise TrainingError("empty training set")
-    y_signed = np.where(y > 0, 1.0, -1.0)
-    if l2 is None:
-        l2 = 1.0 / X.shape[0]
-    if optimizer == "lbfgs":
-        if loss == "hinge":
-            raise ValueError("hinge loss requires optimizer='sgd'")
-        w, b, trace = _train_lbfgs(X, y_signed, l2, max_iter)
-    elif optimizer == "sgd":
-        w, b, trace = _train_sgd(X, y_signed, l2, epochs, seed, lr0, loss)
-    else:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+                   options={"maxiter": MAX_ITER, "ftol": 1e-12, "gtol": 1e-8})
     if trace[-1] > trace[0] + 1e-12:
         raise TrainingError("training failed to reduce the loss")
-    return LinearClassifier(w=w, b=b, l2=l2, loss=loss, trace=trace)
+    return LinearClassifier(w=res.x[:-1], b=float(res.x[-1]), l2=l2, trace=trace)
 
 
-def train_classifier(docs, n_max: int, alpha: float = 1.0, l2: float | None = None,
-                     optimizer: str = "lbfgs", epochs: int = 30, seed: int = 0) -> NbsvmModel:
+def train_classifier(docs, n_max: int, alpha: float = 1.0,
+                     l2: float | None = None) -> NbsvmModel:
     """Gram space and log-count ratios over the positive and negative
     documents, then the linear classifier on their features; documents with
     any other label are left out."""
@@ -302,7 +233,7 @@ def train_classifier(docs, n_max: int, alpha: float = 1.0, l2: float | None = No
     weights = compute_log_ratio(space, alpha)
     X = featurize_all(pos + neg, space, weights, cached_ids=space.train_ids)
     y = np.array([1] * len(pos) + [0] * len(neg))
-    clf = train_linear(X, y, l2=l2, optimizer=optimizer, epochs=epochs, seed=seed)
+    clf = train_linear(X, y, l2=l2)
     return NbsvmModel(space, weights, clf)
 
 
@@ -345,5 +276,5 @@ def load_model(models_dir, n_max: int) -> NbsvmModel:
                               grams=grams, df_pos=np.zeros(len(grams), dtype=np.int64),
                               df_neg=np.zeros(len(grams), dtype=np.int64))
     weights = LogRatioWeights(r=r, alpha=float(meta[1]))
-    clf = LinearClassifier(w=w, b=b, l2=float(meta[2]), loss="logistic")
+    clf = LinearClassifier(w=w, b=b, l2=float(meta[2]))
     return NbsvmModel(space, weights, clf)

@@ -345,14 +345,13 @@ class PvClassifier:
 
 
 def fit_classifier(model: ParagraphVectorModel, train_docs, lr0: float,
-                   infer_steps: int = 10, l2: float | None = None,
-                   seed: int = 0) -> PvClassifier:
+                   infer_steps: int = 10, l2: float | None = None) -> PvClassifier:
     """Fit the logistic layer on the trained vectors of train_docs (label
     positive = 1, anything else 0).  Held-out documents will be embedded with
     ``infer_steps`` passes from ``lr0``, the rate the model was trained with."""
     X = model.doc_vecs[[model.doc_row(d.id) for d in train_docs]].astype(np.float64)
     y = np.array([1 if d.label == POSITIVE else 0 for d in train_docs])
-    clf = nbsvm.train_linear(X, y, l2=l2, seed=seed)
+    clf = nbsvm.train_linear(X, y, l2=l2)
     return PvClassifier(model, clf, infer_steps, lr0)
 
 
@@ -384,8 +383,7 @@ def load_model(models_dir) -> PvClassifier:
         tree=build_huffman(freqs), word_vecs=data["word_vecs"],
         node_vecs=data["node_vecs"], doc_vecs=data["doc_vecs"],
         doc_ids=unpack_strings(data["doc_ids"]), word_freqs=freqs)
-    clf = nbsvm.LinearClassifier(w=data["lr_w"], b=float(data["lr_b"][0]),
-                                 l2=0.0, loss="logistic")
+    clf = nbsvm.LinearClassifier(w=data["lr_w"], b=float(data["lr_b"][0]), l2=0.0)
     return PvClassifier(model, clf, infer_steps=int(meta[2]), lr0=float(meta[3]))
 
 

@@ -23,7 +23,7 @@ settings.load_profile("ci")
 
 def make_docs(token_lists, labels=None, split="train"):
     labels = labels or ["positive"] * len(token_lists)
-    return [Document(id=f"doc{i:03d}", raw_text=" ".join(toks), tokens=tuple(toks),
+    return [Document(id=f"doc{i:03d}", tokens=tuple(toks),
                      label=lab, split=split)
             for i, (toks, lab) in enumerate(zip(token_lists, labels))]
 

@@ -293,8 +293,13 @@ MINIMAL_ARGV = {
     "score": ["ngram", "test", "--out-dir", "run"],
     "evaluate": ["s.jsonl", "labels.tsv"],
 }
-REJECTED = [([cmd, *argv], "--workers") for cmd, argv in MINIMAL_ARGV.items()
-            if cmd != "prepare"] + [(["evaluate", *MINIMAL_ARGV["evaluate"]], "--out-dir")]
+REJECTED = [pytest.param([cmd, *argv], "--workers", "1", id=cmd)
+            for cmd, argv in MINIMAL_ARGV.items() if cmd != "prepare"] + [
+    pytest.param(["evaluate", *MINIMAL_ARGV["evaluate"]], "--out-dir", "1", id="evaluate")] + [
+    # NB-SVM's one trainer, L-BFGS, is deterministic: no seed, epochs or optimizer
+    pytest.param(["train-nbsvm", *MINIMAL_ARGV["train-nbsvm"]], flag, value,
+                 id=f"train-nbsvm{flag}")
+    for flag, value in (("--optimizer", "sgd"), ("--epochs", "5"), ("--seed", "3"))]
 
 
 class TestOptions:
@@ -305,12 +310,12 @@ class TestOptions:
         for cmd, argv in MINIMAL_ARGV.items():
             build_parser().parse_args([cmd, *argv])
 
-    @pytest.mark.parametrize("argv, flag", REJECTED, ids=[a[0] for a, _ in REJECTED])
-    def test_flag_the_stage_does_not_read_is_2(self, capsys, argv, flag):
+    @pytest.mark.parametrize("argv, flag, value", REJECTED)
+    def test_flag_the_stage_does_not_read_is_2(self, capsys, argv, flag, value):
         with pytest.raises(SystemExit) as exc:
-            run([*argv, flag, "1"])
+            run([*argv, flag, value])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestTemperature:
@@ -431,8 +436,8 @@ class TestFaultInjection:
 
 
 class TestTrainFlags:
-    """Out-of-range training flags are usage errors, raised before anything
-    is read: the run directory does not exist."""
+    """Out-of-range flags, and flags the chosen path would ignore, are usage
+    errors, raised before anything is read: the run directory does not exist."""
 
     def _assert_usage_error(self, tmp_path, capsys, argv, flag, rule):
         assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 2
@@ -450,15 +455,55 @@ class TestTrainFlags:
 
     @pytest.mark.parametrize("argv, flag, rule", [
         (["--l2", "-1"], "--l2", ">= 0"), (["--l2", "nan"], "--l2", ">= 0"),
-        (["--alpha", "0"], "--alpha", "> 0"),
-        (["--optimizer", "sgd", "--epochs", "0"], "--epochs", "> 0")])
+        (["--alpha", "0"], "--alpha", "> 0")])
     def test_train_nbsvm_invalid_flag_is_2(self, tmp_path, capsys, argv, flag, rule):
         self._assert_usage_error(tmp_path, capsys, ["train-nbsvm", *argv], flag, rule)
 
+    @pytest.mark.parametrize("argv, flag, rule", [
+        *[([*stage, "--subset", value], "--subset", "> 0")
+          for stage in (["prepare", "no-imdb"], ["train-ngram"], ["train-rnn"],
+                        ["train-nbsvm"], ["train-pv"], ["score", "nbsvm1", "test"])
+          for value in ("0", "-1")],
+        (["train-ngram", "--order", "0"], "--order", "> 0"),
+        (["train-ngram", "--min-count", "0"], "--min-count", "> 0"),
+        (["train-ngram", "--separate-vocab", "--oov-penalty", "0"], "--oov-penalty",
+         "in (0, 1]"),
+        (["train-ngram", "--separate-vocab", "--oov-penalty", "1.5"], "--oov-penalty",
+         "in (0, 1]"),
+        (["prepare", "no-imdb", "--valid-fraction", "1"], "--valid-fraction", "in (0, 1)"),
+        (["prepare", "no-imdb", "--valid-fraction", "nan"], "--valid-fraction", "in (0, 1)"),
+        (["prepare", "no-imdb", "--min-count", "0"], "--min-count", "> 0"),
+        (["prepare", "no-imdb", "--workers", "0"], "--workers", "> 0")])
+    def test_out_of_range_flag_is_2(self, tmp_path, capsys, argv, flag, rule):
+        """A --subset of 0 or less would slice documents off the end."""
+        self._assert_usage_error(tmp_path, capsys, argv, flag, rule)
+
     @pytest.mark.parametrize("argv", [["train-nbsvm", "--l2", "0"],
                                       ["train-pv", "--l2", "0", "--infer-steps", "0",
-                                       "--window", "0"]])
+                                       "--window", "0", "--mode", "dm"]])
     def test_zero_where_allowed_reaches_the_run_directory(self, tmp_path, argv):
+        assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 3
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train-ngram", "--oov-penalty", "0.5"], "--oov-penalty"),
+        (["train-pv", "--window", "3"], "--window"),
+        (["train-pv", "--mode", "dbow", "--window=10"], "--window")])
+    def test_flag_the_path_ignores_is_2(self, tmp_path, capsys, argv, flag):
+        assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {flag} has no effect") and err.count("\n") == 1
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("argv", [["train-ngram", "--separate-vocab", "--oov-penalty", "1"],
+                                      ["train-pv", "--mode", "dm", "--window", "3"],
+                                      ["train-ngram", "--config", "{cfg}"],
+                                      ["train-pv", "--config", "{cfg}"]])
+    def test_flag_the_path_reads_reaches_the_run_directory(self, tmp_path, argv):
+        """A --config value is a default, not a given flag, so a path that
+        ignores it does not reject it."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("oov-penalty=0.5\nwindow=3\n")
+        argv = [a.format(cfg=cfg) for a in argv]
         assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 3
 
 

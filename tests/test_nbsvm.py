@@ -173,10 +173,8 @@ SEPARABLE_Y = np.array([1, 1, 0, 0])
 
 
 class TestTrainLinear:
-    @pytest.mark.parametrize("optimizer", ["lbfgs", "sgd"])
-    def test_separable_reaches_perfect_accuracy(self, optimizer):
-        clf = train_linear(SEPARABLE_X, SEPARABLE_Y, l2=1e-4, optimizer=optimizer,
-                           epochs=200, seed=0)
+    def test_separable_reaches_perfect_accuracy(self):
+        clf = train_linear(SEPARABLE_X, SEPARABLE_Y, l2=1e-4)
         pred = clf.predict_proba(SEPARABLE_X) > 0.5
         assert np.array_equal(pred, SEPARABLE_Y.astype(bool))
 
@@ -186,26 +184,11 @@ class TestTrainLinear:
         assert np.all(clf.predict_proba(X) > 0.5)
         assert clf.trace[-1] < math.log(2.0)
 
-    @pytest.mark.parametrize("optimizer", ["lbfgs", "sgd"])
-    def test_trace_monotone_nonincreasing(self, optimizer):
-        clf = train_linear(SEPARABLE_X, SEPARABLE_Y, l2=0.01, optimizer=optimizer,
-                           epochs=40, seed=1)
+    def test_trace_monotone_nonincreasing(self):
+        clf = train_linear(SEPARABLE_X, SEPARABLE_Y, l2=0.01)
         diffs = np.diff(clf.trace)
         assert np.all(diffs <= 1e-12)
         assert clf.trace[-1] <= clf.trace[0]
-
-    def test_sgd_deterministic(self):
-        a = train_linear(SEPARABLE_X, SEPARABLE_Y, optimizer="sgd", epochs=10, seed=3)
-        b = train_linear(SEPARABLE_X, SEPARABLE_Y, optimizer="sgd", epochs=10, seed=3)
-        assert np.array_equal(a.w, b.w) and a.b == b.b
-
-    def test_hinge_needs_sgd(self):
-        with pytest.raises(ValueError):
-            train_linear(SEPARABLE_X, SEPARABLE_Y, loss="hinge", optimizer="lbfgs")
-        clf = train_linear(SEPARABLE_X, SEPARABLE_Y, loss="hinge", optimizer="sgd",
-                           epochs=100, seed=0, l2=1e-4)
-        assert np.array_equal(clf.predict_proba(SEPARABLE_X) > 0.5,
-                              SEPARABLE_Y.astype(bool))
 
     def test_empty_error(self):
         with pytest.raises(TrainingError):
@@ -252,12 +235,12 @@ class TestPipeline:
         ds = load_imdb(imdb_tree, subset=15)
         train = ds.subset(split="train")
         test = ds.subset(split="test")
-        swapped_train = [d.__class__(id=d.id, raw_text=d.raw_text, tokens=d.tokens,
+        swapped_train = [d.__class__(id=d.id, tokens=d.tokens,
                                      label=("negative" if d.label == "positive"
                                             else "positive"), split=d.split)
                          for d in train]
-        scores = train_classifier(train, n_max=2, seed=0).score(test)
-        scores_swapped = train_classifier(swapped_train, n_max=2, seed=0).score(test)
+        scores = train_classifier(train, n_max=2).score(test)
+        scores_swapped = train_classifier(swapped_train, n_max=2).score(test)
         p = dict(zip(scores.ids, scores.p_pos))
         q = dict(zip(scores_swapped.ids, scores_swapped.p_pos))
         for doc_id in p:
@@ -300,7 +283,7 @@ class TestScoring:
         weights = compute_log_ratio(space, 1.0)
         clf = train_linear(featurize_all(pos + neg, space, weights),
                            np.array([1] * len(pos) + [0] * len(neg)))
-        unseen = Document(id="unseen", raw_text="", tokens=("zzz", "qqq", "xxx"),
+        unseen = Document(id="unseen", tokens=("zzz", "qqq", "xxx"),
                           label="negative", split="test")
         docs = ds.subset(split="test") + [unseen]
         got = doc_margins(docs, space, weights, clf)
@@ -311,7 +294,7 @@ class TestScoring:
     def test_no_documents(self):
         pos, neg, space = _toy_space()
         w = compute_log_ratio(space, alpha=1.0)
-        clf = LinearClassifier(w=np.ones(len(space)), b=0.5, l2=0.0, loss="logistic")
+        clf = LinearClassifier(w=np.ones(len(space)), b=0.5, l2=0.0)
         assert doc_margins([], space, w, clf).shape == (0,)
 
     def test_gramless_model_roundtrip(self, tmp_path):
@@ -321,7 +304,7 @@ class TestScoring:
         neg = make_docs([[]], labels=["negative"])
         space = build_feature_space(pos, neg, 2)
         weights = compute_log_ratio(space, alpha=1.0)
-        clf = LinearClassifier(w=np.zeros(0), b=0.25, l2=0.5, loss="logistic")
+        clf = LinearClassifier(w=np.zeros(0), b=0.25, l2=0.5)
         save_model(tmp_path, NbsvmModel(space, weights, clf))
         space2, weights2, clf2 = load_model(tmp_path, 2)
         assert len(space2) == 0 and space2.grams == [] and space2.n_max == 2
@@ -331,8 +314,7 @@ class TestScoring:
     def test_model_roundtrip(self, tmp_path):
         pos, neg, space = _toy_space()
         weights = compute_log_ratio(space, alpha=0.5)
-        clf = LinearClassifier(w=np.arange(len(space), dtype=np.float64), b=-0.125,
-                               l2=0.25, loss="logistic")
+        clf = LinearClassifier(w=np.arange(len(space), dtype=np.float64), b=-0.125, l2=0.25)
         assert save_model(tmp_path, NbsvmModel(space, weights, clf)) == [
             tmp_path / f"nbsvm{space.n_max}.npz"]
         space2, weights2, clf2 = load_model(tmp_path, space.n_max)

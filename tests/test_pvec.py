@@ -150,8 +150,7 @@ def _toy_corpus():
                      labels=["positive", "negative", "positive"])
     # a filler word keeps the trainable vocabulary size >= 2 per class
     filler = make_docs([["so", "so", "so"] * 4], labels=["positive"])
-    filler[0] = filler[0].__class__(id="filler", raw_text=filler[0].raw_text,
-                                    tokens=filler[0].tokens, label="positive",
+    filler[0] = filler[0].__class__(id="filler", tokens=filler[0].tokens, label="positive",
                                     split="train")
     return docs + filler
 
