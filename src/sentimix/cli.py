@@ -54,9 +54,15 @@ class _StoreGiven(argparse.Action):
         setattr(namespace, self.dest + "_given", True)
 
 
+def _in(args, *parts) -> Path:
+    """parts joined under --out-dir, for reading: nothing is created."""
+    return Path(args.out_dir, *parts)
+
+
 def _out(args, *parts) -> Path:
-    """parts joined under --out-dir, with every directory they name before the
-    last part created; ``_out(args, "models", "")`` is the models directory."""
+    """parts joined under --out-dir, for writing, with every directory they
+    name before the last part created; ``_out(args, "models", "")`` is the
+    models directory."""
     Path(args.out_dir, *parts[:-1]).mkdir(parents=True, exist_ok=True)
     return Path(args.out_dir, *parts)
 
@@ -86,7 +92,7 @@ def _check_flags(positive=(), non_negative=(), fractions=()) -> None:
 
 
 def _load_split(args, split: str, subset: int | None = None) -> list[corpus.Document]:
-    docs = corpus.read_token_cache(_out(args, "cache", f"{split}.tsv"), split)
+    docs = corpus.read_token_cache(_in(args, "cache", f"{split}.tsv"), split)
     if subset is not None:
         by_label: dict[str, list] = {}
         for d in docs:
@@ -231,7 +237,7 @@ def cmd_train_pv(args) -> int:
     train = _load_split(args, "train", args.subset)
     pv_docs = list(train)
     if args.use_unsup:
-        pv_docs.extend(corpus.read_token_cache(_out(args, "cache", "unsup.tsv"),
+        pv_docs.extend(corpus.read_token_cache(_in(args, "cache", "unsup.tsv"),
                                                "train"))
     vocab = corpus.build_vocab(pv_docs, min_count=args.min_count)
     config = pvec.PvConfig(dim=args.dim, window=args.window, epochs=args.epochs,
@@ -258,7 +264,7 @@ def cmd_score(args) -> int:
                          f"it tempers {' and '.join(TEMPERED)} only")
     _check_flags(positive=[("--temperature", args.temperature), ("--subset", args.subset)])
     docs = _load_split(args, args.split, args.subset)
-    model = MODELS[args.model](Path(args.out_dir) / "models")
+    model = MODELS[args.model](_in(args, "models"))
     scores = model.score(docs, temperature=args.temperature)
     artifacts = ensemble.write_split_scores(
         _out(args, "scores", f"{args.model}-{args.split}"), args.model, scores)
@@ -273,10 +279,10 @@ def _model_list(args) -> list[str]:
         return args.models.split(",")
     chosen = []
     for group in (("rnn", "ngram"), ("pv",), ("nbsvm3", "nbsvm2", "nbsvm1")):
-        chosen += [m for m in group if _out(args, "scores", f"{m}-valid.jsonl").exists()][:1]
+        chosen += [m for m in group if _in(args, "scores", f"{m}-valid.jsonl").exists()][:1]
     if len(chosen) < 2:
         raise FileNotFoundError(errno.ENOENT, "fewer than two models scored",
-                                str(_out(args, "scores", "<model>-valid.jsonl")))
+                                str(_in(args, "scores", "<model>-valid.jsonl")))
     return chosen
 
 
@@ -290,8 +296,8 @@ def _ensemble_inputs(args, *splits) -> tuple[list[str], list]:
     models = _model_list(args)
     inputs = []
     for split in splits:
-        scores = {m: _read_p_pos(_out(args, "scores", f"{m}-{split}.jsonl")) for m in models}
-        inputs.append((scores, _read_labels(_out(args, "labels", f"{split}.tsv"))))
+        scores = {m: _read_p_pos(_in(args, "scores", f"{m}-{split}.jsonl")) for m in models}
+        inputs.append((scores, _read_labels(_in(args, "labels", f"{split}.tsv"))))
     return models, inputs
 
 
@@ -347,7 +353,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_inspect_errors(args) -> int:
     models, [(test_scores, test_labels)] = _ensemble_inputs(args, "test")
-    weights = ensemble.read_weights(_out(args, "ensemble", "weights.txt"))
+    weights = ensemble.read_weights(_in(args, "ensemble", "weights.txt"))
     ens_pred, _ = ensemble.apply_weights(test_scores, test_labels, weights)
     single_preds = {
         m: {d: (POSITIVE if p > 0.5 else NEGATIVE) for d, p in col.items()}
@@ -363,19 +369,19 @@ def cmd_inspect_errors(args) -> int:
 
 
 def cmd_report(args) -> int:
-    test_labels = _read_labels(_out(args, "labels", "test.tsv"))
+    test_labels = _read_labels(_in(args, "labels", "test.tsv"))
     lines = []
     for title, rows in REPORT_TABLES:
         if lines:
             lines.append("")
         lines.append(title)
         for model_id, name in rows:
-            path = _out(args, "scores", f"{model_id}-test.jsonl")
+            path = _in(args, "scores", f"{model_id}-test.jsonl")
             if not path.exists():
                 continue
             acc = ensemble.evaluate_accuracy(_read_p_pos(path), test_labels)
             lines.append(f"{name}\t{100 * acc:.2f}")
-    ablation = _out(args, "ensemble", "ablation.tsv")
+    ablation = _in(args, "ensemble", "ablation.tsv")
     if ablation.exists():
         lines += ["", "# Ensemble combinations",
                   ablation.read_text(encoding="utf-8").rstrip("\n")]

@@ -2,31 +2,35 @@
 classified with L2-regularized logistic regression.
 
 Feature values are the log-ratio entries wherever a gram is present, zero
-elsewhere; grams unseen in training are dropped.
-
-scipy is imported only by the functions that build sparse matrices or fit
-a model; scoring a trained model needs numpy alone.
+elsewhere; grams unseen in training are dropped.  Feature matrices are
+``SparseRows`` records, and the regression is fitted by a numpy L-BFGS over
+them (Liu & Nocedal 1989).
 """
 
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import NEGATIVE, POSITIVE, pack_strings, read_npz, unpack_strings
 from .ensemble import SplitScores
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 log = logging.getLogger(__name__)
 
 GRAM_SEP = " "
-MAX_ITER = 200  # L-BFGS iteration cap
+# L-BFGS stops: at MAX_ITER iterations, when an iteration lowers the objective
+# f by at most FTOL * max(|f|, 1), or when no gradient entry exceeds GTOL
+MAX_ITER = 200
+FTOL = 1e-12
+GTOL = 1e-8
+MEMORY = 10  # correction pairs kept by the two-loop recursion
+ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
+MAX_HALVINGS = 20  # step halvings before the line search gives up
 
 
 class TrainingError(Exception):
@@ -119,20 +123,43 @@ def doc_gram_ids(tokens, space: NGramFeatureSpace) -> np.ndarray:
     return np.array(sorted(ids), dtype=np.int64)
 
 
-def featurize_all(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
-                  cached_ids=None) -> sp.csr_matrix:
-    """One sparse row per document: r_i where gram i is present, grams unseen
-    in training dropped."""
-    import scipy.sparse as sp
+class SparseRows(NamedTuple):
+    """An (n_rows, n_cols) matrix as its stored entries: ``values[k]`` sits at
+    ``(rows[k], cols[k])``, and the entries of each row are contiguous, rows
+    in ascending order."""
 
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    def __matmul__(self, w) -> np.ndarray:
+        """``X @ w``: each row's terms summed from zero in stored order."""
+        return np.bincount(self.rows, weights=self.values * w[self.cols],
+                           minlength=self.shape[0])
+
+    def rmatvec(self, s) -> np.ndarray:
+        """``X.T @ s``."""
+        return np.bincount(self.cols, weights=self.values * s[self.rows],
+                           minlength=self.shape[1])
+
+
+def dense_rows(X) -> SparseRows:
+    """A 2-D array as SparseRows, every entry stored."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    return SparseRows(np.repeat(np.arange(n), d), np.tile(np.arange(d), n), X.ravel(), (n, d))
+
+
+def featurize_all(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
+                  cached_ids=None) -> SparseRows:
+    """One row per document: r_i where gram i is present, grams unseen in
+    training dropped; ``cached_ids`` replaces each document's gram ids."""
     id_lists = cached_ids if cached_ids is not None \
         else [doc_gram_ids(d.tokens, space) for d in docs]
-    indptr = np.zeros(len(id_lists) + 1, dtype=np.int64)
-    for i, ids in enumerate(id_lists):
-        indptr[i + 1] = indptr[i] + len(ids)
-    indices = np.concatenate(id_lists) if id_lists else np.empty(0, dtype=np.int64)
-    data = weights.r[indices]
-    return sp.csr_matrix((data, indices, indptr), shape=(len(id_lists), len(space)))
+    cols = np.concatenate(id_lists) if id_lists else np.empty(0, dtype=np.int64)
+    rows = np.repeat(np.arange(len(id_lists)), [len(i) for i in id_lists])
+    return SparseRows(rows, cols, weights.r[cols], (len(id_lists), len(space)))
 
 
 @dataclass
@@ -142,8 +169,8 @@ class LinearClassifier:
     l2: float
     trace: list[float] = field(default_factory=list)
 
-    def predict_proba(self, X) -> np.ndarray:
-        return sigmoid(np.asarray(X @ self.w).ravel() + self.b)
+    def predict_proba(self, X: SparseRows) -> np.ndarray:
+        return sigmoid(X @ self.w + self.b)
 
 
 def sigmoid(m) -> np.ndarray:
@@ -152,22 +179,9 @@ def sigmoid(m) -> np.ndarray:
 
 def doc_margins(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
                 clf: LinearClassifier) -> np.ndarray:
-    """``featurize_all(docs) @ w + b`` without building the sparse matrix.
-
-    Each row's r_i * w_i terms are summed in ascending gram-id order from
-    zero, as the CSR product does, so the margins are equal bit for bit.
-    """
-    id_lists = [doc_gram_ids(d.tokens, space) for d in docs]
-    ids = np.concatenate(id_lists) if id_lists else np.empty(0, dtype=np.int64)
-    rows = np.repeat(np.arange(len(id_lists)), [len(i) for i in id_lists])
-    return np.bincount(rows, weights=weights.r[ids] * clf.w[ids],
-                       minlength=len(id_lists)) + clf.b
-
-
-def score_docs(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
-               clf: LinearClassifier) -> np.ndarray:
-    """Positive-class probability of each document."""
-    return sigmoid(doc_margins(docs, space, weights, clf))
+    """``featurize_all(docs) @ w + b``: each document's r_i * w_i terms summed
+    in ascending gram-id order from zero, as a CSR product sums them."""
+    return featurize_all(docs, space, weights) @ clf.w + clf.b
 
 
 class NbsvmModel(NamedTuple):
@@ -178,48 +192,90 @@ class NbsvmModel(NamedTuple):
     def score(self, docs, temperature: float = 1.0) -> SplitScores:
         """Fitted probabilities, also kept in the side table; ``temperature``
         only tempers the generative models."""
-        p = score_docs(docs, self.space, self.weights, self.clf)
+        p = sigmoid(doc_margins(docs, self.space, self.weights, self.clf))
         return SplitScores([d.id for d in docs], p, table=(p,))
 
 
-def _logistic_objective(wb, X, y_signed, l2):
+def _logistic_objective(wb, X: SparseRows, y_signed, l2):
     w, b = wb[:-1], wb[-1]
-    m = y_signed * (np.asarray(X @ w).ravel() + b)
+    m = y_signed * (X @ w + b)
     # log(1 + exp(-m)) computed stably
     loss = np.mean(np.logaddexp(0.0, -m)) + 0.5 * l2 * float(w @ w)
     s = -y_signed / (1.0 + np.exp(np.clip(m, -500, 500)))
-    gw = np.asarray(X.T @ s).ravel() / len(y_signed) + l2 * w
+    gw = X.rmatvec(s) / len(y_signed) + l2 * w
     gb = s.mean()
     return loss, np.concatenate([gw, [gb]])
 
 
-def train_linear(X, labels, l2: float | None = None) -> LinearClassifier:
+def _two_loop(g, pairs) -> np.ndarray:
+    """The L-BFGS inverse-Hessian estimate times g, from the (s, y, 1/(s.y))
+    correction pairs, oldest first, scaled by the newest pair's s.y / y.y."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y, rho = pairs[-1]
+        q /= rho * float(y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return q
+
+
+def _lbfgs(objective, x, trace: list[float]) -> np.ndarray:
+    """Minimize ``objective(x) -> (f, gradient)`` from x by L-BFGS with a
+    backtracking (Armijo) line search and the module's stopping rules.  The
+    line search tries the full quasi-Newton step first, or a move of unit
+    length while no correction pair is kept, as scipy's L-BFGS-B does.
+    Appends f at the start and after every iteration to ``trace``."""
+    f, g = objective(x)
+    trace.append(f)
+    pairs: deque = deque(maxlen=MEMORY)
+    for _ in range(MAX_ITER):
+        if not np.any(np.abs(g) > GTOL):
+            break
+        d = -_two_loop(g, pairs)
+        slope = float(g @ d)
+        if slope >= 0:  # rounding spoilt the estimate: restart from the gradient
+            pairs.clear()
+            d, slope = -g, -float(g @ g)
+        step = 1.0 if pairs else 1.0 / np.sqrt(-slope)
+        for _ in range(MAX_HALVINGS):
+            x_new = x + step * d
+            f_new, g_new = objective(x_new)
+            if f_new <= f + ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break  # no decrease left to find along d
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        x, f_old, f, g = x_new, f, f_new, g_new
+        trace.append(f)
+        if f_old - f <= FTOL * max(abs(f_old), abs(f), 1.0):
+            break
+    return x
+
+
+def train_linear(X: SparseRows, labels, l2: float | None = None) -> LinearClassifier:
     """L2-regularized logistic regression by deterministic full-batch L-BFGS;
     labels are 1 (positive) / 0 (negative) and l2 defaults to 1/n_docs.
     ``trace`` holds the objective at the start and after every iteration."""
-    import scipy.sparse as sp
-    from scipy.optimize import minimize
-
-    X = X if sp.issparse(X) else np.asarray(X, dtype=np.float64)
     y = np.asarray(labels)
     if X.shape[0] == 0:
         raise TrainingError("empty training set")
     y_signed = np.where(y > 0, 1.0, -1.0)
     if l2 is None:
         l2 = 1.0 / X.shape[0]
-    trace = []
-    wb0 = np.zeros(X.shape[1] + 1)
-
-    def record(wb):
-        trace.append(_logistic_objective(wb, X, y_signed, l2)[0])
-
-    record(wb0)
-    res = minimize(_logistic_objective, wb0, args=(X, y_signed, l2),
-                   method="L-BFGS-B", jac=True, callback=record,
-                   options={"maxiter": MAX_ITER, "ftol": 1e-12, "gtol": 1e-8})
+    trace: list[float] = []
+    wb = _lbfgs(lambda wb: _logistic_objective(wb, X, y_signed, l2),
+                np.zeros(X.shape[1] + 1), trace)
     if trace[-1] > trace[0] + 1e-12:
         raise TrainingError("training failed to reduce the loss")
-    return LinearClassifier(w=res.x[:-1], b=float(res.x[-1]), l2=l2, trace=trace)
+    return LinearClassifier(w=wb[:-1], b=float(wb[-1]), l2=l2, trace=trace)
 
 
 def train_classifier(docs, n_max: int, alpha: float = 1.0,

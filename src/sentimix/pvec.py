@@ -341,7 +341,7 @@ class PvClassifier:
         if unseen:
             X[unseen] = infer_vectors(self.model, [docs[i] for i in unseen],
                                       steps=self.infer_steps, lr0=self.lr0)
-        return SplitScores([d.id for d in docs], self.clf.predict_proba(X.astype(np.float64)))
+        return SplitScores([d.id for d in docs], self.clf.predict_proba(nbsvm.dense_rows(X)))
 
 
 def fit_classifier(model: ParagraphVectorModel, train_docs, lr0: float,
@@ -349,9 +349,9 @@ def fit_classifier(model: ParagraphVectorModel, train_docs, lr0: float,
     """Fit the logistic layer on the trained vectors of train_docs (label
     positive = 1, anything else 0).  Held-out documents will be embedded with
     ``infer_steps`` passes from ``lr0``, the rate the model was trained with."""
-    X = model.doc_vecs[[model.doc_row(d.id) for d in train_docs]].astype(np.float64)
+    X = model.doc_vecs[[model.doc_row(d.id) for d in train_docs]]
     y = np.array([1 if d.label == POSITIVE else 0 for d in train_docs])
-    clf = nbsvm.train_linear(X, y, l2=l2)
+    clf = nbsvm.train_linear(nbsvm.dense_rows(X), y, l2=l2)
     return PvClassifier(model, clf, infer_steps, lr0)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # oracles / synth helpers
@@ -26,6 +27,13 @@ def make_docs(token_lists, labels=None, split="train"):
     return [Document(id=f"doc{i:03d}", tokens=tuple(toks),
                      label=lab, split=split)
             for i, (toks, lab) in enumerate(zip(token_lists, labels))]
+
+
+def to_csr(X) -> sp.csr_matrix:
+    """The scipy CSR matrix of an ``nbsvm.SparseRows`` record, each row's
+    entries in stored order."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(X.rows, minlength=X.shape[0]))])
+    return sp.csr_matrix((X.values, X.cols, indptr), shape=X.shape)
 
 
 def doc_logprob(model, tokens) -> float:

@@ -9,7 +9,8 @@ paragraph-vector training loop, which ``sentimix.pvec.train_pv`` must equal
 and which builds the package's Huffman tree and model type; and the
 line-by-line ARPA reader and writer at the end, which are the reference for
 the array passes in ``sentimix.arpa`` and build or read the package's own
-model type, so they use its key packing.
+model type, so they use its key packing.  The logistic-regression reference
+is an objective written with numpy and fitted by scipy's L-BFGS-B.
 """
 
 from __future__ import annotations
@@ -447,6 +448,35 @@ def log_count_ratio_reference(pos_sets, neg_sets, feature_order, alpha=1.0):
     q = [alpha + sum(1 for s in neg_sets if f in s) for f in feature_order]
     sp, sq = sum(p), sum(q)
     return [math.log((pi / sp) / (qi / sq)) for pi, qi in zip(p, q)]
+
+
+# ------------------------------------------------------------------ logistic regression
+
+def logistic_objective_reference(wb, X, labels, l2):
+    """Mean logistic loss of labels 1 / 0 under margins X @ w + b, plus
+    l2/2 * |w|^2, and its gradient over (w, b); X is a scipy sparse matrix
+    or a 2-D array."""
+    import numpy as np
+
+    w, b = wb[:-1], wb[-1]
+    y = np.where(np.asarray(labels) > 0, 1.0, -1.0)
+    m = y * (np.asarray(X @ w).ravel() + b)
+    loss = np.mean(np.logaddexp(0.0, -m)) + 0.5 * l2 * float(w @ w)
+    s = -y * np.exp(-np.logaddexp(0.0, m))  # -y * sigmoid(-m)
+    grad_w = np.asarray(X.T @ s).ravel() / len(y) + l2 * w
+    return loss, np.concatenate([grad_w, [s.mean()]])
+
+
+def train_linear_reference(X, labels, l2):
+    """scipy's L-BFGS-B from zero on the objective above, with the stops
+    ``sentimix.nbsvm`` states (ftol 1e-12, gtol 1e-8, 200 iterations):
+    scipy's ``OptimizeResult``, ``x`` being (w, b)."""
+    import numpy as np
+    from scipy.optimize import minimize
+
+    return minimize(logistic_objective_reference, np.zeros(X.shape[1] + 1),
+                    args=(X, labels, l2), method="L-BFGS-B", jac=True,
+                    options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8})
 
 
 # ------------------------------------------------------------------ ARPA

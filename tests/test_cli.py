@@ -131,17 +131,20 @@ class TestPipeline:
         assert capsys.readouterr().out == first
 
 
-    def test_scoring_stages_never_load_scipy(self, pipeline_dir, tmp_path):
-        """Only fitting a model imports scipy: neither importing the CLI nor
-        the score and ensemble stages load it."""
+    def test_no_stage_loads_scipy(self, pipeline_dir, tmp_path):
+        """Neither importing the CLI nor any training, score or ensemble
+        stage loads scipy."""
         run_dir = tmp_path / "run"
         shutil.copytree(pipeline_dir, run_dir)
-        stages = [["score", "nbsvm1", "valid", "--out-dir", str(run_dir)],
-                  ["score", "ngram", "valid", "--out-dir", str(run_dir)],
-                  ["score", "pv", "valid", "--out-dir", str(run_dir)],
-                  ["score", "rnn", "valid", "--out-dir", str(run_dir)],
-                  ["ensemble-search", "--out-dir", str(run_dir),
-                   "--models", "ngram,pv,nbsvm3"]]
+        out = ["--out-dir", str(run_dir)]
+        stages = [["train-nbsvm", *out, "--n-max", str(n)] for n in (1, 2, 3)]
+        stages += [["train-pv", *out, "--dim", "8", "--epochs", "2", "--infer-steps", "2"],
+                   ["score", "nbsvm1", "valid", *out],
+                   ["score", "ngram", "valid", *out],
+                   ["score", "pv", "valid", *out],
+                   ["score", "rnn", "valid", *out],
+                   ["ensemble-search", *out, "--models", "ngram,pv,nbsvm3"],
+                   ["ablate", *out, "--models", "ngram,pv,nbsvm3"]]
         proc = subprocess.run([sys.executable, "-c", SCIPY_FREE, json.dumps(stages)],
                               env=src_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -282,6 +285,29 @@ class TestExitCodes:
     def test_missing_scores_file_is_3(self, tmp_path, capsys):
         assert run(["evaluate", str(tmp_path / "none.jsonl"),
                     str(tmp_path / "none.tsv")]) == 3
+
+
+class TestReadsCreateNothing:
+    """Only a stage's outputs create directories; inputs are only looked up."""
+
+    def test_report_creates_only_results(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "labels").mkdir(parents=True)
+        (out / "labels" / "test.tsv").write_text("d0\tpositive\n")
+        assert run(["report", "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["labels", "results"]
+        assert [p.name for p in (out / "results").iterdir()] == ["report.txt"]
+
+    def test_failed_ensemble_search_leaves_no_scores_dir(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        assert run(["ensemble-search", "--out-dir", str(out),
+                    "--models", "ngram,nbsvm1"]) == 3
+        assert not out.exists()
+
+    def test_failed_score_leaves_no_cache_dir(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        assert run(["score", "nbsvm1", "valid", "--out-dir", str(out)]) == 3
+        assert not out.exists()
 
 
 # the smallest valid argument list of every subcommand

@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sentimix.corpus import Document, load_imdb, split_validation
 from sentimix.nbsvm import (
-    LinearClassifier, LogRatioWeights, NbsvmModel, NGramFeatureSpace, TrainingError,
-    build_feature_space, compute_log_ratio, doc_gram_ids, doc_margins,
+    FTOL, GTOL, MAX_ITER,
+    LinearClassifier, LogRatioWeights, NbsvmModel, NGramFeatureSpace, SparseRows,
+    TrainingError,
+    build_feature_space, compute_log_ratio, dense_rows, doc_gram_ids, doc_margins,
     dump_feature_weights,
     extract_grams, featurize_all, load_model, save_model, train_classifier,
     train_linear,
 )
-from conftest import make_docs
-from oracles import log_count_ratio_reference
+from conftest import make_docs, to_csr
+from oracles import (
+    log_count_ratio_reference, logistic_objective_reference, train_linear_reference,
+)
 
 
 class TestExtractGrams:
@@ -122,8 +125,8 @@ class TestLogRatio:
 
 
 def featurize(tokens, space, weights):
-    """One document's feature row."""
-    return featurize_all(make_docs([tokens]), space, weights)
+    """One document's feature row, as a CSR matrix."""
+    return to_csr(featurize_all(make_docs([tokens]), space, weights))
 
 
 class TestFeaturize:
@@ -162,13 +165,13 @@ class TestFeaturize:
     def test_featurize_all_matches_single(self):
         pos, neg, space = _toy_space()
         w = compute_log_ratio(space, alpha=1.0)
-        X = featurize_all(pos + neg, space, w)
+        X = to_csr(featurize_all(pos + neg, space, w))
         for i, d in enumerate(pos + neg):
             assert np.array_equal(X[i].toarray(),
                                   featurize(d.tokens, space, w).toarray())
 
 
-SEPARABLE_X = np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-2.0, -1.0]])
+SEPARABLE_X = dense_rows([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-2.0, -1.0]])
 SEPARABLE_Y = np.array([1, 1, 0, 0])
 
 
@@ -179,7 +182,7 @@ class TestTrainLinear:
         assert np.array_equal(pred, SEPARABLE_Y.astype(bool))
 
     def test_all_positive_degenerate(self):
-        X = sp.csr_matrix(np.ones((6, 2)))
+        X = dense_rows(np.ones((6, 2)))
         clf = train_linear(X, np.ones(6), l2=1e-6)
         assert np.all(clf.predict_proba(X) > 0.5)
         assert clf.trace[-1] < math.log(2.0)
@@ -192,11 +195,63 @@ class TestTrainLinear:
 
     def test_empty_error(self):
         with pytest.raises(TrainingError):
-            train_linear(np.empty((0, 2)), np.empty(0))
+            train_linear(dense_rows(np.empty((0, 2))), np.empty(0))
 
     def test_default_l2_is_one_over_n(self):
         clf = train_linear(SEPARABLE_X, SEPARABLE_Y)
         assert clf.l2 == pytest.approx(1.0 / 4)
+
+
+def _random_problem(kind: str, seed: int, n: int = 300):
+    """(X, labels) drawn from a logistic model with a random truth: dense
+    rows of 6 normal entries, or sparse rows of 0-4 of 12 columns holding
+    a column's value, of magnitude 0.5-2.  Each column alone, and the empty
+    row, also appear once with each label, so the loss grows along every
+    direction and has a finite minimizer even at l2 = 0."""
+    rng = np.random.RandomState(seed)
+    if kind == "dense":
+        d = 6
+        X = rng.randn(n, d)
+        pairs = np.vstack([np.eye(d), np.zeros((1, d))])
+        X = dense_rows(np.vstack([X, pairs, pairs]))
+    else:
+        d = 12
+        counts = rng.randint(0, 5, size=n)
+        cols = [np.sort(rng.choice(d, k, replace=False)) for k in counts]
+        singles = [np.array([j]) for j in range(d)] + [np.empty(0, dtype=np.int64)]
+        cols = cols + singles + singles
+        c = np.concatenate(cols)
+        X = SparseRows(np.repeat(np.arange(len(cols)), [len(i) for i in cols]),
+                       c, (rng.uniform(0.5, 2.0, d) * rng.choice([-1, 1], d))[c],
+                       (len(cols), d))
+    y = (rng.rand(X.shape[0]) < 1.0 / (1.0 + np.exp(-(X @ rng.randn(d))))).astype(int)
+    y[n:] = np.repeat([1, 0], (X.shape[0] - n) // 2)  # the first copy positive
+    return X, y
+
+
+class TestLbfgsOracle:
+    """The numpy L-BFGS against scipy's L-BFGS-B (``tests/oracles.py``) on
+    the same objective, from the same start, with the same stops."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("l2", [0.0, None, 0.1])
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_matches_scipy(self, kind, l2, seed):
+        X, y = _random_problem(kind, seed)
+        clf = train_linear(X, y, l2=l2)
+        ref = train_linear_reference(to_csr(X), y, clf.l2)
+        assert clf.trace[-1] == pytest.approx(ref.fun, rel=1e-9)
+        f, grad = logistic_objective_reference(np.append(clf.w, clf.b), to_csr(X), y, clf.l2)
+        assert clf.trace[-1] == pytest.approx(f, rel=1e-12)
+        # stopped by one of its rules: gradient, iteration cap or decrease
+        gmax = np.abs(grad).max()
+        last = clf.trace[-2] - clf.trace[-1]
+        assert (gmax <= GTOL or len(clf.trace) - 1 == MAX_ITER
+                or last <= FTOL * max(abs(clf.trace[-2]), abs(clf.trace[-1]), 1.0))
+        # a stop on FTOL leaves f about 1e-12 above its minimum, and so the
+        # gradient about sqrt(1e-12) from zero: 1e-5 allows for curvature
+        assert gmax <= 1e-5
+        assert np.all(np.diff(clf.trace) <= 0.0)
 
 
 class TestPipeline:
@@ -287,7 +342,7 @@ class TestScoring:
                           label="negative", split="test")
         docs = ds.subset(split="test") + [unseen]
         got = doc_margins(docs, space, weights, clf)
-        want = np.asarray(featurize_all(docs, space, weights) @ clf.w).ravel() + clf.b
+        want = np.asarray(to_csr(featurize_all(docs, space, weights)) @ clf.w).ravel() + clf.b
         assert np.array_equal(got, want)
         assert got[-1] == clf.b
 

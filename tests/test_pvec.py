@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sentimix import pvec
 from sentimix.corpus import build_vocab
+from sentimix.nbsvm import dense_rows
 from sentimix.pvec import (
     HuffmanTree, ParagraphVectorModel, PvConfig, build_huffman,
     fit_classifier, infer_vectors, load_model, save_model, train_pv,
@@ -404,7 +405,7 @@ class TestClassification:
         got = pvc.score([docs[1], new[0], docs[2]]).p_pos
         X = np.stack([model.doc_vecs[1], infer_vectors(model, new, steps=3)[0],
                       model.doc_vecs[2]]).astype(np.float64)
-        assert np.array_equal(got, pvc.clf.predict_proba(X))
+        assert np.array_equal(got, pvc.clf.predict_proba(dense_rows(X)))
 
     @pytest.mark.parametrize("mode", ["dbow", "dm"])
     def test_model_file_roundtrip(self, tmp_path, mode):
