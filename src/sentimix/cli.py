@@ -9,25 +9,26 @@ from __future__ import annotations
 
 import argparse
 import errno
-import functools
+import importlib
 import logging
 import math
 import sys
 import time
 from pathlib import Path
 
-from . import corpus, ensemble, nbsvm, ngram_lm, pvec, rnn_lm
+from . import corpus, ensemble
 from .corpus import NEGATIVE, POSITIVE
 
 log = logging.getLogger(__name__)
 
-# model id -> loader of its artifacts under models/; what it loads has
-# score(docs, temperature) -> ensemble.SplitScores
+# model id -> (module, keywords) of the load_model(models_dir, **keywords)
+# that reads it; the model has score(docs, temperature) -> ensemble.SplitScores.
+# The score stage imports the one module it runs.
 MODELS = {
-    "ngram": ngram_lm.load_model,
-    "rnn": rnn_lm.load_model,
-    **{f"nbsvm{n}": functools.partial(nbsvm.load_model, n_max=n) for n in (1, 2, 3)},
-    "pv": pvec.load_model,
+    "ngram": ("ngram_lm", {}),
+    "rnn": ("rnn_lm", {}),
+    **{f"nbsvm{n}": ("nbsvm", {"n_max": n}) for n in (1, 2, 3)},
+    "pv": ("pvec", {}),
 }
 TEMPERED = ("ngram", "rnn")  # the models whose score reads --temperature
 SPLITS = ("train", "valid", "test")
@@ -76,21 +77,6 @@ def _record_stage(args, stage: str, artifacts: list[Path], extra: dict | None = 
     corpus.write_manifest(Path(args.out_dir) / "manifest.txt", entries)
 
 
-def _check_flags(positive=(), non_negative=(), fractions=()) -> None:
-    """Usage error for the first (flag, value) out of its range; NaN is in
-    none, and a None value is an optional flag left unset.  ``fractions``
-    holds (flag, value, closed): value in (0, 1), or in (0, 1] if closed."""
-    for flag, value in positive:
-        if value is not None and not value > 0:
-            raise UsageError(f"{flag} must be > 0, got {value}")
-    for flag, value in non_negative:
-        if value is not None and not value >= 0:
-            raise UsageError(f"{flag} must be >= 0, got {value}")
-    for flag, value, closed in fractions:
-        if not (0 < value < 1 or closed and value == 1):
-            raise UsageError(f"{flag} must be in (0, 1{']' if closed else ')'}, got {value}")
-
-
 def _load_split(args, split: str, subset: int | None = None) -> list[corpus.Document]:
     docs = corpus.read_token_cache(_in(args, "cache", f"{split}.tsv"), split)
     if subset is not None:
@@ -126,9 +112,6 @@ def _read_labels(path) -> dict[str, str]:
 # ------------------------------------------------------------------ stages
 
 def cmd_prepare(args) -> int:
-    _check_flags(positive=[("--subset", args.subset), ("--min-count", args.min_count),
-                           ("--workers", args.workers)],
-                 fractions=[("--valid-fraction", args.valid_fraction, False)])
     docs = corpus.load_imdb(args.imdb_dir, subset=args.subset, workers=args.workers)
     train_all = docs.subset(split="train")
     test = docs.subset(split="test")
@@ -171,11 +154,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train_ngram(args) -> int:
-    _check_flags(positive=[("--order", args.order), ("--min-count", args.min_count),
-                           ("--subset", args.subset)],
-                 fractions=[("--oov-penalty", args.oov_penalty, True)])
-    if args.oov_penalty_given and not args.separate_vocab:
-        raise UsageError("--oov-penalty has no effect without --separate-vocab")
+    from . import ngram_lm
     train = _load_split(args, "train", args.subset)
     pos = [d for d in train if d.label == POSITIVE]
     neg = [d for d in train if d.label == NEGATIVE]
@@ -192,10 +171,7 @@ def cmd_train_ngram(args) -> int:
 
 
 def cmd_train_rnn(args) -> int:
-    _check_flags(positive=[("--hidden", args.hidden), ("--epochs", args.epochs),
-                           ("--lr", args.lr), ("--truncation", args.truncation),
-                           ("--clip", args.clip), ("--vocab-cap", args.vocab_cap),
-                           ("--subset", args.subset)])
+    from . import rnn_lm
     train = _load_split(args, "train", args.subset)
     valid = _load_split(args, "valid", args.subset)
     vocab = corpus.build_vocab(train, min_count=1, max_size=args.vocab_cap)
@@ -212,8 +188,7 @@ def cmd_train_rnn(args) -> int:
 
 
 def cmd_train_nbsvm(args) -> int:
-    _check_flags(positive=[("--alpha", args.alpha), ("--subset", args.subset)],
-                 non_negative=[("--l2", args.l2)])
+    from . import nbsvm
     train = _load_split(args, "train", args.subset)
     space, _, clf = model = nbsvm.train_classifier(train, args.n_max, alpha=args.alpha,
                                                    l2=args.l2)
@@ -221,6 +196,7 @@ def cmd_train_nbsvm(args) -> int:
     artifacts = nbsvm.save_model(_out(args, "models", ""), model)
     _record_stage(args, "train-" + model_id, artifacts,
                   {f"train-{model_id}.features": len(space),
+                   f"train-{model_id}.iterations": len(clf.trace) - 1,
                    f"train-{model_id}.final_loss": f"{clf.trace[-1]:.6f}"})
     print(f"trained {model_id}: {len(space)} features, "
           f"loss {clf.trace[0]:.4f} -> {clf.trace[-1]:.4f}")
@@ -228,12 +204,7 @@ def cmd_train_nbsvm(args) -> int:
 
 
 def cmd_train_pv(args) -> int:
-    _check_flags(positive=[("--dim", args.dim), ("--epochs", args.epochs), ("--lr", args.lr),
-                           ("--min-count", args.min_count), ("--subset", args.subset)],
-                 non_negative=[("--window", args.window), ("--infer-steps", args.infer_steps),
-                               ("--l2", args.l2)])
-    if args.window_given and args.mode == "dbow":
-        raise UsageError("--window has no effect under --mode dbow")
+    from . import pvec
     train = _load_split(args, "train", args.subset)
     pv_docs = list(train)
     if args.use_unsup:
@@ -259,12 +230,10 @@ def cmd_train_pv(args) -> int:
 
 
 def cmd_score(args) -> int:
-    if args.model not in TEMPERED and args.temperature_given:
-        raise UsageError(f"--temperature has no effect on {args.model}; "
-                         f"it tempers {' and '.join(TEMPERED)} only")
-    _check_flags(positive=[("--temperature", args.temperature), ("--subset", args.subset)])
     docs = _load_split(args, args.split, args.subset)
-    model = MODELS[args.model](_in(args, "models"))
+    module, keywords = MODELS[args.model]
+    model = importlib.import_module(f".{module}", __package__).load_model(
+        _in(args, "models"), **keywords)
     scores = model.score(docs, temperature=args.temperature)
     artifacts = ensemble.write_split_scores(
         _out(args, "scores", f"{args.model}-{args.split}"), args.model, scores)
@@ -392,151 +361,175 @@ def cmd_report(args) -> int:
     return 0
 
 
-# ------------------------------------------------------------------ parser
+# ------------------------------------------------------------------ stage table
 
-def _add_stage(sub, name: str, func, help: str, out_dir: bool = True):
-    p = sub.add_parser(name, help=help)
-    p.set_defaults(func=func)
-    if out_dir:
-        p.add_argument("--out-dir", required=True, help="run directory for all artifacts")
-    p.add_argument("--config", default=None,
-                   help="key=value file with flag defaults (flags override)")
-    return p
+RULES = {  # a flag's range rule -> its test; NaN passes none
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _flag(name, rule=None, ignored=None, **kwargs) -> tuple:
+    """One argument of a stage, as (name, rule, ignored, kwargs).  ``rule`` is
+    a RULES key, checked unless the value is None (an optional flag left
+    unset).  ``ignored(args)``, for a flag that some runs do not read, says
+    why this run would not, or None; giving the flag on the command line to
+    such a run is a usage error.  ``kwargs`` go to ``add_argument``."""
+    return name, rule, ignored, kwargs
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+OUT_DIR = _flag("--out-dir", required=True, help="run directory for all artifacts")
+CONFIG = _flag("--config", default=None,
+               help="key=value file with flag defaults (flags override)")
+SUBSET = _flag("--subset", "> 0", type=int, default=None)
+MODELS_FLAG = _flag("--models", default="auto",
+                    help="comma-separated model ids (default: auto-detect)")
+STEP = _flag("--step", type=float, default=0.1)
+
+# subcommand -> (help, handler, flags); every stage also takes --config
+STAGES = {
+    "prepare": ("ingest the IMDB directory and build splits", cmd_prepare, (
+        _flag("imdb_dir"), OUT_DIR,
+        _flag("--valid-fraction", "in (0, 1)", type=float, default=0.2),
+        _flag("--seed", type=int, default=42),
+        _flag("--min-count", "> 0", type=int, default=1),
+        _flag("--subset", "> 0", type=int, default=None, help="cap files per leaf directory"),
+        _flag("--with-unsup", action="store_true",
+              help="also cache train/unsup for paragraph-vector training"),
+        _flag("--workers", "> 0", type=int, default=1,
+              help="tokenizing processes (1 = deterministic reference mode; "
+                   "the output is the same either way)"))),
+    "train-ngram": ("train the Kneser-Ney class models", cmd_train_ngram, (
+        OUT_DIR,
+        _flag("--order", "> 0", type=int, default=5),
+        _flag("--min-count", "> 0", type=int, default=1),
+        _flag("--separate-vocab", action="store_true"),
+        _flag("--oov-penalty", "in (0, 1]", type=float, default=1e-7,
+              ignored=lambda a: None if a.separate_vocab else "without --separate-vocab",
+              help="probability of an unseen word (needs --separate-vocab)"),
+        SUBSET)),
+    "train-rnn": ("train the RNN class language models", cmd_train_rnn, (
+        OUT_DIR,
+        _flag("--hidden", "> 0", type=int, default=64),
+        _flag("--epochs", "> 0", type=int, default=8),
+        _flag("--lr", "> 0", type=float, default=0.1),
+        _flag("--truncation", "> 0", type=int, default=10),
+        _flag("--clip", "> 0", type=float, default=5.0),
+        _flag("--vocab-cap", "> 0", type=int, default=10000),
+        _flag("--seed", type=int, default=1),
+        SUBSET)),
+    "train-nbsvm": ("train the log-count-ratio linear model", cmd_train_nbsvm, (
+        OUT_DIR,
+        _flag("--n-max", type=int, default=3, choices=(1, 2, 3)),
+        _flag("--alpha", "> 0", type=float, default=1.0),
+        _flag("--l2", ">= 0", type=float, default=None),
+        SUBSET)),
+    "train-pv": ("train paragraph vectors + linear classifier", cmd_train_pv, (
+        OUT_DIR,
+        _flag("--dim", "> 0", type=int, default=100),
+        _flag("--window", ">= 0", type=int, default=10,
+              ignored=lambda a: "under --mode dbow" if a.mode == "dbow" else None,
+              help="context words each side (--mode dm only)"),
+        _flag("--epochs", "> 0", type=int, default=20),
+        _flag("--lr", "> 0", type=float, default=0.05),
+        _flag("--mode", default="dbow", choices=("dbow", "dm")),
+        _flag("--min-count", "> 0", type=int, default=2),
+        _flag("--l2", ">= 0", type=float, default=None),
+        _flag("--seed", type=int, default=1),
+        _flag("--infer-steps", ">= 0", type=int, default=10),
+        _flag("--use-unsup", action="store_true",
+              help="also embed the unlabeled reviews (needs cache/unsup.tsv)"),
+        SUBSET)),
+    "score": ("score a split with a trained model", cmd_score, (
+        _flag("model", choices=MODELS), _flag("split", choices=SPLITS), OUT_DIR,
+        _flag("--temperature", "> 0", type=float, default=1.0,
+              ignored=lambda a: None if a.model in TEMPERED else
+              f"on {a.model}; it tempers {' and '.join(TEMPERED)} only",
+              help="divides the calibrated log ratio of ngram and rnn"),
+        _flag("--subset", "> 0", type=int, default=None,
+              help="cap documents per class, matching train --subset"))),
+    "ensemble-search": ("grid-search ensemble weights", cmd_ensemble_search,
+                        (OUT_DIR, MODELS_FLAG, STEP)),
+    "ablate": ("leave-one-out ensemble report", cmd_ablate, (OUT_DIR, MODELS_FLAG, STEP)),
+    "evaluate": ("accuracy of a scores file against labels", cmd_evaluate,
+                 (_flag("scores"), _flag("labels"))),
+    "inspect-errors": ("documents fixed by the ensemble", cmd_inspect_errors,
+                       (OUT_DIR, MODELS_FLAG)),
+    "report": ("render result tables from stored artifacts", cmd_report, (OUT_DIR,)),
+}
+
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """One subparser per STAGES row.  ``defaults`` (flag dest -> value, from
+    --config) replace the table's defaults wherever a stage has the flag;
+    each flag's help states its range rule."""
+    defaults = defaults or {}
     parser = argparse.ArgumentParser(prog="sentimix",
                                      description="IMDB sentiment models and ensemble")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _add_stage(sub, "prepare", cmd_prepare,
-                   "ingest the IMDB directory and build splits")
-    p.add_argument("imdb_dir")
-    p.add_argument("--valid-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--subset", type=int, default=None,
-                   help="cap files per leaf directory")
-    p.add_argument("--with-unsup", action="store_true",
-                   help="also cache train/unsup for paragraph-vector training")
-    p.add_argument("--workers", type=int, default=1,
-                   help="tokenizing processes (1 = deterministic reference mode; "
-                        "the output is the same either way)")
-
-    p = _add_stage(sub, "train-ngram", cmd_train_ngram, "train the Kneser-Ney class models")
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--separate-vocab", action="store_true")
-    p.add_argument("--oov-penalty", type=float, default=1e-7, action=_StoreGiven,
-                   help="probability of an unseen word, in (0, 1] (needs --separate-vocab)")
-    p.set_defaults(oov_penalty_given=False)
-    p.add_argument("--subset", type=int, default=None)
-
-    p = _add_stage(sub, "train-rnn", cmd_train_rnn, "train the RNN class language models")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--truncation", type=int, default=10)
-    p.add_argument("--clip", type=float, default=5.0)
-    p.add_argument("--vocab-cap", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--subset", type=int, default=None)
-
-    p = _add_stage(sub, "train-nbsvm", cmd_train_nbsvm,
-                   "train the log-count-ratio linear model")
-    p.add_argument("--n-max", type=int, default=3, choices=(1, 2, 3))
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--subset", type=int, default=None)
-
-    p = _add_stage(sub, "train-pv", cmd_train_pv,
-                   "train paragraph vectors + linear classifier")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=10, action=_StoreGiven,
-                   help="context words each side (--mode dm only)")
-    p.set_defaults(window_given=False)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--mode", default="dbow", choices=("dbow", "dm"))
-    p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--infer-steps", type=int, default=10)
-    p.add_argument("--use-unsup", action="store_true",
-                   help="also embed the unlabeled reviews (needs cache/unsup.tsv)")
-    p.add_argument("--subset", type=int, default=None)
-
-    p = _add_stage(sub, "score", cmd_score, "score a split with a trained model")
-    p.add_argument("model", choices=MODELS)
-    p.add_argument("split", choices=SPLITS)
-    p.add_argument("--temperature", type=float, default=1.0, action=_StoreGiven,
-                   help="divides the calibrated log ratio of ngram and rnn (> 0)")
-    p.set_defaults(temperature_given=False)
-    p.add_argument("--subset", type=int, default=None,
-                   help="cap documents per class, matching train --subset")
-
-    p = _add_stage(sub, "ensemble-search", cmd_ensemble_search,
-                   "grid-search ensemble weights")
-    p.add_argument("--models", default="auto",
-                   help="comma-separated model ids (default: auto-detect)")
-    p.add_argument("--step", type=float, default=0.1)
-
-    p = _add_stage(sub, "ablate", cmd_ablate, "leave-one-out ensemble report")
-    p.add_argument("--models", default="auto")
-    p.add_argument("--step", type=float, default=0.1)
-
-    p = _add_stage(sub, "evaluate", cmd_evaluate,
-                   "accuracy of a scores file against labels", out_dir=False)
-    p.add_argument("scores")
-    p.add_argument("labels")
-
-    p = _add_stage(sub, "inspect-errors", cmd_inspect_errors,
-                   "documents fixed by the ensemble")
-    p.add_argument("--models", default="auto")
-
-    _add_stage(sub, "report", cmd_report, "render result tables from stored artifacts")
+    for command, (summary, _, flags) in STAGES.items():
+        p = sub.add_parser(command, help=summary)
+        for name, rule, ignored, kwargs in (*flags, CONFIG):
+            kwargs = dict(kwargs)
+            if _dest(name) in defaults:
+                kwargs["default"] = defaults[_dest(name)]
+            if rule:
+                kwargs["help"] = "; ".join(filter(None, (kwargs.get("help"), f"must be {rule}")))
+            if ignored:
+                kwargs["action"] = _StoreGiven
+                p.set_defaults(**{_dest(name) + "_given": False})
+            p.add_argument(name, **kwargs)
     return parser
 
 
-def _apply_config(parser, argv):
-    """Pre-scan --config and install its keys as defaults; flags override."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    config = None  # the last one given wins, as argparse would have it
+def _read_config(argv: list[str]) -> dict:
+    """The flag defaults of the last --config file in argv, as flag dest ->
+    int, float or string.  A key must name an optional flag of some stage:
+    any other key, which would have no effect, is a usage error."""
+    path = None
     for i, arg in enumerate(argv):
         if arg == "--config" and i + 1 < len(argv):
-            config = argv[i + 1]
+            path = argv[i + 1]
         elif arg.startswith("--config="):
-            config = arg[len("--config="):]
-    if config is None:
-        return argv
+            path = arg[len("--config="):]
+    if path is None:
+        return {}
+    known = {_dest(name) for _, _, flags in STAGES.values() for name, _, _, kwargs in flags
+             if name.startswith("--") and not kwargs.get("required")}
     defaults = {}
-    for k, v in corpus.read_manifest(config).items():
+    for key, value in corpus.read_manifest(path).items():
+        if _dest(key) not in known:
+            raise UsageError(f"--config {path}: key {key!r} is no optional flag of any stage")
         for cast in (int, float):
             try:
-                v = cast(v)
+                value = cast(value)
                 break
             except ValueError:
                 continue
-        defaults[k.replace("-", "_")] = v
-    for action_parser in [parser] + [
-            sp for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)
-            for sp in a.choices.values()]:
-        known = {a.dest for a in action_parser._actions}
-        action_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    return argv
+        defaults[_dest(key)] = value
+    return defaults
 
 
 def cli_dispatch(argv=None) -> int:
-    parser = build_parser()
-    argv = _apply_config(parser, argv)
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args.started = time.time()  # a stage's wall time in the manifest counts from here
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        args = build_parser(_read_config(argv)).parse_args(argv)
+        _, handler, flags = STAGES[args.command]
+        for name, rule, ignored, _ in flags:  # before anything is read
+            value = getattr(args, _dest(name))
+            if rule and value is not None and not RULES[rule](value):
+                raise UsageError(f"{name} must be {rule}, got {value}")
+            if ignored and getattr(args, _dest(name) + "_given") and (why := ignored(args)):
+                raise UsageError(f"{name} has no effect {why}")
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+        args.started = time.time()  # a stage's wall time in the manifest counts from here
+        return handler(args)
     except UsageError as e:
         print(f"error: usage: {e}", file=sys.stderr)
         return 2

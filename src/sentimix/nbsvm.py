@@ -228,12 +228,16 @@ def _lbfgs(objective, x, trace: list[float]) -> np.ndarray:
     backtracking (Armijo) line search and the module's stopping rules.  The
     line search tries the full quasi-Newton step first, or a move of unit
     length while no correction pair is kept, as scipy's L-BFGS-B does.
-    Appends f at the start and after every iteration to ``trace``."""
+    Appends f at the start and after every iteration to ``trace``, and logs a
+    warning when it stops before a convergence test holds."""
     f, g = objective(x)
     trace.append(f)
     pairs: deque = deque(maxlen=MEMORY)
-    for _ in range(MAX_ITER):
+    for it in range(MAX_ITER + 1):
         if not np.any(np.abs(g) > GTOL):
+            break
+        if it == MAX_ITER:
+            log.warning("L-BFGS stopped unconverged at its cap of %d iterations", MAX_ITER)
             break
         d = -_two_loop(g, pairs)
         slope = float(g @ d)
@@ -248,7 +252,9 @@ def _lbfgs(objective, x, trace: list[float]) -> np.ndarray:
                 break
             step *= 0.5
         else:
-            break  # no decrease left to find along d
+            log.warning("L-BFGS stopped unconverged after %d iterations: the line search "
+                        "found no decrease in %d step halvings", it, MAX_HALVINGS)
+            break
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 0:

@@ -347,7 +347,7 @@ def train_classifier(train_docs, valid_docs, vocab: Vocabulary, config: RnnTrain
     program's main module again: a script that calls this must keep its own
     work under ``if __name__ == "__main__":``.
     """
-    import multiprocessing  # here, not at the top: every CLI stage imports this module
+    import multiprocessing  # here, not at the top: `score rnn` imports this module too
 
     models_dir = Path(models_dir)
     priors = make_priors(sum(d.label == POSITIVE for d in train_docs),

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from sentimix import pvec, rnn_lm
+from sentimix import nbsvm, pvec, rnn_lm
 from sentimix.cli import build_parser, cli_dispatch
 from sentimix.corpus import read_manifest
 from sentimix.ensemble import write_scores_jsonl
@@ -131,36 +131,59 @@ class TestPipeline:
         assert capsys.readouterr().out == first
 
 
-    def test_no_stage_loads_scipy(self, pipeline_dir, tmp_path):
-        """Neither importing the CLI nor any training, score or ensemble
-        stage loads scipy."""
+    def test_manifest_records_nbsvm_iterations(self, pipeline_dir):
+        manifest = read_manifest(pipeline_dir / "manifest.txt")
+        for n in (1, 2, 3):
+            assert 0 < int(manifest[f"train-nbsvm{n}.iterations"]) < nbsvm.MAX_ITER
+
+    def test_each_stage_loads_only_its_model_modules(self, imdb_tree, pipeline_dir, tmp_path):
+        """Each stage, in a fresh process, imports no model module but the
+        ones it runs, and none imports scipy."""
         run_dir = tmp_path / "run"
         shutil.copytree(pipeline_dir, run_dir)
         out = ["--out-dir", str(run_dir)]
-        stages = [["train-nbsvm", *out, "--n-max", str(n)] for n in (1, 2, 3)]
-        stages += [["train-pv", *out, "--dim", "8", "--epochs", "2", "--infer-steps", "2"],
-                   ["score", "nbsvm1", "valid", *out],
-                   ["score", "ngram", "valid", *out],
-                   ["score", "pv", "valid", *out],
-                   ["score", "rnn", "valid", *out],
-                   ["ensemble-search", *out, "--models", "ngram,pv,nbsvm3"],
-                   ["ablate", *out, "--models", "ngram,pv,nbsvm3"]]
-        proc = subprocess.run([sys.executable, "-c", SCIPY_FREE, json.dumps(stages)],
-                              env=src_env(), capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        ensemble_models = ["--models", "ngram,pv,nbsvm3"]
+        stages = [
+            (["prepare", str(imdb_tree), "--out-dir", str(tmp_path / "prep"), "--subset", "4"],
+             set()),
+            (["train-ngram", *out, "--order", "3"], {"ngram_lm", "arpa"}),
+            (["train-rnn", *out, "--hidden", "4", "--epochs", "1", "--vocab-cap", "50"],
+             {"rnn_lm", "ngram_lm"}),
+            *[(["train-nbsvm", *out, "--n-max", str(n)], {"nbsvm"}) for n in (1, 2, 3)],
+            (["train-pv", *out, "--dim", "8", "--epochs", "2", "--infer-steps", "2"],
+             {"pvec", "nbsvm"}),
+            (["score", "ngram", "valid", *out], {"ngram_lm", "arpa"}),
+            (["score", "rnn", "valid", *out], {"rnn_lm", "ngram_lm"}),
+            *[(["score", f"nbsvm{n}", "valid", *out], {"nbsvm"}) for n in (1, 2, 3)],
+            (["score", "pv", "valid", *out], {"pvec", "nbsvm"}),
+            (["ensemble-search", *out, *ensemble_models], set()),
+            (["ablate", *out, *ensemble_models], set()),
+            (["inspect-errors", *out, *ensemble_models], set()),
+            (["evaluate", str(run_dir / "scores" / "pv-test.jsonl"),
+              str(run_dir / "labels" / "test.tsv")], set()),
+            (["report", *out], set()),
+        ]
+        for argv, allowed in stages:
+            proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argv)],
+                                  env=src_env(), capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            loaded = json.loads(proc.stdout.splitlines()[-1])
+            assert not loaded["scipy"], argv
+            assert set(loaded["models"]) <= allowed, (argv, loaded["models"])
 
 
-SCIPY_FREE = """
+# runs one stage and prints, as its last line, the model modules and scipy
+# modules loaded by then
+LOADED_MODULES = """
 import json, sys
 from sentimix.cli import cli_dispatch
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-assert not scipy_modules(), scipy_modules()
-for argv in json.loads(sys.argv[1]):
-    assert cli_dispatch(argv) == 0, argv
-    assert not scipy_modules(), (argv, scipy_modules())
+assert cli_dispatch(json.loads(sys.argv[1])) == 0
+model_modules = ("arpa", "nbsvm", "ngram_lm", "pvec", "rnn_lm")
+print(json.dumps({
+    "models": sorted(m for m in model_modules if f"sentimix.{m}" in sys.modules),
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
 """
 
 
@@ -585,6 +608,21 @@ class TestConfigFile:
                     "--config", str(cfg), "--seed", "9"]) == 0
         manifest2 = read_manifest(tmp_path / "cfg-run2" / "manifest.txt")
         assert manifest2["prepare.seed"] == "9"
+
+    @pytest.mark.parametrize("argv, key", [
+        (["train-rnn"], "hiden"), (["score", "rnn", "test"], "hiden"),
+        (["score", "nbsvm1", "valid"], "split"), (["train-rnn"], "out-dir")])
+    def test_key_without_effect_is_2(self, tmp_path, capsys, argv, key):
+        """A key that is no optional flag of any stage, misspelt or naming an
+        argument only the command line sets, is a usage error naming the key
+        and the file, raised before anything is read."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs=2\n{key}=test\n")
+        assert run([*argv, "--out-dir", str(tmp_path / "none"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+        assert f"'{key}'" in err and str(cfg) in err
+        assert not (tmp_path / "none").exists()
 
     def test_config_equals_form(self, imdb_tree, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -252,6 +253,21 @@ class TestLbfgsOracle:
         # gradient about sqrt(1e-12) from zero: 1e-5 allows for curvature
         assert gmax <= 1e-5
         assert np.all(np.diff(clf.trace) <= 0.0)
+
+    def test_stop_before_convergence_is_logged(self, caplog):
+        """Unpenalized, with three columns' values near zero, the fit runs
+        into MAX_ITER and says so; a well-posed fit logs nothing."""
+        X, y = _random_problem("sparse", 0)
+        X = X._replace(values=np.where(X.cols < 3, 1e-4, 1.0) * X.values)
+        with caplog.at_level(logging.WARNING, logger="sentimix.nbsvm"):
+            clf = train_linear(X, y, l2=0.0)
+        assert len(clf.trace) - 1 == MAX_ITER
+        assert [r.getMessage() for r in caplog.records] == [
+            f"L-BFGS stopped unconverged at its cap of {MAX_ITER} iterations"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sentimix.nbsvm"):
+            train_linear(*_random_problem("sparse", 0), l2=None)
+        assert not caplog.records
 
 
 class TestPipeline:
