@@ -255,17 +255,14 @@ def _model_list(args) -> list[str]:
     return chosen
 
 
-def _read_p_pos(path) -> dict[str, float]:
-    return {doc_id: rec.p_pos for doc_id, rec in ensemble.read_scores_jsonl(path).items()}
-
-
 def _ensemble_inputs(args, *splits) -> tuple[list[str], list]:
     """The resolved model list and, per split, (scores: model -> id -> p_pos,
     labels: id -> label)."""
     models = _model_list(args)
     inputs = []
     for split in splits:
-        scores = {m: _read_p_pos(_in(args, "scores", f"{m}-{split}.jsonl")) for m in models}
+        scores = {m: ensemble.read_scores_jsonl(_in(args, "scores", f"{m}-{split}.jsonl"))
+                  for m in models}
         inputs.append((scores, _read_labels(_in(args, "labels", f"{split}.tsv"))))
     return models, inputs
 
@@ -315,7 +312,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    acc = ensemble.evaluate_accuracy(_read_p_pos(args.scores), _read_labels(args.labels))
+    acc = ensemble.evaluate_accuracy(ensemble.read_scores_jsonl(args.scores),
+                                     _read_labels(args.labels))
     print(f"accuracy {acc:.4f}")
     return 0
 
@@ -348,7 +346,7 @@ def cmd_report(args) -> int:
             path = _in(args, "scores", f"{model_id}-test.jsonl")
             if not path.exists():
                 continue
-            acc = ensemble.evaluate_accuracy(_read_p_pos(path), test_labels)
+            acc = ensemble.evaluate_accuracy(ensemble.read_scores_jsonl(path), test_labels)
             lines.append(f"{name}\t{100 * acc:.2f}")
     ablation = _in(args, "ensemble", "ablation.tsv")
     if ablation.exists():
@@ -368,6 +366,7 @@ RULES = {  # a flag's range rule -> its test; NaN passes none
     ">= 0": lambda v: v >= 0,
     "in (0, 1)": lambda v: 0 < v < 1,
     "in (0, 1]": lambda v: 0 < v <= 1,
+    "> 0 and divides 1.0 evenly": ensemble.step_divides_one,
 }
 
 
@@ -390,7 +389,7 @@ CONFIG = _flag("--config", default=None,
 SUBSET = _flag("--subset", "> 0", type=int, default=None)
 MODELS_FLAG = _flag("--models", default="auto",
                     help="comma-separated model ids (default: auto-detect)")
-STEP = _flag("--step", type=float, default=0.1)
+STEP = _flag("--step", "> 0 and divides 1.0 evenly", type=float, default=0.1)
 
 # subcommand -> (help, handler, flags); every stage also takes --config
 STAGES = {

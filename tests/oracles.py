@@ -10,7 +10,10 @@ and which builds the package's Huffman tree and model type; and the
 line-by-line ARPA reader and writer at the end, which are the reference for
 the array passes in ``sentimix.arpa`` and build or read the package's own
 model type, so they use its key packing.  The logistic-regression reference
-is an objective written with numpy and fitted by scipy's L-BFGS-B.
+is an objective written with numpy and fitted by scipy's L-BFGS-B.  The
+per-line scores reader and the product-list weight grid are numpy code too:
+they are the bit-exact references for the column passes in
+``sentimix.ensemble``, so they clamp and multiply as those must.
 """
 
 from __future__ import annotations
@@ -425,6 +428,47 @@ def grid_search_reference(p_matrix, labels, step_denominator: int = 10):
         if best is None or acc > best[1]:
             best = (ints, acc)
     return best[0], best[1], results
+
+
+def read_scores_reference(path) -> dict[str, float]:
+    """id -> p_pos clamped to [1e-9, 1 - 1e-9], one json.loads and one
+    scalar clamp per line, the last record of an id winning."""
+    import json
+
+    import numpy as np
+
+    out = {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if line:
+                rec = json.loads(line)
+                out[rec["id"]] = float(np.clip(rec["p_pos"], 1e-9, 1.0 - 1e-9))
+    return out
+
+
+def grid_accuracies_reference(P, y, step_denominator: int, block_cells: int = 1 << 20):
+    """(tuples, accuracies) of every weight tuple but the all-zero one, in
+    ``itertools.product`` order, from the full tuple list: P is the clamped
+    n x K score matrix, y the labels as 1 / 0.  Blocks of at least two
+    columns, about ``block_cells`` documents x tuples each, go through
+    numpy's matrix-matrix product, as the grid search does."""
+    import numpy as np
+
+    lp = np.log(P)
+    ln = np.log1p(-P)
+    k = P.shape[1]
+    tuples = np.array(list(itertools.product(range(step_denominator + 1), repeat=k)),
+                      dtype=np.int64)[1:]
+    alphas = tuples.astype(np.float64) / step_denominator
+    positive = np.asarray(y)[:, None] > 0
+    accs = np.empty(len(tuples))
+    cells = len(tuples) * len(y)
+    n_blocks = max(1, min(-(-cells // block_cells), len(tuples) // 2))
+    for cols in np.array_split(np.arange(len(tuples)), n_blocks):
+        a = alphas[cols].T
+        accs[cols] = (((lp @ a) > (ln @ a)) == positive).mean(axis=0)
+    return tuples, accs
 
 
 def unigram_logprob(train_docs: list[list[str]], doc: list[str]) -> float:

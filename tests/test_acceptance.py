@@ -97,8 +97,7 @@ def _accuracy(out, model, split, subset=None):
             labels[doc_id] = label
     if subset is not None:
         labels = {d: l for d, l in labels.items() if d in scores}
-    return 100.0 * ensemble.evaluate_accuracy(
-        {d: r.p_pos for d, r in scores.items()}, labels)
+    return 100.0 * ensemble.evaluate_accuracy(scores, labels)
 
 
 def test_criterion_1_nbsvm_reproduction(full_run):

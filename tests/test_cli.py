@@ -464,6 +464,11 @@ FAULTS = {
                          ["ensemble-search", "--models", "ngram,pv,nbsvm3"]),
     "malformed-weights": ("ensemble/weights.txt", lambda p: p.write_text("ngram 0.5\n"),
                           ["inspect-errors", "--models", "ngram,pv,nbsvm3"]),
+    "truncated-scores": ("scores/pv-valid.jsonl", _cut_mid_line,
+                         ["ensemble-search", "--models", "ngram,pv,nbsvm3"]),
+    "malformed-scores": ("scores/nbsvm3-test.jsonl",
+                         lambda p: p.write_text("{not json\n" + p.read_text()),
+                         ["ablate", "--models", "ngram,pv,nbsvm3"]),
 }
 
 
@@ -526,6 +531,13 @@ class TestTrainFlags:
     def test_out_of_range_flag_is_2(self, tmp_path, capsys, argv, flag, rule):
         """A --subset of 0 or less would slice documents off the end."""
         self._assert_usage_error(tmp_path, capsys, argv, flag, rule)
+
+    @pytest.mark.parametrize("value", ["0", "-0.1", "2", "0.3", "nan"])
+    def test_step_that_does_not_divide_one_is_2(self, tmp_path, capsys, value):
+        for stage in ("ensemble-search", "ablate"):
+            self._assert_usage_error(tmp_path, capsys, [stage, "--models", "a,b",
+                                                        f"--step={value}"],
+                                     "--step", "> 0 and divides 1.0 evenly")
 
     @pytest.mark.parametrize("argv", [["train-nbsvm", "--l2", "0"],
                                       ["train-pv", "--l2", "0", "--infer-steps", "0",

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sentimix import ensemble
 from sentimix.ensemble import (
-    EnsembleWeights, ScoreCoverageError, ablate, apply_weights,
-    calibrate_generative, evaluate_accuracy, format_alpha, grid_search,
+    EnsembleWeights, ScoreCoverageError, _aligned_matrix, _grid_blocks, ablate,
+    apply_weights, calibrate_generative, evaluate_accuracy, format_alpha, grid_search,
     inspect_errors, read_scores_jsonl, read_weights, write_scores_jsonl,
     write_weights,
 )
 from conftest import combine
-from oracles import grid_search_reference
+from oracles import (grid_accuracies_reference, grid_search_reference,
+                     read_scores_reference)
 
 
 class TestCalibration:
@@ -91,6 +93,12 @@ def _labels(ids, y):
     return {i: ("positive" if v else "negative") for i, v in zip(ids, y)}
 
 
+def _grid_accuracies(P, y, step_denominator):
+    """Every block of the streamed grid, joined: (tuples, accuracies)."""
+    blocks = list(_grid_blocks(P, y, step_denominator))
+    return (np.concatenate([t for t, _ in blocks]), np.concatenate([a for _, a in blocks]))
+
+
 class TestGridSearch:
     def test_single_model_returns_smallest_weight(self):
         rng = np.random.RandomState(1)
@@ -134,7 +142,6 @@ class TestGridSearch:
         assert acc == pytest.approx(ref_acc)
         assert [round(a * 10) for a in weights.alphas] == list(ref_best)
         # spot-check full tuple list agreement
-        from sentimix.ensemble import _aligned_matrix, _grid_accuracies
         _, P2, y2 = _aligned_matrix(scores, labels)
         tuples, accs = _grid_accuracies(P2, y2, 10)
         assert len(tuples) == len(ref_all)
@@ -184,7 +191,6 @@ class TestGridSearch:
             decisions, acc = apply_weights(
                 scores, labels, EnsembleWeights(["m0", "m1"], [alpha, alpha]))
             assert decisions["d"] == "negative" and acc == 1.0
-        from sentimix.ensemble import _aligned_matrix, _grid_accuracies
         _, P, y = _aligned_matrix(scores, labels)
         tuples, accs = _grid_accuracies(P, y, 10)
         for t, a in zip(tuples, accs):
@@ -195,14 +201,13 @@ class TestGridSearch:
     def test_blocked_grid_matches_one_block(self, cells, monkeypatch):
         """Every tuple's accuracy is the same however the grid is blocked,
         mirrored (exactly tied) scores included."""
-        from sentimix import ensemble
         rng = np.random.RandomState(6)
         P = np.clip(rng.rand(30, 3), 0.01, 0.99)
         P[:, 2] = 1.0 - P[:, 0]
-        y = rng.randint(2, size=30)
-        whole_tuples, whole = ensemble._grid_accuracies(P, y, 10)
+        y = rng.randint(2, size=30) > 0
+        whole_tuples, whole = _grid_accuracies(P, y, 10)
         monkeypatch.setattr(ensemble, "GRID_BLOCK_CELLS", cells)
-        tuples, accs = ensemble._grid_accuracies(P, y, 10)
+        tuples, accs = _grid_accuracies(P, y, 10)
         assert np.array_equal(tuples, whole_tuples)
         assert np.array_equal(accs, whole)
 
@@ -219,6 +224,76 @@ class TestGridSearch:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             grid_search({"m0": {"a": 0.5}}, {"a": "positive"}, step=0.3)
+
+
+def _mirrored_problem(rng, n, k):
+    """n x k clamped scores with column 1 the mirror image of column 0, so
+    symmetric weights on that pair tie exactly; labels as booleans."""
+    P = np.clip(rng.rand(n, k), 0.01, 0.99)
+    P[:, 1] = 1.0 - P[:, 0]
+    return P, rng.randint(2, size=n) > 0
+
+
+class TestStreamedGrid:
+    """The block stream against the product-list grid it replaced
+    (``oracles.grid_accuracies_reference``): same tuples, same accuracies,
+    bit for bit."""
+
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=999),
+           st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_product_list(self, k, seed, mirrored):
+        rng = np.random.RandomState(seed)
+        denom = {1: 20, 2: 10, 3: 10, 4: 5, 5: 4}[k]
+        if mirrored and k > 1:
+            P, y = _mirrored_problem(rng, 40, k)
+        else:
+            P, y = np.clip(rng.rand(40, k), 0.01, 0.99), rng.randint(2, size=40) > 0
+        ref_tuples, ref_accs = grid_accuracies_reference(P, y, denom)
+        tuples, accs = _grid_accuracies(P, y, denom)
+        assert np.array_equal(tuples, ref_tuples)
+        assert np.array_equal(accs, ref_accs)
+
+    @pytest.mark.parametrize("cells", [1, 37, 500])
+    def test_many_blocks_match_product_list(self, cells, monkeypatch):
+        P, y = _mirrored_problem(np.random.RandomState(8), 30, 4)
+        monkeypatch.setattr(ensemble, "GRID_BLOCK_CELLS", cells)
+        blocks = list(_grid_blocks(P, y, 5))
+        assert len(blocks) > 1 and min(len(t) for t, _ in blocks) >= 2
+        ref_tuples, ref_accs = grid_accuracies_reference(P, y, 5, block_cells=cells)
+        assert np.array_equal(np.concatenate([t for t, _ in blocks]), ref_tuples)
+        assert np.array_equal(np.concatenate([a for _, a in blocks]), ref_accs)
+
+    @pytest.mark.parametrize("cells", [1, 64, 1 << 20])
+    def test_first_maximum_wins_across_blocks(self, cells, monkeypatch):
+        """Duplicate columns make many tuples tie for the best accuracy; the
+        search keeps the first in product order, whatever the blocks."""
+        rng = np.random.RandomState(9)
+        y = rng.randint(2, size=30)
+        good = np.clip(np.where(y, 0.7, 0.3) + rng.randn(30) * 0.2, 0.01, 0.99)
+        P = np.column_stack([rng.rand(30), good, good])
+        scores, ids = _scores_from_matrix(P)
+        monkeypatch.setattr(ensemble, "GRID_BLOCK_CELLS", cells)
+        weights, acc = grid_search(scores, _labels(ids, y))
+        ref_tuples, ref_accs = grid_accuracies_reference(P, y, 10)
+        first = int(np.argmax(ref_accs))
+        assert np.count_nonzero(ref_accs == ref_accs[first]) > 1
+        assert weights.alphas == [t / 10 for t in ref_tuples[first]]
+        assert acc == ref_accs[first]
+
+    @given(st.integers(min_value=3, max_value=5), st.integers(min_value=0, max_value=999))
+    @settings(max_examples=8, deadline=None)
+    def test_apply_weights_decides_as_the_grid(self, k, seed):
+        """Every tuple's accuracy under apply_weights is the grid's, exact
+        ties on a mirrored pair included."""
+        P, y = _mirrored_problem(np.random.RandomState(seed), 50, k)
+        scores, ids = _scores_from_matrix(P)
+        labels = _labels(ids, y)
+        model_ids = list(scores)
+        for tuples, accs in _grid_blocks(*_aligned_matrix(scores, labels)[1:], 4):
+            for t, acc in zip(tuples, accs):
+                weights = EnsembleWeights(model_ids, [a / 4 for a in t])
+                assert apply_weights(scores, labels, weights)[1] == acc, tuple(t)
 
 
 class TestAblate:
@@ -282,9 +357,34 @@ class TestFiles:
         write_scores_jsonl(path, "m", ["a", "b"], [0.25, 1.5e-12],
                            log_p_pos=[-10.0, -20.0], log_p_neg=[-11.0, -19.0])
         back = read_scores_jsonl(path)
-        assert back["a"].p_pos == pytest.approx(0.25)
-        assert back["a"].log_p_pos == -10.0
-        assert back["b"].p_pos >= 1e-9  # clamped into the open interval
+        assert back == {"a": 0.25, "b": 1e-9}  # clamped into the open interval
+
+    def test_reader_matches_line_reader(self, tmp_path):
+        """One json.loads and one clamp per file give the per-line reader's
+        floats: blank lines, repeated ids, integer and out-of-range p_pos."""
+        rng = np.random.RandomState(7)
+        p = np.concatenate([rng.rand(200), [0.0, 1.0, -3.0, 2.0, 1e-12, 1 - 1e-12]])
+        ids = [f"d{i % 150}" for i in range(len(p))]
+        path = tmp_path / "s.jsonl"
+        write_scores_jsonl(path, "m", ids, p, log_p_pos=-p, log_p_neg=p - 1)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write('\n  \n{"id": "int", "model": "m", "p_pos": 1}\n')
+        back = read_scores_jsonl(path)
+        assert back == read_scores_reference(path)
+        assert len(back) == 151 and back["int"] == 1.0 - 1e-9
+
+    @pytest.mark.parametrize("bad", [
+        '{"id": "c", "model": "m", "p_p', 'not json', '{"model": "m", "p_pos": 0.5}',
+        '{"id": "c", "model": "m", "p_pos": "0.5"}', '{"id": "c", "model": "m", "p_pos": null}',
+        '[0.5]'])
+    def test_bad_line_is_named(self, tmp_path, bad):
+        """Blank lines count: the bad record is the file's fourth line."""
+        path = tmp_path / "s.jsonl"
+        write_scores_jsonl(path, "m", ["a", "b"], [0.25, 0.5])
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("\n" + bad + "\n" + '{"id": "d", "model": "m", "p_pos": 0.5}\n')
+        with pytest.raises(ValueError, match=r"s\.jsonl: line 4 is not a score record"):
+            read_scores_jsonl(path)
 
     def test_weights_roundtrip(self, tmp_path):
         path = tmp_path / "w.txt"
