@@ -366,6 +366,7 @@ RULES = {  # a flag's range rule -> its test; NaN passes none
     ">= 0": lambda v: v >= 0,
     "in (0, 1)": lambda v: 0 < v < 1,
     "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 2**32)": lambda v: 0 <= v < 2**32,  # the seeds of np.random.RandomState
     "> 0 and divides 1.0 evenly": ensemble.step_divides_one,
 }
 
@@ -396,7 +397,7 @@ STAGES = {
     "prepare": ("ingest the IMDB directory and build splits", cmd_prepare, (
         _flag("imdb_dir"), OUT_DIR,
         _flag("--valid-fraction", "in (0, 1)", type=float, default=0.2),
-        _flag("--seed", type=int, default=42),
+        _flag("--seed", "in [0, 2**32)", type=int, default=42),
         _flag("--min-count", "> 0", type=int, default=1),
         _flag("--subset", "> 0", type=int, default=None, help="cap files per leaf directory"),
         _flag("--with-unsup", action="store_true",
@@ -421,7 +422,7 @@ STAGES = {
         _flag("--truncation", "> 0", type=int, default=10),
         _flag("--clip", "> 0", type=float, default=5.0),
         _flag("--vocab-cap", "> 0", type=int, default=10000),
-        _flag("--seed", type=int, default=1),
+        _flag("--seed", "in [0, 2**32)", type=int, default=1),
         SUBSET)),
     "train-nbsvm": ("train the log-count-ratio linear model", cmd_train_nbsvm, (
         OUT_DIR,
@@ -440,7 +441,7 @@ STAGES = {
         _flag("--mode", default="dbow", choices=("dbow", "dm")),
         _flag("--min-count", "> 0", type=int, default=2),
         _flag("--l2", ">= 0", type=float, default=None),
-        _flag("--seed", type=int, default=1),
+        _flag("--seed", "in [0, 2**32)", type=int, default=1),
         _flag("--infer-steps", ">= 0", type=int, default=10),
         _flag("--use-unsup", action="store_true",
               help="also embed the unlabeled reviews (needs cache/unsup.tsv)"),

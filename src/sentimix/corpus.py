@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
+import random
 import re
 import zipfile
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +87,8 @@ class Vocabulary:
         return 0 if i is None else self.counts[i]
 
     def encode(self, tokens) -> np.ndarray:
+        import numpy as np
+
         return np.fromiter(map(self._index.__getitem__, tokens), dtype=np.uint32,
                            count=len(tokens))
 
@@ -109,29 +111,36 @@ class DocumentSet:
 
 
 def _read_and_tokenize(args):
-    path_str, rel, label, split = args
-    p = Path(path_str)
+    leaf, name, rel, label, split = args
+    path = os.path.join(leaf, name)
     try:
-        raw = p.read_text(encoding="utf-8", errors="replace")
+        with open(path, encoding="utf-8", errors="replace") as f:
+            raw = f.read()
     except OSError as e:
-        raise CorpusError(f"unreadable corpus file: {p}: {e}") from e
-    return Document(id=f"{rel}/{p.stem}", tokens=tuple(tokenize(raw)), label=label,
+        raise CorpusError(f"unreadable corpus file: {path}: {e}") from e
+    # the name less ".txt", except that ".txt" itself keeps it (Path.stem)
+    stem = name[:-4] if len(name) > 4 else name
+    return Document(id=f"{rel}/{stem}", tokens=tuple(tokenize(raw)), label=label,
                     split=split)
 
 
 def _load_leaf(root: Path, rel: str, label: str, split: str,
                subset: int | None, warnings: list[str], pool=None) -> list[Document]:
-    leaf = root / rel
-    if not leaf.is_dir():
+    """The documents of root/rel: every entry whose name ends in ".txt"
+    (dot-files too, directories too, which fail to read), in code-point
+    order of the name, which is the order of sorted(Path.glob("*.txt"))."""
+    leaf = str(root / rel)
+    if not os.path.isdir(leaf):
         raise CorpusError(f"missing corpus subdirectory: {rel}")
-    paths = sorted(leaf.glob("*.txt"))
-    if not paths:
+    with os.scandir(leaf) as entries:
+        names = sorted(e.name for e in entries if e.name.endswith(".txt"))
+    if not names:
         msg = f"empty corpus directory: {rel}"
         warnings.append(msg)
         log.warning(msg)
     if subset is not None:
-        paths = paths[:subset]
-    jobs = [(str(p), rel, label, split) for p in paths]
+        names = names[:subset]
+    jobs = [(leaf, name, rel, label, split) for name in names]
     mapper = pool.map if pool is not None else map
     return list(mapper(_read_and_tokenize, jobs))
 
@@ -221,6 +230,8 @@ def read_vocab(path) -> Vocabulary:
 
 def pack_strings(strings) -> np.ndarray:
     """Newline-joined UTF-8 bytes as a uint8 array, for storing in an npz."""
+    import numpy as np
+
     return np.frombuffer("\n".join(strings).encode("utf-8"), dtype=np.uint8)
 
 
@@ -233,6 +244,8 @@ def unpack_strings(data) -> list[str]:
 def read_npz(path) -> dict[str, np.ndarray]:
     """Every array of the npz archive at path, read at once; a damaged
     archive (cut short or corrupt) raises ValueError naming the file."""
+    import numpy as np
+
     try:
         with np.load(path) as data:
             return {name: data[name] for name in data.files}
@@ -240,28 +253,54 @@ def read_npz(path) -> dict[str, np.ndarray]:
         raise ValueError(f"{path}: damaged model archive ({e})") from None
 
 
+def _legacy_mt19937(seed: int) -> random.Random:
+    """A random.Random in the MT19937 state that np.random.RandomState(seed)
+    starts from: init_genrand's 624 words, then position 624."""
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must be in [0, 2**32), got {seed}")
+    key = [seed]
+    for i in range(1, 624):
+        seed = (1812433253 * (seed ^ (seed >> 30)) + i) & 0xFFFFFFFF
+        key.append(seed)
+    rng = random.Random()
+    rng.setstate((3, (*key, 624), None))
+    return rng
+
+
+def _permutation(rng: random.Random, n: int) -> list[int]:
+    """The permutation np.random.RandomState.permutation(n) draws from the same
+    state: Fisher-Yates from index n - 1 down to 1, each swap index by numpy's
+    masked rejection on 32-bit draws."""
+    order = list(range(n))
+    draw = rng.getrandbits
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = draw(32) & mask
+        while j > i:
+            j = draw(32) & mask
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def split_validation(train_docs, fraction: float, seed: int):
     """Stratified train/valid split; valid size is floor(fraction * n) per label.
 
-    Deterministic given the seed; returns (train_sub, valid) lists of
-    documents re-tagged with their new split.
+    Deterministic given the seed, in [0, 2**32): the same split that
+    np.random.RandomState(seed) permutations give.  Returns (train_sub,
+    valid) lists of documents re-tagged with their new split.
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"validation fraction must be in (0, 1), got {fraction}")
     documents = list(train_docs)
-    rng = np.random.RandomState(seed)
+    rng = _legacy_mt19937(seed)
     train_sub: list[Document] = []
     valid: list[Document] = []
     for label in sorted({d.label for d in documents}):
         group = sorted((d for d in documents if d.label == label), key=lambda d: d.id)
-        order = rng.permutation(len(group))
-        n_valid = int(len(group) * fraction)
-        chosen = set(order[:n_valid].tolist())
+        chosen = set(_permutation(rng, len(group))[:int(len(group) * fraction)])
         for i, doc in enumerate(group):
-            if i in chosen:
-                valid.append(replace(doc, split="valid"))
-            else:
-                train_sub.append(replace(doc, split="train"))
+            split, out = ("valid", valid) if i in chosen else ("train", train_sub)
+            out.append(Document(id=doc.id, tokens=doc.tokens, label=doc.label, split=split))
     train_sub.sort(key=lambda d: d.id)
     valid.sort(key=lambda d: d.id)
     return train_sub, valid
@@ -271,6 +310,8 @@ def length_blocks(lengths, cells: int) -> list[np.ndarray]:
     """Document indices by descending length (ties in input order), cut into
     blocks whose size times their longest length stays within ``cells``;
     a block always holds at least one document."""
+    import numpy as np
+
     lengths = np.asarray(lengths, dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     blocks = []

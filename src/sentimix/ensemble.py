@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import NEGATIVE, POSITIVE
 
 log = logging.getLogger(__name__)
@@ -46,6 +44,8 @@ class SplitScores:
 
 
 def clamp_p(p):
+    import numpy as np
+
     return np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
 
 
@@ -56,6 +56,8 @@ def calibrate_generative(log_p_pos, log_p_neg, log_prior_pos: float, log_prior_n
     The likelihood-ratio term is normalized per scored position so long
     reviews cannot saturate the ensemble; priors are applied unnormalized.
     """
+    import numpy as np
+
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     length = np.maximum(np.asarray(doc_length, dtype=np.float64), 1.0)
@@ -73,6 +75,8 @@ class EnsembleWeights:
 def _aligned_matrix(scores_by_model: dict[str, dict[str, float]], labels: dict[str, str]):
     """(doc_ids, P matrix n x K, y: positive labels as booleans), documents in
     sorted order, with coverage validation."""
+    import numpy as np
+
     doc_ids = sorted(labels)
     if not doc_ids:
         raise ScoreCoverageError("empty evaluation set")
@@ -98,7 +102,7 @@ def _decide(lp, ln, alphas):
     only through this matrix-matrix product.
     """
     a = alphas.T
-    return np.greater(lp @ a, ln @ a)
+    return lp @ a > ln @ a
 
 
 def step_divides_one(step: float) -> bool:
@@ -116,6 +120,8 @@ def _grid_blocks(P, y, step_denominator: int):
     (tuples, accuracies) blocks of about ``GRID_BLOCK_CELLS`` documents x
     tuples each.  A block's tuples are built from its range of flat indices,
     so no list of all tuples is ever held."""
+    import numpy as np
+
     lp = np.log(P)
     ln = np.log1p(-P)
     n, k = P.shape
@@ -149,7 +155,7 @@ def grid_search(scores_by_model: dict[str, dict[str, float]], labels: dict[str, 
     _, P, y = _aligned_matrix(scores_by_model, labels)
     best_tuple, best_acc = None, -1.0
     for tuples, accs in _grid_blocks(P, y, denom):
-        i = int(np.argmax(accs))  # first max = lexicographically smallest
+        i = int(accs.argmax())  # first max = lexicographically smallest
         if accs[i] > best_acc:
             best_tuple, best_acc = tuples[i], float(accs[i])
     alphas = [t / denom for t in best_tuple]
@@ -161,6 +167,8 @@ def apply_weights(scores_by_model: dict[str, dict[str, float]], labels: dict[str
                   weights: EnsembleWeights) -> tuple[dict[str, str], float]:
     """Per-document ensemble decisions plus accuracy against labels, decided
     exactly as the grid search decides the same tuple."""
+    import numpy as np
+
     doc_ids, P, y = _aligned_matrix(
         {m: scores_by_model[m] for m in weights.model_ids}, labels)
     alphas = np.array([weights.alphas] * 2, dtype=np.float64)  # two columns: see _decide
@@ -209,11 +217,11 @@ def evaluate_accuracy(p_pos_by_id: dict[str, float], labels: dict[str, str]) -> 
     if not labels:
         raise ScoreCoverageError("empty evaluation set")
     try:
-        p = np.fromiter(map(p_pos_by_id.__getitem__, labels), np.float64, len(labels))
+        correct = sum((POSITIVE if p_pos_by_id[d] > 0.5 else NEGATIVE) == label
+                      for d, label in labels.items())
     except KeyError as e:
         raise ScoreCoverageError(f"no score for document {e.args[0]!r}") from None
-    pred = np.where(p > 0.5, POSITIVE, NEGATIVE)
-    return np.count_nonzero(pred == np.array(list(labels.values()))) / len(labels)
+    return correct / len(labels)
 
 
 # ---------------------------------------------------------------- file I/O
@@ -248,12 +256,15 @@ def read_scores_jsonl(path) -> dict[str, float]:
 
 
 def _score_records(lines: list[str]) -> dict[str, float]:
-    """id -> clamped p_pos of JSON record lines: one json.loads, one clamp."""
+    """id -> clamped p_pos of JSON record lines, with one json.loads.  A p_pos
+    must be a JSON number (true and false are not); min(max(p, lo), hi) is
+    np.clip for finite values, infinities and NaN alike."""
     records = json.loads("[" + ",".join(lines) + "]")
-    p_pos = np.array([r["p_pos"] for r in records])
-    if p_pos.dtype.kind not in "iuf":
+    p_pos = [r["p_pos"] for r in records]
+    if not all(type(p) is float or type(p) is int for p in p_pos):
         raise TypeError("p_pos is not a number")
-    return dict(zip([r["id"] for r in records], clamp_p(p_pos.astype(np.float64)).tolist()))
+    lo, hi = P_CLAMP, 1.0 - P_CLAMP
+    return dict(zip([r["id"] for r in records], [min(max(p, lo), hi) for p in p_pos]))
 
 
 def write_ratio_scores_tsv(path, doc_ids, *columns) -> None:

@@ -13,7 +13,10 @@ model type, so they use its key packing.  The logistic-regression reference
 is an objective written with numpy and fitted by scipy's L-BFGS-B.  The
 per-line scores reader and the product-list weight grid are numpy code too:
 they are the bit-exact references for the column passes in
-``sentimix.ensemble``, so they clamp and multiply as those must.
+``sentimix.ensemble``, so they clamp and multiply as those must.  So are the
+numpy column reader of score records, the reference for the pure-Python one,
+and ``np.random.RandomState`` permutations, the reference for the split's
+MT19937 draws in ``sentimix.corpus``.
 """
 
 from __future__ import annotations
@@ -445,6 +448,30 @@ def read_scores_reference(path) -> dict[str, float]:
                 rec = json.loads(line)
                 out[rec["id"]] = float(np.clip(rec["p_pos"], 1e-9, 1.0 - 1e-9))
     return out
+
+
+def score_records_reference(lines: list[str]) -> dict[str, float]:
+    """id -> clamped p_pos of JSON record lines, read as one numpy column:
+    a column numpy cannot hold as integers or floats raises TypeError."""
+    import json
+
+    import numpy as np
+
+    records = json.loads("[" + ",".join(lines) + "]")
+    p_pos = np.array([r["p_pos"] for r in records])
+    if p_pos.dtype.kind not in "iuf":
+        raise TypeError("p_pos is not a number")
+    return dict(zip([r["id"] for r in records],
+                    np.clip(p_pos.astype(np.float64), 1e-9, 1.0 - 1e-9).tolist()))
+
+
+def permutations_reference(seed: int, sizes) -> list[list[int]]:
+    """np.random.RandomState(seed).permutation(n) for each n of sizes, in
+    turn from the one generator."""
+    import numpy as np
+
+    rng = np.random.RandomState(seed)
+    return [rng.permutation(n).tolist() for n in sizes]
 
 
 def grid_accuracies_reference(P, y, step_denominator: int, block_cells: int = 1 << 20):

@@ -138,7 +138,8 @@ class TestPipeline:
 
     def test_each_stage_loads_only_its_model_modules(self, imdb_tree, pipeline_dir, tmp_path):
         """Each stage, in a fresh process, imports no model module but the
-        ones it runs, and none imports scipy."""
+        ones it runs, and none imports scipy; prepare, evaluate and report,
+        which do no array math, and the CLI module itself import no numpy."""
         run_dir = tmp_path / "run"
         shutil.copytree(pipeline_dir, run_dir)
         out = ["--out-dir", str(run_dir)]
@@ -170,10 +171,16 @@ class TestPipeline:
             loaded = json.loads(proc.stdout.splitlines()[-1])
             assert not loaded["scipy"], argv
             assert set(loaded["models"]) <= allowed, (argv, loaded["models"])
+            if argv[0] in ("prepare", "evaluate", "report"):
+                assert not loaded["numpy"], argv
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sentimix.cli; print('numpy' in sys.modules)"],
+            env=src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "False\n", proc.stderr
 
 
 # runs one stage and prints, as its last line, the model modules and scipy
-# modules loaded by then
+# modules loaded by then, and whether numpy was
 LOADED_MODULES = """
 import json, sys
 from sentimix.cli import cli_dispatch
@@ -183,6 +190,7 @@ model_modules = ("arpa", "nbsvm", "ngram_lm", "pvec", "rnn_lm")
 print(json.dumps({
     "models": sorted(m for m in model_modules if f"sentimix.{m}" in sys.modules),
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "numpy": "numpy" in sys.modules,
 }))
 """
 
@@ -308,6 +316,19 @@ class TestExitCodes:
     def test_missing_scores_file_is_3(self, tmp_path, capsys):
         assert run(["evaluate", str(tmp_path / "none.jsonl"),
                     str(tmp_path / "none.tsv")]) == 3
+
+    @pytest.mark.parametrize("kind", ['"0.5"', "null", '{"x": 0.5}', "true"])
+    def test_score_that_is_no_number_is_1(self, tmp_path, capsys, kind):
+        """A p_pos that is a string, null or an object, or a column of only
+        booleans: one line naming the file and the first bad line."""
+        scores = tmp_path / "s.jsonl"
+        scores.write_text("\n" + "".join(
+            f'{{"id": "d{i}", "model": "m", "p_pos": {kind}}}\n' for i in range(2)))
+        labels = tmp_path / "l.tsv"
+        labels.write_text("d0\tnegative\nd1\tnegative\n")
+        assert run(["evaluate", str(scores), str(labels)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: ValueError: {scores}: line 2 is not a score record\n"
 
 
 class TestReadsCreateNothing:
@@ -527,10 +548,25 @@ class TestTrainFlags:
         (["prepare", "no-imdb", "--valid-fraction", "1"], "--valid-fraction", "in (0, 1)"),
         (["prepare", "no-imdb", "--valid-fraction", "nan"], "--valid-fraction", "in (0, 1)"),
         (["prepare", "no-imdb", "--min-count", "0"], "--min-count", "> 0"),
-        (["prepare", "no-imdb", "--workers", "0"], "--workers", "> 0")])
+        (["prepare", "no-imdb", "--workers", "0"], "--workers", "> 0"),
+        *[([*stage, "--seed", value], "--seed", "in [0, 2**32)")
+          for stage in (["prepare", "no-imdb"], ["train-pv"], ["train-rnn"])
+          for value in ("-1", "4294967296")]])
     def test_out_of_range_flag_is_2(self, tmp_path, capsys, argv, flag, rule):
         """A --subset of 0 or less would slice documents off the end."""
         self._assert_usage_error(tmp_path, capsys, argv, flag, rule)
+
+    def test_out_of_range_seed_leaves_no_rnn_log(self, imdb_tree, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert run(["prepare", str(imdb_tree), "--out-dir", out, "--subset", "4"]) == 0
+        assert run(["train-rnn", "--out-dir", out, "--seed", "-5"]) == 2
+        assert "--seed must be in [0, 2**32), got -5" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "models").exists()
+
+    @pytest.mark.parametrize("seed", ["0", "4294967295"])
+    def test_seed_at_the_range_ends_prepares(self, imdb_tree, tmp_path, seed):
+        assert run(["prepare", str(imdb_tree), "--out-dir", str(tmp_path / "run"),
+                    "--subset", "4", "--seed", seed]) == 0
 
     @pytest.mark.parametrize("value", ["0", "-0.1", "2", "0.3", "nan"])
     def test_step_that_does_not_divide_one_is_2(self, tmp_path, capsys, value):

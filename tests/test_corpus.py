@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentimix.corpus import (
-    BOS, EOS, TOKENIZER_HASH, UNK, CorpusError, build_vocab, file_digest,
-    load_imdb, read_manifest, read_token_cache, split_validation, tokenize,
-    write_manifest, write_token_cache,
+    BOS, EOS, TOKENIZER_HASH, UNK, CorpusError, _legacy_mt19937, _permutation,
+    build_vocab, file_digest, load_imdb, read_manifest, read_token_cache,
+    split_validation, tokenize, write_manifest, write_token_cache,
 )
 from conftest import make_docs
+from oracles import permutations_reference
 
 
 class TestTokenize:
@@ -85,6 +86,56 @@ class TestLoadImdb:
         assert [d.id for d in serial.documents] == [d.id for d in parallel.documents]
         assert [d.tokens for d in serial.documents] == \
             [d.tokens for d in parallel.documents]
+
+
+class TestListingRule:
+    """A leaf's documents are its entries whose names end in ``.txt`` (case
+    sensitive, dot-files included), in code-point order of the name; an id
+    is the leaf and the name less ``.txt``, as ``Path.stem`` gives it."""
+
+    NAMES = ["a.txt", "B.txt", ".hidden.txt", "a.b.txt", ".txt", "..txt", "10.txt",
+             "9.txt", "Z.txt", "é.txt", "notes.md", "upper.TXT", "txt"]
+    STEMS = [".", ".hidden", ".txt", "10", "9", "B", "Z", "a.b", "a", "é"]
+
+    def _tree(self, root):
+        for leaf in ("train/pos", "train/neg", "test/pos", "test/neg"):
+            (root / leaf).mkdir(parents=True)
+        for i, name in enumerate(self.NAMES):
+            (root / "train/pos" / name).write_text(f"word{i}")
+        return root
+
+    def test_ids_and_order(self, tmp_path):
+        root = self._tree(tmp_path)
+        ids = [d.id for d in load_imdb(root).documents]
+        assert ids == [f"train/pos/{s}" for s in self.STEMS]
+
+    def test_order_is_the_path_sort(self, tmp_path):
+        root = self._tree(tmp_path)
+        expected = [f"train/pos/{p.stem}" for p in sorted((root / "train/pos").glob("*.txt"))]
+        assert [d.id for d in load_imdb(root).documents] == expected
+
+    def test_text_comes_from_the_named_file(self, tmp_path):
+        root = self._tree(tmp_path)
+        tokens = {d.id: d.tokens for d in load_imdb(root).documents}
+        assert tokens["train/pos/a.b"] == (f"word{self.NAMES.index('a.b.txt')}",)
+        assert tokens["train/pos/.txt"] == (f"word{self.NAMES.index('.txt')}",)
+
+    def test_subset_takes_the_first_n(self, tmp_path):
+        root = self._tree(tmp_path)
+        ids = [d.id for d in load_imdb(root, subset=4).documents]
+        assert ids == [f"train/pos/{s}" for s in self.STEMS[:4]]
+
+    def test_workers_equivalent(self, tmp_path):
+        root = self._tree(tmp_path)
+        serial = load_imdb(root).documents
+        parallel = load_imdb(root, workers=2).documents
+        assert serial == parallel
+
+    def test_directory_named_txt_is_an_error(self, tmp_path):
+        root = self._tree(tmp_path)
+        (root / "train/neg/x.txt").mkdir()
+        with pytest.raises(CorpusError, match="x.txt"):
+            load_imdb(root)
 
 
 class TestVocabulary:
@@ -169,6 +220,29 @@ class TestSplitValidation:
         pos_in = 33 / 50
         pos_valid = sum(d.label == "positive" for d in valid) / len(valid)
         assert abs(pos_valid - pos_in) <= 1.0 / len(valid) + 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 12500])
+    def test_permutations_match_random_state(self, seed, n):
+        """Two groups in a row from one generator, as the split draws them."""
+        rng = _legacy_mt19937(seed)
+        assert [_permutation(rng, n), _permutation(rng, n)] == \
+            permutations_reference(seed, [n, n])
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1])
+    def test_split_is_the_random_state_split(self, seed):
+        docs = self._docs(37, 23)
+        _, valid = split_validation(docs, 0.3, seed=seed)
+        neg_order, pos_order = permutations_reference(seed, [23, 37])  # labels sorted
+        chosen = [f"doc{37 + i:03d}" for i in neg_order[:6]] + \
+            [f"doc{i:03d}" for i in pos_order[:11]]
+        assert [d.id for d in valid] == sorted(chosen)
+        assert all(d.split == "valid" for d in valid)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*32\)"):
+            split_validation(self._docs(2, 2), 0.5, seed=seed)
 
 
 class TestArtifacts:

@@ -1,5 +1,8 @@
 import itertools
+import json
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from sentimix.ensemble import (
 )
 from conftest import combine
 from oracles import (grid_accuracies_reference, grid_search_reference,
-                     read_scores_reference)
+                     read_scores_reference, score_records_reference)
 
 
 class TestCalibration:
@@ -384,6 +387,60 @@ class TestFiles:
         with open(path, "a", encoding="utf-8") as f:
             f.write("\n" + bad + "\n" + '{"id": "d", "model": "m", "p_pos": 0.5}\n')
         with pytest.raises(ValueError, match=r"s\.jsonl: line 4 is not a score record"):
+            read_scores_jsonl(path)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reader_matches_column_reader(self, tmp_path, seed):
+        """The pure-Python clamp gives numpy's column clamp bit for bit, on
+        floats in and out of range, integers (a column of only integers
+        too), 0, 1, the clamp bounds, infinities and NaN."""
+        rng = random.Random(seed)
+        specials = [0, 1, -2, 3, 0.0, 1.0, 1e-9, 1 - 1e-9, 1e-12, 1 - 1e-12,
+                    math.inf, -math.inf, math.nan, -0.0]
+        only_ints = seed == 4
+        lines = []
+        for i in range(300):
+            if only_ints:
+                p = rng.choice([0, 1, -5, 7])
+            elif rng.random() < 0.2:
+                p = rng.choice(specials)
+            else:
+                p = rng.uniform(-0.5, 1.5)
+            lines.append(json.dumps({"id": f"d{rng.randrange(200)}", "model": "m",
+                                     "p_pos": p}))
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(lines[:150]) + "\n\n" + "\n".join(lines[150:]) + "\n")
+        back = read_scores_jsonl(path)
+        expected = score_records_reference(lines)
+        assert list(back) == list(expected)
+        assert [struct.pack("<d", v) for v in back.values()] == \
+            [struct.pack("<d", v) for v in expected.values()]
+        assert all(type(v) is float for v in back.values())
+
+    @pytest.mark.parametrize("kind", ['"0.5"', "null", '{"x": 0.5}', "true"])
+    def test_bad_kind_is_named_as_the_column_reader_rejects_it(self, tmp_path, kind):
+        """A p_pos that is a string, null or an object, or a column of only
+        booleans, fails both readers; the file's reader names the first bad
+        line."""
+        lines = [f'{{"id": "d{i}", "model": "m", "p_pos": {kind}}}' for i in range(3)]
+        with pytest.raises((TypeError, ValueError)):
+            score_records_reference(lines)
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"s\.jsonl: line 1 is not a score record"):
+            read_scores_jsonl(path)
+
+    @pytest.mark.parametrize("lines, bad_line", [
+        (['{"id": "a", "p_pos": 0.25}', '{"id": "b", "p_pos": true}'], 2),
+        (['{"id": "a", "p_pos": [0.25]}', '{"id": "b", "p_pos": [0.5]}'], 1)])
+    def test_deliberate_differences_from_the_column_reader(self, tmp_path, lines,
+                                                           bad_line):
+        """numpy reads a true among numbers as 1.0, and a column of equal-length
+        lists as a matrix; only JSON numbers are scores here."""
+        assert score_records_reference(lines)
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"s\.jsonl: line {bad_line} is not a score"):
             read_scores_jsonl(path)
 
     def test_weights_roundtrip(self, tmp_path):
