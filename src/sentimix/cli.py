@@ -74,7 +74,7 @@ def _record_stage(args, stage: str, artifacts: list[Path], extra: dict | None = 
     for p in artifacts:
         rel = p.relative_to(Path(args.out_dir))
         entries[f"{stage}.digest.{rel}"] = corpus.file_digest(p)
-    corpus.write_manifest(Path(args.out_dir) / "manifest.txt", entries)
+    corpus.write_manifest(_out(args, "manifest.txt"), entries)
 
 
 def _load_split(args, split: str, subset: int | None = None) -> list[corpus.Document]:
@@ -131,7 +131,7 @@ def cmd_prepare(args) -> int:
 
     warnings = docs.warnings
     if args.with_unsup:
-        unsup = corpus.load_unsup(args.imdb_dir, subset=args.subset)
+        unsup = corpus.load_unsup(args.imdb_dir, subset=args.subset, workers=args.workers)
         unsup_cache = _out(args, "cache", "unsup.tsv")
         corpus.write_token_cache(unsup.documents, unsup_cache)
         artifacts.append(unsup_cache)
@@ -211,8 +211,7 @@ def cmd_train_pv(args) -> int:
         pv_docs.extend(corpus.read_token_cache(_in(args, "cache", "unsup.tsv"),
                                                "train"))
     vocab = corpus.build_vocab(pv_docs, min_count=args.min_count)
-    config = pvec.PvConfig(dim=args.dim, window=args.window, epochs=args.epochs,
-                           lr0=args.lr, mode=args.mode, seed=args.seed)
+    config = pvec.PvConfig(dim=args.dim, epochs=args.epochs, lr0=args.lr, seed=args.seed)
     model = pvec.train_pv(pv_docs, vocab, config)
     pvc = pvec.fit_classifier(model, train, args.lr, infer_steps=args.infer_steps, l2=args.l2)
     artifacts = pvec.save_model(_out(args, "models", ""), pvc)
@@ -433,12 +432,11 @@ STAGES = {
     "train-pv": ("train paragraph vectors + linear classifier", cmd_train_pv, (
         OUT_DIR,
         _flag("--dim", "> 0", type=int, default=100),
-        _flag("--window", ">= 0", type=int, default=10,
-              ignored=lambda a: "under --mode dbow" if a.mode == "dbow" else None,
-              help="context words each side (--mode dm only)"),
         _flag("--epochs", "> 0", type=int, default=20),
         _flag("--lr", "> 0", type=float, default=0.05),
-        _flag("--mode", default="dbow", choices=("dbow", "dm")),
+        _flag("--mode", default="dbow", choices=("dbow",),
+              help="paragraph-vector training mode: dbow (distributed bag of words), "
+                   "the one mode"),
         _flag("--min-count", "> 0", type=int, default=2),
         _flag("--l2", ">= 0", type=float, default=None),
         _flag("--seed", "in [0, 2**32)", type=int, default=1),

@@ -145,16 +145,10 @@ def _load_leaf(root: Path, rel: str, label: str, split: str,
     return list(mapper(_read_and_tokenize, jobs))
 
 
-def load_imdb(root_dir, subset: int | None = None, workers: int = 1) -> DocumentSet:
-    """Load the IMDB layout, deterministically ordered (lexicographic by path).
-
-    ``subset`` caps the number of files taken per leaf directory, for
-    desk-scale runs.  Tokenization parallelizes per file when workers > 1;
-    the result is identical either way.
-    """
-    root = Path(root_dir)
-    if not root.is_dir():
-        raise CorpusError(f"missing corpus root: {root}")
+def _load_leaves(root: Path, leaves, subset: int | None, workers: int) -> DocumentSet:
+    """The documents of each (rel, label, split) leaf under root, in order.
+    Tokenization parallelizes per file when workers > 1; the result is
+    identical either way."""
     warnings: list[str] = []
     docs: list[Document] = []
     pool = None
@@ -162,25 +156,38 @@ def load_imdb(root_dir, subset: int | None = None, workers: int = 1) -> Document
         from multiprocessing import Pool
         pool = Pool(workers)
     try:
-        for split in ("train", "test"):
-            for leaf, label in (("pos", POSITIVE), ("neg", NEGATIVE)):
-                docs.extend(_load_leaf(root, f"{split}/{leaf}", label, split, subset,
-                                       warnings, pool=pool))
+        for rel, label, split in leaves:
+            docs.extend(_load_leaf(root, rel, label, split, subset, warnings, pool=pool))
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-    ids = [d.id for d in docs]
+    return DocumentSet(documents=docs, warnings=warnings)
+
+
+def load_imdb(root_dir, subset: int | None = None, workers: int = 1) -> DocumentSet:
+    """Load the IMDB layout, deterministically ordered (lexicographic by path).
+
+    ``subset`` caps the number of files taken per leaf directory, for
+    desk-scale runs; ``workers`` tokenizing processes as in _load_leaves.
+    """
+    root = Path(root_dir)
+    if not root.is_dir():
+        raise CorpusError(f"missing corpus root: {root}")
+    docs = _load_leaves(root, [(f"{split}/{leaf}", label, split)
+                               for split in ("train", "test")
+                               for leaf, label in (("pos", POSITIVE), ("neg", NEGATIVE))],
+                        subset, workers)
+    ids = [d.id for d in docs.documents]
     if len(set(ids)) != len(ids):
         raise CorpusError("duplicate document ids in corpus")
-    return DocumentSet(documents=docs, warnings=warnings)
+    return docs
 
 
-def load_unsup(root_dir, subset: int | None = None) -> DocumentSet:
-    """Load the unlabeled train/unsup reviews (optional, for paragraph vectors)."""
-    warnings: list[str] = []
-    docs = _load_leaf(Path(root_dir), "train/unsup", UNLABELED, "train", subset, warnings)
-    return DocumentSet(documents=docs, warnings=warnings)
+def load_unsup(root_dir, subset: int | None = None, workers: int = 1) -> DocumentSet:
+    """Load the unlabeled train/unsup reviews (optional, for paragraph
+    vectors), with ``subset`` and ``workers`` as in load_imdb."""
+    return _load_leaves(Path(root_dir), [("train/unsup", UNLABELED, "train")], subset, workers)
 
 
 def build_vocab(docs, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
@@ -325,8 +332,6 @@ def length_blocks(lengths, cells: int) -> list[np.ndarray]:
 
 def write_token_cache(docs, path) -> None:
     """One document per line: id<TAB>label<TAB>space-separated tokens."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         for d in docs:
             f.write(f"{d.id}\t{d.label}\t{' '.join(d.tokens)}\n")
@@ -355,8 +360,6 @@ def read_token_cache(path, split: str) -> list[Document]:
 
 def write_manifest(path, entries: dict, append: bool = True) -> None:
     """key=value lines, appended to the file or replacing it."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a" if append else "w", encoding="utf-8") as f:
         for k in entries:
             f.write(f"{k}={entries[k]}\n")

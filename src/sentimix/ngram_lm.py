@@ -139,17 +139,13 @@ class KneserNeyModel:
                 out[active] = bow_acc[active] + self.unigram_floor_logp
         return out
 
-    def logprob_positions(self, ids: np.ndarray) -> np.ndarray:
-        """Natural-log probability of each predicted position (tokens + EOS)."""
-        return self._backoff_logprobs(_wrapped_windows([ids], self.order))
-
     def doc_logprobs(self, encoded_docs) -> np.ndarray:
         """Each document's log-probability in nats (tokens + EOS, plus the OOV
         penalty per unknown word when one is set).
 
         One backoff query covers a block of documents, at most
         ``SCORE_BLOCK_CELLS`` predicted positions; each document's slice is
-        then summed on its own, as ``logprob_positions(ids).sum()`` would.
+        then summed on its own, as a query of that document alone would be.
         """
         totals = np.empty(len(encoded_docs))
         lengths = np.array([len(ids) + 1 for ids in encoded_docs], dtype=np.int64)
@@ -164,19 +160,6 @@ class KneserNeyModel:
                               for ids in encoded_docs], dtype=np.float64)
             totals += n_unk * self.oov_log_penalty
         return totals
-
-    def conditional_logprobs(self, context_ids) -> np.ndarray:
-        """log p(w | context) for every vocabulary index w at once."""
-        n = self.order
-        ctx = np.asarray(context_ids, dtype=np.uint32)
-        if len(ctx) < n - 1:
-            ctx = np.concatenate([np.full(n - 1 - len(ctx), BOS_ID, dtype=np.uint32), ctx])
-        ctx = ctx[len(ctx) - (n - 1):] if n > 1 else ctx[:0]
-        V = len(self.vocab)
-        rows = np.empty((V, n), dtype=np.uint32)
-        rows[:, : n - 1] = ctx
-        rows[:, n - 1] = np.arange(V, dtype=np.uint32)
-        return self._backoff_logprobs(rows)
 
 
 def _estimate_discounts(adjusted: np.ndarray, order_k: int,

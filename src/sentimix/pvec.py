@@ -1,11 +1,8 @@
-"""Paragraph-vector document embeddings trained with hierarchical softmax
-over a Huffman-coded vocabulary tree.
-
-The default mode is distributed bag of words: each word of a document is
-predicted from the document vector alone.  The distributed-memory mode
-(average of document and window word vectors predicting the center word)
-sits behind ``mode="dm"``.  New documents are embedded by gradient steps on
-a fresh vector with all shared parameters frozen.
+"""Paragraph-vector document embeddings trained as distributed bag of
+words (PV-DBOW): each word of a document is predicted from the document
+vector alone, through a hierarchical softmax over a Huffman-coded
+vocabulary tree.  New documents are embedded by gradient steps on a fresh
+vector with the tree's node vectors frozen.
 """
 
 from __future__ import annotations
@@ -78,23 +75,18 @@ def build_huffman(frequencies) -> HuffmanTree:
 @dataclass
 class PvConfig:
     dim: int = 100
-    window: int = 10
     epochs: int = 20
     lr0: float = 0.05
     lr_min: float = 0.0001
-    mode: str = "dbow"  # or "dm"
     seed: int = 1
 
 
 @dataclass
 class ParagraphVectorModel:
     dim: int
-    window: int
-    mode: str
     words: list[str]
     word_index: dict[str, int]
     tree: HuffmanTree
-    word_vecs: np.ndarray   # (W, D) float32
     node_vecs: np.ndarray   # (W-1, D) float32
     doc_vecs: np.ndarray    # (N, D) float32
     doc_ids: list[str]
@@ -171,15 +163,13 @@ def _padded_tree(tree: HuffmanTree):
 
 
 def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
-    """Train word/document vectors; deterministic for a fixed seed.
+    """Train document and tree node vectors; deterministic for a fixed seed.
 
     Document order is shuffled every epoch.  Each word step makes one
     ``_hs_update``; its rate decays linearly over all steps, floored at
     ``lr_min``.  The loss of the training curve is computed apart from the
     updates, ``LOSS_BUFFER_STEPS`` steps at a time, and added in step order.
     """
-    if config.mode not in ("dbow", "dm"):
-        raise ValueError(f"unknown training mode {config.mode!r}")
     words = [t for t in vocab.tokens if t not in RESERVED]
     freqs = [vocab.frequency(t) for t in words]
     if len(words) < 2:
@@ -193,7 +183,7 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
     W = len(words)
     docs = list(docs)
     N = len(docs)
-    word_vecs = ((rng.rand(W, D).astype(np.float32) - 0.5) / D)
+    rng.rand(W, D)  # once PV-DM's word vectors; still drawn, so doc_vecs keep their values
     doc_vecs = ((rng.rand(N, D).astype(np.float32) - 0.5) / D)
     node_vecs = np.zeros((W - 1, D), dtype=np.float32)
 
@@ -204,7 +194,6 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
     lens = code_len.tolist()
     z_buf = np.empty((LOSS_BUFFER_STEPS, padded_labels.shape[1]), dtype=np.float32)
     pending: list[int] = []  # the words of z_buf's filled rows, in step order
-    dm = config.mode == "dm"
     step = 0
     train_log: list[float] = []
     for epoch in range(config.epochs):
@@ -223,48 +212,33 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
             step += n
             epoch_words += n
             dvec = doc_vecs[di]
-            for t, (wid, lr) in enumerate(zip(ids.tolist(), rates)):
+            for wid, lr in zip(ids.tolist(), rates):
                 if len(pending) == LOSS_BUFFER_STEPS:
                     epoch_loss = _add_losses(epoch_loss, z_buf, pending, padded_labels,
                                              code_len)
                 z = z_buf[len(pending), :lens[wid]]
                 pending.append(wid)
-                path, label = tree.paths[wid], tree.labels[wid]
-                if dm:
-                    lo, hi = max(0, t - config.window), min(n, t + config.window + 1)
-                    ctx_ids = np.concatenate([ids[lo:t], ids[t + 1:hi]])
-                    n_contrib = len(ctx_ids) + 1
-                    ctx = (dvec + word_vecs[ctx_ids].sum(axis=0)) / n_contrib \
-                        if len(ctx_ids) else dvec
-                    dd = _hs_update(node_vecs, path, label, ctx, lr, z)
-                    dd /= n_contrib
-                    dvec += dd
-                    word_vecs[ctx_ids] += dd[None, :]
-                else:
-                    dvec += _hs_update(node_vecs, path, label, dvec, lr, z)
+                dvec += _hs_update(node_vecs, tree.paths[wid], tree.labels[wid], dvec, lr, z)
         epoch_loss = _add_losses(epoch_loss, z_buf, pending, padded_labels, code_len)
         avg = epoch_loss / max(epoch_words, 1)
         train_log.append(avg)
         if not np.isfinite(avg):
             raise FloatingPointError(f"paragraph-vector training diverged at epoch {epoch + 1}")
         log.info("pv epoch %d: avg loss %.4f", epoch + 1, avg)
-    return ParagraphVectorModel(dim=D, window=config.window, mode=config.mode,
-                                words=words, word_index=word_index, tree=tree,
-                                word_vecs=word_vecs, node_vecs=node_vecs,
-                                doc_vecs=doc_vecs, doc_ids=[d.id for d in docs],
-                                train_log=train_log, word_freqs=freqs)
+    return ParagraphVectorModel(dim=D, words=words, word_index=word_index, tree=tree,
+                                node_vecs=node_vecs, doc_vecs=doc_vecs,
+                                doc_ids=[d.id for d in docs], train_log=train_log,
+                                word_freqs=freqs)
 
 
 def infer_vectors(model: ParagraphVectorModel, docs, steps: int = 10,
                   lr0: float = 0.05, seed: int = 1) -> np.ndarray:
     """Embed unseen documents: gradient steps on a fresh vector per document
-    with word vectors and tree parameters frozen.
+    with the tree's node vectors frozen.
 
     Every document starts from the same seeded vector and makes ``steps``
     passes over its known words; its rate decays linearly over its own
-    ``steps * n_words`` updates, floored at ``PvConfig.lr_min``.  dm models
-    infer with the document vector alone as context: mixing in window word
-    vectors would route updates into frozen parameters.
+    ``steps * n_words`` updates, floored at ``PvConfig.lr_min``.
 
     Documents advance in lockstep, in length-sorted blocks of at most
     ``INFER_BLOCK_CELLS`` documents x words.  At each step the active
@@ -355,36 +329,42 @@ def fit_classifier(model: ParagraphVectorModel, train_docs, lr0: float,
     return PvClassifier(model, clf, infer_steps, lr0)
 
 
+PV_ARRAYS = ("words", "node_vecs", "doc_vecs", "doc_ids", "word_freqs", "lr_w", "lr_b", "meta")
+
+
 def save_model(models_dir, pvc: PvClassifier) -> list[Path]:
-    """pv.npz under models_dir: vocabulary, frequencies, every trained vector,
-    the logistic layer, meta = (dim, window, infer_steps, lr0) and the
-    training mode; returns its path in a list."""
+    """pv.npz under models_dir, holding PV_ARRAYS: vocabulary, frequencies,
+    node and document vectors, the logistic layer and meta = (dim,
+    infer_steps, lr0); returns its path in a list."""
     m = pvc.model
     path = Path(models_dir) / "pv.npz"
     np.savez_compressed(
-        path, words=pack_strings(m.words), word_vecs=m.word_vecs, node_vecs=m.node_vecs,
+        path, words=pack_strings(m.words), node_vecs=m.node_vecs,
         doc_vecs=m.doc_vecs, doc_ids=pack_strings(m.doc_ids),
         word_freqs=np.array(m.word_freqs, dtype=np.int64),
         lr_w=pvc.clf.w, lr_b=np.array([pvc.clf.b]),
-        meta=np.array([m.dim, m.window, pvc.infer_steps, pvc.lr0], dtype=np.float64),
-        mode=np.array(m.mode))
+        meta=np.array([m.dim, pvc.infer_steps, pvc.lr0], dtype=np.float64))
     return [path]
 
 
 def load_model(models_dir) -> PvClassifier:
-    """Inverse of save_model; the Huffman tree is rebuilt from the frequencies."""
-    data = read_npz(Path(models_dir) / "pv.npz")
+    """Inverse of save_model; the Huffman tree is rebuilt from the frequencies.
+    An archive holding other arrays is refused, such as one with PV-DM's
+    word_vecs and mode, whose meta has the window in second place."""
+    path = Path(models_dir) / "pv.npz"
+    data = read_npz(path)
+    if set(data) != set(PV_ARRAYS):
+        raise ValueError(f"{path}: not a PV-DBOW model archive (arrays: "
+                         f"{', '.join(sorted(data))}); run train-pv again")
     words = unpack_strings(data["words"])
     freqs = data["word_freqs"].tolist()
     meta = data["meta"]
     model = ParagraphVectorModel(
-        dim=int(meta[0]), window=int(meta[1]), mode=str(data["mode"]),
-        words=words, word_index={w: i for i, w in enumerate(words)},
-        tree=build_huffman(freqs), word_vecs=data["word_vecs"],
-        node_vecs=data["node_vecs"], doc_vecs=data["doc_vecs"],
+        dim=int(meta[0]), words=words, word_index={w: i for i, w in enumerate(words)},
+        tree=build_huffman(freqs), node_vecs=data["node_vecs"], doc_vecs=data["doc_vecs"],
         doc_ids=unpack_strings(data["doc_ids"]), word_freqs=freqs)
     clf = nbsvm.LinearClassifier(w=data["lr_w"], b=float(data["lr_b"][0]), l2=0.0)
-    return PvClassifier(model, clf, infer_steps=int(meta[2]), lr0=float(meta[3]))
+    return PvClassifier(model, clf, infer_steps=int(meta[1]), lr0=float(meta[2]))
 
 
 def write_vectors_text(path, doc_ids, vectors) -> None:

@@ -16,7 +16,10 @@ they are the bit-exact references for the column passes in
 ``sentimix.ensemble``, so they clamp and multiply as those must.  So are the
 numpy column reader of score records, the reference for the pure-Python one,
 and ``np.random.RandomState`` permutations, the reference for the split's
-MT19937 draws in ``sentimix.corpus``.
+MT19937 draws in ``sentimix.corpus``.  ``conditional_logprobs`` and
+``logprob_positions`` are not references but probes: they query a
+``sentimix.ngram_lm.KneserNeyModel``'s own backoff tables, one context or
+one document at a time, for the normalisation and scoring tests.
 """
 
 from __future__ import annotations
@@ -125,6 +128,33 @@ class KneserNeyReference:
             h = tuple(seq[max(0, i - self.order + 1):i])
             total += math.log(self._p(min(self.order, len(h) + 1), h, seq[i]))
         return total
+
+
+def conditional_logprobs(model, context_ids):
+    """log p(w | context) for every vocabulary index w at once, from the
+    backoff tables of a ``sentimix.ngram_lm.KneserNeyModel``; a context
+    shorter than order - 1 is padded with start markers."""
+    import numpy as np
+    from sentimix.corpus import BOS_ID
+
+    n = model.order
+    ctx = np.asarray(context_ids, dtype=np.uint32)
+    if len(ctx) < n - 1:
+        ctx = np.concatenate([np.full(n - 1 - len(ctx), BOS_ID, dtype=np.uint32), ctx])
+    ctx = ctx[len(ctx) - (n - 1):] if n > 1 else ctx[:0]
+    V = len(model.vocab)
+    rows = np.empty((V, n), dtype=np.uint32)
+    rows[:, : n - 1] = ctx
+    rows[:, n - 1] = np.arange(V, dtype=np.uint32)
+    return model._backoff_logprobs(rows)
+
+
+def logprob_positions(model, ids):
+    """Natural-log probability of each predicted position of one encoded
+    document (its tokens, then the end marker) under a KneserNeyModel."""
+    from sentimix.ngram_lm import _wrapped_windows
+
+    return model._backoff_logprobs(_wrapped_windows([ids], model.order))
 
 
 def _sigmoid(x: float) -> float:
@@ -317,7 +347,7 @@ def pv_train_reference(docs, vocab, config, shuffle: bool = True):
     W = len(words)
     docs = list(docs)
     N = len(docs)
-    word_vecs = ((rng.rand(W, D).astype(np.float32) - 0.5) / D)
+    rng.rand(W, D)  # the draw train_pv makes before the document vectors
     doc_vecs = ((rng.rand(N, D).astype(np.float32) - 0.5) / D)
     node_vecs = np.zeros((W - 1, D), dtype=np.float32)
 
@@ -335,41 +365,21 @@ def pv_train_reference(docs, vocab, config, shuffle: bool = True):
             if len(ids) == 0:
                 continue
             dvec = doc_vecs[di]
-            if config.mode == "dbow":
-                for wid in ids:
-                    lr = max(config.lr_min, config.lr0 * (1.0 - step / total_steps))
-                    step += 1
-                    dd, loss = hs_step_reference(node_vecs, tree, wid, dvec, lr)
-                    dvec += dd
-                    epoch_loss += loss
-                    epoch_words += 1
-            elif config.mode == "dm":
-                w = config.window
-                for t in range(len(ids)):
-                    lr = max(config.lr_min, config.lr0 * (1.0 - step / total_steps))
-                    step += 1
-                    lo, hi = max(0, t - w), min(len(ids), t + w + 1)
-                    ctx_ids = np.concatenate([ids[lo:t], ids[t + 1:hi]])
-                    n_contrib = len(ctx_ids) + 1
-                    ctx = (dvec + word_vecs[ctx_ids].sum(axis=0)) / n_contrib \
-                        if len(ctx_ids) else dvec.copy()
-                    dd, loss = hs_step_reference(node_vecs, tree, ids[t], ctx, lr)
-                    dd /= n_contrib
-                    dvec += dd
-                    word_vecs[ctx_ids] += dd[None, :]
-                    epoch_loss += loss
-                    epoch_words += 1
-            else:
-                raise ValueError(f"unknown training mode {config.mode!r}")
+            for wid in ids:
+                lr = max(config.lr_min, config.lr0 * (1.0 - step / total_steps))
+                step += 1
+                dd, loss = hs_step_reference(node_vecs, tree, wid, dvec, lr)
+                dvec += dd
+                epoch_loss += loss
+                epoch_words += 1
         avg = epoch_loss / max(epoch_words, 1)
         train_log.append(avg)
         if not np.isfinite(avg):
             raise FloatingPointError(f"paragraph-vector training diverged at epoch {epoch + 1}")
-    return ParagraphVectorModel(dim=D, window=config.window, mode=config.mode,
-                                words=words, word_index=word_index, tree=tree,
-                                word_vecs=word_vecs, node_vecs=node_vecs,
-                                doc_vecs=doc_vecs, doc_ids=[d.id for d in docs],
-                                train_log=train_log, word_freqs=freqs)
+    return ParagraphVectorModel(dim=D, words=words, word_index=word_index, tree=tree,
+                                node_vecs=node_vecs, doc_vecs=doc_vecs,
+                                doc_ids=[d.id for d in docs], train_log=train_log,
+                                word_freqs=freqs)
 
 
 def huffman_min_expected_length(freqs: list[int]) -> float:

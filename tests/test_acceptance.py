@@ -27,7 +27,8 @@ from sentimix.corpus import BOS, BOS_ID, EOS_ID, build_vocab, file_digest
 from sentimix.ngram_lm import count_ngrams, estimate_kneser_ney, train_kn_model
 from conftest import doc_logprob, make_docs, rnn_forward, rnn_gradients, src_env
 from oracles import (
-    KneserNeyReference, grid_search_reference, hs_step_reference, rnn_reference,
+    KneserNeyReference, conditional_logprobs, grid_search_reference, hs_step_reference,
+    rnn_reference,
 )
 from synth import build_imdb_tree
 
@@ -225,7 +226,7 @@ def _check_kn_normalization():
     contexts = [[], ["w1"], ["w1", "w2"], ["w3", "zzz"], ["zzz", "zzz"]]
     contexts += [[f"w{rng.randint(12)}", f"w{rng.randint(12)}"] for _ in range(20)]
     for ctx in contexts:
-        clp = model.conditional_logprobs(vocab.encode(ctx))
+        clp = conditional_logprobs(model, vocab.encode(ctx))
         total = sum(math.exp(clp[i]) for i, t in enumerate(vocab.tokens) if t != BOS)
         assert abs(total - 1.0) < 1e-6, f"KN normalization off: {total} at {ctx}"
 
@@ -237,7 +238,7 @@ def _check_kn_toy_oracle():
     model = train_kn_model(docs, 2, vocab)
     ref = KneserNeyReference(toy, 2, [t for t in vocab.tokens if t != BOS])
     for ctx in [(), ("the",), ("cat",), ("sat",)]:
-        clp = model.conditional_logprobs(vocab.encode(ctx))
+        clp = conditional_logprobs(model, vocab.encode(ctx))
         for i, t in enumerate(vocab.tokens):
             if t == BOS:
                 continue

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from sentimix import nbsvm, pvec, rnn_lm
+from sentimix import nbsvm, rnn_lm
 from sentimix.cli import build_parser, cli_dispatch
 from sentimix.corpus import read_manifest
 from sentimix.ensemble import write_scores_jsonl
@@ -470,8 +470,21 @@ def _bad_magic(path):
     path.write_bytes(b"NOTRNN!" + data[7:])
 
 
+def _pv_dm_layout(path):
+    """Rewrite pv.npz as the layout of the PV-DM era: word_vecs, mode, and
+    the window second in meta."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    dim, infer_steps, lr0 = arrays["meta"].tolist()
+    arrays.update(word_vecs=np.zeros((1, int(dim)), dtype=np.float32),
+                  meta=np.array([dim, 10, infer_steps, lr0]), mode=np.array("dbow"))
+    with open(path, "wb") as f:
+        np.savez_compressed(f, **arrays)
+
+
 FAULTS = {
     "truncated-pv-npz": ("models/pv.npz", _cut, ["score", "pv", "test"]),
+    "pv-npz-with-word-vectors": ("models/pv.npz", _pv_dm_layout, ["score", "pv", "test"]),
     "bad-magic-rnn": ("models/rnn-pos.bin", _bad_magic, ["score", "rnn", "test"]),
     "truncated-rnn": ("models/rnn-pos.bin", _cut, ["score", "rnn", "test"]),
     "truncated-rnn-header": ("models/rnn-pos.bin",
@@ -524,7 +537,7 @@ class TestTrainFlags:
     @pytest.mark.parametrize("flag, value, rule", [
         ("--dim", "0", "> 0"), ("--lr", "-0.1", "> 0"), ("--lr", "nan", "> 0"),
         ("--epochs", "0", "> 0"), ("--min-count", "0", "> 0"),
-        ("--infer-steps", "-2", ">= 0"), ("--window", "-1", ">= 0"), ("--l2", "-1", ">= 0")])
+        ("--infer-steps", "-2", ">= 0"), ("--l2", "-1", ">= 0")])
     def test_train_pv_invalid_flag_is_2(self, tmp_path, capsys, flag, value, rule):
         self._assert_usage_error(tmp_path, capsys, ["train-pv", f"{flag}={value}"], flag, rule)
 
@@ -577,40 +590,41 @@ class TestTrainFlags:
 
     @pytest.mark.parametrize("argv", [["train-nbsvm", "--l2", "0"],
                                       ["train-pv", "--l2", "0", "--infer-steps", "0",
-                                       "--window", "0", "--mode", "dm"]])
+                                       "--mode", "dbow"]])
     def test_zero_where_allowed_reaches_the_run_directory(self, tmp_path, argv):
         assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 3
 
     @pytest.mark.parametrize("argv, flag", [
-        (["train-ngram", "--oov-penalty", "0.5"], "--oov-penalty"),
-        (["train-pv", "--window", "3"], "--window"),
-        (["train-pv", "--mode", "dbow", "--window=10"], "--window")])
+        (["train-ngram", "--oov-penalty", "0.5"], "--oov-penalty")])
     def test_flag_the_path_ignores_is_2(self, tmp_path, capsys, argv, flag):
         assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: usage: {flag} has no effect") and err.count("\n") == 1
         assert not (tmp_path / "none").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--mode", "dm"], "invalid choice: 'dm'"),
+        (["--window", "3"], "unrecognized arguments: --window 3"),
+        (["--mode", "dbow", "--window=10"], "unrecognized arguments: --window=10")])
+    def test_pv_dm_flags_are_2(self, tmp_path, capsys, argv, message):
+        """PV-DBOW is the one training mode: PV-DM and its window are gone."""
+        with pytest.raises(SystemExit) as exc:
+            run(["train-pv", *argv, "--out-dir", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
     @pytest.mark.parametrize("argv", [["train-ngram", "--separate-vocab", "--oov-penalty", "1"],
-                                      ["train-pv", "--mode", "dm", "--window", "3"],
+                                      ["train-pv", "--mode", "dbow"],
                                       ["train-ngram", "--config", "{cfg}"],
                                       ["train-pv", "--config", "{cfg}"]])
     def test_flag_the_path_reads_reaches_the_run_directory(self, tmp_path, argv):
         """A --config value is a default, not a given flag, so a path that
         ignores it does not reject it."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("oov-penalty=0.5\nwindow=3\n")
+        cfg.write_text("oov-penalty=0.5\n")
         argv = [a.format(cfg=cfg) for a in argv]
         assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 3
-
-
-class TestModelFiles:
-    def test_pv_mode_survives_the_model_file(self, imdb_tree, tmp_path):
-        out = tmp_path / "run"
-        assert run(["prepare", str(imdb_tree), "--out-dir", str(out), "--subset", "4"]) == 0
-        assert run(["train-pv", "--out-dir", str(out), "--dim", "4", "--epochs", "1",
-                    "--min-count", "1", "--mode", "dm"]) == 0
-        assert pvec.load_model(out / "models").model.mode == "dm"
 
 
 class TestUnsupPath:
@@ -623,6 +637,17 @@ class TestUnsupPath:
         assert run(["train-pv", "--out-dir", out, "--dim", "4", "--epochs", "2",
                     "--min-count", "2", "--use-unsup"]) == 0
         assert "31 documents" in capsys.readouterr().out  # 16 labeled train + 15 unsup
+
+    def test_unsup_cache_same_with_workers(self, tmp_path):
+        from synth import build_imdb_tree
+        tree = build_imdb_tree(tmp_path / "imdb", n_per_leaf=6, seed=3, n_unsup=15)
+        caches = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"run{workers}"
+            assert run(["prepare", str(tree), "--out-dir", str(out), "--with-unsup",
+                        "--workers", workers]) == 0
+            caches.append((out / "cache" / "unsup.tsv").read_bytes())
+        assert caches[0] == caches[1] and caches[0].count(b"\n") == 15
 
     def test_empty_unsup_warning_reaches_manifest(self, tmp_path):
         from synth import build_imdb_tree
@@ -659,7 +684,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("argv, key", [
         (["train-rnn"], "hiden"), (["score", "rnn", "test"], "hiden"),
-        (["score", "nbsvm1", "valid"], "split"), (["train-rnn"], "out-dir")])
+        (["score", "nbsvm1", "valid"], "split"), (["train-rnn"], "out-dir"),
+        (["train-pv"], "window")])
     def test_key_without_effect_is_2(self, tmp_path, capsys, argv, key):
         """A key that is no optional flag of any stage, misspelt or naming an
         argument only the command line sets, is a usage error naming the key

@@ -3,13 +3,15 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sentimix import corpus
 from sentimix.corpus import (
     BOS, EOS, TOKENIZER_HASH, UNK, CorpusError, _legacy_mt19937, _permutation,
-    build_vocab, file_digest, load_imdb, read_manifest, read_token_cache,
+    build_vocab, file_digest, load_imdb, load_unsup, read_manifest, read_token_cache,
     split_validation, tokenize, write_manifest, write_token_cache,
 )
 from conftest import make_docs
 from oracles import permutations_reference
+from synth import build_imdb_tree
 
 
 class TestTokenize:
@@ -86,6 +88,33 @@ class TestLoadImdb:
         assert [d.id for d in serial.documents] == [d.id for d in parallel.documents]
         assert [d.tokens for d in serial.documents] == \
             [d.tokens for d in parallel.documents]
+
+
+class TestLoadUnsup:
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        return build_imdb_tree(tmp_path / "imdb", n_per_leaf=2, seed=3, n_unsup=20)
+
+    def test_workers_equivalent(self, tree):
+        serial = load_unsup(tree, subset=15)
+        assert len(serial) == 15 and {d.label for d in serial.documents} == {"unlabeled"}
+        assert load_unsup(tree, subset=15, workers=2).documents == serial.documents
+
+    def test_tokenized_in_the_workers(self, tree, tmp_path, monkeypatch):
+        """Every unlabeled file is tokenized in a worker process, none in this
+        one (the workers are forked, so they call the recording tokenize)."""
+        pids = tmp_path / "pids"
+        tokenize_text = corpus.tokenize
+
+        def recording(raw):
+            with open(pids, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\n")
+            return tokenize_text(raw)
+
+        monkeypatch.setattr(corpus, "tokenize", recording)
+        assert len(load_unsup(tree, workers=2)) == 20
+        seen = pids.read_text().split()
+        assert len(seen) == 20 and str(os.getpid()) not in seen
 
 
 class TestListingRule:

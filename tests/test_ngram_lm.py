@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentimix import ngram_lm
-from sentimix.corpus import BOS, EOS, UNK, BOS_ID, EOS_ID, UNK_ID, build_vocab
+from sentimix.corpus import BOS, EOS, UNK, EOS_ID, UNK_ID, build_vocab
 from sentimix.ngram_lm import (
     CountError, GenerativeClassifier, KneserNeyModel, count_ngrams,
     estimate_kneser_ney, make_priors, pack_rows, score_documents,
     train_generative_classifier, train_kn_model,
 )
 from conftest import classify_generative, doc_logprob, log_ratio, make_docs
-from oracles import KneserNeyReference
+from oracles import KneserNeyReference, conditional_logprobs, logprob_positions
 
 
 def _gram_dict(table, k, vocab):
@@ -93,7 +93,7 @@ class TestKneserNey:
     def test_toy_conditionals_frozen(self, toy_model):
         """p(w | "the") against exact hand-derived fractions."""
         model, vocab = toy_model
-        clp = model.conditional_logprobs(vocab.encode(["the"]))
+        clp = conditional_logprobs(model, vocab.encode(["the"]))
         expected = {"cat": 7 / 12, EOS: 1 / 8, "the": 1 / 12, "ran": 1 / 12,
                     "sat": 1 / 12, UNK: 1 / 24}
         for token, p in expected.items():
@@ -104,7 +104,7 @@ class TestKneserNey:
         ref = KneserNeyReference(TOY, 2, [t for t in vocab.tokens if t != BOS])
         for ctx in [(), ("the",), ("cat",), ("sat",), ("unseen",)]:
             rctx = tuple(UNK if t == "unseen" else t for t in ctx)
-            clp = model.conditional_logprobs(vocab.encode(ctx))
+            clp = conditional_logprobs(model, vocab.encode(ctx))
             for i, t in enumerate(vocab.tokens):
                 if t == BOS:
                     continue
@@ -140,7 +140,7 @@ class TestKneserNey:
         model = train_kn_model(docs, 3, vocab)
         contexts = [(), ("a",), ("a", "b"), ("e", "e"), ("zzz",), ("a", "zzz")]
         for ctx in contexts:
-            clp = model.conditional_logprobs(vocab.encode(ctx))
+            clp = conditional_logprobs(model, vocab.encode(ctx))
             total = sum(math.exp(clp[i]) for i, t in enumerate(vocab.tokens) if t != BOS)
             assert abs(total - 1.0) < 1e-6
 
@@ -150,7 +150,7 @@ class TestKneserNey:
         model = train_kn_model(docs, 2, vocab)
         assert model.warnings  # degenerate count-of-counts recorded
         assert model.discounts[0] == (0.5, 1.0, 1.5)
-        clp = model.conditional_logprobs(vocab.encode(["a"]))
+        clp = conditional_logprobs(model, vocab.encode(["a"]))
         total = sum(math.exp(clp[i]) for i, t in enumerate(vocab.tokens) if t != BOS)
         assert abs(total - 1.0) < 1e-6
 
@@ -192,7 +192,7 @@ class TestKneserNey:
         model = train_kn_model(docs, 2, vocab)
 
         def prefix_lp(tokens):  # token positions only, end marker excluded
-            return float(model.logprob_positions(vocab.encode(tokens))[:-1].sum())
+            return float(logprob_positions(model, vocab.encode(tokens))[:-1].sum())
 
         lp = prefix_lp(doc)
         for extra in ["a", "e", "zzz"]:
@@ -219,7 +219,7 @@ class TestDocLogprob:
         docs = make_docs(TOY)
         vocab = build_vocab(docs)
         model = train_kn_model(docs, 2, vocab)
-        clp = model.conditional_logprobs(vocab.encode([]))
+        clp = conditional_logprobs(model, vocab.encode([]))
         assert doc_logprob(model, []) == pytest.approx(float(clp[EOS_ID]), rel=1e-12)
 
     def test_oov_penalty_mode(self):
@@ -320,7 +320,7 @@ def _review_docs(n_docs, seed, n_words=40, label="positive"):
 def _summed_positions(model, tokens):
     """One document's log-probability from its own per-position array."""
     ids = model.vocab.encode(tokens)
-    total = float(model.logprob_positions(ids).sum())
+    total = float(logprob_positions(model, ids).sum())
     if model.oov_log_penalty is not None:
         total += float(np.count_nonzero(ids == UNK_ID)) * model.oov_log_penalty
     return total

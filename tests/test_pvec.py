@@ -10,7 +10,7 @@ from sentimix import pvec
 from sentimix.corpus import build_vocab
 from sentimix.nbsvm import dense_rows
 from sentimix.pvec import (
-    HuffmanTree, ParagraphVectorModel, PvConfig, build_huffman,
+    ParagraphVectorModel, PvConfig, build_huffman,
     fit_classifier, infer_vectors, load_model, save_model, train_pv,
     write_vectors_binary, write_vectors_text,
 )
@@ -79,9 +79,7 @@ def _tiny_model(n_words=8, dim=4, seed=0):
     tree = build_huffman(freqs)
     words = [f"w{i}" for i in range(n_words)]
     return ParagraphVectorModel(
-        dim=dim, window=5, mode="dbow", words=words,
-        word_index={w: i for i, w in enumerate(words)}, tree=tree,
-        word_vecs=rng.randn(n_words, dim).astype(np.float32),
+        dim=dim, words=words, word_index={w: i for i, w in enumerate(words)}, tree=tree,
         node_vecs=rng.randn(n_words - 1, dim).astype(np.float32) * 0.3,
         doc_vecs=rng.randn(3, dim).astype(np.float32),
         doc_ids=["d0", "d1", "d2"])
@@ -176,22 +174,12 @@ class TestTraining:
         m2 = train_pv(docs, vocab, cfg)
         assert np.array_equal(m1.doc_vecs, m2.doc_vecs)
         assert np.array_equal(m1.node_vecs, m2.node_vecs)
-        assert np.array_equal(m1.word_vecs, m2.word_vecs)
 
     def test_loss_decreases(self):
         docs = _toy_corpus()
         vocab = build_vocab(docs)
         model = train_pv(docs, vocab, PvConfig(dim=4, epochs=30, seed=1))
         assert model.train_log[-1] < model.train_log[0]
-
-    def test_dm_mode_runs_and_separates(self):
-        docs = _toy_corpus()
-        vocab = build_vocab(docs)
-        model = train_pv(docs, vocab,
-                         PvConfig(dim=4, window=3, epochs=100, lr0=0.1,
-                                  seed=3, mode="dm"))
-        assert _cosine(model.doc_vecs[0], model.doc_vecs[1]) < \
-            _cosine(model.doc_vecs[0], model.doc_vecs[2])
 
     def test_unshuffled_differs_from_shuffled(self):
         docs = _toy_corpus()
@@ -219,6 +207,11 @@ def _fibonacci_docs(n_words=19):
     return [tokens[i:i + 400] for i in range(0, len(tokens), 400)]
 
 
+# Cases keep the "dbow" in their ids from when PV-DM was a second training
+# mode, so that a case's id names the same check across the suite's history.
+DBOW = "{}-dbow".format
+
+
 class TestTrainingMatchesReference:
     """train_pv equals the one-word-at-a-time loop of tests/oracles.py bit
     for bit: every vector array under np.array_equal, the curve under ==."""
@@ -226,55 +219,51 @@ class TestTrainingMatchesReference:
     def _check(self, token_lists, min_count=1, **config):
         docs = make_docs(token_lists)
         vocab = build_vocab(docs, min_count=min_count)
-        cfg = PvConfig(**{"dim": 3, "epochs": 2, "window": 2, "seed": 4, **config})
+        cfg = PvConfig(**{"dim": 3, "epochs": 2, "seed": 4, **config})
         got = train_pv(docs, vocab, cfg)
         want = pv_train_reference(docs, vocab, cfg)
-        for name in ("word_vecs", "node_vecs", "doc_vecs"):
+        for name in ("node_vecs", "doc_vecs"):
             assert getattr(got, name).dtype == np.float32
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.train_log == want.train_log
         return got
 
-    @pytest.mark.parametrize("mode", ["dbow", "dm"])
-    @pytest.mark.parametrize("dim", [1, 3, 16, 100])
-    def test_mixed_lengths(self, mode, dim):
+    @pytest.mark.parametrize("dim", [1, 3, 16, 100], ids=DBOW)
+    def test_mixed_lengths(self, dim):
         token_lists = _zipf_docs(16, seed=3)
         token_lists[2] = []
         token_lists[5] = ["never", "seen"]  # below min_count: no known word
-        model = self._check(token_lists, min_count=2, dim=dim, window=3, mode=mode, seed=dim)
+        model = self._check(token_lists, min_count=2, dim=dim, seed=dim)
         assert "never" not in model.word_index
         assert len({len(c) for c in model.tree.codes}) > 3
 
-    @pytest.mark.parametrize("mode", ["dbow", "dm"])
-    @pytest.mark.parametrize("dim", [1, 3, 16, 100])
-    def test_two_word_vocabulary(self, mode, dim):
-        model = self._check([["a", "b", "a"], ["b", "b", "b", "a"], []], dim=dim, mode=mode,
-                            epochs=3)
+    @pytest.mark.parametrize("dim", [1, 3, 16, 100], ids=DBOW)
+    def test_two_word_vocabulary(self, dim):
+        model = self._check([["a", "b", "a"], ["b", "b", "b", "a"], []], dim=dim, epochs=3)
         assert {len(c) for c in model.tree.codes} == {1}
 
-    @pytest.mark.parametrize("mode", ["dbow", "dm"])
-    def test_rates_reach_the_floor(self, mode):
-        # lr0 = 1.5 lr_min: the linear decay crosses lr_min a third of the way in
-        self._check(_zipf_docs(8, seed=5), lr0=1.5 * PvConfig.lr_min, epochs=3, mode=mode)
+    # lr0 = 1.5 lr_min: the linear decay crosses lr_min a third of the way in
+    @pytest.mark.parametrize("lr0", [1.5 * PvConfig.lr_min], ids=["dbow"])
+    def test_rates_reach_the_floor(self, lr0):
+        self._check(_zipf_docs(8, seed=5), lr0=lr0, epochs=3)
 
-    @pytest.mark.parametrize("mode", ["dbow", "dm"])
-    def test_codes_longer_than_16(self, mode):
-        model = self._check(_fibonacci_docs(), epochs=1, mode=mode, lr0=0.1)
+    @pytest.mark.parametrize("lr0", [0.1], ids=["dbow"])
+    def test_codes_longer_than_16(self, lr0):
+        model = self._check(_fibonacci_docs(), epochs=1, lr0=lr0)
         assert max(len(c) for c in model.tree.codes) > 16
 
-    @pytest.mark.parametrize("mode", ["dbow", "dm"])
-    @pytest.mark.parametrize("buffer_steps", [1, 7])
-    def test_loss_flush_inside_a_document(self, monkeypatch, mode, buffer_steps):
+    @pytest.mark.parametrize("buffer_steps", [1, 7], ids=DBOW)
+    def test_loss_flush_inside_a_document(self, monkeypatch, buffer_steps):
         token_lists = _zipf_docs(6, seed=7, max_len=40)
         assert max(map(len, token_lists)) > buffer_steps
         monkeypatch.setattr(pvec, "LOSS_BUFFER_STEPS", buffer_steps)
-        self._check(token_lists, epochs=3, mode=mode)
+        self._check(token_lists, epochs=3)
 
-    @pytest.mark.parametrize("mode, lr0, epoch", [("dbow", 3e9, 1), ("dbow", 1.4, 2),
-                                                  ("dm", 6.0, 2)])
-    def test_divergence_at_the_same_epoch(self, mode, lr0, epoch):
+    @pytest.mark.parametrize("lr0, epoch", [(3e9, 1), (1.4, 2)],
+                             ids=["dbow-3000000000.0-1", "dbow-1.4-2"])
+    def test_divergence_at_the_same_epoch(self, lr0, epoch):
         docs = make_docs(_zipf_docs(10, seed=8))
-        cfg = PvConfig(dim=8, epochs=6, lr0=lr0, mode=mode, seed=1)
+        cfg = PvConfig(dim=8, epochs=6, lr0=lr0, seed=1)
         with np.errstate(all="ignore"):
             with pytest.raises(FloatingPointError) as want:
                 pv_train_reference(docs, build_vocab(docs), cfg)
@@ -308,10 +297,9 @@ class TestInference:
         assert np.array_equal(got, expected)
 
     def test_model_state_frozen(self, trained):
-        before = [a.copy() for a in (trained.word_vecs, trained.node_vecs)]
+        before = trained.node_vecs.copy()
         _infer_one(trained, GOOD_DOC, steps=5)
-        assert np.array_equal(trained.word_vecs, before[0])
-        assert np.array_equal(trained.node_vecs, before[1])
+        assert np.array_equal(trained.node_vecs, before)
 
     def test_inferred_matches_trained_document(self, trained):
         inferred_good = _infer_one(trained, GOOD_DOC, steps=20, lr0=0.1)
@@ -370,12 +358,6 @@ class TestBatchedInference:
         assert {len(c) for c in model.tree.codes} == {1}
         self._check(model, [["a", "b", "b", "a"], ["b"], ["c"], ["a"] * 9], steps=4)
 
-    def test_dm_trained_model(self):
-        docs = make_docs(_zipf_docs(20, seed=5))
-        model = train_pv(docs, build_vocab(docs),
-                         PvConfig(dim=6, epochs=2, window=2, mode="dm", seed=1))
-        self._check(model, _zipf_docs(8, seed=6), steps=2)
-
     @pytest.mark.parametrize("per_block", [1, 3])
     def test_block_boundaries(self, model, monkeypatch, per_block):
         held_out = self._held_out()
@@ -407,21 +389,42 @@ class TestClassification:
                       model.doc_vecs[2]]).astype(np.float64)
         assert np.array_equal(got, pvc.clf.predict_proba(dense_rows(X)))
 
-    @pytest.mark.parametrize("mode", ["dbow", "dm"])
-    def test_model_file_roundtrip(self, tmp_path, mode):
+    @pytest.mark.parametrize("infer_steps", [3], ids=["dbow"])
+    def test_model_file_roundtrip(self, tmp_path, infer_steps):
         docs = _toy_corpus()
-        model = train_pv(docs, build_vocab(docs),
-                         PvConfig(dim=4, epochs=2, window=2, mode=mode, seed=3))
-        pvc = fit_classifier(model, docs, 0.05, infer_steps=3)
+        model = train_pv(docs, build_vocab(docs), PvConfig(dim=4, epochs=2, seed=3))
+        pvc = fit_classifier(model, docs, 0.05, infer_steps=infer_steps)
         assert save_model(tmp_path, pvc) == [tmp_path / "pv.npz"]
         back = load_model(tmp_path)
-        assert back.model.mode == mode
-        assert (back.infer_steps, back.lr0) == (3, 0.05)
-        for name in ("word_vecs", "node_vecs", "doc_vecs"):
+        assert (back.infer_steps, back.lr0) == (infer_steps, 0.05)
+        assert back.model.dim == 4
+        for name in ("node_vecs", "doc_vecs"):
             assert np.array_equal(getattr(back.model, name), getattr(model, name))
         assert back.model.words == model.words and back.model.doc_ids == model.doc_ids
         held_out = [replace(d, id="new-" + d.id) for d in docs]
         assert np.array_equal(back.score(held_out).p_pos, pvc.score(held_out).p_pos)
+
+    def test_model_file_holds_no_word_vectors(self, tmp_path):
+        docs = _toy_corpus()
+        model = train_pv(docs, build_vocab(docs), PvConfig(dim=4, epochs=2, seed=3))
+        save_model(tmp_path, fit_classifier(model, docs, 0.05, infer_steps=3))
+        with np.load(tmp_path / "pv.npz") as data:
+            assert sorted(data.files) == sorted(pvec.PV_ARRAYS)
+            assert data["meta"].tolist() == [4, 3, 0.05]
+
+    def test_model_file_with_word_vectors_is_refused(self, tmp_path):
+        """The layout written while PV-DM was a mode (word_vecs, mode, and the
+        window second in meta) fails to load rather than misread meta."""
+        docs = _toy_corpus()
+        model = train_pv(docs, build_vocab(docs), PvConfig(dim=4, epochs=2, seed=3))
+        save_model(tmp_path, fit_classifier(model, docs, 0.05, infer_steps=3))
+        with np.load(tmp_path / "pv.npz") as data:
+            arrays = dict(data)
+        arrays.update(word_vecs=np.zeros((len(model.words), 4), dtype=np.float32),
+                      meta=np.array([4, 10, 3, 0.05]), mode=np.array("dbow"))
+        np.savez_compressed(tmp_path / "pv.npz", **arrays)
+        with pytest.raises(ValueError, match="pv.npz: not a PV-DBOW model archive"):
+            load_model(tmp_path)
 
 
 class TestVectorFiles:
