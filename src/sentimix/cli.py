@@ -22,7 +22,7 @@ from .corpus import NEGATIVE, POSITIVE
 log = logging.getLogger(__name__)
 
 # model id -> (module, keywords) of the load_model(models_dir, **keywords)
-# that reads it; the model has score(docs, temperature) -> ensemble.SplitScores.
+# that reads it; the model has score(docs) -> ensemble.SplitScores.
 # The score stage imports the one module it runs.
 MODELS = {
     "ngram": ("ngram_lm", {}),
@@ -30,7 +30,6 @@ MODELS = {
     **{f"nbsvm{n}": ("nbsvm", {"n_max": n}) for n in (1, 2, 3)},
     "pv": ("pvec", {}),
 }
-TEMPERED = ("ngram", "rnn")  # the models whose score reads --temperature
 SPLITS = ("train", "valid", "test")
 REPORT_TABLES = [
     ("# Individual models (test accuracy)",
@@ -46,13 +45,11 @@ class UsageError(Exception):
     """Arguments that parse but do not fit together (exit 2)."""
 
 
-class _StoreGiven(argparse.Action):
-    """Store the value and note that the flag was given on the command line,
-    not installed as a default by --config."""
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error, such as a flag no stage has, in one line."""
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, self.dest + "_given", True)
+    def error(self, message):
+        self.exit(2, f"error: usage: {message}\n")
 
 
 def _in(args, *parts) -> Path:
@@ -116,7 +113,6 @@ def cmd_prepare(args) -> int:
     train_all = docs.subset(split="train")
     test = docs.subset(split="test")
     train_sub, valid = corpus.split_validation(train_all, args.valid_fraction, args.seed)
-    vocab = corpus.build_vocab(train_sub, min_count=args.min_count)
 
     artifacts = []
     for split, split_docs in (("train", train_sub), ("valid", valid), ("test", test)):
@@ -125,9 +121,6 @@ def cmd_prepare(args) -> int:
         labels = _out(args, "labels", f"{split}.tsv")
         _write_labels(labels, split_docs)
         artifacts.extend([cache, labels])
-    vocab_path = _out(args, "vocab", "full.tsv")
-    corpus.write_vocab(vocab_path, vocab)
-    artifacts.append(vocab_path)
 
     warnings = docs.warnings
     if args.with_unsup:
@@ -140,16 +133,14 @@ def cmd_prepare(args) -> int:
     _record_stage(args, "prepare", artifacts, {
         "prepare.seed": args.seed,
         "prepare.valid_fraction": args.valid_fraction,
-        "prepare.min_count": args.min_count,
         "prepare.tokenizer_hash": corpus.TOKENIZER_HASH,
         "prepare.n_train": len(train_sub),
         "prepare.n_valid": len(valid),
         "prepare.n_test": len(test),
-        "prepare.vocab_size": len(vocab),
         "prepare.corpus_warnings": ";".join(warnings) or "none",
     })
     print(f"prepared {len(train_sub)} train / {len(valid)} valid / {len(test)} test "
-          f"documents, vocabulary {len(vocab)}")
+          "documents")
     return 0
 
 
@@ -159,9 +150,8 @@ def cmd_train_ngram(args) -> int:
     pos = [d for d in train if d.label == POSITIVE]
     neg = [d for d in train if d.label == NEGATIVE]
     clf = ngram_lm.train_generative_classifier(
-        pos, neg, order=args.order, separate_vocab=args.separate_vocab,
-        oov_log_penalty=math.log(args.oov_penalty) if args.separate_vocab else None,
-        min_count=args.min_count)
+        pos, neg, order=args.order, min_count=args.min_count,
+        oov_log_penalty=None if args.oov_penalty is None else math.log(args.oov_penalty))
     artifacts = ngram_lm.save_model(_out(args, "models", ""), clf, args.oov_penalty)
     _record_stage(args, "train-ngram", artifacts,
                   {"train-ngram.order": args.order,
@@ -233,7 +223,7 @@ def cmd_score(args) -> int:
     module, keywords = MODELS[args.model]
     model = importlib.import_module(f".{module}", __package__).load_model(
         _in(args, "models"), **keywords)
-    scores = model.score(docs, temperature=args.temperature)
+    scores = model.score(docs)
     artifacts = ensemble.write_split_scores(
         _out(args, "scores", f"{args.model}-{args.split}"), args.model, scores)
     _record_stage(args, f"score-{args.model}-{args.split}", artifacts)
@@ -319,7 +309,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_inspect_errors(args) -> int:
     models, [(test_scores, test_labels)] = _ensemble_inputs(args, "test")
-    weights = ensemble.read_weights(_in(args, "ensemble", "weights.txt"))
+    weights_path = _in(args, "ensemble", "weights.txt")
+    weights = ensemble.read_weights(weights_path)
+    for m in weights.model_ids:
+        if m not in test_scores:
+            raise ValueError(f"{weights_path} weighs {m}, which --models "
+                             f"{','.join(models)} leaves out")
     ens_pred, _ = ensemble.apply_weights(test_scores, test_labels, weights)
     single_preds = {
         m: {d: (POSITIVE if p > 0.5 else NEGATIVE) for d, p in col.items()}
@@ -360,6 +355,12 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ stage table
 
+def _distinct_ids(models: str) -> bool:
+    ids = models.split(",")
+    return all(m in MODELS for m in ids) and len(set(ids)) == len(ids)
+
+
+MODEL_LIST = f"auto or distinct ids of {{{','.join(MODELS)}}}"
 RULES = {  # a flag's range rule -> its test; NaN passes none
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
@@ -367,16 +368,15 @@ RULES = {  # a flag's range rule -> its test; NaN passes none
     "in (0, 1]": lambda v: 0 < v <= 1,
     "in [0, 2**32)": lambda v: 0 <= v < 2**32,  # the seeds of np.random.RandomState
     "> 0 and divides 1.0 evenly": ensemble.step_divides_one,
+    MODEL_LIST: lambda v: v == "auto" or _distinct_ids(str(v)),
 }
 
 
-def _flag(name, rule=None, ignored=None, **kwargs) -> tuple:
-    """One argument of a stage, as (name, rule, ignored, kwargs).  ``rule`` is
-    a RULES key, checked unless the value is None (an optional flag left
-    unset).  ``ignored(args)``, for a flag that some runs do not read, says
-    why this run would not, or None; giving the flag on the command line to
-    such a run is a usage error.  ``kwargs`` go to ``add_argument``."""
-    return name, rule, ignored, kwargs
+def _flag(name, rule=None, **kwargs) -> tuple:
+    """One argument of a stage, as (name, rule, kwargs).  ``rule`` is a RULES
+    key, checked unless the value is None (an optional flag left unset).
+    ``kwargs`` go to ``add_argument``."""
+    return name, rule, kwargs
 
 
 def _dest(name: str) -> str:
@@ -387,8 +387,8 @@ OUT_DIR = _flag("--out-dir", required=True, help="run directory for all artifact
 CONFIG = _flag("--config", default=None,
                help="key=value file with flag defaults (flags override)")
 SUBSET = _flag("--subset", "> 0", type=int, default=None)
-MODELS_FLAG = _flag("--models", default="auto",
-                    help="comma-separated model ids (default: auto-detect)")
+MODELS_FLAG = _flag("--models", MODEL_LIST, default="auto",
+                    help="model ids joined by commas (default: auto-detect)")
 STEP = _flag("--step", "> 0 and divides 1.0 evenly", type=float, default=0.1)
 
 # subcommand -> (help, handler, flags); every stage also takes --config
@@ -397,7 +397,6 @@ STAGES = {
         _flag("imdb_dir"), OUT_DIR,
         _flag("--valid-fraction", "in (0, 1)", type=float, default=0.2),
         _flag("--seed", "in [0, 2**32)", type=int, default=42),
-        _flag("--min-count", "> 0", type=int, default=1),
         _flag("--subset", "> 0", type=int, default=None, help="cap files per leaf directory"),
         _flag("--with-unsup", action="store_true",
               help="also cache train/unsup for paragraph-vector training"),
@@ -408,10 +407,9 @@ STAGES = {
         OUT_DIR,
         _flag("--order", "> 0", type=int, default=5),
         _flag("--min-count", "> 0", type=int, default=1),
-        _flag("--separate-vocab", action="store_true"),
-        _flag("--oov-penalty", "in (0, 1]", type=float, default=1e-7,
-              ignored=lambda a: None if a.separate_vocab else "without --separate-vocab",
-              help="probability of an unseen word (needs --separate-vocab)"),
+        _flag("--oov-penalty", "in (0, 1]", type=float, default=None,
+              help="train each class model on its own vocabulary and charge this "
+                   "probability per unseen word (default: one vocabulary, no charge)"),
         SUBSET)),
     "train-rnn": ("train the RNN class language models", cmd_train_rnn, (
         OUT_DIR,
@@ -446,10 +444,6 @@ STAGES = {
         SUBSET)),
     "score": ("score a split with a trained model", cmd_score, (
         _flag("model", choices=MODELS), _flag("split", choices=SPLITS), OUT_DIR,
-        _flag("--temperature", "> 0", type=float, default=1.0,
-              ignored=lambda a: None if a.model in TEMPERED else
-              f"on {a.model}; it tempers {' and '.join(TEMPERED)} only",
-              help="divides the calibrated log ratio of ngram and rnn"),
         _flag("--subset", "> 0", type=int, default=None,
               help="cap documents per class, matching train --subset"))),
     "ensemble-search": ("grid-search ensemble weights", cmd_ensemble_search,
@@ -468,20 +462,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     --config) replace the table's defaults wherever a stage has the flag;
     each flag's help states its range rule."""
     defaults = defaults or {}
-    parser = argparse.ArgumentParser(prog="sentimix",
-                                     description="IMDB sentiment models and ensemble")
+    parser = _Parser(prog="sentimix", description="IMDB sentiment models and ensemble")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _, flags) in STAGES.items():
         p = sub.add_parser(command, help=summary)
-        for name, rule, ignored, kwargs in (*flags, CONFIG):
+        for name, rule, kwargs in (*flags, CONFIG):
             kwargs = dict(kwargs)
             if _dest(name) in defaults:
                 kwargs["default"] = defaults[_dest(name)]
             if rule:
                 kwargs["help"] = "; ".join(filter(None, (kwargs.get("help"), f"must be {rule}")))
-            if ignored:
-                kwargs["action"] = _StoreGiven
-                p.set_defaults(**{_dest(name) + "_given": False})
             p.add_argument(name, **kwargs)
     return parser
 
@@ -498,7 +488,7 @@ def _read_config(argv: list[str]) -> dict:
             path = arg[len("--config="):]
     if path is None:
         return {}
-    known = {_dest(name) for _, _, flags in STAGES.values() for name, _, _, kwargs in flags
+    known = {_dest(name) for _, _, flags in STAGES.values() for name, _, kwargs in flags
              if name.startswith("--") and not kwargs.get("required")}
     defaults = {}
     for key, value in corpus.read_manifest(path).items():
@@ -519,12 +509,10 @@ def cli_dispatch(argv=None) -> int:
     try:
         args = build_parser(_read_config(argv)).parse_args(argv)
         _, handler, flags = STAGES[args.command]
-        for name, rule, ignored, _ in flags:  # before anything is read
+        for name, rule, _ in flags:  # before anything is read
             value = getattr(args, _dest(name))
             if rule and value is not None and not RULES[rule](value):
                 raise UsageError(f"{name} must be {rule}, got {value}")
-            if ignored and getattr(args, _dest(name) + "_given") and (why := ignored(args)):
-                raise UsageError(f"{name} has no effect {why}")
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
         args.started = time.time()  # a stage's wall time in the manifest counts from here
         return handler(args)

@@ -50,7 +50,7 @@ def clamp_p(p):
 
 
 def calibrate_generative(log_p_pos, log_p_neg, log_prior_pos: float, log_prior_neg: float,
-                         doc_length, temperature: float = 1.0):
+                         doc_length):
     """Bounded positive-class probability from document log-likelihoods.
 
     The likelihood-ratio term is normalized per scored position so long
@@ -58,11 +58,8 @@ def calibrate_generative(log_p_pos, log_p_neg, log_prior_pos: float, log_prior_n
     """
     import numpy as np
 
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
     length = np.maximum(np.asarray(doc_length, dtype=np.float64), 1.0)
-    z = ((np.asarray(log_p_pos) - np.asarray(log_p_neg)) / length
-         + log_prior_pos - log_prior_neg) / temperature
+    z = (np.asarray(log_p_pos) - np.asarray(log_p_neg)) / length + log_prior_pos - log_prior_neg
     return clamp_p(1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))))
 
 

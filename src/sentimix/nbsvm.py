@@ -189,9 +189,8 @@ class NbsvmModel(NamedTuple):
     weights: LogRatioWeights
     clf: LinearClassifier
 
-    def score(self, docs, temperature: float = 1.0) -> SplitScores:
-        """Fitted probabilities, also kept in the side table; ``temperature``
-        only tempers the generative models."""
+    def score(self, docs) -> SplitScores:
+        """Fitted probabilities, also kept in the side table."""
         p = sigmoid(doc_margins(docs, self.space, self.weights, self.clf))
         return SplitScores([d.id for d in docs], p, table=(p,))
 

@@ -24,7 +24,6 @@ log = logging.getLogger(__name__)
 
 FALLBACK_DISCOUNTS = (0.5, 1.0, 1.5)
 MIN_DISCOUNT = 1e-4  # keeps every backoff weight strictly positive
-DEFAULT_OOV_LOG_PENALTY = math.log(1e-7)
 SCORE_BLOCK_CELLS = 1 << 18  # predicted positions per backoff query
 
 
@@ -281,12 +280,12 @@ class GenerativeClassifier:
     log_prior_pos: float
     log_prior_neg: float
 
-    def score(self, docs, temperature: float = 1.0) -> ensemble.SplitScores:
+    def score(self, docs) -> ensemble.SplitScores:
         """Each class model's log-likelihood and the calibrated p_pos; the side
         table adds the prior-inclusive log ratio."""
         ids, lps, lns, ratios, lengths = score_documents(self, docs)
         p = ensemble.calibrate_generative(lps, lns, self.log_prior_pos, self.log_prior_neg,
-                                          lengths, temperature=temperature)
+                                          lengths)
         return ensemble.SplitScores(ids, p, lps, lns, table=(lps, lns, ratios))
 
 
@@ -298,27 +297,21 @@ def make_priors(n_pos: int, n_neg: int) -> tuple[float, float]:
 
 
 def train_generative_classifier(pos_docs, neg_docs, order: int,
-                                vocab: Vocabulary | None = None,
-                                separate_vocab: bool = False,
                                 oov_log_penalty: float | None = None,
                                 min_count: int = 1) -> GenerativeClassifier:
-    """Default: one shared vocabulary over both halves, no OOV penalty.
-
-    ``separate_vocab`` trains each model on its own vocabulary and scores
-    out-of-vocabulary words with a per-word log penalty instead.
+    """Without ``oov_log_penalty``: one vocabulary over both halves, and no
+    penalty.  With it: each model is trained on its own vocabulary and
+    scores an out-of-vocabulary word with that log penalty instead.
     """
     lp_pos, lp_neg = make_priors(len(pos_docs), len(neg_docs))
-    if separate_vocab:
-        penalty = DEFAULT_OOV_LOG_PENALTY if oov_log_penalty is None else oov_log_penalty
+    if oov_log_penalty is None:
+        pos_vocab = neg_vocab = build_vocab(list(pos_docs) + list(neg_docs),
+                                            min_count=min_count)
+    else:
         pos_vocab = build_vocab(pos_docs, min_count=min_count)
         neg_vocab = build_vocab(neg_docs, min_count=min_count)
-        pos_model = train_kn_model(pos_docs, order, pos_vocab, oov_log_penalty=penalty)
-        neg_model = train_kn_model(neg_docs, order, neg_vocab, oov_log_penalty=penalty)
-    else:
-        if vocab is None:
-            vocab = build_vocab(list(pos_docs) + list(neg_docs), min_count=min_count)
-        pos_model = train_kn_model(pos_docs, order, vocab)
-        neg_model = train_kn_model(neg_docs, order, vocab)
+    pos_model = train_kn_model(pos_docs, order, pos_vocab, oov_log_penalty=oov_log_penalty)
+    neg_model = train_kn_model(neg_docs, order, neg_vocab, oov_log_penalty=oov_log_penalty)
     return GenerativeClassifier(pos_model=pos_model, neg_model=neg_model,
                                 log_prior_pos=lp_pos, log_prior_neg=lp_neg)
 
@@ -338,10 +331,12 @@ def score_documents(clf: GenerativeClassifier, docs):
             np.array([len(d.tokens) + 1 for d in docs]))
 
 
-def save_model(models_dir, clf: GenerativeClassifier, oov_penalty: float) -> list[Path]:
+def save_model(models_dir, clf: GenerativeClassifier, oov_penalty: float | None) -> list[Path]:
     """ngram-pos.arpa, ngram-neg.arpa and ngram.meta (order, priors, whether
     each model has its own vocabulary, the OOV penalty, the count of
-    estimation warnings) under models_dir; returns their paths."""
+    estimation warnings) under models_dir; returns their paths.
+    ``oov_penalty`` is the probability the models charge an unseen word, or
+    None for shared-vocabulary models, whose meta records 1e-07 unread."""
     from . import arpa
 
     paths = [Path(models_dir) / name
@@ -352,8 +347,8 @@ def save_model(models_dir, clf: GenerativeClassifier, oov_penalty: float) -> lis
         "order": clf.pos_model.order,
         "log_prior_pos": clf.log_prior_pos,
         "log_prior_neg": clf.log_prior_neg,
-        "separate_vocab": int(clf.pos_model.oov_log_penalty is not None),
-        "oov_penalty": oov_penalty,
+        "separate_vocab": int(oov_penalty is not None),
+        "oov_penalty": 1e-7 if oov_penalty is None else oov_penalty,
         "warnings": len(clf.pos_model.warnings) + len(clf.neg_model.warnings),
     }, append=False)
     return paths

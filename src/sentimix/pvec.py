@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 
 INFER_BLOCK_CELLS = 1 << 20  # documents x longest known-word count per block
 LOSS_BUFFER_STEPS = 1 << 12  # training steps whose loss is computed in one pass
+LR_MIN = 0.0001  # floor of the linearly decaying rate, in training and inference
 
 
 @dataclass
@@ -77,7 +78,6 @@ class PvConfig:
     dim: int = 100
     epochs: int = 20
     lr0: float = 0.05
-    lr_min: float = 0.0001
     seed: int = 1
 
 
@@ -167,7 +167,7 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
 
     Document order is shuffled every epoch.  Each word step makes one
     ``_hs_update``; its rate decays linearly over all steps, floored at
-    ``lr_min``.  The loss of the training curve is computed apart from the
+    ``LR_MIN``.  The loss of the training curve is computed apart from the
     updates, ``LOSS_BUFFER_STEPS`` steps at a time, and added in step order.
     """
     words = [t for t in vocab.tokens if t not in RESERVED]
@@ -205,9 +205,9 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
             n = len(ids)
             if n == 0:
                 continue
-            # the rate of each step, as max(lr_min, lr0 * (1 - step / total)) in
+            # the rate of each step, as max(LR_MIN, lr0 * (1 - step / total)) in
             # float64, cast to float32 as the multiply by the gradient would
-            rates = np.maximum(config.lr_min, config.lr0 * (
+            rates = np.maximum(LR_MIN, config.lr0 * (
                 1.0 - np.arange(step, step + n) / total_steps)).astype(np.float32)
             step += n
             epoch_words += n
@@ -238,7 +238,7 @@ def infer_vectors(model: ParagraphVectorModel, docs, steps: int = 10,
 
     Every document starts from the same seeded vector and makes ``steps``
     passes over its known words; its rate decays linearly over its own
-    ``steps * n_words`` updates, floored at ``PvConfig.lr_min``.
+    ``steps * n_words`` updates, floored at ``LR_MIN``.
 
     Documents advance in lockstep, in length-sorted blocks of at most
     ``INFER_BLOCK_CELLS`` documents x words.  At each step the active
@@ -270,7 +270,7 @@ def infer_vectors(model: ParagraphVectorModel, docs, steps: int = 10,
         for step in range(int(total[0])):
             while total[active - 1] <= step:
                 active -= 1
-            lr = np.maximum(PvConfig.lr_min, lr0 * (1.0 - step / total[:active]))
+            lr = np.maximum(LR_MIN, lr0 * (1.0 - step / total[:active]))
             lr = lr.astype(np.float32)
             words = ids[rows[:active], step % n[:active]]
             by_len = np.argsort(code_len[words], kind="stable")
@@ -305,10 +305,9 @@ class PvClassifier:
     infer_steps: int
     lr0: float
 
-    def score(self, docs, temperature: float = 1.0) -> SplitScores:
+    def score(self, docs) -> SplitScores:
         """Documents the model was trained on keep their trained vectors; the
-        others are embedded by ``infer_vectors``.  ``temperature`` only
-        tempers the generative models."""
+        others are embedded by ``infer_vectors``."""
         rows = [self.model._doc_rows.get(d.id, -1) for d in docs]
         X = self.model.doc_vecs[rows]  # a copy; the rows of unseen documents are replaced
         unseen = [i for i, r in enumerate(rows) if r < 0]

@@ -29,6 +29,7 @@ log = logging.getLogger(__name__)
 MAGIC = b"SXRNN1\n"
 SCORE_BLOCK_CELLS = 1 << 22  # documents x longest length x hidden units per block
 BPTT_BLOCK_CELLS = 1 << 17  # output positions x lags x hidden units per block
+HALVING_THRESHOLD = 0.001  # relative valid-ppl improvement below this halves lr
 
 
 class RnnDivergenceError(Exception):
@@ -229,9 +230,6 @@ class RnnTrainConfig:
     truncation: int = 10
     clip: float = 5.0
     seed: int = 1
-    halving_threshold: float = 0.001  # relative valid-ppl improvement below this halves lr
-    init_scale: float = 0.1
-    dtype: type = np.float32
 
 
 def perplexity(total_logprob: float, n_predictions: int) -> float:
@@ -255,7 +253,7 @@ def train_rnn_lm(docs, vocab: Vocabulary, config: RnnTrainConfig, valid_docs=Non
     bit-deterministic for a fixed seed.
 
     The learning rate halves whenever validation perplexity fails to improve
-    by ``halving_threshold`` relative (training perplexity when no validation
+    by ``HALVING_THRESHOLD`` relative (training perplexity when no validation
     documents are given; the history's ``valid_ppl`` is then nan).  If
     perplexity becomes non-finite, the parameters are dumped to an
     ``rnn-diverged-*.npz`` file in ``dump_dir`` (none is written without one)
@@ -293,8 +291,7 @@ def _train(docs, vocab: Vocabulary, config: RnnTrainConfig, valid_docs,
     if not encoded:
         raise ValueError("empty training corpus")
     valid_encoded = [vocab.encode(d.tokens) for d in valid_docs] if valid_docs else None
-    params = init_params(len(vocab), config.hidden, config.seed,
-                         scale=config.init_scale, dtype=config.dtype, vocab=vocab)
+    params = init_params(len(vocab), config.hidden, config.seed, vocab=vocab)
     rng = np.random.RandomState(config.seed)
     lr = config.lr0
     history: list[dict] = []
@@ -325,7 +322,7 @@ def _train(docs, vocab: Vocabulary, config: RnnTrainConfig, valid_docs,
         history.append(entry)
         log.info("%s epoch %d: train_ppl=%.3f valid_ppl=%.3f lr=%.5f",
                  name, epoch, train_ppl, entry["valid_ppl"], lr)
-        if ref_ppl > best_ref_ppl * (1.0 - config.halving_threshold):
+        if ref_ppl > best_ref_ppl * (1.0 - HALVING_THRESHOLD):
             lr *= 0.5
         best_ref_ppl = min(best_ref_ppl, ref_ppl)
     return params, history

@@ -332,7 +332,7 @@ def pv_train_reference(docs, vocab, config, shuffle: bool = True):
     """
     import numpy as np
     from sentimix.corpus import RESERVED
-    from sentimix.pvec import ParagraphVectorModel, build_huffman
+    from sentimix.pvec import LR_MIN, ParagraphVectorModel, build_huffman
 
     words = [t for t in vocab.tokens if t not in RESERVED]
     freqs = [vocab.frequency(t) for t in words]
@@ -366,7 +366,7 @@ def pv_train_reference(docs, vocab, config, shuffle: bool = True):
                 continue
             dvec = doc_vecs[di]
             for wid in ids:
-                lr = max(config.lr_min, config.lr0 * (1.0 - step / total_steps))
+                lr = max(LR_MIN, config.lr0 * (1.0 - step / total_steps))
                 step += 1
                 dd, loss = hs_step_reference(node_vecs, tree, wid, dvec, lr)
                 dvec += dd

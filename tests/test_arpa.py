@@ -187,7 +187,8 @@ def _classifier(order, separate_vocab=False, seed=0):
                           for _ in range(n)], labels=[label] * n)
 
     return train_generative_classifier(docs(12, "positive"), docs(12, "negative"), order,
-                                       separate_vocab=separate_vocab)
+                                       oov_log_penalty=math.log(1e-7) if separate_vocab
+                                       else None)
 
 
 @pytest.mark.parametrize("separate_vocab", [False, True], ids=["shared", "separate"])

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from sentimix import nbsvm, rnn_lm
+from sentimix import nbsvm, ngram_lm, rnn_lm
 from sentimix.cli import build_parser, cli_dispatch
 from sentimix.corpus import read_manifest
 from sentimix.ensemble import write_scores_jsonl
@@ -59,7 +59,7 @@ class TestPipeline:
     def test_artifacts_exist(self, pipeline_dir):
         expected = [
             "cache/train.tsv", "cache/valid.tsv", "cache/test.tsv",
-            "labels/test.tsv", "vocab/full.tsv",
+            "labels/test.tsv",
             "models/ngram-pos.arpa", "models/ngram-neg.arpa",
             "models/rnn-pos.bin", "models/rnn-neg.bin", "models/rnn.log",
             "models/nbsvm3.npz", "models/nbsvm3-features.tsv",
@@ -72,6 +72,7 @@ class TestPipeline:
         ]
         for rel in expected:
             assert (pipeline_dir / rel).exists(), rel
+        assert not (pipeline_dir / "vocab").exists()  # each train-* builds its own
 
     def test_report_table_order(self, pipeline_dir):
         text = (pipeline_dir / "results/report.txt").read_text()
@@ -209,21 +210,21 @@ class TestWeightsFile:
             with open(out / "labels" / f"{split}.tsv", "w") as f:
                 for doc_id, v in zip(ids, y):
                     f.write(f"{doc_id}\t{'positive' if v else 'negative'}\n")
-            write_scores_jsonl(out / "scores" / f"good-{split}.jsonl", "good", ids,
+            write_scores_jsonl(out / "scores" / f"nbsvm1-{split}.jsonl", "nbsvm1", ids,
                                np.where(y > 0, 0.9, 0.1))
-            write_scores_jsonl(out / "scores" / f"bad-{split}.jsonl", "bad", ids,
+            write_scores_jsonl(out / "scores" / f"nbsvm2-{split}.jsonl", "nbsvm2", ids,
                                np.where(y > 0, 0.1, 0.9))
-        common = ["--out-dir", str(out), "--models", "good,bad", "--step", "0.05"]
+        common = ["--out-dir", str(out), "--models", "nbsvm1,nbsvm2", "--step", "0.05"]
         assert run(["ensemble-search", *common]) == 0
-        assert capsys.readouterr().out == "weights good=0.05 bad=0.0 valid accuracy 1.0000\n"
+        assert capsys.readouterr().out == "weights nbsvm1=0.05 nbsvm2=0.0 valid accuracy 1.0000\n"
         weights = (out / "ensemble" / "weights.txt").read_text()
-        assert weights == "good=0.05\nbad=0.0\n"
+        assert weights == "nbsvm1=0.05\nnbsvm2=0.0\n"
         search = (out / "ensemble" / "search.tsv").read_text().splitlines()
-        assert search[1] == "good,bad\t0.05,0.0\t1.0000"
+        assert search[1] == "nbsvm1,nbsvm2\t0.05,0.0\t1.0000"
         assert run(["ablate", *common]) == 0
         ablation = (out / "ensemble" / "ablation.tsv").read_text().splitlines()
-        assert ablation[1:] == ["bad\t0.05\t0.0000\t0.0000", "good\t0.05\t1.0000\t1.0000",
-                                "good,bad\t0.05,0.0\t1.0000\t1.0000"]
+        assert ablation[1:] == ["nbsvm2\t0.05\t0.0000\t0.0000", "nbsvm1\t0.05\t1.0000\t1.0000",
+                                "nbsvm1,nbsvm2\t0.05,0.0\t1.0000\t1.0000"]
 
 
 class TestExitCodes:
@@ -389,40 +390,41 @@ class TestOptions:
 
 
 class TestTemperature:
-    """--temperature is a usage error unless a generative model reads it and
-    it is positive; the check comes before the run directory is read."""
+    """score has no --temperature: every model scores its calibrated
+    probability.  The flag, in any form and with any model, is a usage error
+    on one line, raised while parsing: no run directory is created."""
 
-    def _assert_usage_error(self, argv, capsys):
-        assert run(argv) == 2
+    def _assert_usage_error(self, tmp_path, capsys, argv, given):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out-dir", str(tmp_path / "none")])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: usage:") and "--temperature" in err
-        assert err.count("\n") == 1
+        assert err == f"error: usage: unrecognized arguments: {given}\n"
+        assert not (tmp_path / "none").exists()
 
     @pytest.mark.parametrize("model", ["nbsvm1", "nbsvm2", "nbsvm3", "pv"])
     @pytest.mark.parametrize("flag", [["--temperature", "2"], ["--temperature=1"],
                                       ["--temp", "2"]])
     def test_flag_with_discriminative_model_is_2(self, tmp_path, capsys, model, flag):
-        self._assert_usage_error(
-            ["score", model, "valid", "--out-dir", str(tmp_path / "none"), *flag], capsys)
+        self._assert_usage_error(tmp_path, capsys, ["score", model, "valid", *flag],
+                                 " ".join(flag))
 
     @pytest.mark.parametrize("model", ["ngram", "rnn"])
     @pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
     def test_non_positive_is_2(self, tmp_path, capsys, model, value):
-        self._assert_usage_error(["score", model, "valid", "--out-dir", str(tmp_path / "none"),
-                                  f"--temperature={value}"], capsys)
+        self._assert_usage_error(tmp_path, capsys,
+                                 ["score", model, "valid", f"--temperature={value}"],
+                                 f"--temperature={value}")
 
-    def test_config_default_is_not_a_given_flag(self, imdb_tree, tmp_path, capsys):
-        """A config file's temperature is a default for every score stage,
-        and the stages that do not read it leave it alone."""
-        out = str(tmp_path / "run")
-        cfg = tmp_path / "score.cfg"
-        cfg.write_text("temperature=2\n")
-        assert run(["prepare", str(imdb_tree), "--out-dir", out, "--subset", "4"]) == 0
-        assert run(["train-nbsvm", "--out-dir", out, "--n-max", "1"]) == 0
-        assert run(["score", "nbsvm1", "valid", "--out-dir", out, "--config", str(cfg)]) == 0
-        capsys.readouterr()
-        self._assert_usage_error(["score", "nbsvm1", "valid", "--out-dir", out,
-                                  "--config", str(cfg), "--temperature", "2"], capsys)
+    @pytest.mark.parametrize("argv, given", [
+        (["score", "ngram", "valid", "--temperature", "2"], "--temperature 2"),
+        (["train-ngram", "--separate-vocab"], "--separate-vocab"),
+        (["prepare", "{tree}", "--min-count", "2"], "--min-count 2")])
+    def test_removed_flag_is_2(self, imdb_tree, tmp_path, capsys, argv, given):
+        """So are train-ngram --separate-vocab, folded into --oov-penalty, and
+        prepare --min-count, which only shaped a vocabulary no stage read."""
+        self._assert_usage_error(tmp_path, capsys,
+                                 [a.format(tree=imdb_tree) for a in argv], given)
 
 
 class TestTrainRnn:
@@ -522,10 +524,41 @@ class TestFaultInjection:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(run_dir / rel) in err
 
+    def test_weights_of_a_model_left_out_is_1(self, pipeline_dir, tmp_path, capsys):
+        """ensemble/weights.txt weighs ngram, pv and nbsvm3; inspect-errors
+        with --models ngram,pv names the file and the model it leaves out."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        capsys.readouterr()
+        assert run(["inspect-errors", "--models", "ngram,pv", "--out-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {run_dir / 'ensemble' / 'weights.txt'} weighs nbsvm3, "
+            "which --models ngram,pv leaves out\n")
+
+
+class TestModelsFlag:
+    """--models is auto or known model ids, each once; anything else is a
+    usage error on one line, raised before any file is read."""
+
+    @pytest.mark.parametrize("stage", ["ensemble-search", "ablate", "inspect-errors"])
+    @pytest.mark.parametrize("models", ["nbsvm1,nbsvm1", "nbsvm1,", "", "Auto", "ngram,svm"])
+    def test_unknown_or_repeated_id_is_2(self, tmp_path, capsys, stage, models):
+        out = tmp_path / "none"
+        assert run([stage, "--out-dir", str(out), f"--models={models}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: usage: --models must be auto or distinct ids of "
+            f"{{ngram,rnn,nbsvm1,nbsvm2,nbsvm3,pv}}, got {models}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("models", ["auto", "nbsvm1", "pv,ngram,rnn,nbsvm3"])
+    def test_known_ids_reach_the_run_directory(self, tmp_path, models):
+        assert run(["ensemble-search", "--out-dir", str(tmp_path / "none"),
+                    "--models", models]) == 3
+
 
 class TestTrainFlags:
-    """Out-of-range flags, and flags the chosen path would ignore, are usage
-    errors, raised before anything is read: the run directory does not exist."""
+    """Out-of-range flags are usage errors, raised before anything is read:
+    the run directory does not exist."""
 
     def _assert_usage_error(self, tmp_path, capsys, argv, flag, rule):
         assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 2
@@ -554,13 +587,11 @@ class TestTrainFlags:
           for value in ("0", "-1")],
         (["train-ngram", "--order", "0"], "--order", "> 0"),
         (["train-ngram", "--min-count", "0"], "--min-count", "> 0"),
-        (["train-ngram", "--separate-vocab", "--oov-penalty", "0"], "--oov-penalty",
-         "in (0, 1]"),
-        (["train-ngram", "--separate-vocab", "--oov-penalty", "1.5"], "--oov-penalty",
-         "in (0, 1]"),
+        (["train-ngram", "--oov-penalty", "0"], "--oov-penalty", "in (0, 1]"),
+        (["train-ngram", "--oov-penalty", "1.5"], "--oov-penalty", "in (0, 1]"),
         (["prepare", "no-imdb", "--valid-fraction", "1"], "--valid-fraction", "in (0, 1)"),
         (["prepare", "no-imdb", "--valid-fraction", "nan"], "--valid-fraction", "in (0, 1)"),
-        (["prepare", "no-imdb", "--min-count", "0"], "--min-count", "> 0"),
+        (["train-ngram", "--oov-penalty", "nan"], "--oov-penalty", "in (0, 1]"),
         (["prepare", "no-imdb", "--workers", "0"], "--workers", "> 0"),
         *[([*stage, "--seed", value], "--seed", "in [0, 2**32)")
           for stage in (["prepare", "no-imdb"], ["train-pv"], ["train-rnn"])
@@ -584,7 +615,7 @@ class TestTrainFlags:
     @pytest.mark.parametrize("value", ["0", "-0.1", "2", "0.3", "nan"])
     def test_step_that_does_not_divide_one_is_2(self, tmp_path, capsys, value):
         for stage in ("ensemble-search", "ablate"):
-            self._assert_usage_error(tmp_path, capsys, [stage, "--models", "a,b",
+            self._assert_usage_error(tmp_path, capsys, [stage, "--models", "ngram,pv",
                                                         f"--step={value}"],
                                      "--step", "> 0 and divides 1.0 evenly")
 
@@ -593,14 +624,6 @@ class TestTrainFlags:
                                        "--mode", "dbow"]])
     def test_zero_where_allowed_reaches_the_run_directory(self, tmp_path, argv):
         assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 3
-
-    @pytest.mark.parametrize("argv, flag", [
-        (["train-ngram", "--oov-penalty", "0.5"], "--oov-penalty")])
-    def test_flag_the_path_ignores_is_2(self, tmp_path, capsys, argv, flag):
-        assert run([*argv, "--out-dir", str(tmp_path / "none")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: usage: {flag} has no effect") and err.count("\n") == 1
-        assert not (tmp_path / "none").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["--mode", "dm"], "invalid choice: 'dm'"),
@@ -614,13 +637,13 @@ class TestTrainFlags:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "none").exists()
 
-    @pytest.mark.parametrize("argv", [["train-ngram", "--separate-vocab", "--oov-penalty", "1"],
+    @pytest.mark.parametrize("argv", [["train-ngram", "--oov-penalty", "1"],
                                       ["train-pv", "--mode", "dbow"],
                                       ["train-ngram", "--config", "{cfg}"],
                                       ["train-pv", "--config", "{cfg}"]])
     def test_flag_the_path_reads_reaches_the_run_directory(self, tmp_path, argv):
-        """A --config value is a default, not a given flag, so a path that
-        ignores it does not reject it."""
+        """A --config key is a default for every stage that has the flag, and
+        the stages that do not have it leave it alone."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text("oov-penalty=0.5\n")
         argv = [a.format(cfg=cfg) for a in argv]
@@ -685,7 +708,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv, key", [
         (["train-rnn"], "hiden"), (["score", "rnn", "test"], "hiden"),
         (["score", "nbsvm1", "valid"], "split"), (["train-rnn"], "out-dir"),
-        (["train-pv"], "window")])
+        (["train-pv"], "window"), (["score", "ngram", "valid"], "temperature"),
+        (["train-ngram"], "separate-vocab")])
     def test_key_without_effect_is_2(self, tmp_path, capsys, argv, key):
         """A key that is no optional flag of any stage, misspelt or naming an
         argument only the command line sets, is a usage error naming the key
@@ -697,6 +721,25 @@ class TestConfigFile:
         assert err.startswith("error: usage:") and err.count("\n") == 1
         assert f"'{key}'" in err and str(cfg) in err
         assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("config, separate_vocab, oov_penalty", [
+        ("", "0", "1e-07"), ("oov-penalty=0.5\n", "1", "0.5")], ids=["none", "oov-penalty"])
+    def test_oov_penalty_key_gives_each_class_its_vocabulary(
+            self, imdb_tree, tmp_path, config, separate_vocab, oov_penalty):
+        """Without --oov-penalty both class models share one vocabulary;
+        a config default for it trains each on its own, like the flag."""
+        out = str(tmp_path / "run")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert run(["prepare", str(imdb_tree), "--out-dir", out, "--subset", "4"]) == 0
+        assert run(["train-ngram", "--out-dir", out, "--order", "2",
+                    "--config", str(cfg)]) == 0
+        meta = read_manifest(tmp_path / "run" / "models" / "ngram.meta")
+        assert (meta["separate_vocab"], meta["oov_penalty"]) == (separate_vocab, oov_penalty)
+        model = ngram_lm.load_model(tmp_path / "run" / "models")
+        assert (model.pos_model.vocab.tokens != model.neg_model.vocab.tokens) \
+            == (separate_vocab == "1")
+        assert run(["score", "ngram", "test", "--out-dir", out]) == 0
 
     def test_config_equals_form(self, imdb_tree, tmp_path):
         cfg = tmp_path / "run.cfg"

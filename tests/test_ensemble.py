@@ -23,31 +23,17 @@ from oracles import (grid_accuracies_reference, grid_search_reference,
 class TestCalibration:
     def test_equal_likelihoods_give_half(self):
         for length in (1, 10, 500):
-            for t in (0.5, 1.0, 2.0):
-                p = calibrate_generative(-100.0, -100.0, math.log(0.5), math.log(0.5),
-                                         length, temperature=t)
-                assert p == pytest.approx(0.5)
+            p = calibrate_generative(-100.0, -100.0, math.log(0.5), math.log(0.5), length)
+            assert p == pytest.approx(0.5)
 
     def test_sign_preserved(self):
-        for t in (0.5, 1.0, 4.0):
-            assert calibrate_generative(-90.0, -100.0, math.log(0.5), math.log(0.5),
-                                        20, temperature=t) > 0.5
-            assert calibrate_generative(-110.0, -100.0, math.log(0.5), math.log(0.5),
-                                        20, temperature=t) < 0.5
-
-    def test_temperature_moves_toward_half(self):
-        ps = [calibrate_generative(-90.0, -100.0, math.log(0.5), math.log(0.5),
-                                   20, temperature=t) for t in (0.5, 1.0, 2.0)]
-        assert ps[0] > ps[1] > ps[2] > 0.5
+        assert calibrate_generative(-90.0, -100.0, math.log(0.5), math.log(0.5), 20) > 0.5
+        assert calibrate_generative(-110.0, -100.0, math.log(0.5), math.log(0.5), 20) < 0.5
 
     def test_length_normalization(self):
         short = calibrate_generative(-95.0, -100.0, math.log(0.5), math.log(0.5), 10)
         long = calibrate_generative(-95.0, -100.0, math.log(0.5), math.log(0.5), 1000)
         assert short > long > 0.5
-
-    def test_temperature_validation(self):
-        with pytest.raises(ValueError):
-            calibrate_generative(-1.0, -2.0, 0.0, 0.0, 5, temperature=0.0)
 
     def test_clamped_to_open_interval(self):
         p = calibrate_generative(0.0, -1e6, math.log(0.5), math.log(0.5), 1)

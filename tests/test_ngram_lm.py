@@ -292,7 +292,7 @@ class TestClassifier:
     def test_separate_vocab_mode(self):
         pos = make_docs([["good", "good"]])
         neg = make_docs([["bad", "bad"]], labels=["negative"])
-        clf = train_generative_classifier(pos, neg, order=2, separate_vocab=True)
+        clf = train_generative_classifier(pos, neg, order=2, oov_log_penalty=math.log(1e-7))
         assert clf.pos_model.vocab is not clf.neg_model.vocab
         assert clf.pos_model.oov_log_penalty == pytest.approx(math.log(1e-7))
         label, _ = classify_generative(clf, ["good"])
@@ -349,7 +349,7 @@ class TestBatchedScoring:
     def test_separate_vocab_with_oov_penalty(self):
         clf = train_generative_classifier(_review_docs(20, 4, n_words=30),
                                           _review_docs(20, 5, label="negative"),
-                                          order=3, separate_vocab=True)
+                                          order=3, oov_log_penalty=math.log(1e-7))
         assert clf.pos_model.vocab is not clf.neg_model.vocab
         held_out = _review_docs(15, 6, n_words=50)
         self._check(clf, held_out)

@@ -242,8 +242,8 @@ class TestTrainingMatchesReference:
         model = self._check([["a", "b", "a"], ["b", "b", "b", "a"], []], dim=dim, epochs=3)
         assert {len(c) for c in model.tree.codes} == {1}
 
-    # lr0 = 1.5 lr_min: the linear decay crosses lr_min a third of the way in
-    @pytest.mark.parametrize("lr0", [1.5 * PvConfig.lr_min], ids=["dbow"])
+    # lr0 = 1.5 LR_MIN: the linear decay crosses LR_MIN a third of the way in
+    @pytest.mark.parametrize("lr0", [1.5 * pvec.LR_MIN], ids=["dbow"])
     def test_rates_reach_the_floor(self, lr0):
         self._check(_zipf_docs(8, seed=5), lr0=lr0, epochs=3)
 
@@ -280,7 +280,7 @@ def _infer_one(model, tokens, **kwargs):
 def _reference(model, tokens, steps=10, lr0=0.05, seed=1):
     return pv_infer_reference(model.node_vecs, model.tree.paths, model.tree.codes,
                               model.dim, model.encode_words(tokens), steps, lr0,
-                              PvConfig.lr_min, seed)
+                              pvec.LR_MIN, seed)
 
 
 class TestInference:
