@@ -7,9 +7,10 @@ never misses a vocabulary word.
 
 Both directions work a section at a time in array passes: export formats a
 whole section with one ``%`` operation, and import takes each line's field
-count from the section's bytes, splits its text once and converts whole
-columns of fields.  Only a malformed section is walked line by line, to
-report its first bad line.
+count from the section's bytes, then splits its text and converts columns of
+fields a block of lines at a time.  Import reads one order at a time, so
+only one section's bytes and one block's fields are held at once.  Only a
+malformed section is walked line by line, to report its first bad line.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _WIDE_SPACES = "".join(map(chr, [0xa0, 0x1680, *range(0x2000, 0x200b), 0x202f, 0x205f, 0x3000]))
 # the backoff weight given to entries without one, so that all have the same width
 _NAN_FIELD = np.frombuffer(b" nan", dtype=np.uint8)
+# lines of a section split into fields at once
+BLOCK_LINES = 1 << 15
 
 
 class ArpaParseError(Exception):
@@ -199,15 +202,19 @@ class _Section:
                                    append=len(before_field))
         self.counts = self.line_counts[self.line_counts > 0]
 
-    def columns(self) -> tuple[list[str], list[str], list[str]]:
-        """The entries' log probabilities, backoff weights and words, entry by
-        entry.  When some entries have a backoff weight, each entry without
-        one gets "nan", which reads as none, so every column is a slice."""
+    def columns(self, first: int, stop: int) -> tuple[list[str], list[str], list[str]]:
+        """The log probabilities, backoff weights and words of the entries on
+        lines ``first`` to ``stop`` (exclusive, counted from 0), entry by
+        entry.  When some entries of the section have a backoff weight, each
+        entry without one gets "nan", which reads as none, so every column is
+        a slice."""
         k = self.k
-        raw, width = self.raw, k + 1
+        ends = np.append(self.breaks[first + 1:stop], self.breaks[stop]
+                         if stop < len(self.breaks) else len(self.raw))
+        raw, width = self.raw[self.breaks[first]:ends[-1]], k + 1
         if (self.counts == k + 2).any():
             width = k + 2
-            ends = np.append(self.breaks[1:], len(raw))[self.line_counts == k + 1]
+            ends = ends[self.line_counts[first:stop] == k + 1] - self.breaks[first]
             raw = np.insert(raw, np.repeat(ends, 4), np.tile(_NAN_FIELD, len(ends)))
         fields = raw.tobytes().decode("utf-8", "surrogatepass").split()
         lps, bows = fields[0::width], []
@@ -217,9 +224,14 @@ class _Section:
         del fields[0::k + 1]
         return lps, bows, fields
 
-    def fail(self, unigram_pass: bool = False) -> None:
+    def fail(self) -> None:
         """Walk the section line by line and raise the error its first bad
-        line gives (the unigram pass checks each 1-gram line's word)."""
+        line gives.  The 1-gram section is walked for a short line or a
+        repeated word first, which the import finds before a bad number."""
+        for unigram_pass in (True, False) if self.k == 1 else (False,):
+            self._walk(unigram_pass)
+
+    def _walk(self, unigram_pass: bool) -> None:
         k = self.k
         seen = set()
         for lineno, line in enumerate(self.block.split("\n"), start=self.first_line):
@@ -256,8 +268,52 @@ def _floats(section: _Section, strings: list[str]) -> np.ndarray:
         raise
 
 
+def _check_count(section: _Section, n_declared: int) -> None:
+    found = len(section.counts)
+    if found != n_declared:
+        raise ArpaParseError(
+            f"section \\{section.k}-grams: declared {n_declared} entries, found {found}")
+
+
+def _entries(section: _Section, n_k: int, vocab: Vocabulary | None):
+    """The section's log probabilities, backoff weights (NaN for none), word
+    rows and the vocabulary, which the 1-gram section builds.  Fields are
+    split and converted a block of BLOCK_LINES lines at a time."""
+    k = section.k
+    if not np.isin(section.counts, (k + 1, k + 2)).all():
+        section.fail()
+    lps = np.empty(n_k)
+    bows = np.full(n_k, np.nan)
+    rows = np.empty((n_k, k), dtype=np.uint32)
+    unigrams: list[str] = []
+    done = 0
+    for first in range(0, len(section.breaks), BLOCK_LINES):
+        lp_strs, bow_strs, words = section.columns(first, first + BLOCK_LINES)
+        m = len(lp_strs)
+        lps[done:done + m] = _floats(section, lp_strs)
+        if bow_strs:
+            bows[done:done + m] = _floats(section, bow_strs)
+        if k == 1:
+            unigrams += words
+        else:
+            rows[done:done + m] = vocab.encode(words).reshape(m, k)
+        done += m
+        del lp_strs, bow_strs, words  # before the next block is split
+    if k == 1:
+        if len(set(unigrams)) != len(unigrams):
+            section.fail()
+        seen = [w for w in unigrams if w not in RESERVED]
+        vocab = Vocabulary(seen, [1] * len(seen))
+        rows[:, 0] = vocab.encode(unigrams)
+    return lps, bows, rows, vocab
+
+
 def import_arpa(fileobj) -> KneserNeyModel:
-    """Parse an ARPA file back into a backoff model (natural-log tables)."""
+    """Parse an ARPA file back into a backoff model (natural-log tables).
+
+    Errors come in the order of a reader that checks every declared count,
+    in the header's order, before it reads a line: a bad line is reported
+    only when no order has the wrong count."""
     text = fileobj.read()
     if any(c in text for c in _BREAKS):
         text = "\n".join(text.splitlines() + [""])
@@ -267,33 +323,20 @@ def import_arpa(fileobj) -> KneserNeyModel:
     blocks = _section_blocks(text, marks, i, declared)
     del text, marks
 
-    sections = {k: _Section(k, *block) for k, block in blocks.items()}
-    del blocks
-    for k, n_declared in declared.items():
-        found = len(sections[k].counts)
-        if found != n_declared:
-            raise ArpaParseError(
-                f"section \\{k}-grams: declared {n_declared} entries, found {found}")
-
     keys, logp = [], []
     bow_keys, bow_logs = [], []
+    vocab = None
     for k in range(1, order + 1):
-        section = sections.pop(k)
-        n_k = declared[k]
-        if not np.isin(section.counts, (k + 1, k + 2)).all():
-            if k == 1:  # a short line or a repeated word is reported first
-                section.fail(unigram_pass=True)
-            section.fail()
-        lp_strs, bow_strs, words = section.columns()
-        if k == 1:
-            if len(set(words)) != len(words):
-                section.fail(unigram_pass=True)
-            seen = [w for w in words if w not in RESERVED]
-            vocab = Vocabulary(seen, [1] * len(seen))
-        lps = _floats(section, lp_strs)
-        bows = _floats(section, bow_strs) if bow_strs else np.full(n_k, np.nan)
-        rows = vocab.encode(words).reshape(n_k, k)
-        del section, lp_strs, bow_strs, words  # before the next order is split
+        section = _Section(k, *blocks[k])
+        try:
+            _check_count(section, declared[k])
+            lps, bows, rows, vocab = _entries(section, declared[k], vocab)
+        except ArpaParseError:
+            for j in declared:  # the header's order; orders read so far hold their counts
+                if j in blocks:
+                    _check_count(section if j == k else _Section(j, *blocks[j]), declared[j])
+            raise
+        del section, blocks[k]
         packed = pack_rows(rows)
         srt = np.argsort(packed, kind="stable")
         keys.append(packed[srt])

@@ -287,6 +287,9 @@ def cmd_ensemble_search(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.models != "auto" and "," not in args.models:
+        raise UsageError(f"ablate --models needs two or more models to leave one out, "
+                         f"got {args.models}")
     _, [valid, test] = _ensemble_inputs(args, "valid", "test")
     rows = ensemble.ablate(*valid, *test, step=args.step)
     path = _write_ensemble_tsv(

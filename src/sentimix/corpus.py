@@ -338,9 +338,11 @@ def write_token_cache(docs, path) -> None:
 
 
 def read_token_cache(path, split: str) -> list[Document]:
-    """The documents write_token_cache wrote.  Every line it writes ends in a
-    newline, so a last line without one means the file was cut short."""
+    """The documents write_token_cache wrote, holding one str object per
+    distinct token.  Every line it writes ends in a newline, so a last line
+    without one means the file was cut short."""
     docs = []
+    shared: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.endswith("\n"):
@@ -353,8 +355,9 @@ def read_token_cache(path, split: str) -> list[Document]:
             except ValueError:
                 raise ValueError(f"{path}: line {lineno} is not id<TAB>label<TAB>tokens") \
                     from None
-            tokens = tuple(text.split()) if text else ()
-            docs.append(Document(id=doc_id, tokens=tokens, label=label, split=split))
+            words = text.split()
+            docs.append(Document(id=doc_id, tokens=tuple(map(shared.setdefault, words, words)),
+                                 label=label, split=split))
     return docs
 
 

@@ -10,8 +10,11 @@ them (Liu & Nocedal 1989).
 from __future__ import annotations
 
 import logging
+import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,6 +26,11 @@ from .ensemble import SplitScores
 log = logging.getLogger(__name__)
 
 GRAM_SEP = " "
+# a token that is empty, holds whitespace or holds a character <= " " after
+# its first (see _check_tokens)
+_BAD_TOKEN = re.compile(r"^$|\s|.[\x00- ]", re.S)
+# gram keys stay below this; a wider key is first replaced by its rank
+_KEY_BOUND = 2 ** 63
 # L-BFGS stops: at MAX_ITER iterations, when an iteration lowers the objective
 # f by at most FTOL * max(|f|, 1), or when no gradient entry exceeds GTOL
 MAX_ITER = 200
@@ -49,53 +57,150 @@ def extract_grams(tokens, n_max: int) -> set[str]:
     return grams
 
 
-@dataclass
 class NGramFeatureSpace:
-    n_max: int
-    index: dict[str, int]
-    grams: list[str]
-    df_pos: np.ndarray
-    df_neg: np.ndarray
-    n_pos_docs: int = 0
-    n_neg_docs: int = 0
-    # gram ids of each training document (positive ones first, each in gram
-    # text order) as build_feature_space assigned them; empty once loaded
-    train_ids: list[np.ndarray] = field(default_factory=list, repr=False)
+    """The grams observed in training, with per-class presence document
+    frequencies; ``len`` is the feature count.
+
+    A trained space holds each gram as a row of ``gram_words``: the 1-based
+    ranks of its words in ``words`` (the distinct training tokens in string
+    order), padded with 0 to n_max words.  ``grams`` (each gram's words
+    joined by spaces) and ``index`` (gram text -> feature id) are built on
+    first use; a loaded space is given its grams."""
+
+    def __init__(self, n_max: int, df_pos: np.ndarray, df_neg: np.ndarray,
+                 grams: list[str] | None = None,
+                 words: list[str] | None = None, gram_words: np.ndarray | None = None,
+                 n_pos_docs: int = 0, n_neg_docs: int = 0, train_ids=None):
+        self.n_max, self.df_pos, self.df_neg = n_max, df_pos, df_neg
+        self.words, self.gram_words = words, gram_words
+        self.n_pos_docs, self.n_neg_docs = n_pos_docs, n_neg_docs
+        # gram ids of each training document (positive ones first, each in gram
+        # text order) as build_feature_space assigned them; empty once loaded
+        # and once train_classifier has featurized them
+        self.train_ids: list[np.ndarray] = train_ids if train_ids is not None else []
+        if grams is not None:
+            self.grams = grams
 
     def __len__(self) -> int:
-        return len(self.grams)
+        return len(self.df_pos)
+
+    @cached_property
+    def grams(self) -> list[str]:
+        words = np.array(["", *self.words], dtype=object)
+        lengths = np.count_nonzero(self.gram_words, axis=1)
+        grams: list = [None] * len(self)
+        for n in range(1, self.n_max + 1):
+            rows = np.flatnonzero(lengths == n)
+            texts = map(GRAM_SEP.join, zip(*(words[self.gram_words[rows, j]]
+                                             for j in range(n))))
+            for i, text in zip(rows.tolist(), texts):
+                grams[i] = text
+        return grams
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {g: i for i, g in enumerate(self.grams)}
+
+    def text_keys(self) -> tuple[np.ndarray, ...]:
+        """Sort keys for ``np.lexsort``, least significant first, that order
+        the features as their gram texts sort."""
+        if self.gram_words is not None:
+            return tuple(self.gram_words.T[::-1])
+        # grams are distinct, so their rank orders them as the strings do; a
+        # fixed-width string array would cost its longest gram for every gram
+        rank = np.empty(len(self), dtype=np.int64)
+        rank[sorted(range(len(self)), key=self.grams.__getitem__)] = np.arange(len(self))
+        return (rank,)
+
+
+def _check_tokens(words) -> None:
+    """Raise ValueError naming the first token that could alias a gram (an
+    empty one, or one holding whitespace) or that holds a character <= " "
+    after its first, which would sort its grams' texts apart from their
+    word ranks."""
+    bad = next(filter(_BAD_TOKEN.search, words), None)
+    if bad is not None:
+        raise ValueError(f"NB-SVM cannot train on token {bad!r}: tokens must be non-empty, "
+                         "hold no whitespace and no character <= ' ' after their first")
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a`` in ascending order; sorts ``a`` in place."""
+    a.sort()
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def build_feature_space(pos_docs, neg_docs, n_max: int) -> NGramFeatureSpace:
     """Feature space over all grams observed in training, with per-class
-    presence document frequencies."""
-    index: dict[str, int] = {}
-    per_class_ids = []
-    for docs in (pos_docs, neg_docs):
-        id_lists = []
-        for d in docs:
-            # sorted so feature-index assignment ignores set iteration order
-            grams = sorted(extract_grams(d.tokens, n_max))
-            ids = np.empty(len(grams), dtype=np.int64)
-            for j, g in enumerate(grams):
-                ids[j] = index.setdefault(g, len(index))
-            id_lists.append(ids)
-        per_class_ids.append(id_lists)
-    n_feat = len(index)
-    df_pos = np.zeros(n_feat, dtype=np.int64)
-    df_neg = np.zeros(n_feat, dtype=np.int64)
-    for ids in per_class_ids[0]:
-        df_pos[ids] += 1
-    for ids in per_class_ids[1]:
-        df_neg[ids] += 1
-    grams = [""] * n_feat
-    for g, i in index.items():
-        grams[i] = g
-    return NGramFeatureSpace(n_max=n_max, index=index, grams=grams,
-                             df_pos=df_pos, df_neg=df_neg,
-                             n_pos_docs=len(per_class_ids[0]),
-                             n_neg_docs=len(per_class_ids[1]),
-                             train_ids=per_class_ids[0] + per_class_ids[1])
+    presence document frequencies.
+
+    Every gram occurrence gets an int64 key whose base-(V + 1) digits are the
+    ranks of its words, padded with 0 to n_max words, so that keys sort as
+    the gram texts do (_check_tokens).  Feature ids go to grams in order of
+    first appearance, positive documents first and each document's grams in
+    text order."""
+    if n_max not in (1, 2, 3):
+        raise ValueError(f"n_max must be 1, 2 or 3, got {n_max}")
+    docs = [*pos_docs, *neg_docs]
+    lengths = np.fromiter(map(len, (d.tokens for d in docs)), dtype=np.int64, count=len(docs))
+    words = sorted(set(chain.from_iterable(d.tokens for d in docs)))
+    _check_tokens(words)
+    rank = dict(zip(words, range(1, len(words) + 1)))
+    ranks = np.fromiter(map(rank.__getitem__, chain.from_iterable(d.tokens for d in docs)),
+                        dtype=np.int64, count=int(lengths.sum()))
+    del rank
+    # the first position of every occurrence: unigrams, then bigrams, ...,
+    # each order in document order; occurrences from offsets[j] on have a
+    # word j (counted from 0)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ranks))
+    start = np.concatenate([np.flatnonzero(room >= n) for n in range(1, n_max + 1)])
+    del room
+    offsets = np.cumsum([0] + [int(np.maximum(lengths - j, 0).sum()) for j in range(n_max)])
+    base = len(words) + 1
+    key = np.zeros(len(start), dtype=np.int64)
+    prefixes = []  # (j, sorted distinct keys) where a key was replaced by its rank
+    for j in range(n_max):
+        if key.max(initial=0) >= _KEY_BOUND // base:
+            prefix, key = np.unique(key, return_inverse=True)
+            prefixes.append((j, prefix))
+        key *= base
+        key[offsets[j]:] += ranks[start[offsets[j]:] + j]
+    del start, ranks
+    distinct = _sorted_distinct(key.copy())  # the grams in text order
+    gram = np.searchsorted(distinct, key)
+    del key
+    n_feat = len(distinct)
+    gram_words = np.empty((n_feat, n_max), dtype=np.int32)  # by gram for now
+    for j in reversed(range(n_max)):
+        distinct, gram_words[:, j] = np.divmod(distinct, base)
+        if prefixes and prefixes[-1][0] == j:
+            distinct = prefixes.pop()[1][distinct]
+    del distinct
+    # the (document, gram) pairs, deduplicated, sorted by document then gram
+    for j in range(n_max):
+        gram[offsets[j]:offsets[j + 1]] += np.repeat(np.arange(len(docs)) * n_feat,
+                                                     np.maximum(lengths - j, 0))
+    pairs = _sorted_distinct(gram)
+    del gram
+    bounds = np.searchsorted(pairs, np.arange(len(docs) + 1) * n_feat).tolist()
+    pairs %= max(n_feat, 1)
+    first = np.full(n_feat, len(pairs))
+    np.minimum.at(first, pairs, np.arange(len(pairs)))
+    by_id = np.argsort(first)  # the gram of each feature id
+    del first
+    feature_id = np.empty(n_feat, dtype=np.int64)
+    feature_id[by_id] = np.arange(n_feat)
+    ids = feature_id[pairs]
+    del pairs, feature_id
+    n_pos_pairs = bounds[len(pos_docs)]
+    return NGramFeatureSpace(n_max=n_max, words=words, gram_words=gram_words[by_id],
+                             df_pos=np.bincount(ids[:n_pos_pairs], minlength=n_feat),
+                             df_neg=np.bincount(ids[n_pos_pairs:], minlength=n_feat),
+                             n_pos_docs=len(pos_docs), n_neg_docs=len(docs) - len(pos_docs),
+                             train_ids=[ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
 
 
 @dataclass
@@ -293,6 +398,7 @@ def train_classifier(docs, n_max: int, alpha: float = 1.0,
     space = build_feature_space(pos, neg, n_max)
     weights = compute_log_ratio(space, alpha)
     X = featurize_all(pos + neg, space, weights, cached_ids=space.train_ids)
+    space.train_ids = []
     y = np.array([1] * len(pos) + [0] * len(neg))
     clf = train_linear(X, y, l2=l2)
     return NbsvmModel(space, weights, clf)
@@ -301,11 +407,7 @@ def train_classifier(docs, n_max: int, alpha: float = 1.0,
 def dump_feature_weights(space: NGramFeatureSpace, weights: LogRatioWeights, path) -> None:
     """gram<TAB>r, sorted by |r| descending (ties by gram) for inspection."""
     grams = space.grams
-    # grams are distinct, so their rank orders ties as the strings do; a
-    # fixed-width string array would cost its longest gram for every gram
-    gram_rank = np.empty(len(grams), dtype=np.int64)
-    gram_rank[sorted(range(len(grams)), key=grams.__getitem__)] = np.arange(len(grams))
-    order = np.lexsort((gram_rank, -np.abs(weights.r)))
+    order = np.lexsort((*space.text_keys(), -np.abs(weights.r)))
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(f"{grams[i]}\t{x:.6f}\n"
                      for i, x in zip(order.tolist(), weights.r[order].tolist()))
@@ -333,8 +435,8 @@ def load_model(models_dir, n_max: int) -> NbsvmModel:
     data = read_npz(Path(models_dir) / f"nbsvm{n_max}.npz")
     grams = unpack_strings(data["grams"])
     r, w, b, meta = data["r"], data["w"], float(data["b"][0]), data["meta"]
-    space = NGramFeatureSpace(n_max=int(meta[0]), index={g: i for i, g in enumerate(grams)},
-                              grams=grams, df_pos=np.zeros(len(grams), dtype=np.int64),
+    space = NGramFeatureSpace(n_max=int(meta[0]), grams=grams,
+                              df_pos=np.zeros(len(grams), dtype=np.int64),
                               df_neg=np.zeros(len(grams), dtype=np.int64))
     weights = LogRatioWeights(r=r, alpha=float(meta[1]))
     clf = LinearClassifier(w=w, b=b, l2=float(meta[2]))

@@ -16,10 +16,12 @@ they are the bit-exact references for the column passes in
 ``sentimix.ensemble``, so they clamp and multiply as those must.  So are the
 numpy column reader of score records, the reference for the pure-Python one,
 and ``np.random.RandomState`` permutations, the reference for the split's
-MT19937 draws in ``sentimix.corpus``.  ``conditional_logprobs`` and
-``logprob_positions`` are not references but probes: they query a
-``sentimix.ngram_lm.KneserNeyModel``'s own backoff tables, one context or
-one document at a time, for the normalisation and scoring tests.
+MT19937 draws in ``sentimix.corpus``.  The string-keyed NB-SVM gram space is
+the former numpy code, kept as the reference for the integer-keyed one.
+``conditional_logprobs`` and ``logprob_positions`` are not references but
+probes: they query a ``sentimix.ngram_lm.KneserNeyModel``'s own backoff
+tables, one context or one document at a time, for the normalisation and
+scoring tests.
 """
 
 from __future__ import annotations
@@ -530,6 +532,36 @@ def log_count_ratio_reference(pos_sets, neg_sets, feature_order, alpha=1.0):
     sp, sq = sum(p), sum(q)
     return [math.log((pi / sp) / (qi / sq)) for pi, qi in zip(p, q)]
 
+
+
+def feature_space_reference(pos_docs, neg_docs, n_max):
+    """NB-SVM's gram space keyed by joined gram strings, as
+    ``sentimix.nbsvm.build_feature_space`` built it before its integer keys:
+    (grams by feature id, df_pos, df_neg, each training document's ids).
+    Ids go to grams in order of first appearance, positive documents first
+    and each document's distinct grams in string order."""
+    import numpy as np
+
+    index: dict[str, int] = {}
+    per_class_ids = []
+    for docs in (pos_docs, neg_docs):
+        id_lists = []
+        for d in docs:
+            toks = list(d.tokens)
+            grams = sorted({" ".join(toks[i:i + n]) for n in range(1, n_max + 1)
+                            for i in range(len(toks) - n + 1)})
+            ids = np.empty(len(grams), dtype=np.int64)
+            for j, g in enumerate(grams):
+                ids[j] = index.setdefault(g, len(index))
+            id_lists.append(ids)
+        per_class_ids.append(id_lists)
+    df_pos = np.zeros(len(index), dtype=np.int64)
+    df_neg = np.zeros(len(index), dtype=np.int64)
+    for ids in per_class_ids[0]:
+        df_pos[ids] += 1
+    for ids in per_class_ids[1]:
+        df_neg[ids] += 1
+    return list(index), df_pos, df_neg, per_class_ids[0] + per_class_ids[1]
 
 # ------------------------------------------------------------------ logistic regression
 

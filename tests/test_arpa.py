@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sentimix import arpa
 from sentimix.arpa import ArpaParseError, export_arpa, import_arpa
 from sentimix.corpus import EOS, build_vocab
 from sentimix.ngram_lm import (
@@ -352,3 +353,77 @@ def test_random_edits_agree_with_reference():
                 text = "\n".join(lines)
         outcomes.add(_import_both(text) is None)
     assert outcomes == {True, False}
+
+
+def _block_text():
+    """A trigram file whose sections each span several 4-line blocks."""
+    return _text(_classifier(3).pos_model)
+
+
+def _line_of(text, header, offset):
+    """The 1-based line number of the line ``offset`` lines below ``header``."""
+    return text.split("\n").index(header) + offset + 1
+
+
+@pytest.mark.parametrize("header, offset, new, message", [
+    ("\\2-grams:", 6, "x\tw1 w2", "bad log probability"),
+    ("\\2-grams:", 7, "-1.5\tw1 w2\tnot-a-number", "bad backoff weight"),
+    ("\\3-grams:", 9, "-1.5\tw1", "expected 3-gram line, got 2 fields"),
+    ("\\1-grams:", 10, "-1.5\tw0", "duplicate unigram"),
+])
+def test_bad_line_past_the_first_block_is_named(monkeypatch, header, offset, new, message):
+    """Sections are converted a block of lines at a time; a bad line in a
+    later block is reported with its own line number, as the reference
+    reports it."""
+    monkeypatch.setattr(arpa, "BLOCK_LINES", 4)
+    text = _edit_line(_block_text(), header, offset, new)
+    with pytest.raises(ArpaParseError, match=f"^line {_line_of(text, header, offset)}: {message}"):
+        import_arpa(io.StringIO(text))
+    assert _import_both(text) is None
+
+
+def _bad_number(text, header, offset):
+    """The line ``offset`` lines below ``header`` with "x" for its log
+    probability."""
+    lines = text.split("\n")
+    i = lines.index(header) + offset
+    lines[i] = "x" + lines[i][lines[i].index("\t"):]
+    return "\n".join(lines)
+
+
+SEVERAL_FAULTS = {
+    "bad number, then a count mismatch in a later order": lambda t: _bad_number(
+        t, "\\2-grams:", 2).replace("ngram 3=", "ngram 3=9"),
+    "bad number, then a repeated word in a later block": lambda t: _edit_line(
+        _bad_number(t, "\\1-grams:", 2), "\\1-grams:", 10, "-1.5\tw0"),
+    "bad numbers in two orders": lambda t: _bad_number(
+        _bad_number(t, "\\2-grams:", 1), "\\1-grams:", 9),
+    "bad number, then a short line in a later block": lambda t: _edit_line(
+        _bad_number(t, "\\2-grams:", 2), "\\2-grams:", 9, "-1.5"),
+    "bad number, then wrong counts in two orders declared out of order":
+        lambda t: _bad_number(_counts_swapped(t), "\\1-grams:", 3),
+}
+
+
+def _counts_swapped(text):
+    """The 3-gram count line before the 2-gram one, both counts wrong."""
+    lines = text.split("\n")
+    i, j = (next(n for n, line in enumerate(lines) if line.startswith(f"ngram {k}="))
+            for k in (2, 3))
+    lines[i], lines[j] = lines[j] + "9", lines[i] + "9"
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("case", SEVERAL_FAULTS)
+@pytest.mark.parametrize("block_lines", [4, arpa.BLOCK_LINES])
+def test_first_of_several_faults_wins_as_in_the_reference(monkeypatch, case, block_lines):
+    monkeypatch.setattr(arpa, "BLOCK_LINES", block_lines)
+    assert _import_both(SEVERAL_FAULTS[case](_block_text())) is None
+
+
+def test_blocks_read_as_one(monkeypatch):
+    text = _block_text()
+    whole = import_arpa(io.StringIO(text))
+    for block_lines in (1, 3, 4):
+        monkeypatch.setattr(arpa, "BLOCK_LINES", block_lines)
+        _assert_same_model(import_arpa(io.StringIO(text)), whole)

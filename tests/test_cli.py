@@ -524,6 +524,20 @@ class TestFaultInjection:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(run_dir / rel) in err
 
+    def test_token_that_could_alias_a_gram_is_1(self, pipeline_dir, tmp_path, capsys):
+        """A cached token holding a character <= " " after its first would
+        sort its grams apart from their texts: train-nbsvm names it."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        cache = run_dir / "cache" / "train.tsv"
+        cache.write_text(cache.read_text(encoding="utf-8").replace("\n", " bad\x01token\n", 1),
+                         encoding="utf-8")
+        capsys.readouterr()
+        assert run(["train-nbsvm", "--n-max", "2", "--out-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: NB-SVM cannot train on token 'bad\\x01token'")
+        assert err.count("\n") == 1
+
     def test_weights_of_a_model_left_out_is_1(self, pipeline_dir, tmp_path, capsys):
         """ensemble/weights.txt weighs ngram, pv and nbsvm3; inspect-errors
         with --models ngram,pv names the file and the model it leaves out."""
@@ -549,6 +563,22 @@ class TestModelsFlag:
             "error: usage: --models must be auto or distinct ids of "
             f"{{ngram,rnn,nbsvm1,nbsvm2,nbsvm3,pv}}, got {models}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("scored", [False, True], ids=["fresh", "scored"])
+    def test_ablate_one_model_is_2(self, tmp_path, capsys, scored):
+        """Leaving one model out of one leaves none: a usage error raised
+        before any file is read, even where the score files exist."""
+        out = tmp_path / "run"
+        if scored:
+            for rel in ("scores/nbsvm1-valid.jsonl", "scores/nbsvm1-test.jsonl",
+                        "labels/valid.tsv", "labels/test.tsv"):
+                (out / rel).parent.mkdir(parents=True, exist_ok=True)
+                (out / rel).write_text("not read\n")
+        assert run(["ablate", "--out-dir", str(out), "--models", "nbsvm1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: usage: ablate --models needs two or more models to leave one out, "
+            "got nbsvm1\n")
+        assert (out / "ensemble").exists() is False and out.exists() is scored
 
     @pytest.mark.parametrize("models", ["auto", "nbsvm1", "pv,ngram,rnn,nbsvm3"])
     def test_known_ids_reach_the_run_directory(self, tmp_path, models):

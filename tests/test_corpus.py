@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,6 +285,20 @@ class TestArtifacts:
         assert [d.id for d in back] == [d.id for d in docs]
         assert [d.tokens for d in back] == [d.tokens for d in docs]
         assert [d.label for d in back] == [d.label for d in docs]
+
+    def test_token_cache_holds_one_object_per_distinct_token(self, tmp_path):
+        """Equal tokens across documents are one str object, and the
+        documents equal those written."""
+        rng = random.Random(2)
+        words = ["good", "movie", "!", "na\u00efve", "\x01", "it's"]
+        docs = make_docs([rng.choices(words, k=rng.randrange(12)) for _ in range(20)],
+                         labels=["positive", "negative"] * 10)
+        path = tmp_path / "cache.tsv"
+        write_token_cache(docs, path)
+        back = read_token_cache(path, "train")
+        assert back == docs
+        tokens = [t for d in back for t in d.tokens]
+        assert len({id(t) for t in tokens}) == len(set(tokens))
 
     @pytest.mark.parametrize("cut", [1, 9, -5])
     def test_truncated_token_cache_is_rejected(self, tmp_path, cut):

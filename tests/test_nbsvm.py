@@ -1,5 +1,7 @@
 import logging
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from sentimix.nbsvm import (
     extract_grams, featurize_all, load_model, save_model, train_classifier,
     train_linear,
 )
+import sentimix.nbsvm as nbsvm_module
 from conftest import make_docs, to_csr
 from oracles import (
-    log_count_ratio_reference, logistic_objective_reference, train_linear_reference,
+    feature_space_reference, log_count_ratio_reference, logistic_objective_reference,
+    train_linear_reference,
 )
 
 
@@ -332,14 +336,106 @@ class TestPipeline:
         code point, as Python's string order does."""
         grams = ["b", "a", "c", "\u00e9t\u00e9", "z", "a b", "e", "zz"]
         r = np.array([0.5, -0.5, 0.5, 1.25, -0.0, 1.25, 0.0, -2.0])
-        space = NGramFeatureSpace(n_max=2, index={g: i for i, g in enumerate(grams)},
-                                  grams=grams, df_pos=np.zeros(8, dtype=np.int64),
+        space = NGramFeatureSpace(n_max=2, grams=grams, df_pos=np.zeros(8, dtype=np.int64),
                                   df_neg=np.zeros(8, dtype=np.int64))
         path = tmp_path / "features.tsv"
         dump_feature_weights(space, LogRatioWeights(r=r, alpha=1.0), path)
         order = sorted(range(len(grams)), key=lambda i: (-abs(r[i]), grams[i]))
         assert path.read_text(encoding="utf-8") == "".join(
             f"{grams[i]}\t{r[i]:.6f}\n" for i in order)
+
+
+# unicode words, single control characters (allowed first), prefixes of one
+# another and a character <= " " past a prefix's end
+ALPHABET = ["a", "b", "ab", "abc", "\x01", "\x1b", "\x7f", "\u00e9", "a\u00e9", "zz",
+            "\U0001f600", "!", "b!"]
+
+
+def _random_corpus(rng, max_docs=5, max_len=9):
+    """Positive and negative documents with empty and repeated ones."""
+    def docs(label):
+        lists = [[rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len))]
+                 for _ in range(rng.randint(0, max_docs))]
+        if lists and rng.random() < 0.3:
+            lists.append(list(lists[0]))
+        return make_docs(lists, labels=[label] * len(lists))
+    return docs("positive"), docs("negative")
+
+
+class TestIntegerKeys:
+    """The gram space from integer keys equals the string-keyed reference."""
+
+    @pytest.mark.parametrize("key_bound", [2 ** 63, 40], ids=["wide", "ranked-prefixes"])
+    def test_matches_string_reference(self, monkeypatch, key_bound):
+        """Same grams, frequencies and training ids on seeded corpora; a low
+        key bound replaces prefixes by their ranks, as a vocabulary too
+        large for n_max digits does."""
+        monkeypatch.setattr(nbsvm_module, "_KEY_BOUND", key_bound)
+        rng = np.random.RandomState(11)
+        for _ in range(150):
+            pos, neg = _random_corpus(rng)
+            n_max = int(rng.randint(1, 4))
+            space = build_feature_space(pos, neg, n_max)
+            grams, df_pos, df_neg, ids = feature_space_reference(pos, neg, n_max)
+            assert space.grams == grams
+            assert np.array_equal(space.df_pos, df_pos)
+            assert np.array_equal(space.df_neg, df_neg)
+            assert len(space.train_ids) == len(ids)
+            assert all(np.array_equal(a, b) for a, b in zip(space.train_ids, ids))
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_saved_bytes_match_string_reference(self, tmp_path, n_max):
+        """save_model writes the same nbsvm<n>.npz and -features.tsv bytes
+        whether the grams come from keys or from the reference's strings;
+        ratios of seven values give many ties, which the dump orders by gram."""
+        rng = np.random.RandomState(n_max)
+        for trial in range(10):
+            pos, neg = _random_corpus(rng, max_docs=8)
+            space = build_feature_space(pos, neg, n_max)
+            grams, df_pos, df_neg, _ = feature_space_reference(pos, neg, n_max)
+            by_text = NGramFeatureSpace(n_max=n_max, grams=grams, df_pos=df_pos, df_neg=df_neg)
+            weights = LogRatioWeights(r=rng.randint(-3, 4, size=len(grams)) / 2, alpha=1.0)
+            clf = LinearClassifier(w=rng.standard_normal(len(grams)), b=0.5, l2=0.25)
+            out = {}
+            for name, sp in (("keys", space), ("text", by_text)):
+                (tmp_path / name).mkdir(exist_ok=True)
+                save_model(tmp_path / name, NbsvmModel(sp, weights, clf))
+                out[name] = [(tmp_path / name / f"nbsvm{n_max}{suffix}").read_bytes()
+                             for suffix in (".npz", "-features.tsv")]
+            assert out["keys"] == out["text"], trial
+
+    @pytest.mark.parametrize("token", ["a b", "a\tb", "a\xa0b", "", " ", "a\x01", "ab\x1b",
+                                       "\u00e9\x00"])
+    def test_token_that_could_alias_a_gram_is_rejected(self, token):
+        """A token with whitespace, or a character <= " " after its first,
+        would share a feature with a gram of other words or sort apart
+        from it: training names it instead."""
+        pos = make_docs([["a", "b"], [token, "c"]])
+        neg = make_docs([["c"]], labels=["negative"])
+        with pytest.raises(ValueError, match="token " + re.escape(repr(token))):
+            build_feature_space(pos, neg, 2)
+        with pytest.raises(ValueError, match="token " + re.escape(repr(token))):
+            train_classifier(pos + neg, n_max=1)
+
+    def test_gram_space_peaks_at_half_the_reference(self):
+        """Building the gram space of a fixed corpus (Zipfian words, 200
+        tokens per document) allocates at most half the reference's peak."""
+        rng = np.random.RandomState(0)
+        p = 1.0 / np.arange(1, 3001)
+        words = [f"w{i}" for i in range(3000)]
+        lists = [[words[j] for j in rng.choice(3000, 200, p=p / p.sum())] for _ in range(200)]
+        pos = make_docs(lists[:100])
+        neg = make_docs(lists[100:], labels=["negative"] * 100)
+        peaks = []
+        for build in (feature_space_reference, build_feature_space):
+            tracemalloc.start()
+            try:
+                result = build(pos, neg, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del result
+        assert peaks[1] <= peaks[0] / 2, peaks
 
 
 class TestScoring:
