@@ -32,7 +32,7 @@ _WIDE_SPACES = "".join(map(chr, [0xa0, 0x1680, *range(0x2000, 0x200b), 0x202f, 0
 # the backoff weight given to entries without one, so that all have the same width
 _NAN_FIELD = np.frombuffer(b" nan", dtype=np.uint8)
 # lines of a section split into fields at once
-BLOCK_LINES = 1 << 15
+BLOCK_LINES = 1 << 12
 
 
 class ArpaParseError(Exception):

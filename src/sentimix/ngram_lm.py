@@ -333,10 +333,10 @@ def score_documents(clf: GenerativeClassifier, docs):
 
 def save_model(models_dir, clf: GenerativeClassifier, oov_penalty: float | None) -> list[Path]:
     """ngram-pos.arpa, ngram-neg.arpa and ngram.meta (order, priors, whether
-    each model has its own vocabulary, the OOV penalty, the count of
+    each model has its own vocabulary and then its OOV penalty, the count of
     estimation warnings) under models_dir; returns their paths.
     ``oov_penalty`` is the probability the models charge an unseen word, or
-    None for shared-vocabulary models, whose meta records 1e-07 unread."""
+    None for shared-vocabulary models, which charge none."""
     from . import arpa
 
     paths = [Path(models_dir) / name
@@ -348,7 +348,7 @@ def save_model(models_dir, clf: GenerativeClassifier, oov_penalty: float | None)
         "log_prior_pos": clf.log_prior_pos,
         "log_prior_neg": clf.log_prior_neg,
         "separate_vocab": int(oov_penalty is not None),
-        "oov_penalty": 1e-7 if oov_penalty is None else oov_penalty,
+        **({} if oov_penalty is None else {"oov_penalty": oov_penalty}),
         "warnings": len(clf.pos_model.warnings) + len(clf.neg_model.warnings),
     }, append=False)
     return paths

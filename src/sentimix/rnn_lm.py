@@ -6,7 +6,9 @@ hidden_t = sigmoid(emb[x_t] + hidden_{t-1} @ rec); the output layer is a
 full-vocabulary softmax.  Training is online SGD, one document at a time,
 with global-norm gradient clipping; backpropagation through time runs by
 lag over blocks of output positions, and the two class models train at once
-in two processes.
+in two processes.  The output layer is one float32 product per document,
+log-normalised a block of rows at a time, so a document holds at most one
+full-vocabulary float64 array.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +28,9 @@ from .ngram_lm import GenerativeClassifier, make_priors
 log = logging.getLogger(__name__)
 
 MAGIC = b"SXRNN1\n"
-SCORE_BLOCK_CELLS = 1 << 22  # documents x longest length x hidden units per block
+SCORE_BLOCK_CELLS = 1 << 20  # documents x longest length x hidden units per block
 BPTT_BLOCK_CELLS = 1 << 17  # output positions x lags x hidden units per block
+SOFTMAX_BLOCK_CELLS = 1 << 17  # output positions x vocabulary per block
 HALVING_THRESHOLD = 0.001  # relative valid-ppl improvement below this halves lr
 
 
@@ -57,15 +59,16 @@ class RnnLm:
 
     def doc_logprobs(self, encoded_docs) -> np.ndarray:
         """Each document's realized log-probability (nats), equal bit for bit
-        to summing the realized entries of ``_states_and_logprobs`` for each
-        document on its own.
+        to running the recurrence for each document on its own and summing
+        the realized entries of its full (T, V) log-softmax.
 
         The recurrence runs over a length-sorted block of documents at once,
         at most ``SCORE_BLOCK_CELLS`` documents x positions x hidden units;
         each step's product is a stacked ``(B,1,H) @ (H,H)``, which numpy
         computes with the same BLAS call per document as a lone ``h @ rec``.
-        Output layers are computed per document, as in training, but only
-        the realized entries of the log-softmax are formed.
+        Output layers are computed per document, as in training, and each
+        block of rows forms only its log partition functions and realized
+        entries.
         """
         totals = np.empty(len(encoded_docs))
         lengths = np.array([len(ids) + 1 for ids in encoded_docs], dtype=np.int64)
@@ -85,8 +88,12 @@ class RnnLm:
                 states[:active, t] = h[:, 0]
             for row, i in enumerate(block):
                 ys = np.append(encoded_docs[i], EOS_ID).astype(np.int64)
-                logits, logz = _logits_logz(self, states[row, :T[row]])
-                totals[i] = (logits[np.arange(len(ys)), ys] - logz).sum()
+                logits = _logits(self, states[row, :T[row]])
+                realized = np.empty(len(ys))
+                for rows in _row_blocks(logits):
+                    part = logits[rows].astype(np.float64)
+                    realized[rows] = part[np.arange(len(part)), ys[rows]] - _log_partition(part)
+                totals[i] = realized.sum()
         return totals
 
 
@@ -104,7 +111,8 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _states_and_logprobs(params: RnnLm, ids):
+def _states(params: RnnLm, ids):
+    """One document's inputs, targets and (T, H) hidden states."""
     ids = np.asarray(ids, dtype=np.int64)
     xs = np.concatenate([[BOS_ID], ids])
     ys = np.concatenate([ids, [EOS_ID]])
@@ -116,21 +124,30 @@ def _states_and_logprobs(params: RnnLm, ids):
     for t in range(T):
         h = _sigmoid(params.emb[xs[t]] + h @ params.rec)
         states[t] = h
-    return xs, ys, states, _log_softmax(params, states)
+    return xs, ys, states
 
 
-def _logits_logz(params: RnnLm, states):
-    """(T, V) float64 logits and (T,) log partition functions from (T, H) states."""
-    logits = states @ params.out + params.bias
-    logits = logits.astype(np.float64)
-    mx = logits.max(axis=1, keepdims=True)
-    return logits, mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+def _logits(params: RnnLm, states):
+    """(T, V) logits in the parameters' dtype from (T, H) states: one product."""
+    logits = states @ params.out
+    logits += params.bias
+    return logits
 
 
-def _log_softmax(params: RnnLm, states):
-    """(T, V) float64 log predictive distributions from (T, H) states."""
-    logits, logz = _logits_logz(params, states)
-    return logits - logz[:, None]
+def _row_blocks(logits):
+    """Slices of a (T, V) array's rows, at most ``SOFTMAX_BLOCK_CELLS`` cells
+    each.  Row-wise max, exp and sum give each row the same bits whatever
+    the number of rows beside it."""
+    step = max(1, SOFTMAX_BLOCK_CELLS // logits.shape[1])
+    return [slice(r, r + step) for r in range(0, len(logits), step)]
+
+
+def _log_partition(logits64):
+    """(n,) log partition functions of (n, V) float64 logits."""
+    mx = logits64.max(axis=1, keepdims=True)
+    shifted = logits64 - mx
+    np.exp(shifted, out=shifted)
+    return mx[:, 0] + np.log(shifted.sum(axis=1))
 
 
 def _gradients_and_logprob(params: RnnLm, ids, truncation: int | None = None):
@@ -139,9 +156,11 @@ def _gradients_and_logprob(params: RnnLm, ids, truncation: int | None = None):
 
     ``truncation`` is the number of time steps (including the step of the
     output itself) each output's error is propagated through; None means
-    full backpropagation through time.
+    full backpropagation through time.  The log-softmax is formed a block
+    of rows at a time into one float64 buffer, which then becomes the
+    output error in place.
     """
-    xs, ys, states, logprobs = _states_and_logprobs(params, ids)
+    xs, ys, states = _states(params, ids)
     T = len(xs)
     if truncation is None:
         truncation = T
@@ -150,8 +169,17 @@ def _gradients_and_logprob(params: RnnLm, ids, truncation: int | None = None):
     dtype = params.emb.dtype
     states64 = states.astype(np.float64)
 
-    dlogits = np.exp(logprobs)
-    dlogits[np.arange(T), ys] -= 1.0
+    logits = _logits(params, states)
+    dlogits = np.empty(logits.shape)
+    for rows in _row_blocks(logits):
+        part = dlogits[rows]
+        part[...] = logits[rows]
+        part -= _log_partition(part)[:, None]
+    del logits
+    realized = np.arange(T), ys
+    total_lp = float(dlogits[realized].sum())
+    np.exp(dlogits, out=dlogits)
+    dlogits[realized] -= 1.0
 
     dout = states64.T @ dlogits
     dbias = dlogits.sum(axis=0)
@@ -161,7 +189,6 @@ def _gradients_and_logprob(params: RnnLm, ids, truncation: int | None = None):
                                         params.vocab_size, truncation)
     grads = RnnLm(emb=demb.astype(dtype), rec=drec.astype(dtype),
                   out=dout.astype(dtype), bias=dbias.astype(dtype))
-    total_lp = float(logprobs[np.arange(T), ys].sum())
     return grads, total_lp
 
 
@@ -275,6 +302,8 @@ class _Divergence:
         """The error to raise, once the parameters are dumped into dump_dir."""
         where = "no state dumped"
         if dump_dir is not None:
+            import tempfile  # here, not at the top: only a divergence needs it
+
             with tempfile.NamedTemporaryFile(prefix="rnn-diverged-", suffix=".npz",
                                              dir=dump_dir, delete=False) as dump:
                 np.savez(dump, emb=self.params.emb, rec=self.params.rec,
@@ -340,19 +369,18 @@ def train_classifier(train_docs, valid_docs, vocab: Vocabulary, config: RnnTrain
     model and history, its divergence or its error; files are written and
     errors raised here, in class order as if the models had trained one after
     the other, and a failure of the positive model stops the child.  The
-    child is started with the ``spawn`` method, which imports the calling
-    program's main module again: a script that calls this must keep its own
-    work under ``if __name__ == "__main__":``.
+    child is forked (POSIX only), so it starts with this process's modules,
+    documents and logging, and nothing is imported or pickled to start it.
     """
     import multiprocessing  # here, not at the top: `score rnn` imports this module too
 
     models_dir = Path(models_dir)
     priors = make_priors(sum(d.label == POSITIVE for d in train_docs),
                          sum(d.label == NEGATIVE for d in train_docs))
-    ctx = multiprocessing.get_context("spawn")
+    ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
     neg = ctx.Process(target=_train_and_send, daemon=True, args=(
-        sender, log.getEffectiveLevel(), vocab, config,
+        sender, vocab, config,
         [d for d in train_docs if d.label == NEGATIVE],
         [d for d in valid_docs if d.label == NEGATIVE]))
     neg.start()
@@ -381,11 +409,10 @@ def train_classifier(train_docs, valid_docs, vocab: Vocabulary, config: RnnTrain
     return paths
 
 
-def _train_and_send(conn, log_level: int, vocab: Vocabulary, config: RnnTrainConfig,
+def _train_and_send(conn, vocab: Vocabulary, config: RnnTrainConfig,
                     docs, valid_docs) -> None:
     """Child process of train_classifier: train the negative-class model and
     send the outcome, or the error that stopped it."""
-    logging.basicConfig(level=log_level, format="%(levelname)s %(message)s")
     try:
         outcome = _train(docs, vocab, config, valid_docs, "rnn-neg")
     except Exception as e:  # raised by the parent, after the positive model

@@ -15,6 +15,7 @@ from sentimix import rnn_lm
 from sentimix.corpus import NEGATIVE, POSITIVE, Document
 from sentimix.ensemble import clamp_p
 from sentimix.pvec import VEC_MAGIC, ParagraphVectorModel
+from oracles import rnn_states_and_logprobs
 from synth import build_imdb_tree
 
 # reproducible CI: property tests replay the same example corpus every run
@@ -65,7 +66,7 @@ def src_env() -> dict[str, str]:
 def rnn_forward(params: rnn_lm.RnnLm, ids):
     """One document's per-position log predictive distributions and their
     realized sum (nats), from the recurrence run for it alone."""
-    _, ys, _, logprobs = rnn_lm._states_and_logprobs(params, ids)
+    _, ys, _, logprobs = rnn_states_and_logprobs(params, ids)
     total = float(logprobs[np.arange(len(ys)), ys].sum())
     return logprobs, total
 

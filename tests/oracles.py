@@ -3,8 +3,9 @@
 Everything here is written with plain dicts, scalars and explicit loops,
 deliberately sharing no code with the package under test.  There are three
 exceptions, the bit-exact references for rewrites that must not change a
-bit: the scalar BPTT loop, which the lag-blocked one in ``sentimix.rnn_lm``
-must equal and which shares its forward pass; the one-word-at-a-time
+bit: the all-rows log-softmax and the scalar BPTT loop, which the
+row-blocked output layer and the lag-blocked loop in ``sentimix.rnn_lm``
+must equal and which share its recurrence; the one-word-at-a-time
 paragraph-vector training loop, which ``sentimix.pvec.train_pv`` must equal
 and which builds the package's Huffman tree and model type; and the
 line-by-line ARPA reader and writer at the end, which are the reference for
@@ -230,15 +231,30 @@ def rnn_reference(emb, rec, out, bias, input_ids: list[int], bos_id: int, eos_id
     return total_lp, {"emb": demb, "rec": drec, "out": dout, "bias": dbias}
 
 
+def rnn_states_and_logprobs(params, ids):
+    """One document's inputs, targets, (T, H) hidden states and (T, V)
+    float64 log predictive distributions, the log-softmax formed over all
+    rows at once.  The row-blocked output layer of ``sentimix.rnn_lm``, in
+    training and in scoring, must equal it bit for bit."""
+    import numpy as np
+    from sentimix.rnn_lm import _states
+
+    xs, ys, states = _states(params, ids)
+    logits = (states @ params.out + params.bias).astype(np.float64)
+    mx = logits.max(axis=1, keepdims=True)
+    logz = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+    return xs, ys, states, logits - logz[:, None]
+
+
 def rnn_gradients_reference(params, ids, truncation: int | None = None):
     """(gradients as an RnnLm, realized log-probability) of one document,
     with BPTT walked one (t, s) pair at a time: t ascending, then s = t,
     t-1, ... descending.  The lag-blocked ``_backprop_through_time`` must
     equal it bit for bit."""
     import numpy as np
-    from sentimix.rnn_lm import RnnLm, _states_and_logprobs
+    from sentimix.rnn_lm import RnnLm
 
-    xs, ys, states, logprobs = _states_and_logprobs(params, ids)
+    xs, ys, states, logprobs = rnn_states_and_logprobs(params, ids)
     T = len(xs)
     if truncation is None:
         truncation = T

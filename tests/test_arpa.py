@@ -415,7 +415,7 @@ def _counts_swapped(text):
 
 
 @pytest.mark.parametrize("case", SEVERAL_FAULTS)
-@pytest.mark.parametrize("block_lines", [4, arpa.BLOCK_LINES])
+@pytest.mark.parametrize("block_lines", [4, arpa.BLOCK_LINES, 1 << 15])
 def test_first_of_several_faults_wins_as_in_the_reference(monkeypatch, case, block_lines):
     monkeypatch.setattr(arpa, "BLOCK_LINES", block_lines)
     assert _import_both(SEVERAL_FAULTS[case](_block_text())) is None

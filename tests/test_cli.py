@@ -753,7 +753,7 @@ class TestConfigFile:
         assert not (tmp_path / "none").exists()
 
     @pytest.mark.parametrize("config, separate_vocab, oov_penalty", [
-        ("", "0", "1e-07"), ("oov-penalty=0.5\n", "1", "0.5")], ids=["none", "oov-penalty"])
+        ("", "0", None), ("oov-penalty=0.5\n", "1", "0.5")], ids=["none", "oov-penalty"])
     def test_oov_penalty_key_gives_each_class_its_vocabulary(
             self, imdb_tree, tmp_path, config, separate_vocab, oov_penalty):
         """Without --oov-penalty both class models share one vocabulary;
@@ -765,7 +765,7 @@ class TestConfigFile:
         assert run(["train-ngram", "--out-dir", out, "--order", "2",
                     "--config", str(cfg)]) == 0
         meta = read_manifest(tmp_path / "run" / "models" / "ngram.meta")
-        assert (meta["separate_vocab"], meta["oov_penalty"]) == (separate_vocab, oov_penalty)
+        assert (meta["separate_vocab"], meta.get("oov_penalty")) == (separate_vocab, oov_penalty)
         model = ngram_lm.load_model(tmp_path / "run" / "models")
         assert (model.pos_model.vocab.tokens != model.neg_model.vocab.tokens) \
             == (separate_vocab == "1")

@@ -95,6 +95,18 @@ class TestBatchedScoring:
                               [rnn_forward(params, ids)[1] for ids in docs])
 
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_row_blocks(self, monkeypatch, dtype, rows):
+        """One row, or seven, of the output layer at a time: the same bits
+        as the log-softmax over all of a document's rows at once."""
+        params = init_params(40, 64, seed=4, scale=0.5, dtype=dtype)
+        docs = _ragged_ids(40)
+        monkeypatch.setattr(rnn_lm, "SOFTMAX_BLOCK_CELLS", rows * params.vocab_size)
+        assert np.array_equal(params.doc_logprobs(docs),
+                              [rnn_forward(params, ids)[1] for ids in docs])
+
+
 class TestGradients:
     def test_finite_differences(self):
         """100 random coordinates, central differences, rel err < 1e-4."""
@@ -126,6 +138,24 @@ class TestGradients:
         for name, got in (("emb", grads.emb), ("rec", grads.rec),
                           ("out", grads.out), ("bias", grads.bias)):
             assert np.allclose(got, np.array(ref[name]), atol=1e-12), name
+
+    @pytest.mark.parametrize("truncation", [1, 3, None])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_softmax_row_blocks_match_scalar_oracle(self, monkeypatch, rows, truncation):
+        """The output layer one row, or seven, at a time over a 17-position
+        document: close to the scalar oracle, and the same bits as the
+        log-softmax over all rows at once."""
+        params = _params()
+        ids = [3, 4, 2, 3, 2, 4, 4, 3, 2, 2, 3, 4, 3, 3, 2, 4]
+        exact, exact_lp = rnn_gradients_reference(params, ids, truncation)
+        monkeypatch.setattr(rnn_lm, "SOFTMAX_BLOCK_CELLS", rows * params.vocab_size)
+        grads, lp = rnn_lm._gradients_and_logprob(params, ids, truncation)
+        ref_lp, ref = _oracle(params, ids, truncation=truncation)
+        assert lp == exact_lp == pytest.approx(ref_lp, rel=1e-12)
+        for name, got, want in zip(("emb", "rec", "out", "bias"), grads.arrays(),
+                                   exact.arrays()):
+            assert np.allclose(got, np.array(ref[name]), atol=1e-12), name
+            assert np.array_equal(got, want), name
 
     def test_empty_sequence_bias_is_softmax_minus_onehot(self):
         params = _params()
@@ -196,6 +226,32 @@ class TestLagBlockedBptt:
         finally:
             tracemalloc.stop()
         assert peak < T * T * H * 8 // 4
+
+
+class TestOutputLayerMemory:
+    """One float32 document of T=1,500 positions over V=2,000 words, where
+    a (T, V) float64 array is T*V*8 = 24 MB.  Training holds one such
+    buffer besides the float32 logits; scoring holds none."""
+
+    T, V, H = 1500, 2000, 8
+
+    def _peak(self, fn) -> int:
+        params = init_params(self.V, self.H, seed=1, scale=0.5)
+        ids = np.random.RandomState(2).randint(2, self.V, size=self.T - 1)
+        tracemalloc.start()
+        try:
+            fn(params, ids)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_gradient_holds_one_float64_buffer(self):
+        peak = self._peak(lambda p, ids: rnn_lm._gradients_and_logprob(p, ids, 10))
+        assert peak < 2 * self.T * self.V * 8
+
+    def test_scoring_holds_no_float64_buffer(self):
+        peak = self._peak(lambda p, ids: p.doc_logprobs([ids]))
+        assert peak < self.T * self.V * 8
 
 
 class TestClipping:
