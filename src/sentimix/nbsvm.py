@@ -14,7 +14,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,10 +26,11 @@ from .ensemble import SplitScores
 log = logging.getLogger(__name__)
 
 GRAM_SEP = " "
-# a token that is empty, holds whitespace or holds a character <= " " after
-# its first (see _check_tokens)
+# a token that NB-SVM cannot train on: an empty one or one holding whitespace
+# could alias a gram, and one holding a character <= " " after its first
+# would sort its grams' texts apart from their word ranks
 _BAD_TOKEN = re.compile(r"^$|\s|.[\x00- ]", re.S)
-# gram keys stay below this; a wider key is first replaced by its rank
+# gram keys (_gram_keys) stay below this
 _KEY_BOUND = 2 ** 63
 # L-BFGS stops: at MAX_ITER iterations, when an iteration lowers the objective
 # f by at most FTOL * max(|f|, 1), or when no gradient entry exceeds GTOL
@@ -39,89 +40,70 @@ GTOL = 1e-8
 MEMORY = 10  # correction pairs kept by the two-loop recursion
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 MAX_HALVINGS = 20  # step halvings before the line search gives up
+SCORE_BLOCK_TOKENS = 1 << 13  # about as many document tokens are keyed at once in scoring
 
 
 class TrainingError(Exception):
     pass
 
 
-def extract_grams(tokens, n_max: int) -> set[str]:
-    """Every contiguous 1..n_max-gram, deduplicated (presence only)."""
-    if n_max not in (1, 2, 3):
-        raise ValueError(f"n_max must be 1, 2 or 3, got {n_max}")
-    toks = list(tokens)
-    grams = set(toks)
-    for n in range(2, n_max + 1):
-        for i in range(len(toks) - n + 1):
-            grams.add(GRAM_SEP.join(toks[i:i + n]))
-    return grams
-
-
+@dataclass(eq=False)
 class NGramFeatureSpace:
     """The grams observed in training, with per-class presence document
     frequencies; ``len`` is the feature count.
 
-    A trained space holds each gram as a row of ``gram_words``: the 1-based
-    ranks of its words in ``words`` (the distinct training tokens in string
-    order), padded with 0 to n_max words.  ``grams`` (each gram's words
-    joined by spaces) and ``index`` (gram text -> feature id) are built on
-    first use; a loaded space is given its grams."""
+    Each gram is a row of ``gram_words``: the 1-based ranks of its words in
+    ``words`` (the distinct training tokens in string order), padded with 0
+    to n_max words.  ``grams`` (each gram's words joined by spaces) is built
+    on first use."""
 
-    def __init__(self, n_max: int, df_pos: np.ndarray, df_neg: np.ndarray,
-                 grams: list[str] | None = None,
-                 words: list[str] | None = None, gram_words: np.ndarray | None = None,
-                 n_pos_docs: int = 0, n_neg_docs: int = 0, train_ids=None):
-        self.n_max, self.df_pos, self.df_neg = n_max, df_pos, df_neg
-        self.words, self.gram_words = words, gram_words
-        self.n_pos_docs, self.n_neg_docs = n_pos_docs, n_neg_docs
-        # gram ids of each training document (positive ones first, each in gram
-        # text order) as build_feature_space assigned them; empty once loaded
-        # and once train_classifier has featurized them
-        self.train_ids: list[np.ndarray] = train_ids if train_ids is not None else []
-        if grams is not None:
-            self.grams = grams
+    n_max: int
+    df_pos: np.ndarray
+    df_neg: np.ndarray
+    words: list[str]
+    gram_words: np.ndarray
+    n_pos_docs: int = 0
+    n_neg_docs: int = 0
+    # gram ids of each training document (positive ones first, each in gram
+    # text order) as build_feature_space assigned them; empty once loaded and
+    # once train_classifier has featurized them
+    train_ids: list[np.ndarray] = field(default_factory=list)
+
+    @classmethod
+    def from_grams(cls, n_max: int, grams: list[str]) -> NGramFeatureSpace:
+        """The space whose feature i is the gram text ``grams[i]``, with
+        document frequencies of zero; each word of a gram is a unigram of
+        ``grams``, as in every space that training builds."""
+        words = sorted(g for g in grams if GRAM_SEP not in g)
+        rank = dict(zip(["", *words], range(len(words) + 1)))  # "" pads
+        pad = [GRAM_SEP * (n_max - 1 - k) for k in range(n_max)]  # by the count of GRAM_SEP
+        padded = map(str.split, (g + pad[g.count(GRAM_SEP)] for g in grams), repeat(GRAM_SEP))
+        gram_words = np.fromiter(map(rank.__getitem__, chain.from_iterable(padded)),
+                                 dtype=np.int32, count=len(grams) * n_max)
+        zeros = np.zeros(len(grams), dtype=np.int64)
+        return cls(n_max, zeros, zeros.copy(), words, gram_words.reshape(len(grams), n_max))
 
     def __len__(self) -> int:
         return len(self.df_pos)
 
     @cached_property
-    def grams(self) -> list[str]:
-        words = np.array(["", *self.words], dtype=object)
-        lengths = np.count_nonzero(self.gram_words, axis=1)
-        grams: list = [None] * len(self)
-        for n in range(1, self.n_max + 1):
-            rows = np.flatnonzero(lengths == n)
-            texts = map(GRAM_SEP.join, zip(*(words[self.gram_words[rows, j]]
-                                             for j in range(n))))
-            for i, text in zip(rows.tolist(), texts):
-                grams[i] = text
-        return grams
+    def sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The features' keys (_gram_keys) ascending, and the feature id of
+        each; a last key, above every other, has id ``len``."""
+        key = np.zeros(len(self), dtype=np.int64)
+        for j in range(self.n_max):
+            key = key * (len(self.words) + 2) + self.gram_words[:, j]
+        ids = np.argsort(key)
+        return np.append(key[ids], np.iinfo(np.int64).max), np.append(ids, len(self))
 
     @cached_property
-    def index(self) -> dict[str, int]:
-        return {g: i for i, g in enumerate(self.grams)}
-
-    def text_keys(self) -> tuple[np.ndarray, ...]:
-        """Sort keys for ``np.lexsort``, least significant first, that order
-        the features as their gram texts sort."""
-        if self.gram_words is not None:
-            return tuple(self.gram_words.T[::-1])
-        # grams are distinct, so their rank orders them as the strings do; a
-        # fixed-width string array would cost its longest gram for every gram
-        rank = np.empty(len(self), dtype=np.int64)
-        rank[sorted(range(len(self)), key=self.grams.__getitem__)] = np.arange(len(self))
-        return (rank,)
-
-
-def _check_tokens(words) -> None:
-    """Raise ValueError naming the first token that could alias a gram (an
-    empty one, or one holding whitespace) or that holds a character <= " "
-    after its first, which would sort its grams' texts apart from their
-    word ranks."""
-    bad = next(filter(_BAD_TOKEN.search, words), None)
-    if bad is not None:
-        raise ValueError(f"NB-SVM cannot train on token {bad!r}: tokens must be non-empty, "
-                         "hold no whitespace and no character <= ' ' after their first")
+    def grams(self) -> list[str]:
+        words = np.array(["", *self.words], dtype=object)  # rank 0 pads
+        spaced = np.array(["", *(GRAM_SEP + w for w in self.words)], dtype=object)
+        texts = words[self.gram_words[:, 0]]
+        for j in range(1, self.n_max):
+            texts += spaced[self.gram_words[:, j]]
+        return texts.tolist()
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -133,57 +115,72 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def build_feature_space(pos_docs, neg_docs, n_max: int) -> NGramFeatureSpace:
-    """Feature space over all grams observed in training, with per-class
-    presence document frequencies.
-
-    Every gram occurrence gets an int64 key whose base-(V + 1) digits are the
-    ranks of its words, padded with 0 to n_max words, so that keys sort as
-    the gram texts do (_check_tokens).  Feature ids go to grams in order of
-    first appearance, positive documents first and each document's grams in
-    text order."""
-    if n_max not in (1, 2, 3):
-        raise ValueError(f"n_max must be 1, 2 or 3, got {n_max}")
-    docs = [*pos_docs, *neg_docs]
+def _token_ranks(docs, rank: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each document's token count, and each token's rank in ``rank`` (V distinct
+    training tokens in string order -> 1..V), or V + 1."""
     lengths = np.fromiter(map(len, (d.tokens for d in docs)), dtype=np.int64, count=len(docs))
-    words = sorted(set(chain.from_iterable(d.tokens for d in docs)))
-    _check_tokens(words)
-    rank = dict(zip(words, range(1, len(words) + 1)))
-    ranks = np.fromiter(map(rank.__getitem__, chain.from_iterable(d.tokens for d in docs)),
-                        dtype=np.int64, count=int(lengths.sum()))
-    del rank
-    # the first position of every occurrence: unigrams, then bigrams, ...,
-    # each order in document order; occurrences from offsets[j] on have a
-    # word j (counted from 0)
+    tokens = chain.from_iterable(d.tokens for d in docs)
+    return lengths, np.fromiter(map(rank.get, tokens, repeat(len(rank) + 1)), dtype=np.int64,
+                                count=int(lengths.sum()))
+
+
+def _gram_keys(lengths, ranks, base: int, n_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every gram occurrence as an int64 key: n_max base-(V + 2) digits, its
+    words' ranks (_token_ranks) padded with 0, so that keys sort as the gram
+    texts do (see _BAD_TOKEN).  Keys come by order, unigrams first, each in
+    document order, with each document's count of each order."""
+    if base ** n_max > _KEY_BOUND:
+        raise ValueError(f"{base - 2} distinct tokens overflow NB-SVM's {n_max}-gram keys")
+    counts = [np.maximum(lengths - j, 0) for j in range(n_max)]
+    # the first position of every occurrence; occurrences from offsets[j] on
+    # have a word j (counted from 0)
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ranks))
     start = np.concatenate([np.flatnonzero(room >= n) for n in range(1, n_max + 1)])
     del room
-    offsets = np.cumsum([0] + [int(np.maximum(lengths - j, 0).sum()) for j in range(n_max)])
-    base = len(words) + 1
+    offsets = np.cumsum([0] + [int(c.sum()) for c in counts])
     key = np.zeros(len(start), dtype=np.int64)
-    prefixes = []  # (j, sorted distinct keys) where a key was replaced by its rank
     for j in range(n_max):
-        if key.max(initial=0) >= _KEY_BOUND // base:
-            prefix, key = np.unique(key, return_inverse=True)
-            prefixes.append((j, prefix))
         key *= base
         key[offsets[j]:] += ranks[start[offsets[j]:] + j]
-    del start, ranks
+    return key, counts
+
+
+def _doc_pairs(values: np.ndarray, counts: list[np.ndarray], width: int) -> np.ndarray:
+    """The distinct (document, value) pairs of occurrence values laid out as
+    _gram_keys's keys, as document * width + value ascending; overwrites values."""
+    at = 0
+    for c in counts:
+        n = int(c.sum())
+        values[at:at + n] += np.repeat(np.arange(len(c)) * width, c)
+        at += n
+    return _sorted_distinct(values)
+
+
+def build_feature_space(pos_docs, neg_docs, n_max: int) -> NGramFeatureSpace:
+    """Feature space over all grams observed in training (told apart by their
+    _gram_keys), with per-class presence document frequencies.  Feature ids
+    go to grams in order of first appearance, positive documents first and
+    each document's grams in text order."""
+    if n_max not in (1, 2, 3):
+        raise ValueError(f"n_max must be 1, 2 or 3, got {n_max}")
+    docs = [*pos_docs, *neg_docs]
+    words = sorted(set(chain.from_iterable(d.tokens for d in docs)))
+    bad = next(filter(_BAD_TOKEN.search, words), None)
+    if bad is not None:
+        raise ValueError(f"NB-SVM cannot train on token {bad!r}: tokens must be non-empty, "
+                         "hold no whitespace and no character <= ' ' after their first")
+    lengths, ranks = _token_ranks(docs, dict(zip(words, range(1, len(words) + 1))))
+    key, counts = _gram_keys(lengths, ranks, len(words) + 2, n_max)
+    del ranks
     distinct = _sorted_distinct(key.copy())  # the grams in text order
     gram = np.searchsorted(distinct, key)
     del key
     n_feat = len(distinct)
     gram_words = np.empty((n_feat, n_max), dtype=np.int32)  # by gram for now
     for j in reversed(range(n_max)):
-        distinct, gram_words[:, j] = np.divmod(distinct, base)
-        if prefixes and prefixes[-1][0] == j:
-            distinct = prefixes.pop()[1][distinct]
+        distinct, gram_words[:, j] = np.divmod(distinct, len(words) + 2)
     del distinct
-    # the (document, gram) pairs, deduplicated, sorted by document then gram
-    for j in range(n_max):
-        gram[offsets[j]:offsets[j + 1]] += np.repeat(np.arange(len(docs)) * n_feat,
-                                                     np.maximum(lengths - j, 0))
-    pairs = _sorted_distinct(gram)
+    pairs = _doc_pairs(gram, counts, n_feat)  # sorted by document, then gram
     del gram
     bounds = np.searchsorted(pairs, np.arange(len(docs) + 1) * n_feat).tolist()
     pairs %= max(n_feat, 1)
@@ -221,13 +218,6 @@ def compute_log_ratio(space: NGramFeatureSpace, alpha: float = 1.0) -> LogRatioW
     return LogRatioWeights(r=r, alpha=alpha)
 
 
-def doc_gram_ids(tokens, space: NGramFeatureSpace) -> np.ndarray:
-    grams = extract_grams(tokens, space.n_max)
-    idx = space.index
-    ids = [idx[g] for g in grams if g in idx]
-    return np.array(sorted(ids), dtype=np.int64)
-
-
 class SparseRows(NamedTuple):
     """An (n_rows, n_cols) matrix as its stored entries: ``values[k]`` sits at
     ``(rows[k], cols[k])``, and the entries of each row are contiguous, rows
@@ -259,12 +249,25 @@ def dense_rows(X) -> SparseRows:
 def featurize_all(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
                   cached_ids=None) -> SparseRows:
     """One row per document: r_i where gram i is present, grams unseen in
-    training dropped; ``cached_ids`` replaces each document's gram ids."""
-    id_lists = cached_ids if cached_ids is not None \
-        else [doc_gram_ids(d.tokens, space) for d in docs]
-    cols = np.concatenate(id_lists) if id_lists else np.empty(0, dtype=np.int64)
-    rows = np.repeat(np.arange(len(id_lists)), [len(i) for i in id_lists])
-    return SparseRows(rows, cols, weights.r[cols], (len(id_lists), len(space)))
+    training dropped, each row's ids ascending; ``cached_ids`` replaces each
+    document's gram ids."""
+    if cached_ids is not None:
+        cols = np.concatenate(cached_ids) if cached_ids else np.empty(0, dtype=np.int64)
+        rows = np.repeat(np.arange(len(cached_ids)), [len(i) for i in cached_ids])
+    else:
+        keys, ids = space.sorted_keys
+        rank = dict(zip(space.words, range(1, len(space.words) + 1)))
+        block = np.cumsum([len(d.tokens) for d in docs]) // SCORE_BLOCK_TOKENS
+        cuts = [*np.flatnonzero(np.diff(block, prepend=-1)), len(docs)]
+        parts = [np.empty(0, dtype=np.int64)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            key, counts = _gram_keys(*_token_ranks(docs[a:b], rank), len(rank) + 2, space.n_max)
+            at = np.searchsorted(keys, key)  # a gram unseen in training gets id len(space)
+            feature = np.where(keys[at] == key, ids[at], len(space))
+            pairs = _doc_pairs(feature, counts, len(space) + 1)
+            parts.append(pairs[pairs % (len(space) + 1) < len(space)] + a * (len(space) + 1))
+        rows, cols = np.divmod(np.concatenate(parts), len(space) + 1)
+    return SparseRows(rows, cols, weights.r[cols], (len(docs), len(space)))
 
 
 @dataclass
@@ -407,7 +410,7 @@ def train_classifier(docs, n_max: int, alpha: float = 1.0,
 def dump_feature_weights(space: NGramFeatureSpace, weights: LogRatioWeights, path) -> None:
     """gram<TAB>r, sorted by |r| descending (ties by gram) for inspection."""
     grams = space.grams
-    order = np.lexsort((*space.text_keys(), -np.abs(weights.r)))
+    order = np.lexsort((*space.gram_words.T[::-1], -np.abs(weights.r)))
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(f"{grams[i]}\t{x:.6f}\n"
                      for i, x in zip(order.tolist(), weights.r[order].tolist()))
@@ -433,11 +436,8 @@ def load_model(models_dir, n_max: int) -> NbsvmModel:
     """Inverse of save_model; document frequencies are not stored and load
     as zeros."""
     data = read_npz(Path(models_dir) / f"nbsvm{n_max}.npz")
-    grams = unpack_strings(data["grams"])
     r, w, b, meta = data["r"], data["w"], float(data["b"][0]), data["meta"]
-    space = NGramFeatureSpace(n_max=int(meta[0]), grams=grams,
-                              df_pos=np.zeros(len(grams), dtype=np.int64),
-                              df_neg=np.zeros(len(grams), dtype=np.int64))
+    space = NGramFeatureSpace.from_grams(int(meta[0]), unpack_strings(data["grams"]))
     weights = LogRatioWeights(r=r, alpha=float(meta[1]))
     clf = LinearClassifier(w=w, b=b, l2=float(meta[2]))
     return NbsvmModel(space, weights, clf)

@@ -183,7 +183,10 @@ def train_pv(docs, vocab, config: PvConfig) -> ParagraphVectorModel:
     W = len(words)
     docs = list(docs)
     N = len(docs)
-    rng.rand(W, D)  # once PV-DM's word vectors; still drawn, so doc_vecs keep their values
+    # once PV-DM's word vectors: still drawn, so doc_vecs keep their values,
+    # 1,024 rows at a time
+    for i in range(0, W, 1024):
+        rng.rand(min(1024, W - i), D)
     doc_vecs = ((rng.rand(N, D).astype(np.float32) - 0.5) / D)
     node_vecs = np.zeros((W - 1, D), dtype=np.float32)
 

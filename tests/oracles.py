@@ -579,6 +579,19 @@ def feature_space_reference(pos_docs, neg_docs, n_max):
         df_neg[ids] += 1
     return list(index), df_pos, df_neg, per_class_ids[0] + per_class_ids[1]
 
+
+def doc_gram_ids_reference(tokens, space):
+    """The ascending feature ids of a document's distinct grams that the
+    space holds, looked up by joined gram text, as ``sentimix.nbsvm`` scored
+    before its integer keys; grams unseen in training are dropped."""
+    import numpy as np
+
+    toks = list(tokens)
+    grams = {" ".join(toks[i:i + n]) for n in range(1, space.n_max + 1)
+             for i in range(len(toks) - n + 1)}
+    index = {g: i for i, g in enumerate(space.grams)}
+    return np.array(sorted(index[g] for g in grams if g in index), dtype=np.int64)
+
 # ------------------------------------------------------------------ logistic regression
 
 def logistic_objective_reference(wb, X, labels, l2):

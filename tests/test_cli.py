@@ -538,6 +538,19 @@ class TestFaultInjection:
         assert err.startswith("error: ValueError: NB-SVM cannot train on token 'bad\\x01token'")
         assert err.count("\n") == 1
 
+    def test_vocabulary_beyond_the_key_range_is_1(self, pipeline_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        """Trigram keys of (V + 2)^3 values must fit below nbsvm._KEY_BOUND:
+        past it train-nbsvm names the token count on one line."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        monkeypatch.setattr(nbsvm, "_KEY_BOUND", 10 ** 3)
+        capsys.readouterr()
+        assert run(["train-nbsvm", "--n-max", "3", "--out-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ValueError: \d+ distinct tokens overflow NB-SVM's "
+                            r"3-gram keys\n", err), err
+
     def test_weights_of_a_model_left_out_is_1(self, pipeline_dir, tmp_path, capsys):
         """ensemble/weights.txt weighs ngram, pv and nbsvm3; inspect-errors
         with --models ngram,pv names the file and the model it leaves out."""

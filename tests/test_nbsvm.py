@@ -12,20 +12,25 @@ from sentimix.nbsvm import (
     FTOL, GTOL, MAX_ITER,
     LinearClassifier, LogRatioWeights, NbsvmModel, NGramFeatureSpace, SparseRows,
     TrainingError,
-    build_feature_space, compute_log_ratio, dense_rows, doc_gram_ids, doc_margins,
-    dump_feature_weights,
-    extract_grams, featurize_all, load_model, save_model, train_classifier,
-    train_linear,
+    build_feature_space, compute_log_ratio, dense_rows, doc_margins, dump_feature_weights,
+    featurize_all, load_model, save_model, train_classifier, train_linear,
 )
 import sentimix.nbsvm as nbsvm_module
 from conftest import make_docs, to_csr
 from oracles import (
-    feature_space_reference, log_count_ratio_reference, logistic_objective_reference,
-    train_linear_reference,
+    doc_gram_ids_reference, feature_space_reference, log_count_ratio_reference,
+    logistic_objective_reference, train_linear_reference,
 )
 
 
+def extract_grams(tokens, n_max: int) -> set[str]:
+    """The grams of a space trained on one document."""
+    return set(build_feature_space(make_docs([tokens]), [], n_max).grams)
+
+
 class TestExtractGrams:
+    """Every contiguous 1..n_max-gram of training becomes one feature."""
+
     def test_bigram_example(self):
         assert extract_grams(["good", "movie"], 2) == {"good", "movie", "good movie"}
 
@@ -64,7 +69,7 @@ class TestLogRatio:
         """p = (1+df), q likewise; balanced norms make film exactly zero."""
         _, _, space = _toy_space()
         w = compute_log_ratio(space, alpha=1.0)
-        r = {g: w.r[i] for g, i in space.index.items()}
+        r = dict(zip(space.grams, w.r))
         assert r["good"] == pytest.approx(math.log(3.0), rel=1e-12)
         assert r["bad"] == pytest.approx(-math.log(3.0), rel=1e-12)
         assert r["film"] == pytest.approx(0.0, abs=1e-12)
@@ -83,7 +88,7 @@ class TestLogRatio:
         neg = make_docs([["w", "p"], ["w", "q"]], labels=["negative"] * 2)
         space = build_feature_space(pos, neg, 1)
         w = compute_log_ratio(space, alpha=1.0)
-        assert w.r[space.index["w"]] == pytest.approx(0.0, abs=1e-12)
+        assert w.r[space.grams.index("w")] == pytest.approx(0.0, abs=1e-12)
 
     @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6),
                     min_size=1, max_size=5),
@@ -97,7 +102,7 @@ class TestLogRatio:
         s2 = build_feature_space(neg, pos, 2)
         r1 = compute_log_ratio(s1, alpha=1.0).r
         r2 = compute_log_ratio(s2, alpha=1.0).r
-        aligned = np.array([r2[s2.index[g]] for g in s1.grams])
+        aligned = np.array([r2[s2.grams.index(g)] for g in s1.grams])
         assert np.allclose(r1, -aligned, atol=1e-12)
 
     @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6),
@@ -139,9 +144,9 @@ class TestFeaturize:
         _, _, space = _toy_space()
         w = compute_log_ratio(space, alpha=1.0)
         row = featurize(["good", "film"], space, w).toarray().ravel()
-        assert row[space.index["good"]] == pytest.approx(math.log(3.0))
-        assert row[space.index["film"]] == 0.0
-        assert row[space.index["bad"]] == 0.0
+        assert row[space.grams.index("good")] == pytest.approx(math.log(3.0))
+        assert row[space.grams.index("film")] == 0.0
+        assert row[space.grams.index("bad")] == 0.0
 
     def test_out_of_space_doc_is_zero(self):
         _, _, space = _toy_space()
@@ -165,7 +170,7 @@ class TestFeaturize:
         w = compute_log_ratio(space, 1.0)
         for d in pos + neg:
             row = featurize(d.tokens, space, w)
-            assert row.nnz <= len(extract_grams(d.tokens, 2))
+            assert row.nnz <= len(doc_gram_ids_reference(d.tokens, space))
 
     def test_featurize_all_matches_single(self):
         pos, neg, space = _toy_space()
@@ -282,13 +287,13 @@ class TestPipeline:
                          labels=["positive", "negative", "unlabeled"])
         model = train_classifier(docs, n_max=1)
         assert (model.space.n_pos_docs, model.space.n_neg_docs) == (1, 1)
-        assert "meh" not in model.space.index
+        assert "meh" not in model.space.grams
 
     def test_training_ids_are_the_featurization(self):
         pos, neg, space = _toy_space()
         assert len(space.train_ids) == len(pos + neg)
         for ids, d in zip(space.train_ids, pos + neg):
-            assert np.array_equal(np.sort(ids), doc_gram_ids(d.tokens, space))
+            assert np.array_equal(np.sort(ids), doc_gram_ids_reference(d.tokens, space))
 
     def test_synthetic_corpus_end_to_end(self, imdb_tree):
         ds = load_imdb(imdb_tree)
@@ -336,8 +341,7 @@ class TestPipeline:
         code point, as Python's string order does."""
         grams = ["b", "a", "c", "\u00e9t\u00e9", "z", "a b", "e", "zz"]
         r = np.array([0.5, -0.5, 0.5, 1.25, -0.0, 1.25, 0.0, -2.0])
-        space = NGramFeatureSpace(n_max=2, grams=grams, df_pos=np.zeros(8, dtype=np.int64),
-                                  df_neg=np.zeros(8, dtype=np.int64))
+        space = NGramFeatureSpace.from_grams(2, grams)
         path = tmp_path / "features.tsv"
         dump_feature_weights(space, LogRatioWeights(r=r, alpha=1.0), path)
         order = sorted(range(len(grams)), key=lambda i: (-abs(r[i]), grams[i]))
@@ -365,12 +369,8 @@ def _random_corpus(rng, max_docs=5, max_len=9):
 class TestIntegerKeys:
     """The gram space from integer keys equals the string-keyed reference."""
 
-    @pytest.mark.parametrize("key_bound", [2 ** 63, 40], ids=["wide", "ranked-prefixes"])
-    def test_matches_string_reference(self, monkeypatch, key_bound):
-        """Same grams, frequencies and training ids on seeded corpora; a low
-        key bound replaces prefixes by their ranks, as a vocabulary too
-        large for n_max digits does."""
-        monkeypatch.setattr(nbsvm_module, "_KEY_BOUND", key_bound)
+    def test_matches_string_reference(self):
+        """Same grams, frequencies and training ids on seeded corpora."""
         rng = np.random.RandomState(11)
         for _ in range(150):
             pos, neg = _random_corpus(rng)
@@ -392,8 +392,8 @@ class TestIntegerKeys:
         for trial in range(10):
             pos, neg = _random_corpus(rng, max_docs=8)
             space = build_feature_space(pos, neg, n_max)
-            grams, df_pos, df_neg, _ = feature_space_reference(pos, neg, n_max)
-            by_text = NGramFeatureSpace(n_max=n_max, grams=grams, df_pos=df_pos, df_neg=df_neg)
+            grams = feature_space_reference(pos, neg, n_max)[0]
+            by_text = NGramFeatureSpace.from_grams(n_max, grams)
             weights = LogRatioWeights(r=rng.randint(-3, 4, size=len(grams)) / 2, alpha=1.0)
             clf = LinearClassifier(w=rng.standard_normal(len(grams)), b=0.5, l2=0.25)
             out = {}
@@ -416,6 +416,17 @@ class TestIntegerKeys:
             build_feature_space(pos, neg, 2)
         with pytest.raises(ValueError, match="token " + re.escape(repr(token))):
             train_classifier(pos + neg, n_max=1)
+
+    def test_vocabulary_beyond_the_key_range_is_rejected(self, monkeypatch):
+        """(V + 2)^n_max keys must fit below _KEY_BOUND: past that, training
+        raises, naming its count of distinct tokens."""
+        pos = make_docs([["a", "b"], ["c"]])
+        neg = make_docs([["d"]], labels=["negative"])
+        monkeypatch.setattr(nbsvm_module, "_KEY_BOUND", 6 ** 3)
+        assert len(build_feature_space(pos, neg, 3)) == 5
+        monkeypatch.setattr(nbsvm_module, "_KEY_BOUND", 6 ** 3 - 1)
+        with pytest.raises(ValueError, match="^4 distinct tokens overflow NB-SVM's 3-gram keys$"):
+            build_feature_space(pos, neg, 3)
 
     def test_gram_space_peaks_at_half_the_reference(self):
         """Building the gram space of a fixed corpus (Zipfian words, 200
@@ -458,6 +469,31 @@ class TestScoring:
         assert np.array_equal(got, want)
         assert got[-1] == clf.b
 
+    def test_rows_equal_string_reference(self, tmp_path):
+        """Each row's ids are those of the document's grams looked up by
+        text, ascending, before and after a save and load; documents also
+        hold tokens unseen in training."""
+        rng = np.random.RandomState(7)
+        for trial in range(60):
+            pos, neg = _random_corpus(rng)
+            n_max = int(rng.randint(1, 4))
+            space = build_feature_space(pos, neg, n_max)
+            weights = LogRatioWeights(r=rng.standard_normal(len(space)), alpha=1.0)
+            clf = LinearClassifier(w=np.zeros(len(space)), b=0.0, l2=1.0)
+            save_model(tmp_path, NbsvmModel(space, weights, clf))
+            loaded = load_model(tmp_path, n_max).space
+            docs = pos + neg + make_docs(
+                [[*d.tokens[:rng.randint(len(d.tokens) + 1)], "new", *d.tokens, "a\u00e9b"]
+                 for d in pos + neg] + [["new"], []])
+            for sp in (space, loaded):
+                X = featurize_all(docs, sp, weights)
+                assert X.shape == (len(docs), len(space))
+                want = [doc_gram_ids_reference(d.tokens, space) for d in docs]
+                lengths = [len(ids) for ids in want]
+                assert np.array_equal(X.rows, np.repeat(np.arange(len(docs)), lengths))
+                assert np.array_equal(X.cols, np.concatenate(want)), trial
+                assert np.array_equal(X.values, weights.r[X.cols])
+
     def test_no_documents(self):
         pos, neg, space = _toy_space()
         w = compute_log_ratio(space, alpha=1.0)
@@ -485,7 +521,8 @@ class TestScoring:
         assert save_model(tmp_path, NbsvmModel(space, weights, clf)) == [
             tmp_path / f"nbsvm{space.n_max}.npz"]
         space2, weights2, clf2 = load_model(tmp_path, space.n_max)
-        assert space2.grams == space.grams and space2.index == space.index
+        assert space2.grams == space.grams and space2.words == space.words
+        assert np.array_equal(space2.gram_words, space.gram_words)
         assert np.array_equal(weights2.r, weights.r) and weights2.alpha == 0.5
         assert np.array_equal(clf2.w, clf.w) and clf2.b == clf.b and clf2.l2 == 0.25
         assert np.array_equal(doc_margins(pos + neg, space2, weights2, clf2),

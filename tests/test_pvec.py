@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -189,6 +190,23 @@ class TestTraining:
                                         shuffle=False)
         assert not np.array_equal(shuffled.doc_vecs, unshuffled.doc_vecs)
 
+    def test_dropped_word_vectors_are_not_held(self):
+        """The W x D doubles once drawn for PV-DM's word vectors still advance
+        the generator, but training's transient peak (its tracemalloc peak
+        less what the model keeps) stays under a quarter of their bytes."""
+        W, D = 3000, 600
+        words = [f"w{i}" for i in range(W)]
+        docs = make_docs([words[i:i + 300] for i in range(0, W, 300)])
+        vocab = build_vocab(docs)
+        tracemalloc.start()
+        try:
+            model = train_pv(docs, vocab, PvConfig(dim=D, epochs=1, seed=0))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.words) == W
+        assert peak - held < W * D * 8 / 4, (peak - held, held)
+
     def test_tiny_vocab_error(self):
         docs = make_docs([["only"]])
         vocab = build_vocab(docs)
@@ -251,6 +269,14 @@ class TestTrainingMatchesReference:
     def test_codes_longer_than_16(self, lr0):
         model = self._check(_fibonacci_docs(), epochs=1, lr0=lr0)
         assert max(len(c) for c in model.tree.codes) > 16
+
+    def test_vocabulary_of_several_draw_blocks(self):
+        """With more than 2 x 1,024 words, the draw that once made PV-DM's
+        word vectors comes in three calls and leaves the generator where the
+        reference's single call does."""
+        words = [f"w{i}" for i in range(2100)]
+        model = self._check([words[i:i + 300] for i in range(0, 2100, 300)], epochs=1)
+        assert len(model.words) == 2100
 
     @pytest.mark.parametrize("buffer_steps", [1, 7], ids=DBOW)
     def test_loss_flush_inside_a_document(self, monkeypatch, buffer_steps):
