@@ -9,8 +9,10 @@ Both directions work a section at a time in array passes: export formats a
 whole section with one ``%`` operation, and import takes each line's field
 count from the section's bytes, then splits its text and converts columns of
 fields a block of lines at a time.  Import reads one order at a time, so
-only one section's bytes and one block's fields are held at once.  Only a
-malformed section is walked line by line, to report its first bad line.
+only one section's bytes and one block's fields are held at once; each
+order's word rows then become row keys (ngram_lm) in one pass per order.
+Only a malformed section is walked line by line, to report its first bad
+line.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import math
 
 import numpy as np
 
-from .corpus import BOS_ID, UNK, RESERVED, Vocabulary
-from .ngram_lm import KneserNeyModel, pack_rows, unpack_keys, _find
+from .corpus import BOS_ID, UNK, RESERVED, Vocabulary, sorted_distinct
+from .ngram_lm import KneserNeyModel, row_of
 
 LOG10 = math.log(10.0)
 PSEUDO_LOGP10 = -99.0
@@ -60,37 +62,35 @@ def _format_lines(tokens: np.ndarray, rows: np.ndarray, lp10: np.ndarray,
 
 
 def _section_text(model: KneserNeyModel, k: int) -> tuple[int, str]:
-    """Order k's entry count and its lines, each ending in a newline."""
+    """Order k's entry count and its lines, each ending in a newline: rows with
+    a log probability, then those only backoff contexts (start-marker runs)."""
     vocab = model.vocab
     n = model.order
     tokens = np.array(vocab.tokens, dtype=object)
+    keys, logp = model.keys[k - 1], model.logp[k - 1]
+    entry = ~np.isnan(logp)
     if k == 1:
         rows = np.arange(len(vocab), dtype=np.uint32)[:, None]
-        keys = pack_rows(rows)
         lp10 = np.full(len(vocab), model.unigram_floor_logp / LOG10)
-        pos, hit = _find(model.keys[0], keys)
-        lp10[hit] = model.logp[0][pos[hit]] / LOG10
+        lp10[keys[entry]] = logp[entry] / LOG10
         lp10[BOS_ID] = PSEUDO_LOGP10
         if n == 1:
             return len(rows), _format_lines(tokens, rows, lp10)
-        bpos, bhit = _find(model.bow_keys[0], keys)
-        return len(rows), _format_lines(tokens, rows, lp10,
-                                        model.bow_logs[0][bpos] / LOG10, bhit)
+        bow = np.full(len(vocab), np.nan)
+        bow[keys] = model.bow_logs[0]
+        return len(rows), _format_lines(tokens, rows, lp10, bow / LOG10, ~np.isnan(bow))
 
-    rows = unpack_keys(model.keys[k - 1], k)
-    lp10 = model.logp[k - 1] / LOG10
+    rows = model.grams(k)
     if k == n:
-        return len(rows), _format_lines(tokens, rows, lp10)
-    bpos, bhit = _find(model.bow_keys[k - 1], model.keys[k - 1])
-    bow10 = model.bow_logs[k - 1][bpos] / LOG10
-    text = _format_lines(tokens, rows, lp10, bow10, bhit)
-    # backoff-only contexts at this length (runs of the start marker)
-    _, chit = _find(model.keys[k - 1], model.bow_keys[k - 1])
-    only = np.flatnonzero(~chit)
-    text += _format_lines(tokens, unpack_keys(model.bow_keys[k - 1][only], k),
-                          np.full(len(only), PSEUDO_LOGP10),
-                          model.bow_logs[k - 1][only] / LOG10, np.ones(len(only), dtype=bool))
-    return len(rows) + len(only), text
+        return int(entry.sum()), _format_lines(tokens, rows[entry], logp[entry] / LOG10)
+    bow = model.bow_logs[k - 1]
+    has_bow = ~np.isnan(bow)
+    only = ~entry & has_bow
+    text = _format_lines(tokens, rows[entry], logp[entry] / LOG10, bow[entry] / LOG10,
+                         has_bow[entry])
+    text += _format_lines(tokens, rows[only], np.full(only.sum(), PSEUDO_LOGP10),
+                          bow[only] / LOG10, has_bow[only])
+    return int(entry.sum() + only.sum()), text
 
 
 def export_arpa(model: KneserNeyModel, fileobj) -> None:
@@ -323,38 +323,54 @@ def import_arpa(fileobj) -> KneserNeyModel:
     blocks = _section_blocks(text, marks, i, declared)
     del text, marks
 
-    keys, logp = [], []
-    bow_keys, bow_logs = [], []
+    words, lps, bows = [], [], []
     vocab = None
     for k in range(1, order + 1):
         section = _Section(k, *blocks[k])
         try:
             _check_count(section, declared[k])
-            lps, bows, rows, vocab = _entries(section, declared[k], vocab)
+            lp, bow, rows, vocab = _entries(section, declared[k], vocab)
         except ArpaParseError:
             for j in declared:  # the header's order; orders read so far hold their counts
                 if j in blocks:
                     _check_count(section if j == k else _Section(j, *blocks[j]), declared[j])
             raise
         del section, blocks[k]
-        packed = pack_rows(rows)
-        srt = np.argsort(packed, kind="stable")
-        keys.append(packed[srt])
-        logp.append(lps[srt] * LOG10)
-        if k < order:
-            has_bow = ~np.isnan(bows)
-            bpacked = packed[has_bow]
-            bvals = bows[has_bow] * LOG10
-            bsrt = np.argsort(bpacked, kind="stable")
-            bow_keys.append(bpacked[bsrt])
-            bow_logs.append(bvals[bsrt])
+        words.append(rows)
+        lps.append(lp * LOG10)
+        bows.append(bow * LOG10)
 
-    floor_key = pack_rows(np.array([[vocab.index(UNK)]], dtype=np.uint32))
-    pos, hit = _find(keys[0], floor_key)
-    floor = float(logp[0][pos[0]]) if hit[0] else PSEUDO_LOGP10 * LOG10
+    keys, logp, bow_logs = _row_tables(words, lps, bows, len(vocab))
+    unk = row_of(keys[0], np.array([vocab.index(UNK)]))[0]
+    floor = logp[0][unk] if unk >= 0 and not np.isnan(logp[0][unk]) else PSEUDO_LOGP10 * LOG10
     return KneserNeyModel(order=order, vocab=vocab, keys=keys, logp=logp,
-                          bow_keys=bow_keys, bow_logs=bow_logs,
-                          unigram_floor_logp=floor, discounts=None)
+                          bow_logs=bow_logs[:-1], unigram_floor_logp=float(floor),
+                          discounts=None)
+
+
+def _row_tables(words, lps, bows, base: int):
+    """Each order's row keys, log probabilities and backoff weights (NaN for
+    none) from its entries' word rows and numbers.  One lookup per order c
+    finds the row of the first c words of every entry of order c and above;
+    a prefix that is no entry gets a row with neither number.  A repeated
+    entry keeps the first log probability and backoff weight given."""
+    prefix = [np.zeros(len(w), dtype=np.int64) for w in words]
+    keys, logp, bow_logs = [], [], []
+    for c in range(1, len(words) + 1):
+        queries = [prefix[k] * base + words[k][:, c - 1] for k in range(c - 1, len(words))]
+        table = sorted_distinct(queries[0].copy())
+        found = row_of(table, np.concatenate(queries))
+        if (found < 0).any():
+            table = sorted_distinct(np.concatenate(queries))
+            found = np.searchsorted(table, np.concatenate(queries))
+        prefix[c - 1:] = np.split(found, np.cumsum([len(q) for q in queries])[:-1])
+        keys.append(table)
+        for values, out in ((lps[c - 1], logp), (bows[c - 1], bow_logs)):
+            given = ~np.isnan(values)  # each row's first value given
+            uniq, first = np.unique(prefix[c - 1][given], return_index=True)
+            out.append(np.full(len(table), np.nan))
+            out[-1][uniq] = values[given][first]
+    return keys, logp, bow_logs
 
 
 def export_arpa_path(model: KneserNeyModel, path) -> None:
@@ -363,5 +379,9 @@ def export_arpa_path(model: KneserNeyModel, path) -> None:
 
 
 def import_arpa_path(path) -> KneserNeyModel:
+    """import_arpa of the file at ``path``; a parse error names the file."""
     with open(path, encoding="utf-8") as f:
-        return import_arpa(f)
+        try:
+            return import_arpa(f)
+        except ArpaParseError as e:
+            raise ArpaParseError(f"{path}: {e}") from None

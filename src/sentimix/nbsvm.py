@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import NEGATIVE, POSITIVE, pack_strings, read_npz, unpack_strings
+from .corpus import NEGATIVE, POSITIVE, pack_strings, read_npz, sorted_distinct
 from .ensemble import SplitScores
 
 log = logging.getLogger(__name__)
@@ -41,6 +41,7 @@ MEMORY = 10  # correction pairs kept by the two-loop recursion
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 MAX_HALVINGS = 20  # step halvings before the line search gives up
 SCORE_BLOCK_TOKENS = 1 << 13  # about as many document tokens are keyed at once in scoring
+LOAD_BLOCK_GRAMS = 1 << 14  # stored grams split into words at once by a model load
 
 
 class TrainingError(Exception):
@@ -70,18 +71,33 @@ class NGramFeatureSpace:
     train_ids: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def from_grams(cls, n_max: int, grams: list[str]) -> NGramFeatureSpace:
-        """The space whose feature i is the gram text ``grams[i]``, with
-        document frequencies of zero; each word of a gram is a unigram of
-        ``grams``, as in every space that training builds."""
-        words = sorted(g for g in grams if GRAM_SEP not in g)
-        rank = dict(zip(["", *words], range(len(words) + 1)))  # "" pads
-        pad = [GRAM_SEP * (n_max - 1 - k) for k in range(n_max)]  # by the count of GRAM_SEP
-        padded = map(str.split, (g + pad[g.count(GRAM_SEP)] for g in grams), repeat(GRAM_SEP))
-        gram_words = np.fromiter(map(rank.__getitem__, chain.from_iterable(padded)),
-                                 dtype=np.int32, count=len(grams) * n_max)
-        zeros = np.zeros(len(grams), dtype=np.int64)
-        return cls(n_max, zeros, zeros.copy(), words, gram_words.reshape(len(grams), n_max))
+    def from_grams(cls, n_max: int, packed: np.ndarray) -> NGramFeatureSpace:
+        """The space whose feature i is the i-th gram text in ``packed`` (their
+        pack_strings bytes), with document frequencies of zero; each word of a
+        gram is a unigram, as in every space training builds.  No token holds
+        whitespace (_BAD_TOKEN), so a gram's spaces count its words, and one
+        split of a block of LOAD_BLOCK_GRAMS grams gives theirs."""
+        raw = np.asarray(packed, dtype=np.uint8)
+        breaks = np.flatnonzero(raw == ord("\n"))
+        n_grams = len(breaks) + 1 if len(raw) else 0
+        starts, ends = np.append(0, breaks + 1)[:n_grams], np.append(breaks, len(raw))[:n_grams]
+        n_words = np.diff(np.searchsorted(np.flatnonzero(raw == ord(GRAM_SEP)), ends),
+                          prepend=0) + 1
+        raw = raw.tobytes()
+        one = n_words == 1
+        words = sorted(raw[a:b].decode("utf-8") for a, b in zip(starts[one], ends[one]))
+        rank = dict(zip(words, range(1, len(words) + 1)))
+        blocks = zip(starts[::LOAD_BLOCK_GRAMS], [*ends[LOAD_BLOCK_GRAMS - 1::LOAD_BLOCK_GRAMS],
+                                                  len(raw)])
+        ranks = np.concatenate([np.zeros(0, dtype=np.int32)] + [
+            np.fromiter(map(rank.__getitem__, raw[a:b].decode("utf-8").split()), dtype=np.int32)
+            for a, b in blocks])
+        gram_words = np.zeros((n_grams, n_max), dtype=np.int32)
+        first = np.cumsum(n_words) - n_words
+        for j in range(n_max):
+            gram_words[n_words > j, j] = ranks[first[n_words > j] + j]
+        zeros = np.zeros(n_grams, dtype=np.int64)
+        return cls(n_max, zeros, zeros.copy(), words, gram_words)
 
     def __len__(self) -> int:
         return len(self.df_pos)
@@ -104,15 +120,6 @@ class NGramFeatureSpace:
         for j in range(1, self.n_max):
             texts += spaced[self.gram_words[:, j]]
         return texts.tolist()
-
-
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a`` in ascending order; sorts ``a`` in place."""
-    a.sort()
-    keep = np.empty(len(a), dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
 
 
 def _token_ranks(docs, rank: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +160,7 @@ def _doc_pairs(values: np.ndarray, counts: list[np.ndarray], width: int) -> np.n
         n = int(c.sum())
         values[at:at + n] += np.repeat(np.arange(len(c)) * width, c)
         at += n
-    return _sorted_distinct(values)
+    return sorted_distinct(values)
 
 
 def build_feature_space(pos_docs, neg_docs, n_max: int) -> NGramFeatureSpace:
@@ -172,7 +179,7 @@ def build_feature_space(pos_docs, neg_docs, n_max: int) -> NGramFeatureSpace:
     lengths, ranks = _token_ranks(docs, dict(zip(words, range(1, len(words) + 1))))
     key, counts = _gram_keys(lengths, ranks, len(words) + 2, n_max)
     del ranks
-    distinct = _sorted_distinct(key.copy())  # the grams in text order
+    distinct = sorted_distinct(key.copy())  # the grams in text order
     gram = np.searchsorted(distinct, key)
     del key
     n_feat = len(distinct)
@@ -437,7 +444,7 @@ def load_model(models_dir, n_max: int) -> NbsvmModel:
     as zeros."""
     data = read_npz(Path(models_dir) / f"nbsvm{n_max}.npz")
     r, w, b, meta = data["r"], data["w"], float(data["b"][0]), data["meta"]
-    space = NGramFeatureSpace.from_grams(int(meta[0]), unpack_strings(data["grams"]))
+    space = NGramFeatureSpace.from_grams(int(meta[0]), data["grams"])
     weights = LogRatioWeights(r=r, alpha=float(meta[1]))
     clf = LinearClassifier(w=w, b=b, l2=float(meta[2]))
     return NbsvmModel(space, weights, clf)

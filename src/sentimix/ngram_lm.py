@@ -1,20 +1,25 @@
 """Count-based n-gram language models with interpolated modified Kneser-Ney
 smoothing, used in positive/negative pairs as a generative classifier.
 
-Count tables and models store each order's grams as fixed-width big-endian
-byte keys (lexicographically sorted), so counting, estimation and scoring are
-numpy array passes rather than per-gram dict work.
+Each order's grams are sorted int64 row keys: a unigram's key is its word
+id, a k-gram's key the row of its (k-1)-word prefix in order k-1's table
+times the vocabulary size, plus its last word.  Keys sort as the grams do,
+so counting, estimation and scoring are numpy array passes.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+import os
+import pickle
+import signal
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ensemble
 from .corpus import (BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocab, length_blocks,
@@ -31,75 +36,69 @@ class CountError(Exception):
     pass
 
 
-def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Pack an (n, k) uint32 gram matrix into 1-D big-endian byte keys.
-
-    Byte order preserves lexicographic gram order, so sorted keys support
-    searchsorted lookups.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.uint32)
-    n, k = rows.shape
-    return np.frombuffer(rows.astype(">u4").tobytes(), dtype=f"S{4 * k}", count=n)
+def row_of(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The row of each query in the sorted ``keys``, or -1 where it is absent
+    (keys and queries are >= 0)."""
+    pos = np.searchsorted(keys, queries)
+    return np.where(np.append(keys, -1)[pos] == queries, pos, -1)
 
 
-def unpack_keys(keys: np.ndarray, k: int) -> np.ndarray:
-    return np.frombuffer(keys.tobytes(), dtype=">u4").reshape(-1, k).astype(np.uint32)
-
-
-def _find(sorted_keys: np.ndarray, queries: np.ndarray):
-    """searchsorted + equality: returns (positions, hit mask)."""
-    pos = np.searchsorted(sorted_keys, queries)
-    pos_c = np.minimum(pos, len(sorted_keys) - 1) if len(sorted_keys) else pos
-    hit = (pos < len(sorted_keys)) & (sorted_keys[pos_c] == queries) if len(sorted_keys) \
-        else np.zeros(len(queries), dtype=bool)
-    return pos_c, hit
+def _stream(encoded_docs, head: int) -> tuple[np.ndarray, np.ndarray]:
+    """The documents wrapped as head*BOS + doc + EOS, end to end (int64), and
+    the position in it of every predicted word: each token, then EOS."""
+    lengths = np.array([len(ids) + 1 for ids in encoded_docs], dtype=np.int64)
+    predicted = np.arange(lengths.sum()) + head * np.repeat(np.arange(1, len(lengths) + 1),
+                                                            lengths)
+    x = np.full(len(predicted) + head * len(lengths), BOS_ID, dtype=np.int64)
+    x[predicted] = np.concatenate([np.zeros(0, dtype=np.int64), *chain.from_iterable(
+        (ids, (EOS_ID,)) for ids in encoded_docs)])
+    return x, predicted
 
 
 @dataclass
 class NGramCountTable:
-    """Exact gram counts for every order 1..N, sorted per order."""
+    """Exact gram counts for every order 1..N as sorted row keys.  A k-gram's
+    prefix is a row of order k-1's counted grams with, below the top order,
+    the run of start markers added as row 0 (key 0) where it was not counted."""
 
     order: int
-    keys: list[np.ndarray]    # keys[k-1]: sorted S(4k) byte keys
+    keys: list[np.ndarray]    # keys[k-1]: sorted int64 row keys of counted k-grams
     counts: list[np.ndarray]  # counts[k-1]: int64, aligned with keys[k-1]
-
-    def grams(self, k: int) -> np.ndarray:
-        return unpack_keys(self.keys[k - 1], k)
-
-
-def _wrapped_windows(encoded_docs: list[np.ndarray], k: int) -> np.ndarray:
-    """All k-gram rows over documents wrapped as (k-1)*BOS + doc + EOS."""
-    head = np.full(k - 1, BOS_ID, dtype=np.uint32)
-    tail = np.array([EOS_ID], dtype=np.uint32)
-    parts = []
-    for ids in encoded_docs:
-        wrapped = np.concatenate([head, np.asarray(ids, dtype=np.uint32), tail])
-        parts.append(sliding_window_view(wrapped, k))
-    return np.concatenate(parts) if parts else np.empty((0, k), dtype=np.uint32)
 
 
 def count_ngrams(docs, order: int, vocab: Vocabulary) -> NGramCountTable:
-    """Exact counts for all orders 1..order; independent of document order."""
+    """Exact counts for all orders 1..order; independent of document order.
+
+    The k-gram ending at a predicted word has as prefix the (k-1)-gram ending
+    at the word before, or the start-marker run at a document's first word."""
     if order < 1:
         raise CountError(f"order must be >= 1, got {order}")
-    encoded = [vocab.encode(d.tokens) for d in docs]
-    keys_per_order = []
-    counts_per_order = []
+    x, predicted = _stream([vocab.encode(d.tokens) for d in docs], 1)
+    words = x[predicted]
+    after_start = np.diff(predicted, prepend=-2) != 1
+    table = NGramCountTable(order=order, keys=[], counts=[])
+    rows = np.zeros(len(words), dtype=np.int64)
     for k in range(1, order + 1):
-        rows = _wrapped_windows(encoded, k)
-        uniq, counts = np.unique(pack_rows(rows), return_counts=True)
-        keys_per_order.append(uniq)
-        counts_per_order.append(counts.astype(np.int64))
-    return NGramCountTable(order=order, keys=keys_per_order, counts=counts_per_order)
+        rows = np.concatenate([[0], rows[:-1]])
+        rows[after_start] = 0
+        uniq, rows, counts = np.unique(rows * len(vocab) + words, return_inverse=True,
+                                       return_counts=True)
+        table.keys.append(uniq)
+        table.counts.append(counts.astype(np.int64))
+        if k < order and uniq[:1].tolist() != [0]:
+            rows += 1  # the start-marker run is row 0
+    return table
 
 
 @dataclass
 class KneserNeyModel:
     """Backoff-table language model built from interpolated modified KN.
 
-    ``logp[k-1]`` holds natural-log conditional probabilities aligned with
-    ``keys[k-1]``; ``bow_keys[j-1]``/``bow_logs[j-1]`` hold log backoff
-    weights for contexts of length j.  ``unigram_floor_logp`` covers words
+    ``keys[k-1]`` are order k's sorted row keys.  ``logp[k-1]`` holds
+    natural-log conditional probabilities aligned with them, and
+    ``bow_logs[k-1]`` (k < order) log backoff weights of the rows as
+    contexts; NaN stands for none.  A row with neither is only a prefix,
+    such as the start-marker runs.  ``unigram_floor_logp`` covers words
     absent from the unigram table (unseen in this class's training half).
     """
 
@@ -107,33 +106,49 @@ class KneserNeyModel:
     vocab: Vocabulary
     keys: list[np.ndarray]
     logp: list[np.ndarray]
-    bow_keys: list[np.ndarray]
     bow_logs: list[np.ndarray]
     unigram_floor_logp: float
     discounts: list[tuple[float, float, float]] | None = None
     oov_log_penalty: float | None = None
     warnings: list[str] = field(default_factory=list)
 
-    def _backoff_logprobs(self, rows: np.ndarray) -> np.ndarray:
-        """Natural-log probability of each row's last word given the words
-        before it, for an (m, order) matrix of word ids."""
-        n = self.order
-        m = len(rows)
+    def grams(self, k: int) -> np.ndarray:
+        """The (rows, k) word ids of order k's rows."""
+        rows, base = self.keys[k - 1], len(self.vocab)
+        words = np.empty((len(rows), k), dtype=np.uint32)
+        for j in range(k, 0, -1):
+            words[:, j - 1] = rows % base
+            rows = self.keys[j - 2][rows // base] if j > 1 else rows
+        return words
+
+    def stream_logprobs(self, x: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+        """Natural-log probability of each word x[j], j in ``predicted``, given
+        the order-1 words before it in the int64 stream x.  found[k-1][t] is
+        the row of x[t:t+k], or -1, looked up only where x[t:t+k-1] was
+        found; the backoff reads gram and context rows out of it."""
+        n, base = self.order, len(self.vocab)
+        found = [row_of(self.keys[0], x)]
+        for k in range(2, n + 1):
+            t = np.flatnonzero(found[-1][:len(x) - k + 1] >= 0)
+            rows = np.full(len(x), -1, dtype=np.int64)
+            rows[t] = row_of(self.keys[k - 1], found[-1][t] * base + x[t + k - 1])
+            found.append(rows)
+        m = len(predicted)
         out = np.empty(m)
         bow_acc = np.zeros(m)
         active = np.arange(m)
         for k in range(n, 0, -1):
-            sub = rows[active][:, n - k:]
-            pos, hit = _find(self.keys[k - 1], pack_rows(sub))
-            hit_idx = active[hit]
-            out[hit_idx] = bow_acc[hit_idx] + self.logp[k - 1][pos[hit]]
-            active = active[~hit]
+            start = predicted[active] - k + 1
+            lp = np.append(self.logp[k - 1], np.nan)[found[k - 1][start]]  # row -1: NaN
+            hit = ~np.isnan(lp)
+            out[active[hit]] = bow_acc[active[hit]] + lp[hit]
+            active, start = active[~hit], start[~hit]
             if len(active) == 0:
                 return out
             if k > 1:
-                ctx = rows[active][:, n - k:n - 1]
-                cpos, chit = _find(self.bow_keys[k - 2], pack_rows(ctx))
-                bow_acc[active[chit]] += self.bow_logs[k - 2][cpos[chit]]
+                bow = np.append(self.bow_logs[k - 2], np.nan)[found[k - 2][start]]
+                has = ~np.isnan(bow)
+                bow_acc[active[has]] += bow[has]
             else:
                 out[active] = bow_acc[active] + self.unigram_floor_logp
         return out
@@ -149,8 +164,8 @@ class KneserNeyModel:
         totals = np.empty(len(encoded_docs))
         lengths = np.array([len(ids) + 1 for ids in encoded_docs], dtype=np.int64)
         for block in length_blocks(lengths, SCORE_BLOCK_CELLS):
-            logp = self._backoff_logprobs(
-                _wrapped_windows([encoded_docs[i] for i in block], self.order))
+            logp = self.stream_logprobs(
+                *_stream([encoded_docs[i] for i in block], self.order - 1))
             ends = np.cumsum(lengths[block])
             for i, start, end in zip(block, ends - lengths[block], ends):
                 totals[i] = logp[start:end].sum()
@@ -193,32 +208,44 @@ def estimate_kneser_ney(counts: NGramCountTable, vocab: Vocabulary,
     The highest order keeps raw counts; each lower order uses continuation
     counts (distinct left extensions), except grams starting with the start
     marker, which keep raw counts because nothing can precede the marker.
+    Each order's counted grams sit at ``at`` among its rows.
     """
     n = counts.order
     if len(counts.keys[0]) == 0:
         raise CountError("empty count table")
     warnings: list[str] = []
     v_pred = vocab.n_predictable
+    base = len(vocab)
 
-    grams = [counts.grams(k) for k in range(1, n + 1)]
+    rows = [keys if k == n or keys[:1].tolist() == [0] else np.append(0, keys)
+            for k, keys in enumerate(counts.keys, 1)]
+    at = [np.searchsorted(rows[k - 1], counts.keys[k - 1]) for k in range(1, n + 1)]
+    # each row's first word, and the row of its suffix (last k-1 words) in order k-1
+    first = [rows[0]]
+    suffix = [np.zeros(len(rows[0]), dtype=np.int64)]
+    for k in range(2, n + 1):
+        prefix, last = rows[k - 1] // base, rows[k - 1] % base
+        first.append(first[-1][prefix])
+        found = row_of(rows[k - 2], suffix[-1][prefix] * base + last)
+        if (found < 0).any():
+            raise CountError(f"order {k}: lower-order lookup failed")
+        suffix.append(found)
 
     adjusted: list[np.ndarray] = [None] * n
     adjusted[n - 1] = counts.counts[n - 1].copy()
     for k in range(n - 1, 0, -1):
-        suffix_keys = pack_rows(grams[k][:, 1:])
-        uniq, cont = np.unique(suffix_keys, return_counts=True)
-        if not np.array_equal(uniq, counts.keys[k - 1]):
+        cont = np.bincount(suffix[k][at[k]], minlength=len(rows[k - 1]))
+        adj = cont[at[k - 1]].astype(np.int64)
+        if (adj == 0).any() or adj.sum() != cont.sum():  # or a suffix not counted
             raise CountError(f"order {k}: suffix closure violated")
-        adj = cont.astype(np.int64)
-        bos_led = grams[k - 1][:, 0] == BOS_ID
+        bos_led = first[k - 1][at[k - 1]] == BOS_ID
         adj[bos_led] = counts.counts[k - 1][bos_led]
         adjusted[k - 1] = adj
 
     discounts = [_estimate_discounts(adjusted[k - 1], k, warnings) for k in range(1, n + 1)]
 
-    logp: list[np.ndarray] = [None] * n
-    bow_keys: list[np.ndarray] = [None] * (n - 1)
-    bow_logs: list[np.ndarray] = [None] * (n - 1)
+    logp = [np.full(len(r), np.nan) for r in rows]
+    bow_logs = [np.full(len(r), np.nan) for r in rows[:-1]]
 
     # unigrams: single (empty) context, interpolated with uniform over the
     # predictable vocabulary
@@ -230,14 +257,14 @@ def estimate_kneser_ney(counts: NGramCountTable, vocab: Vocabulary,
               + d1[1] * np.count_nonzero(adjusted[0] == 2)
               + d1[2] * np.count_nonzero(adjusted[0] >= 3)) / total1
     p1 = np.clip(adj1 - disc1, 0.0, None) / total1 + gamma1 / v_pred
-    logp[0] = np.log(p1)
+    logp[0][at[0]] = np.log(p1)
     unigram_floor = math.log(gamma1 / v_pred)
 
     for k in range(2, n + 1):
-        g = grams[k - 1]
+        prefix = counts.keys[k - 1] // base
         adj = adjusted[k - 1]
         dk = discounts[k - 1]
-        prefix_change = np.any(g[1:, : k - 1] != g[:-1, : k - 1], axis=1)
+        prefix_change = prefix[1:] != prefix[:-1]
         starts = np.flatnonzero(np.concatenate([[True], prefix_change]))
         group_of = np.cumsum(np.concatenate([[0], prefix_change.astype(np.int64)]))
         totals = np.add.reduceat(adj.astype(np.float64), starts)
@@ -246,21 +273,12 @@ def estimate_kneser_ney(counts: NGramCountTable, vocab: Vocabulary,
         n3g = np.add.reduceat((adj >= 3).astype(np.float64), starts)
         gammas = (dk[0] * n1g + dk[1] * n2g + dk[2] * n3g) / totals
 
-        suffix = pack_rows(g[:, 1:])
-        pos, hit = _find(counts.keys[k - 2], suffix)
-        if not hit.all():
-            raise CountError(f"order {k}: lower-order lookup failed")
-        p_low = np.exp(logp[k - 2][pos])
+        p_low = np.exp(logp[k - 2][suffix[k - 1][at[k - 1]]])
+        base_p = np.clip(adj.astype(np.float64) - _discount_of(adj, dk), 0.0, None)
+        logp[k - 1][at[k - 1]] = np.log(base_p / totals[group_of] + gammas[group_of] * p_low)
+        bow_logs[k - 2][prefix[starts]] = np.log(gammas)
 
-        base = np.clip(adj.astype(np.float64) - _discount_of(adj, dk), 0.0, None)
-        p_k = base / totals[group_of] + gammas[group_of] * p_low
-        logp[k - 1] = np.log(p_k)
-
-        bow_keys[k - 2] = pack_rows(g[starts, : k - 1])
-        bow_logs[k - 2] = np.log(gammas)
-
-    return KneserNeyModel(order=n, vocab=vocab, keys=list(counts.keys), logp=logp,
-                          bow_keys=bow_keys, bow_logs=bow_logs,
+    return KneserNeyModel(order=n, vocab=vocab, keys=rows, logp=logp, bow_logs=bow_logs,
                           unigram_floor_logp=unigram_floor, discounts=discounts,
                           oov_log_penalty=oov_log_penalty, warnings=warnings)
 
@@ -273,10 +291,11 @@ def train_kn_model(docs, order: int, vocab: Vocabulary,
 
 @dataclass
 class GenerativeClassifier:
-    """Bayes-ratio classifier from a positive-trained and a negative-trained LM."""
+    """Bayes-ratio classifier from a positive-trained and a negative-trained LM;
+    each model, or a function of no arguments that loads it (score_documents)."""
 
-    pos_model: KneserNeyModel
-    neg_model: KneserNeyModel
+    pos_model: KneserNeyModel | Callable[[], KneserNeyModel]
+    neg_model: KneserNeyModel | Callable[[], KneserNeyModel]
     log_prior_pos: float
     log_prior_neg: float
 
@@ -287,6 +306,45 @@ class GenerativeClassifier:
         p = ensemble.calibrate_generative(lps, lns, self.log_prior_pos, self.log_prior_neg,
                                           lengths)
         return ensemble.SplitScores(ids, p, lps, lns, table=(lps, lns, ratios))
+
+
+def fork_pair(here: Callable, there: Callable) -> tuple:
+    """(here(), there()), with there() run in a forked child meanwhile (POSIX).
+    The child writes no file: it sends back its pickled result, or the
+    exception that stopped it, and leaves through os._exit.  That exception
+    is raised here only once here() has returned, so an error of here()
+    comes first.  The child is reaped on every path, killed first when its
+    result is no longer wanted."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            try:
+                outcome = (True, there())
+            except BaseException as e:  # raised by the parent, in its turn
+                outcome = (False, e)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    data = None
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            mine = here()
+            data = pipe.read()
+    finally:
+        if data is None:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError("the forked child exited with code "
+                           f"{os.waitstatus_to_exitcode(status)} and no result")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return mine, theirs
 
 
 def make_priors(n_pos: int, n_neg: int) -> tuple[float, float]:
@@ -317,15 +375,16 @@ def train_generative_classifier(pos_docs, neg_docs, order: int,
 
 
 def score_documents(clf: GenerativeClassifier, docs):
-    """Per-document (id, log_p_pos, log_p_neg, log_ratio, n_positions) arrays;
-    each model scores the whole split in one ``doc_logprobs`` call."""
-    pos_vocab, neg_vocab = clf.pos_model.vocab, clf.neg_model.vocab
-    pos_ids = [pos_vocab.encode(d.tokens) for d in docs]
-    # models loaded from ARPA files hold equal but distinct vocabularies
-    neg_ids = pos_ids if neg_vocab is pos_vocab or neg_vocab.tokens == pos_vocab.tokens \
-        else [neg_vocab.encode(d.tokens) for d in docs]
-    lps = clf.pos_model.doc_logprobs(pos_ids)
-    lns = clf.neg_model.doc_logprobs(neg_ids)
+    """Per-document (id, log_p_pos, log_p_neg, log_ratio, n_positions) arrays.
+
+    The negative-class model scores the split in a forked child while this
+    process scores it with the positive one; only the child's log-likelihoods
+    come back.  A model that is a loader is loaded on its side first."""
+    def logprobs(model):
+        model = model() if callable(model) else model
+        return model.doc_logprobs([model.vocab.encode(d.tokens) for d in docs])
+
+    lps, lns = fork_pair(lambda: logprobs(clf.pos_model), lambda: logprobs(clf.neg_model))
     ratios = lps - lns + clf.log_prior_pos - clf.log_prior_neg
     return ([d.id for d in docs], lps, lns, ratios,
             np.array([len(d.tokens) + 1 for d in docs]))
@@ -355,15 +414,17 @@ def save_model(models_dir, clf: GenerativeClassifier, oov_penalty: float | None)
 
 
 def load_model(models_dir) -> GenerativeClassifier:
-    """Inverse of save_model."""
+    """Inverse of save_model.  Only ngram.meta is read here; each ARPA file
+    is parsed when its model first scores."""
     from . import arpa
 
     models_dir = Path(models_dir)
     meta = read_manifest(models_dir / "ngram.meta")
-    pos = arpa.import_arpa_path(models_dir / "ngram-pos.arpa")
-    neg = arpa.import_arpa_path(models_dir / "ngram-neg.arpa")
-    if int(meta["separate_vocab"]):
-        pos.oov_log_penalty = neg.oov_log_penalty = math.log(float(meta["oov_penalty"]))
-    return GenerativeClassifier(pos_model=pos, neg_model=neg,
+    penalty = math.log(float(meta["oov_penalty"])) if int(meta["separate_vocab"]) else None
+
+    def loader(name):
+        return lambda: replace(arpa.import_arpa_path(models_dir / f"ngram-{name}.arpa"),
+                               oov_log_penalty=penalty)
+    return GenerativeClassifier(pos_model=loader("pos"), neg_model=loader("neg"),
                                 log_prior_pos=float(meta["log_prior_pos"]),
                                 log_prior_neg=float(meta["log_prior_neg"]))

@@ -5,10 +5,10 @@ models.
 hidden_t = sigmoid(emb[x_t] + hidden_{t-1} @ rec); the output layer is a
 full-vocabulary softmax.  Training is online SGD, one document at a time,
 with global-norm gradient clipping; backpropagation through time runs by
-lag over blocks of output positions, and the two class models train at once
-in two processes.  The output layer is one float32 product per document,
-log-normalised a block of rows at a time, so a document holds at most one
-full-vocabulary float64 array.
+lag over blocks of output positions, and the two class models train, and
+score, at once in two processes.  The output layer is one float32 product
+per document, log-normalised a block of rows at a time, so a document holds
+at most one full-vocabulary float64 array.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, Vocabulary, length_blocks,
                      read_manifest, read_vocab, write_manifest, write_vocab)
-from .ngram_lm import GenerativeClassifier, make_priors
+from .ngram_lm import GenerativeClassifier, fork_pair, make_priors
 
 log = logging.getLogger(__name__)
 
@@ -364,74 +364,33 @@ def train_classifier(train_docs, valid_docs, vocab: Vocabulary, config: RnnTrain
     rnn.log, which gains each class's training curve as soon as it is done.
     Returns the paths written.
 
-    The negative-class model trains in a child process while this one trains
-    the positive-class model.  The child writes no file and sends back its
-    model and history, its divergence or its error; files are written and
-    errors raised here, in class order as if the models had trained one after
-    the other, and a failure of the positive model stops the child.  The
-    child is forked (POSIX only), so it starts with this process's modules,
-    documents and logging, and nothing is imported or pickled to start it.
+    The negative-class model trains in a forked child (ngram_lm.fork_pair)
+    while this process trains the positive-class one.  The child sends back
+    its model and history, or its divergence; files are written and errors
+    raised here, in class order, as if the models had trained in turn.
     """
-    import multiprocessing  # here, not at the top: `score rnn` imports this module too
-
     models_dir = Path(models_dir)
     priors = make_priors(sum(d.label == POSITIVE for d in train_docs),
                          sum(d.label == NEGATIVE for d in train_docs))
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    neg = ctx.Process(target=_train_and_send, daemon=True, args=(
-        sender, vocab, config,
-        [d for d in train_docs if d.label == NEGATIVE],
-        [d for d in valid_docs if d.label == NEGATIVE]))
-    neg.start()
-    sender.close()
     log_path = models_dir / "rnn.log"
-    try:
-        with open(log_path, "w", encoding="utf-8") as logf:
-            logf.write("label\tepoch\tlr\ttrain_ppl\tvalid_ppl\n")
-            pos = train_rnn_lm([d for d in train_docs if d.label == POSITIVE], vocab, config,
-                               valid_docs=[d for d in valid_docs if d.label == POSITIVE],
-                               dump_dir=models_dir, name="rnn-pos")
-            paths = [_write_class(models_dir, "pos", *pos, logf)]
-            outcome = _receive(receiver, neg)
-            if isinstance(outcome, _Divergence):
-                raise outcome.error(models_dir)
-            paths.append(_write_class(models_dir, "neg", *outcome, logf))
-    finally:
-        receiver.close()
-        neg.terminate()  # it has sent its outcome, or the outcome is not wanted
-        neg.join()
+    with open(log_path, "w", encoding="utf-8") as logf:
+        logf.write("label\tepoch\tlr\ttrain_ppl\tvalid_ppl\n")
+        pos, neg = fork_pair(
+            lambda: _write_class(models_dir, "pos", *train_rnn_lm(
+                [d for d in train_docs if d.label == POSITIVE], vocab, config,
+                valid_docs=[d for d in valid_docs if d.label == POSITIVE],
+                dump_dir=models_dir, name="rnn-pos"), logf),
+            lambda: _train([d for d in train_docs if d.label == NEGATIVE], vocab, config,
+                           [d for d in valid_docs if d.label == NEGATIVE], "rnn-neg"))
+        if isinstance(neg, _Divergence):
+            raise neg.error(models_dir)
+        paths = [pos, _write_class(models_dir, "neg", *neg, logf)]
     paths += [models_dir / "rnn.vocab", models_dir / "rnn.meta", log_path]
     write_vocab(paths[2], vocab)
     write_manifest(paths[3], {"hidden": config.hidden, "epochs": config.epochs,
                               "seed": config.seed, "log_prior_pos": priors[0],
                               "log_prior_neg": priors[1]}, append=False)
     return paths
-
-
-def _train_and_send(conn, vocab: Vocabulary, config: RnnTrainConfig,
-                    docs, valid_docs) -> None:
-    """Child process of train_classifier: train the negative-class model and
-    send the outcome, or the error that stopped it."""
-    try:
-        outcome = _train(docs, vocab, config, valid_docs, "rnn-neg")
-    except Exception as e:  # raised by the parent, after the positive model
-        outcome = e
-    with conn:
-        conn.send(outcome)
-
-
-def _receive(receiver, child):
-    """The child's (params, history) or _Divergence; raises the error it sent."""
-    try:
-        outcome = receiver.recv()
-    except EOFError:
-        child.join()
-        raise RuntimeError("the process training the negative-class model exited "
-                           f"with code {child.exitcode}") from None
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def _write_class(models_dir: Path, name: str, params: RnnLm, history: list[dict],

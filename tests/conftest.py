@@ -49,6 +49,19 @@ def log_ratio(clf, tokens) -> tuple[float, float, float]:
     return lp, ln, lp - ln + clf.log_prior_pos - clf.log_prior_neg
 
 
+def failing_loader(message: str):
+    """A class model loader that raises ValueError(message)."""
+    def load():
+        raise ValueError(message)
+    return load
+
+
+def assert_no_child_process():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def classify_generative(clf, tokens) -> tuple[str, float]:
     """Positive iff the prior-weighted likelihood ratio exceeds 1; ties negative."""
     ratio = log_ratio(clf, tokens)[2]

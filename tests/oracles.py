@@ -9,8 +9,9 @@ must equal and which share its recurrence; the one-word-at-a-time
 paragraph-vector training loop, which ``sentimix.pvec.train_pv`` must equal
 and which builds the package's Huffman tree and model type; and the
 line-by-line ARPA reader and writer at the end, which are the reference for
-the array passes in ``sentimix.arpa`` and build or read the package's own
-model type, so they use its key packing.  The logistic-regression reference
+the array passes in ``sentimix.arpa``: the writer decodes the package's
+model type one row key at a time, and the reader gives a dict of grams that
+the tests compare with a decoded model.  The logistic-regression reference
 is an objective written with numpy and fitted by scipy's L-BFGS-B.  The
 per-line scores reader and the product-list weight grid are numpy code too:
 they are the bit-exact references for the column passes in
@@ -22,7 +23,8 @@ the former numpy code, kept as the reference for the integer-keyed one.
 ``conditional_logprobs`` and ``logprob_positions`` are not references but
 probes: they query a ``sentimix.ngram_lm.KneserNeyModel``'s own backoff
 tables, one context or one document at a time, for the normalisation and
-scoring tests.
+scoring tests; ``GramTable.position_logprobs`` is the scalar reference
+those per-position answers must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -134,30 +136,31 @@ class KneserNeyReference:
 
 
 def conditional_logprobs(model, context_ids):
-    """log p(w | context) for every vocabulary index w at once, from the
-    backoff tables of a ``sentimix.ngram_lm.KneserNeyModel``; a context
-    shorter than order - 1 is padded with start markers."""
+    """Natural-log p(w | context) of every vocabulary id w under a
+    KneserNeyModel, the context padded with start markers to order - 1 words
+    (document-start semantics) or cut to its last order - 1."""
     import numpy as np
     from sentimix.corpus import BOS_ID
 
     n = model.order
-    ctx = np.asarray(context_ids, dtype=np.uint32)
-    if len(ctx) < n - 1:
-        ctx = np.concatenate([np.full(n - 1 - len(ctx), BOS_ID, dtype=np.uint32), ctx])
-    ctx = ctx[len(ctx) - (n - 1):] if n > 1 else ctx[:0]
+    ctx = [BOS_ID] * max(0, n - 1 - len(context_ids)) + [int(i) for i in context_ids]
+    ctx = ctx[len(ctx) - (n - 1):] if n > 1 else []
     V = len(model.vocab)
-    rows = np.empty((V, n), dtype=np.uint32)
-    rows[:, : n - 1] = ctx
-    rows[:, n - 1] = np.arange(V, dtype=np.uint32)
-    return model._backoff_logprobs(rows)
+    x = np.empty((V, n), dtype=np.int64)
+    x[:, :n - 1] = ctx
+    x[:, n - 1] = np.arange(V)
+    return model.stream_logprobs(x.ravel(), np.arange(V) * n + n - 1)
 
 
 def logprob_positions(model, ids):
     """Natural-log probability of each predicted position of one encoded
     document (its tokens, then the end marker) under a KneserNeyModel."""
-    from sentimix.ngram_lm import _wrapped_windows
+    import numpy as np
+    from sentimix.corpus import BOS_ID, EOS_ID
 
-    return model._backoff_logprobs(_wrapped_windows([ids], model.order))
+    n = model.order
+    x = np.array([BOS_ID] * (n - 1) + [int(i) for i in ids] + [EOS_ID], dtype=np.int64)
+    return model.stream_logprobs(x, np.arange(n - 1, len(x)))
 
 
 def _sigmoid(x: float) -> float:
@@ -580,6 +583,22 @@ def feature_space_reference(pos_docs, neg_docs, n_max):
     return list(index), df_pos, df_neg, per_class_ids[0] + per_class_ids[1]
 
 
+def from_grams_reference(n_max: int, grams: list[str]):
+    """The (words, gram_words) of the NB-SVM space whose feature i is the gram
+    text ``grams[i]``: the unigram texts in string order, and each gram's
+    1-based word ranks padded with 0 to n_max, one split per gram."""
+    import numpy as np
+    from itertools import chain, repeat
+
+    words = sorted(g for g in grams if " " not in g)
+    rank = dict(zip(["", *words], range(len(words) + 1)))  # "" pads
+    pad = [" " * (n_max - 1 - k) for k in range(n_max)]  # by the count of " "
+    padded = map(str.split, (g + pad[g.count(" ")] for g in grams), repeat(" "))
+    gram_words = np.fromiter(map(rank.__getitem__, chain.from_iterable(padded)),
+                             dtype=np.int32, count=len(grams) * n_max)
+    return words, gram_words.reshape(len(grams), n_max)
+
+
 def doc_gram_ids_reference(tokens, space):
     """The ascending feature ids of a document's distinct grams that the
     space holds, looked up by joined gram text, as ``sentimix.nbsvm`` scored
@@ -623,57 +642,86 @@ def train_linear_reference(X, labels, l2):
 
 # ------------------------------------------------------------------ ARPA
 
+class GramTable:
+    """A backoff model as a dict: each gram of word ids -> (natural-log
+    probability, log backoff weight), None for none, plus the vocabulary
+    tokens and the unigram floor.  A gram with neither number is only a
+    prefix.  ``position_logprobs`` walks the backoff one position at a time,
+    adding in the order ``KneserNeyModel.stream_logprobs`` adds."""
+
+    def __init__(self, order: int, tokens: list[str], floor: float, grams: dict):
+        self.order, self.tokens, self.floor, self.grams = order, tokens, floor, grams
+
+    def position_logprobs(self, ids) -> list[float]:
+        from sentimix.corpus import BOS_ID, EOS_ID
+
+        n = self.order
+        seq = [BOS_ID] * (n - 1) + [int(i) for i in ids] + [EOS_ID]
+        out = []
+        for j in range(n - 1, len(seq)):
+            acc = 0.0
+            for k in range(n, 0, -1):
+                lp = self.grams.get(tuple(seq[j - k + 1:j + 1]), (None, None))[0]
+                if lp is not None:
+                    out.append(acc + lp)
+                    break
+                bow = self.grams.get(tuple(seq[j - k + 1:j]), (None, None))[1] if k > 1 else None
+                if bow is not None:
+                    acc += bow
+            else:
+                out.append(acc + self.floor)
+        return out
+
+
+def model_table(model) -> GramTable:
+    """A KneserNeyModel's rows decoded one key at a time: a unigram key is
+    its word id, a k-gram key the row of its prefix in order k-1 times the
+    vocabulary size plus its last word."""
+    V = len(model.vocab)
+    grams = {}
+    for k in range(1, model.order + 1):
+        for r, key in enumerate(model.keys[k - 1].tolist()):
+            words, j = [], k
+            while True:
+                words.append(key % V)
+                if j == 1:
+                    break
+                key = int(model.keys[j - 2][key // V])
+                j -= 1
+            lp = float(model.logp[k - 1][r])
+            bow = float(model.bow_logs[k - 1][r]) if k < model.order else math.nan
+            grams[tuple(reversed(words))] = (None if math.isnan(lp) else lp,
+                                             None if math.isnan(bow) else bow)
+    return GramTable(model.order, list(model.vocab.tokens), model.unigram_floor_logp, grams)
+
+
 def _arpa_section_lines(model, k: int) -> list[str]:
-    """One ARPA section of ``model``, one formatted line per entry."""
-    import numpy as np
+    """One ARPA section of ``model``, one formatted line per entry: the grams
+    with a log probability in gram order, then those that are only backoff
+    contexts, with the -99 pseudo probability."""
     from sentimix.arpa import LOG10, PSEUDO_LOGP10
     from sentimix.corpus import BOS_ID
-    from sentimix.ngram_lm import _find, pack_rows, unpack_keys
 
-    vocab = model.vocab
+    table = model_table(model)
+    tokens = table.tokens
     n = model.order
-    lines: list[str] = []
-    if k == 1:
-        all_ids = np.arange(len(vocab), dtype=np.uint32)[:, None]
-        keys = pack_rows(all_ids)
-        lp10 = np.full(len(vocab), model.unigram_floor_logp / LOG10)
-        pos, hit = _find(model.keys[0], keys)
-        lp10[hit] = model.logp[0][pos[hit]] / LOG10
-        lp10[BOS_ID] = PSEUDO_LOGP10
-        if n > 1:
-            bpos, bhit = _find(model.bow_keys[0], keys)
-            bow10 = model.bow_logs[0][bpos] / LOG10
-        for i, token in enumerate(vocab.tokens):
-            if n > 1 and bhit[i]:
-                lines.append("%.7f\t%s\t%.7f" % (lp10[i], token, bow10[i]))
-            else:
-                lines.append("%.7f\t%s" % (lp10[i], token))
-        return lines
 
-    grams = unpack_keys(model.keys[k - 1], k).tolist()
-    lp10 = model.logp[k - 1] / LOG10
-    tokens = vocab.tokens
-    if k < n:
-        bpos, bhit = _find(model.bow_keys[k - 1], model.keys[k - 1])
-        bow10 = model.bow_logs[k - 1][bpos] / LOG10
-        for i, row in enumerate(grams):
-            text = " ".join(tokens[c] for c in row)
-            if bhit[i]:
-                lines.append("%.7f\t%s\t%.7f" % (lp10[i], text, bow10[i]))
-            else:
-                lines.append("%.7f\t%s" % (lp10[i], text))
-        # backoff-only contexts at this length (runs of the start marker)
-        cpos, chit = _find(model.keys[k - 1], model.bow_keys[k - 1])
-        for i in np.flatnonzero(~chit):
-            row = unpack_keys(model.bow_keys[k - 1][i:i + 1], k)[0]
-            text = " ".join(tokens[c] for c in row)
-            lines.append("%.7f\t%s\t%.7f"
-                         % (PSEUDO_LOGP10, text, model.bow_logs[k - 1][i] / LOG10))
-    else:
-        for i, row in enumerate(grams):
-            text = " ".join(tokens[c] for c in row)
-            lines.append("%.7f\t%s" % (lp10[i], text))
-    return lines
+    def line(lp10, gram, bow):
+        text = "%.7f\t%s" % (lp10, " ".join(tokens[c] for c in gram))
+        return text if bow is None or k == n else text + "\t%.7f" % (bow / LOG10)
+
+    if k == 1:
+        lines = []
+        for i in range(len(tokens)):
+            lp, bow = table.grams.get((i,), (None, None))
+            lp10 = PSEUDO_LOGP10 if i == BOS_ID else (
+                (lp if lp is not None else table.floor) / LOG10)
+            lines.append(line(lp10, (i,), bow))
+        return lines
+    rows = sorted((g, v) for g, v in table.grams.items() if len(g) == k)
+    return ([line(lp / LOG10, g, bow) for g, (lp, bow) in rows if lp is not None]
+            + [line(PSEUDO_LOGP10, g, bow) for g, (lp, bow) in rows
+               if lp is None and bow is not None and k < n])
 
 
 def export_arpa_reference(model, fileobj) -> None:
@@ -721,13 +769,13 @@ def _parse_arpa_header(lines: list[str]):
     return declared, i
 
 
-def import_arpa_reference(fileobj):
-    """Parse ARPA text one line at a time into a backoff model, raising
-    ``ArpaParseError`` at the first bad line."""
-    import numpy as np
+def import_arpa_reference(fileobj) -> GramTable:
+    """Parse ARPA text one line at a time into a GramTable, raising
+    ``ArpaParseError`` at the first bad line.  A repeated entry keeps the
+    first log probability and the first backoff weight given (NaN gives
+    none), and every prefix of an entry is a gram of the table."""
     from sentimix.arpa import LOG10, PSEUDO_LOGP10, ArpaParseError
     from sentimix.corpus import RESERVED, UNK, Vocabulary
-    from sentimix.ngram_lm import KneserNeyModel, _find, pack_rows
 
     lines = fileobj.read().splitlines()
     declared, i = _parse_arpa_header(lines)
@@ -781,46 +829,33 @@ def import_arpa_reference(fileobj):
     vocab = Vocabulary(seen, [1] * len(seen))
     index = vocab.index
 
-    keys, logp = [], []
-    bow_keys, bow_logs = [], []
+    grams: dict[tuple, list] = {}
     for k in range(1, order + 1):
-        n_k = declared[k]
-        rows = np.empty((n_k, k), dtype=np.uint32)
-        lps = np.empty(n_k)
-        bows = np.full(n_k, np.nan)
-        for j, (lineno, line) in enumerate(sections[k]):
+        for lineno, line in sections[k]:
             fields = line.split()
-            if len(fields) == k + 1:
-                pass
-            elif len(fields) == k + 2:
+            bow = math.nan
+            if len(fields) == k + 2:
                 try:
-                    bows[j] = float(fields[-1])
+                    bow = float(fields[-1])
                 except ValueError as e:
                     raise ArpaParseError(f"line {lineno}: bad backoff weight") from e
-            else:
+            elif len(fields) != k + 1:
                 raise ArpaParseError(
                     f"line {lineno}: expected {k}-gram line, got {len(fields)} fields")
             try:
-                lps[j] = float(fields[0])
+                lp = float(fields[0])
             except ValueError as e:
                 raise ArpaParseError(f"line {lineno}: bad log probability") from e
-            for c in range(k):
-                rows[j, c] = index(fields[1 + c])
-        packed = pack_rows(rows)
-        srt = np.argsort(packed, kind="stable")
-        keys.append(packed[srt])
-        logp.append(lps[srt] * LOG10)
-        if k < order:
-            has_bow = ~np.isnan(bows)
-            bpacked = packed[has_bow]
-            bvals = bows[has_bow] * LOG10
-            bsrt = np.argsort(bpacked, kind="stable")
-            bow_keys.append(bpacked[bsrt])
-            bow_logs.append(bvals[bsrt])
+            gram = tuple(index(w) for w in fields[1:k + 1])
+            for j in range(1, k):
+                grams.setdefault(gram[:j], [None, None])
+            entry = grams.setdefault(gram, [None, None])
+            if entry[0] is None and not math.isnan(lp):
+                entry[0] = lp * LOG10
+            if entry[1] is None and not math.isnan(bow) and k < order:
+                entry[1] = bow * LOG10
 
-    floor_key = pack_rows(np.array([[vocab.index(UNK)]], dtype=np.uint32))
-    pos, hit = _find(keys[0], floor_key)
-    floor = float(logp[0][pos[0]]) if hit[0] else PSEUDO_LOGP10 * LOG10
-    return KneserNeyModel(order=order, vocab=vocab, keys=keys, logp=logp,
-                          bow_keys=bow_keys, bow_logs=bow_logs,
-                          unigram_floor_logp=floor, discounts=None)
+    floor = grams.get((index(UNK),), [None])[0]
+    return GramTable(order, list(vocab.tokens),
+                     PSEUDO_LOGP10 * LOG10 if floor is None else floor,
+                     {g: tuple(v) for g, v in grams.items()})

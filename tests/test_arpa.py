@@ -8,10 +8,11 @@ from sentimix import arpa
 from sentimix.arpa import ArpaParseError, export_arpa, import_arpa
 from sentimix.corpus import EOS, build_vocab
 from sentimix.ngram_lm import (
-    KneserNeyModel, count_ngrams, estimate_kneser_ney, pack_rows, train_generative_classifier,
+    KneserNeyModel, count_ngrams, estimate_kneser_ney, train_generative_classifier,
 )
 from conftest import doc_logprob, make_docs
-from oracles import export_arpa_reference, import_arpa_reference
+from oracles import (GramTable, export_arpa_reference, import_arpa_reference,
+                     logprob_positions, model_table)
 
 LOG10 = math.log(10.0)
 
@@ -33,10 +34,8 @@ def test_uniform_two_symbol_lines():
     vocab = build_vocab(make_docs([["a", "b"]]))
     ids = sorted([vocab.index("a"), vocab.index("b")])
     model = KneserNeyModel(
-        order=1, vocab=vocab,
-        keys=[pack_rows(np.array([[i] for i in ids], dtype=np.uint32))],
-        logp=[np.full(2, math.log(0.5))],
-        bow_keys=[], bow_logs=[], unigram_floor_logp=math.log(1e-9))
+        order=1, vocab=vocab, keys=[np.array(ids, dtype=np.int64)],
+        logp=[np.full(2, math.log(0.5))], bow_logs=[], unigram_floor_logp=math.log(1e-9))
     buf = io.StringIO()
     export_arpa(model, buf)
     lines = [l for l in buf.getvalue().splitlines()
@@ -50,16 +49,12 @@ def test_roundtrip_stored_probabilities():
     model = _toy_model([["the", "cat", "sat"], ["the", "cat", "ran"],
                         ["a", "dog", "ran"]], order=2)
     back, _ = _roundtrip(model)
-    for k in (1, 2):
-        for row, lp in zip(model.keys[k - 1], model.logp[k - 1]):
-            toks = [model.vocab.tokens[i]
-                    for i in np.frombuffer(row, dtype=">u4")]
-            ids2 = np.array([[back.vocab.index(t) for t in toks]], dtype=np.uint32)
-            key2 = pack_rows(ids2)
-            pos = np.searchsorted(back.keys[k - 1], key2)
-            assert back.keys[k - 1][pos[0]] == key2[0]
-            lp2 = back.logp[k - 1][pos[0]]
-            assert abs(lp - lp2) / LOG10 < 1e-4
+    want, got = model_table(model), model_table(back)
+    for gram, (lp, _) in want.grams.items():
+        if lp is None:
+            continue
+        lp2 = got.grams[tuple(back.vocab.index(model.vocab.tokens[i]) for i in gram)][0]
+        assert abs(lp - lp2) / LOG10 < 1e-4
 
 
 def test_roundtrip_document_scores():
@@ -150,19 +145,23 @@ def _text(model, writer=export_arpa) -> str:
 
 
 def _assert_same_model(got, want):
-    assert got.order == want.order
-    assert got.vocab.tokens == want.vocab.tokens
-    for name in ("keys", "logp", "bow_keys", "bow_logs"):
-        assert len(getattr(got, name)) == len(getattr(want, name))
-        for a, b in zip(getattr(got, name), getattr(want, name)):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.unigram_floor_logp == want.unigram_floor_logp
+    """``got`` decodes to the gram table ``want`` (a GramTable, or a model
+    decoded the same way), bit for bit, and scores every position of a
+    document walking each order's grams bit for bit as the table does."""
+    if not isinstance(want, GramTable):
+        want = model_table(want)
+    have = model_table(got)
+    assert (have.order, have.tokens, have.floor) == (want.order, want.tokens, want.floor)
+    assert have.grams == want.grams
+    for k in range(1, got.order + 1):
+        ids = [w for gram in sorted(g for g in want.grams if len(g) == k) for w in gram]
+        assert logprob_positions(got, ids).tolist() == want.position_logprobs(ids)
 
 
 def _import_both(text):
     """Import with the array passes and with the line-by-line reference: both
-    give equal arrays, or both raise ArpaParseError with the same message
-    (then None is returned)."""
+    give the same grams and scores, or both raise ArpaParseError with the
+    same message (then None is returned)."""
     try:
         want = import_arpa_reference(io.StringIO(text))
     except ArpaParseError as e:
@@ -196,7 +195,7 @@ def _classifier(order, separate_vocab=False, seed=0):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_array_passes_match_reference(order, separate_vocab):
     """Export gives the reference's text byte for byte, and importing it
-    gives the reference's arrays bit for bit, dtype included."""
+    gives the reference's grams and scores bit for bit."""
     clf = _classifier(order, separate_vocab)
     for model in (clf.pos_model, clf.neg_model):
         text = _text(model)
@@ -301,6 +300,63 @@ UNUSUAL = {
 @pytest.mark.parametrize("case", UNUSUAL)
 def test_unusual_layouts_read_as_reference(case):
     assert _import_both(UNUSUAL[case](_small_arpa())) is not None
+
+
+def _section(text, k):
+    """The lines of order k's section."""
+    start = text.index(f"\\{k}-grams:\n") + len(f"\\{k}-grams:\n")
+    return text[start:text.index("\n\n", start)].split("\n")
+
+
+def _with_section(text, k, lines):
+    """``text`` with order k's section and its declared count replaced."""
+    old = _section(text, k)
+    text = text.replace(f"ngram {k}={len(old)}\n", f"ngram {k}={len(lines)}\n", 1)
+    return text.replace("\n".join(old) + "\n\n", "\n".join(lines) + "\n\n", 1)
+
+
+def _drop_extended_bigram(text):
+    """Without the first bigram that prefixes a trigram, trigrams kept."""
+    prefixes = {line.split("\t")[1].rsplit(" ", 1)[0] for line in _section(text, 3)}
+    lines = _section(text, 2)
+    drop = next(i for i, line in enumerate(lines)
+                if line.split("\t")[1] in prefixes and not line.split("\t")[1].startswith("<s>"))
+    return _with_section(text, 2, lines[:drop] + lines[drop + 1:])
+
+
+def _duplicate_before_backoff(text):
+    """A first copy, without a backoff weight, of the first bigram with one."""
+    lines = _section(text, 2)
+    i = next(i for i, line in enumerate(lines) if line.count("\t") == 2)
+    copy = "-0.5000000\t" + lines[i].split("\t")[1]
+    return _with_section(text, 2, lines[:i] + [copy] + lines[i:])
+
+
+HAND_EDITED = {
+    "dropped bigram whose trigrams remain": _drop_extended_bigram,
+    "unsorted sections": lambda t: _with_section(_with_section(
+        t, 2, _section(t, 2)[::-1]), 3, _section(t, 3)[::-1]),
+    "duplicate entry with its backoff on the second copy": _duplicate_before_backoff,
+}
+
+
+@pytest.mark.parametrize("case", HAND_EDITED)
+def test_hand_edited_files_read_as_reference(case):
+    """A trigram file edited by hand reads as the reference reads it: a
+    prefix that is no entry is a row with neither number, order within a
+    section does not matter, and a repeated entry keeps its first log
+    probability and its first backoff weight."""
+    text = HAND_EDITED[case](_block_text())
+    got = _import_both(text)
+    assert got is not None
+    table = model_table(got)
+    if case.startswith("dropped"):
+        assert any(lp is None and bow is None for g, (lp, bow) in table.grams.items()
+                   if len(g) == 2)
+    if case.startswith("duplicate"):
+        first = next(g for g, (lp, bow) in table.grams.items()
+                     if lp == -0.5 * LOG10 and len(g) == 2)
+        assert table.grams[first][1] is not None
 
 
 MESSAGES = ["missing \\data\\ header", "expected 'ngram k=count'", "malformed count line",

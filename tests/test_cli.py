@@ -1,6 +1,5 @@
 import argparse
 import json
-import multiprocessing
 import re
 import shutil
 import subprocess
@@ -13,7 +12,7 @@ from sentimix import nbsvm, ngram_lm, rnn_lm
 from sentimix.cli import build_parser, cli_dispatch
 from sentimix.corpus import read_manifest
 from sentimix.ensemble import write_scores_jsonl
-from conftest import src_env
+from conftest import assert_no_child_process, src_env
 
 
 def run(argv):
@@ -267,7 +266,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(["train-rnn", "--out-dir", str(out), "--hidden", "8", "--epochs", "30",
                     "--lr", "80", "--clip", "1e9", "--vocab-cap", "100"]) == 1
-        assert not multiprocessing.active_children()
+        assert_no_child_process()
         models = out / "models"
         dumps = list(models.glob("rnn-diverged-*.npz"))
         assert len(dumps) == 1
@@ -472,6 +471,15 @@ def _bad_magic(path):
     path.write_bytes(b"NOTRNN!" + data[7:])
 
 
+def _bad_log_probability(path):
+    """The middle line of an ARPA file, of a section, with "x" for its log
+    probability."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    i = next(i for i in range(len(lines) // 2, len(lines)) if "\t" in lines[i])
+    lines[i] = "x" + lines[i][lines[i].index("\t"):]
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
 def _pv_dm_layout(path):
     """Rewrite pv.npz as the layout of the PV-DM era: word_vecs, mode, and
     the window second in meta."""
@@ -492,6 +500,10 @@ FAULTS = {
     "truncated-rnn-header": ("models/rnn-pos.bin",
                              lambda p: p.write_bytes(p.read_bytes()[:len(rnn_lm.MAGIC) + 3]),
                              ["score", "rnn", "test"]),
+    "bad-number-ngram-pos": ("models/ngram-pos.arpa", _bad_log_probability,
+                             ["score", "ngram", "test"]),
+    "bad-number-ngram-neg": ("models/ngram-neg.arpa", _bad_log_probability,
+                             ["score", "ngram", "test"]),
     "truncated-cache": ("cache/test.tsv", _cut_mid_line, ["score", "pv", "test"]),
     "truncated-cache-inspect": ("cache/test.tsv", _cut_mid_line,
                                 ["inspect-errors", "--models", "ngram,pv,nbsvm3"]),
@@ -523,6 +535,21 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(run_dir / rel) in err
+
+    def test_both_class_models_damaged_names_the_positive(self, pipeline_dir, tmp_path,
+                                                          capsys):
+        """Each class's ARPA file is parsed on its own side of the fork; with
+        both damaged the error is the positive model's, and no child is left."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        for name in ("pos", "neg"):
+            _bad_log_probability(run_dir / f"models/ngram-{name}.arpa")
+        capsys.readouterr()
+        assert run(["score", "ngram", "test", "--out-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ArpaParseError: ") and err.count("\n") == 1, err
+        assert str(run_dir / "models/ngram-pos.arpa") in err and "ngram-neg" not in err
+        assert_no_child_process()
 
     def test_token_that_could_alias_a_gram_is_1(self, pipeline_dir, tmp_path, capsys):
         """A cached token holding a character <= " " after its first would
@@ -780,8 +807,8 @@ class TestConfigFile:
         meta = read_manifest(tmp_path / "run" / "models" / "ngram.meta")
         assert (meta["separate_vocab"], meta.get("oov_penalty")) == (separate_vocab, oov_penalty)
         model = ngram_lm.load_model(tmp_path / "run" / "models")
-        assert (model.pos_model.vocab.tokens != model.neg_model.vocab.tokens) \
-            == (separate_vocab == "1")
+        pos, neg = model.pos_model(), model.neg_model()  # each parses its ARPA file
+        assert (pos.vocab.tokens != neg.vocab.tokens) == (separate_vocab == "1")
         assert run(["score", "ngram", "test", "--out-dir", out]) == 0
 
     def test_config_equals_form(self, imdb_tree, tmp_path):

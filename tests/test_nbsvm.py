@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentimix.corpus import Document, load_imdb, split_validation
+from sentimix.corpus import Document, load_imdb, pack_strings, split_validation
 from sentimix.nbsvm import (
     FTOL, GTOL, MAX_ITER,
     LinearClassifier, LogRatioWeights, NbsvmModel, NGramFeatureSpace, SparseRows,
@@ -18,8 +18,8 @@ from sentimix.nbsvm import (
 import sentimix.nbsvm as nbsvm_module
 from conftest import make_docs, to_csr
 from oracles import (
-    doc_gram_ids_reference, feature_space_reference, log_count_ratio_reference,
-    logistic_objective_reference, train_linear_reference,
+    doc_gram_ids_reference, feature_space_reference, from_grams_reference,
+    log_count_ratio_reference, logistic_objective_reference, train_linear_reference,
 )
 
 
@@ -341,7 +341,7 @@ class TestPipeline:
         code point, as Python's string order does."""
         grams = ["b", "a", "c", "\u00e9t\u00e9", "z", "a b", "e", "zz"]
         r = np.array([0.5, -0.5, 0.5, 1.25, -0.0, 1.25, 0.0, -2.0])
-        space = NGramFeatureSpace.from_grams(2, grams)
+        space = NGramFeatureSpace.from_grams(2, pack_strings(grams))
         path = tmp_path / "features.tsv"
         dump_feature_weights(space, LogRatioWeights(r=r, alpha=1.0), path)
         order = sorted(range(len(grams)), key=lambda i: (-abs(r[i]), grams[i]))
@@ -393,7 +393,7 @@ class TestIntegerKeys:
             pos, neg = _random_corpus(rng, max_docs=8)
             space = build_feature_space(pos, neg, n_max)
             grams = feature_space_reference(pos, neg, n_max)[0]
-            by_text = NGramFeatureSpace.from_grams(n_max, grams)
+            by_text = NGramFeatureSpace.from_grams(n_max, pack_strings(grams))
             weights = LogRatioWeights(r=rng.randint(-3, 4, size=len(grams)) / 2, alpha=1.0)
             clf = LinearClassifier(w=rng.standard_normal(len(grams)), b=0.5, l2=0.25)
             out = {}
@@ -403,6 +403,22 @@ class TestIntegerKeys:
                 out[name] = [(tmp_path / name / f"nbsvm{n_max}{suffix}").read_bytes()
                              for suffix in (".npz", "-features.tsv")]
             assert out["keys"] == out["text"], trial
+
+    @pytest.mark.parametrize("block", [2, nbsvm_module.LOAD_BLOCK_GRAMS])
+    def test_loaded_grams_match_one_split_per_gram(self, monkeypatch, block):
+        """Parsing the stored gram bytes with one split per block of grams
+        gives the words and word ranks of splitting each gram on its own."""
+        monkeypatch.setattr(nbsvm_module, "LOAD_BLOCK_GRAMS", block)
+        rng = np.random.RandomState(12)
+        for _ in range(150):
+            pos, neg = _random_corpus(rng)
+            n_max = int(rng.randint(1, 4))
+            grams = build_feature_space(pos, neg, n_max).grams
+            space = NGramFeatureSpace.from_grams(n_max, pack_strings(grams))
+            words, gram_words = from_grams_reference(n_max, grams)
+            assert space.words == words and space.grams == grams
+            assert space.gram_words.dtype == gram_words.dtype
+            assert np.array_equal(space.gram_words, gram_words)
 
     @pytest.mark.parametrize("token", ["a b", "a\tb", "a\xa0b", "", " ", "a\x01", "ab\x1b",
                                        "\u00e9\x00"])

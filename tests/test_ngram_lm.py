@@ -6,19 +6,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentimix import ngram_lm
-from sentimix.corpus import BOS, EOS, UNK, EOS_ID, UNK_ID, build_vocab
+from sentimix.corpus import BOS, BOS_ID, EOS, UNK, EOS_ID, UNK_ID, build_vocab
 from sentimix.ngram_lm import (
-    CountError, GenerativeClassifier, KneserNeyModel, count_ngrams,
-    estimate_kneser_ney, make_priors, pack_rows, score_documents,
-    train_generative_classifier, train_kn_model,
+    CountError, GenerativeClassifier, KneserNeyModel, NGramCountTable, count_ngrams,
+    estimate_kneser_ney, make_priors, score_documents, train_generative_classifier,
+    train_kn_model,
 )
-from conftest import classify_generative, doc_logprob, log_ratio, make_docs
-from oracles import KneserNeyReference, conditional_logprobs, logprob_positions
+from conftest import (assert_no_child_process, classify_generative, doc_logprob,
+                      failing_loader, log_ratio, make_docs)
+from oracles import KneserNeyReference, conditional_logprobs, logprob_positions, model_table
 
 
 def _gram_dict(table, k, vocab):
-    return {tuple(vocab.tokens[i] for i in row): int(c)
-            for row, c in zip(table.grams(k), table.counts[k - 1])}
+    """Order k's counted grams as token tuples -> counts, decoded one key at
+    a time: below the top order, row 0 is the start-marker run (key 0)."""
+    V = len(vocab)
+    rows = [([] if j == table.order or keys[:1].tolist() == [0] else [0]) + keys.tolist()
+            for j, keys in enumerate(table.keys, 1)]
+
+    def words(j, key):
+        return (words(j - 1, rows[j - 2][key // V]) if j > 1 else ()) + (key % V,)
+    return {tuple(vocab.tokens[i] for i in words(k, key)): int(c)
+            for key, c in zip(table.keys[k - 1].tolist(), table.counts[k - 1])}
 
 
 corpora = st.lists(
@@ -171,9 +180,8 @@ class TestKneserNey:
         vocab = build_vocab(make_docs([["a"]]))
         with pytest.raises(CountError):
             estimate_kneser_ney(
-                count_ngrams([], 2, vocab).__class__(order=2, keys=[
-                    np.empty(0, dtype="S4"), np.empty(0, dtype="S8")],
-                    counts=[np.empty(0, dtype=np.int64)] * 2),
+                NGramCountTable(order=2, keys=[np.empty(0, dtype=np.int64)] * 2,
+                                counts=[np.empty(0, dtype=np.int64)] * 2),
                 vocab)
 
     @given(corpora, st.lists(st.sampled_from("abcde"), max_size=6))
@@ -203,11 +211,9 @@ def _uniform_unigram_model(tokens, p):
     """Hand-built model assigning exactly p to each listed token."""
     vocab = build_vocab(make_docs([tokens]))
     ids = sorted(vocab.index(t) for t in tokens + [EOS])
-    keys = pack_rows(np.array([[i] for i in ids], dtype=np.uint32))
     logp = np.full(len(ids), math.log(p))
-    return KneserNeyModel(order=1, vocab=vocab, keys=[keys], logp=[logp],
-                          bow_keys=[], bow_logs=[],
-                          unigram_floor_logp=math.log(p)), vocab
+    return KneserNeyModel(order=1, vocab=vocab, keys=[np.array(ids, dtype=np.int64)],
+                          logp=[logp], bow_logs=[], unigram_floor_logp=math.log(p)), vocab
 
 
 class TestDocLogprob:
@@ -364,3 +370,85 @@ class TestBatchedScoring:
         longest = max(len(d.tokens) for d in held_out) + 1
         monkeypatch.setattr(ngram_lm, "SCORE_BLOCK_CELLS", per_block * longest)
         self._check(clf, held_out)
+
+
+def _class_models(order, separate_vocab):
+    pos, neg = _review_docs(15, 10, n_words=12), _review_docs(15, 11, n_words=12,
+                                                             label="negative")
+    clf = train_generative_classifier(pos, neg, order=order,
+                                      oov_log_penalty=math.log(1e-7) if separate_vocab
+                                      else None)
+    return [(clf.pos_model, pos), (clf.neg_model, neg)]
+
+
+class TestRowKeys:
+    """Each order's rows are sorted keys over which every gram's prefix and
+    suffix, and every backoff context, is a row of the order below."""
+
+    @pytest.mark.parametrize("separate_vocab", [False, True], ids=["shared", "separate"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_prefixes_suffixes_and_contexts_are_rows(self, order, separate_vocab):
+        for model, _ in _class_models(order, separate_vocab):
+            grams = model_table(model).grams
+            for k in range(1, order + 1):
+                assert np.all(np.diff(model.keys[k - 1]) > 0)
+                rows = [tuple(g) for g in model.grams(k).tolist()]
+                assert rows == sorted(rows) and set(rows) == {g for g in grams if len(g) == k}
+            for gram, (lp, bow) in grams.items():
+                if len(gram) > 1:
+                    assert gram[:-1] in grams and gram[1:] in grams
+                if lp is not None and len(gram) > 1:
+                    assert grams[gram[:-1]][1] is not None  # its context has a backoff
+                if bow is not None:
+                    assert any(len(g) == len(gram) + 1 and g[:-1] == gram and v[0] is not None
+                               for g, v in grams.items())
+            prefixes_only = {g for g, (lp, bow) in grams.items() if lp is None}
+            assert all(set(g) == {BOS_ID} for g in prefixes_only)  # start-marker runs
+
+    @pytest.mark.parametrize("separate_vocab", [False, True], ids=["shared", "separate"])
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_doc_logprobs_match_reference(self, order, separate_vocab):
+        for model, docs in _class_models(order, separate_vocab):
+            token_lists = [list(d.tokens) for d in docs]
+            ref = KneserNeyReference(token_lists, order,
+                                     [t for t in model.vocab.tokens if t != BOS])
+            got = model.doc_logprobs([model.vocab.encode(t) for t in token_lists])
+            for lp, tokens in zip(got, token_lists):
+                assert lp == pytest.approx(ref.doc_logprob(tokens), rel=1e-10, abs=1e-10)
+
+
+class TestForkedScoring:
+    """The negative-class model scores in a forked child: the result equals
+    scoring here, errors come in class order, and no child is left."""
+
+    def _clf(self, pos=None, neg=None):
+        clf = train_generative_classifier(
+            _review_docs(10, 1), _review_docs(10, 2, label="negative"), order=3)
+        return GenerativeClassifier(pos_model=pos or clf.pos_model, neg_model=neg or clf.neg_model,
+                                    log_prior_pos=clf.log_prior_pos,
+                                    log_prior_neg=clf.log_prior_neg)
+
+    def test_success(self):
+        clf = self._clf()
+        docs = _review_docs(6, 3)
+        _, lps, lns, _, _ = score_documents(clf, docs)
+        assert_no_child_process()
+        assert lns.tolist() == clf.neg_model.doc_logprobs(
+            [clf.neg_model.vocab.encode(d.tokens) for d in docs]).tolist()
+        assert lps.tolist() == [doc_logprob(clf.pos_model, d.tokens) for d in docs]
+
+    def test_loader_runs_on_its_side(self):
+        model = self._clf().neg_model
+        clf = self._clf(neg=lambda: model)
+        assert score_documents(clf, _review_docs(3, 4))[2].tolist() == \
+            model.doc_logprobs([model.vocab.encode(d.tokens)
+                                for d in _review_docs(3, 4)]).tolist()
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("failing, raised", [
+        (("pos",), "pos"), (("neg",), "neg"), (("pos", "neg"), "pos")])
+    def test_failure(self, failing, raised):
+        clf = self._clf(**{side: failing_loader(side) for side in failing})
+        with pytest.raises(ValueError, match=f"^{raised}$"):
+            score_documents(clf, _review_docs(4, 5))
+        assert_no_child_process()

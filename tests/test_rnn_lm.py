@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import time
 import tracemalloc
 from dataclasses import replace
@@ -9,12 +8,13 @@ import pytest
 
 from sentimix import rnn_lm
 from sentimix.corpus import BOS_ID, EOS_ID, build_vocab
-from sentimix.ngram_lm import GenerativeClassifier
+from sentimix.ngram_lm import GenerativeClassifier, score_documents
 from sentimix.rnn_lm import (
     RnnDivergenceError, RnnLm, RnnTrainConfig, clip_gradients, corpus_logprob,
     init_params, load_rnn, save_rnn, train_rnn_lm,
 )
-from conftest import classify_generative, make_docs, rnn_forward, rnn_gradients
+from conftest import (assert_no_child_process, classify_generative, failing_loader,
+                      make_docs, rnn_forward, rnn_gradients)
 from oracles import rnn_gradients_reference, rnn_reference, unigram_logprob
 
 
@@ -328,8 +328,9 @@ class TestTraining:
 
 
 class TestTrainClassifier:
-    """The negative-class model trains in a child process; what the parent
-    writes equals training both models here, one after the other."""
+    """The negative-class model trains in a forked child; what the parent
+    writes equals training both models here, one after the other, and no
+    child is left on any path."""
 
     def _data(self):
         pos = make_docs(TOY_SENTENCES)
@@ -341,7 +342,7 @@ class TestTrainClassifier:
     def test_child_trains_the_same_bits(self, tmp_path):
         pos, neg, vocab, config = self._data()
         rnn_lm.train_classifier(pos + neg, pos[:2] + neg[:2], vocab, config, tmp_path)
-        assert not multiprocessing.active_children()
+        assert_no_child_process()
         log_rows = []
         for name, docs in (("pos", pos), ("neg", neg)):
             params, history = train_rnn_lm(docs, vocab, config, valid_docs=docs[:2])
@@ -360,7 +361,7 @@ class TestTrainClassifier:
             rnn_lm.train_classifier(pos + broken, [], vocab, config, tmp_path)
         assert (tmp_path / "rnn-pos.bin").exists()
         assert not (tmp_path / "rnn-neg.bin").exists()
-        assert not multiprocessing.active_children()
+        assert_no_child_process()
 
     def test_positive_error_stops_the_child(self, tmp_path):
         pos, neg, vocab, config = self._data()
@@ -370,7 +371,7 @@ class TestTrainClassifier:
         with pytest.raises(TypeError, match="not iterable"):
             rnn_lm.train_classifier(broken + neg, [], vocab, config, tmp_path)
         assert time.monotonic() - started < 60
-        assert not multiprocessing.active_children()
+        assert_no_child_process()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rnn.log"]
 
 
@@ -435,3 +436,37 @@ class TestBayesClassifierReuse:
                                    log_prior_neg=math.log(0.5))
         assert classify_generative(clf, ["good", "fine"])[0] == "positive"
         assert classify_generative(clf, ["bad", "poor"])[0] == "negative"
+
+
+class TestForkedScoring:
+    """An RNN classifier scores its negative class in a forked child, as the
+    n-gram one does: the same bits as scoring here, errors in class order,
+    and no child left."""
+
+    def _clf(self, pos=None, neg=None):
+        docs = make_docs(TOY_SENTENCES)
+        vocab = build_vocab(docs)
+        models = []
+        for seed in (1, 2):
+            params = init_params(len(vocab), 6, seed=seed)
+            params.vocab = vocab
+            models.append(params)
+        return GenerativeClassifier(pos_model=pos or models[0], neg_model=neg or models[1],
+                                    log_prior_pos=math.log(0.4),
+                                    log_prior_neg=math.log(0.6)), docs
+
+    def test_success(self):
+        clf, docs = self._clf()
+        _, lps, lns, _, _ = score_documents(clf, docs)
+        assert_no_child_process()
+        for model, got in ((clf.pos_model, lps), (clf.neg_model, lns)):
+            assert got.tolist() == model.doc_logprobs(
+                [model.vocab.encode(d.tokens) for d in docs]).tolist()
+
+    @pytest.mark.parametrize("failing, raised", [
+        (("pos",), "pos"), (("neg",), "neg"), (("pos", "neg"), "pos")])
+    def test_failure(self, failing, raised):
+        clf, docs = self._clf(**{side: failing_loader(side) for side in failing})
+        with pytest.raises(ValueError, match=f"^{raised}$"):
+            score_documents(clf, docs)
+        assert_no_child_process()
