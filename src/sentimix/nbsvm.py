@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import NEGATIVE, POSITIVE, pack_strings, read_npz, sorted_distinct
+from .corpus import NEGATIVE, POSITIVE, pack_strings, read_npz, sorted_distinct, unpack_strings
 from .ensemble import SplitScores
 
 log = logging.getLogger(__name__)
@@ -41,7 +41,7 @@ MEMORY = 10  # correction pairs kept by the two-loop recursion
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 MAX_HALVINGS = 20  # step halvings before the line search gives up
 SCORE_BLOCK_TOKENS = 1 << 13  # about as many document tokens are keyed at once in scoring
-LOAD_BLOCK_GRAMS = 1 << 14  # stored grams split into words at once by a model load
+NBSVM_ARRAYS = ("words", "gram_words", "r", "w", "b", "meta")  # of nbsvm<n>.npz
 
 
 class TrainingError(Exception):
@@ -69,35 +69,6 @@ class NGramFeatureSpace:
     # text order) as build_feature_space assigned them; empty once loaded and
     # once train_classifier has featurized them
     train_ids: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def from_grams(cls, n_max: int, packed: np.ndarray) -> NGramFeatureSpace:
-        """The space whose feature i is the i-th gram text in ``packed`` (their
-        pack_strings bytes), with document frequencies of zero; each word of a
-        gram is a unigram, as in every space training builds.  No token holds
-        whitespace (_BAD_TOKEN), so a gram's spaces count its words, and one
-        split of a block of LOAD_BLOCK_GRAMS grams gives theirs."""
-        raw = np.asarray(packed, dtype=np.uint8)
-        breaks = np.flatnonzero(raw == ord("\n"))
-        n_grams = len(breaks) + 1 if len(raw) else 0
-        starts, ends = np.append(0, breaks + 1)[:n_grams], np.append(breaks, len(raw))[:n_grams]
-        n_words = np.diff(np.searchsorted(np.flatnonzero(raw == ord(GRAM_SEP)), ends),
-                          prepend=0) + 1
-        raw = raw.tobytes()
-        one = n_words == 1
-        words = sorted(raw[a:b].decode("utf-8") for a, b in zip(starts[one], ends[one]))
-        rank = dict(zip(words, range(1, len(words) + 1)))
-        blocks = zip(starts[::LOAD_BLOCK_GRAMS], [*ends[LOAD_BLOCK_GRAMS - 1::LOAD_BLOCK_GRAMS],
-                                                  len(raw)])
-        ranks = np.concatenate([np.zeros(0, dtype=np.int32)] + [
-            np.fromiter(map(rank.__getitem__, raw[a:b].decode("utf-8").split()), dtype=np.int32)
-            for a, b in blocks])
-        gram_words = np.zeros((n_grams, n_max), dtype=np.int32)
-        first = np.cumsum(n_words) - n_words
-        for j in range(n_max):
-            gram_words[n_words > j, j] = ranks[first[n_words > j] + j]
-        zeros = np.zeros(n_grams, dtype=np.int64)
-        return cls(n_max, zeros, zeros.copy(), words, gram_words)
 
     def __len__(self) -> int:
         return len(self.df_pos)
@@ -424,15 +395,14 @@ def dump_feature_weights(space: NGramFeatureSpace, weights: LogRatioWeights, pat
 
 
 def save_model(models_dir, model: NbsvmModel) -> list[Path]:
-    """nbsvm<n>.npz, with the newline-joined grams (UTF-8 bytes), r, w, b and
-    meta = (n_max, alpha, l2), and the nbsvm<n>-features.tsv dump for
-    reading; returns [the model file]."""
+    """nbsvm<n>.npz, holding NBSVM_ARRAYS: the space's words (newline-joined
+    UTF-8 bytes) and gram_words, r, w, b and meta = (n_max, alpha, l2), and
+    the nbsvm<n>-features.tsv dump for reading; returns [the model file]."""
     space, weights, clf = model
     stem = Path(models_dir) / f"nbsvm{space.n_max}"
     path = stem.with_suffix(".npz")
     np.savez_compressed(
-        path,
-        grams=pack_strings(space.grams),
+        path, words=pack_strings(space.words), gram_words=space.gram_words,
         r=weights.r, w=clf.w, b=np.array([clf.b]),
         meta=np.array([space.n_max, weights.alpha, clf.l2]))
     dump_feature_weights(space, weights, f"{stem}-features.tsv")
@@ -441,10 +411,29 @@ def save_model(models_dir, model: NbsvmModel) -> list[Path]:
 
 def load_model(models_dir, n_max: int) -> NbsvmModel:
     """Inverse of save_model; document frequencies are not stored and load
-    as zeros."""
-    data = read_npz(Path(models_dir) / f"nbsvm{n_max}.npz")
-    r, w, b, meta = data["r"], data["w"], float(data["b"][0]), data["meta"]
-    space = NGramFeatureSpace.from_grams(int(meta[0]), data["grams"])
+    as zeros.  An archive that is not the n_max-gram model save_model writes
+    is refused: other arrays (such as the gram texts of an older layout),
+    another n_max, shapes that disagree or word ranks past ``words``."""
+    path = Path(models_dir) / f"nbsvm{n_max}.npz"
+    data = read_npz(path)
+    if set(data) != set(NBSVM_ARRAYS):
+        raise _refused(path, f"not an NB-SVM model archive (arrays: {', '.join(sorted(data))})")
+    gram_words, r, w, b, meta = (data[name] for name in NBSVM_ARRAYS[1:])
+    if meta.shape != (3,) or meta[0] != n_max:
+        raise _refused(path, f"holds no {n_max}-gram model (meta {meta.tolist()})")
+    if (r.ndim != 1 or w.shape != r.shape or b.shape != (1,) or gram_words.dtype != np.int32
+            or gram_words.shape != (len(r), n_max)):
+        raise _refused(path, f"gram_words {gram_words.dtype} {gram_words.shape}, r {r.shape}, "
+                             f"w {w.shape} and b {b.shape} are no {n_max}-gram model")
+    words = unpack_strings(data["words"])
+    if gram_words.size and not 0 <= gram_words.min() <= gram_words.max() <= len(words):
+        raise _refused(path, f"a gram's word rank lies outside 0..{len(words)}")
+    zeros = np.zeros(len(r), dtype=np.int64)
+    space = NGramFeatureSpace(n_max, zeros, zeros.copy(), words, gram_words)
     weights = LogRatioWeights(r=r, alpha=float(meta[1]))
-    clf = LinearClassifier(w=w, b=b, l2=float(meta[2]))
+    clf = LinearClassifier(w=w, b=float(b[0]), l2=float(meta[2]))
     return NbsvmModel(space, weights, clf)
+
+
+def _refused(path, problem: str) -> ValueError:
+    return ValueError(f"{path}: {problem}; run train-nbsvm again")

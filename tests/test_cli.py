@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import re
 import shutil
@@ -10,7 +11,7 @@ import pytest
 
 from sentimix import nbsvm, ngram_lm, rnn_lm
 from sentimix.cli import build_parser, cli_dispatch
-from sentimix.corpus import read_manifest
+from sentimix.corpus import pack_strings, read_manifest
 from sentimix.ensemble import write_scores_jsonl
 from conftest import assert_no_child_process, src_env
 
@@ -488,11 +489,36 @@ def _pv_dm_layout(path):
     dim, infer_steps, lr0 = arrays["meta"].tolist()
     arrays.update(word_vecs=np.zeros((1, int(dim)), dtype=np.float32),
                   meta=np.array([dim, 10, infer_steps, lr0]), mode=np.array("dbow"))
+    _rewrite_npz(path, **arrays)
+
+
+def _rewrite_npz(path, **arrays):
     with open(path, "wb") as f:
         np.savez_compressed(f, **arrays)
 
 
+def _gram_text_layout(path):
+    """Rewrite nbsvm<n>.npz in its older layout: the newline-joined gram texts
+    in place of words and gram_words."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    grams = nbsvm.load_model(path.parent, int(arrays["meta"][0])).space.grams
+    del arrays["words"], arrays["gram_words"]
+    _rewrite_npz(path, grams=pack_strings(grams), **arrays)
+
+
+def _without_r(path):
+    with np.load(path) as data:
+        _rewrite_npz(path, **{name: data[name] for name in data.files if name != "r"})
+
+
 FAULTS = {
+    "nbsvm-npz-with-gram-texts": ("models/nbsvm2.npz", _gram_text_layout,
+                                  ["score", "nbsvm2", "test"]),
+    "nbsvm-npz-without-r": ("models/nbsvm1.npz", _without_r, ["score", "nbsvm1", "valid"]),
+    "nbsvm1-npz-as-nbsvm2": ("models/nbsvm2.npz",
+                             lambda p: shutil.copyfile(p.with_name("nbsvm1.npz"), p),
+                             ["score", "nbsvm2", "test"]),
     "truncated-pv-npz": ("models/pv.npz", _cut, ["score", "pv", "test"]),
     "pv-npz-with-word-vectors": ("models/pv.npz", _pv_dm_layout, ["score", "pv", "test"]),
     "bad-magic-rnn": ("models/rnn-pos.bin", _bad_magic, ["score", "rnn", "test"]),
@@ -535,6 +561,8 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(run_dir / rel) in err
+        if rel.startswith("models/nbsvm"):
+            assert err.endswith("; run train-nbsvm again\n"), err
 
     def test_both_class_models_damaged_names_the_positive(self, pipeline_dir, tmp_path,
                                                           capsys):
@@ -588,6 +616,51 @@ class TestFaultInjection:
         assert capsys.readouterr().err == (
             f"error: ValueError: {run_dir / 'ensemble' / 'weights.txt'} weighs nbsvm3, "
             "which --models ngram,pv leaves out\n")
+
+
+# argv, what is done to the run directory first, exit code
+EXITS = {
+    "report": (["report"], None, 0),
+    "damaged-artifact": (["score", "nbsvm2", "test"],
+                         lambda d: _cut(d / "models" / "nbsvm2.npz"), 1),
+    "bad-flag": (["report", "--no-such-flag", "x"], None, 2),
+    "missing-artifact": (["score", "nbsvm3", "test"],
+                         lambda d: (d / "models" / "nbsvm3.npz").unlink(), 3),
+}
+
+
+class TestExitPath:
+    """``python -m sentimix.cli`` freezes the collector's objects before it
+    exits; a stage in its own process prints what cli_dispatch prints in
+    this one, with the same exit code, and cli_dispatch freezes nothing."""
+
+    @pytest.mark.parametrize("case", EXITS)
+    def test_process_matches_dispatch(self, pipeline_dir, tmp_path, capsys, case):
+        argv, damage, code = EXITS[case]
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        if damage:
+            damage(run_dir)
+        argv = [*argv, "--out-dir", str(run_dir)]
+        proc = subprocess.run([sys.executable, "-m", "sentimix.cli", *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        capsys.readouterr()
+        try:
+            got = run(argv)
+        except SystemExit as e:  # argparse's usage error
+            got = e.code
+        out, err = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert got == code
+        assert bool(proc.stdout) == (code == 0) and bool(proc.stderr) == (code != 0)
+
+    def test_dispatch_freezes_nothing(self, pipeline_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        before = gc.get_freeze_count()
+        assert run(["score", "nbsvm2", "test", "--out-dir", str(run_dir)]) == 0
+        assert run(["report", "--out-dir", str(run_dir)]) == 0
+        assert gc.get_freeze_count() == before
 
 
 class TestModelsFlag:

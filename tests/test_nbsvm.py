@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentimix.corpus import Document, load_imdb, pack_strings, split_validation
+from sentimix.corpus import Document, load_imdb, pack_strings, split_validation, unpack_strings
 from sentimix.nbsvm import (
     FTOL, GTOL, MAX_ITER,
     LinearClassifier, LogRatioWeights, NbsvmModel, NGramFeatureSpace, SparseRows,
@@ -21,6 +21,14 @@ from oracles import (
     doc_gram_ids_reference, feature_space_reference, from_grams_reference,
     log_count_ratio_reference, logistic_objective_reference, train_linear_reference,
 )
+
+
+def space_of_texts(n_max: int, grams: list[str]) -> NGramFeatureSpace:
+    """The space whose feature i is the gram text ``grams[i]``, with document
+    frequencies of zero, its words and ranks parsed by from_grams_reference."""
+    words, gram_words = from_grams_reference(n_max, grams)
+    zeros = np.zeros(len(grams), dtype=np.int64)
+    return NGramFeatureSpace(n_max, zeros, zeros.copy(), words, gram_words)
 
 
 def extract_grams(tokens, n_max: int) -> set[str]:
@@ -341,7 +349,7 @@ class TestPipeline:
         code point, as Python's string order does."""
         grams = ["b", "a", "c", "\u00e9t\u00e9", "z", "a b", "e", "zz"]
         r = np.array([0.5, -0.5, 0.5, 1.25, -0.0, 1.25, 0.0, -2.0])
-        space = NGramFeatureSpace.from_grams(2, pack_strings(grams))
+        space = space_of_texts(2, grams)
         path = tmp_path / "features.tsv"
         dump_feature_weights(space, LogRatioWeights(r=r, alpha=1.0), path)
         order = sorted(range(len(grams)), key=lambda i: (-abs(r[i]), grams[i]))
@@ -393,7 +401,7 @@ class TestIntegerKeys:
             pos, neg = _random_corpus(rng, max_docs=8)
             space = build_feature_space(pos, neg, n_max)
             grams = feature_space_reference(pos, neg, n_max)[0]
-            by_text = NGramFeatureSpace.from_grams(n_max, pack_strings(grams))
+            by_text = space_of_texts(n_max, grams)
             weights = LogRatioWeights(r=rng.randint(-3, 4, size=len(grams)) / 2, alpha=1.0)
             clf = LinearClassifier(w=rng.standard_normal(len(grams)), b=0.5, l2=0.25)
             out = {}
@@ -403,22 +411,6 @@ class TestIntegerKeys:
                 out[name] = [(tmp_path / name / f"nbsvm{n_max}{suffix}").read_bytes()
                              for suffix in (".npz", "-features.tsv")]
             assert out["keys"] == out["text"], trial
-
-    @pytest.mark.parametrize("block", [2, nbsvm_module.LOAD_BLOCK_GRAMS])
-    def test_loaded_grams_match_one_split_per_gram(self, monkeypatch, block):
-        """Parsing the stored gram bytes with one split per block of grams
-        gives the words and word ranks of splitting each gram on its own."""
-        monkeypatch.setattr(nbsvm_module, "LOAD_BLOCK_GRAMS", block)
-        rng = np.random.RandomState(12)
-        for _ in range(150):
-            pos, neg = _random_corpus(rng)
-            n_max = int(rng.randint(1, 4))
-            grams = build_feature_space(pos, neg, n_max).grams
-            space = NGramFeatureSpace.from_grams(n_max, pack_strings(grams))
-            words, gram_words = from_grams_reference(n_max, grams)
-            assert space.words == words and space.grams == grams
-            assert space.gram_words.dtype == gram_words.dtype
-            assert np.array_equal(space.gram_words, gram_words)
 
     @pytest.mark.parametrize("token", ["a b", "a\tb", "a\xa0b", "", " ", "a\x01", "ab\x1b",
                                        "\u00e9\x00"])
@@ -541,5 +533,82 @@ class TestScoring:
         assert np.array_equal(space2.gram_words, space.gram_words)
         assert np.array_equal(weights2.r, weights.r) and weights2.alpha == 0.5
         assert np.array_equal(clf2.w, clf.w) and clf2.b == clf.b and clf2.l2 == 0.25
-        assert np.array_equal(doc_margins(pos + neg, space2, weights2, clf2),
-                              doc_margins(pos + neg, space, weights, clf))
+        docs = pos + neg + make_docs([["good", "unseen", "film"], []])
+        assert np.array_equal(doc_margins(docs, space2, weights2, clf2),
+                              doc_margins(docs, space, weights, clf))
+
+
+def _with(**changes):
+    """An edit of a saved archive's arrays: each value replaces, adds or
+    (None) drops the array of its name; a callable maps the old one."""
+    def edit(arrays):
+        for name, value in changes.items():
+            if value is None:
+                del arrays[name]
+            else:
+                arrays[name] = value(arrays[name]) if callable(value) else value
+    return edit
+
+
+def _set_rank(rank):
+    def edit(arrays):
+        arrays["gram_words"] = arrays["gram_words"].copy()
+        arrays["gram_words"][-1, -1] = rank(len(unpack_strings(arrays["words"])))
+    return edit
+
+
+# what is done to a saved nbsvm2.npz
+REFUSED = {
+    "gram-text-layout": _with(words=None, gram_words=None, grams=pack_strings(["a", "a b"])),
+    "gram-texts-added": _with(grams=pack_strings(["a", "a b"])),
+    "r-missing": _with(r=None),
+    "meta-of-a-unigram-model": _with(meta=lambda m: np.array([1, *m[1:]])),
+    "meta-short": _with(meta=lambda m: m[:2]),
+    "unigram-ranks": _with(gram_words=lambda g: g[:, :1].copy()),
+    "trigram-ranks": _with(gram_words=lambda g: np.pad(g, ((0, 0), (0, 1)))),
+    "a-rank-row-short": _with(gram_words=lambda g: g[:-1]),
+    "int64-ranks": _with(gram_words=lambda g: g.astype(np.int64)),
+    "w-longer": _with(w=lambda w: np.append(w, 0.0)),
+    "b-empty": _with(b=np.zeros(0)),
+    "rank-past-words": _set_rank(lambda n_words: n_words + 1),
+    "rank-negative": _set_rank(lambda n_words: -1),
+}
+
+
+class TestModelArchive:
+    """load_model reads only the archive save_model writes for its n_max;
+    anything else raises one error that names the file."""
+
+    @staticmethod
+    def _save(tmp_path):
+        pos = make_docs([["good", "film"], ["a", "good", "one"]])
+        neg = make_docs([["bad", "film"]], labels=["negative"])
+        space = build_feature_space(pos, neg, 2)
+        weights = compute_log_ratio(space, alpha=1.0)
+        clf = LinearClassifier(w=np.ones(len(space)), b=0.5, l2=0.25)
+        return save_model(tmp_path, NbsvmModel(space, weights, clf))[0]
+
+    def test_saved_arrays(self, tmp_path):
+        with np.load(self._save(tmp_path)) as data:
+            assert sorted(data.files) == sorted(nbsvm_module.NBSVM_ARRAYS)
+            assert data["gram_words"].dtype == np.int32
+
+    def test_highest_rank_loads(self, tmp_path):
+        path = self._save(tmp_path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        _set_rank(lambda n_words: n_words)(arrays)
+        np.savez_compressed(path, **arrays)
+        space = load_model(tmp_path, 2).space
+        assert space.gram_words[-1, -1] == len(space.words) == 5
+
+    @pytest.mark.parametrize("fault", REFUSED)
+    def test_other_archive_is_refused(self, tmp_path, fault):
+        path = self._save(tmp_path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        REFUSED[fault](arrays)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*; "
+                                             "run train-nbsvm again$"):
+            load_model(tmp_path, 2)
