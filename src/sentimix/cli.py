@@ -12,7 +12,6 @@ import errno
 import gc
 import importlib
 import logging
-import math
 import sys
 import time
 from pathlib import Path
@@ -76,7 +75,7 @@ def _record_stage(args, stage: str, artifacts: list[Path], extra: dict | None = 
 
 
 def _load_split(args, split: str, subset: int | None = None) -> list[corpus.Document]:
-    docs = corpus.read_token_cache(_in(args, "cache", f"{split}.tsv"), split)
+    docs = corpus.read_token_cache(_in(args, "cache", f"{split}.tsv"))
     if subset is not None:
         by_label: dict[str, list] = {}
         for d in docs:
@@ -110,9 +109,7 @@ def _read_labels(path) -> dict[str, str]:
 # ------------------------------------------------------------------ stages
 
 def cmd_prepare(args) -> int:
-    docs = corpus.load_imdb(args.imdb_dir, subset=args.subset, workers=args.workers)
-    train_all = docs.subset(split="train")
-    test = docs.subset(split="test")
+    train_all, test, warnings = corpus.load_imdb(args.imdb_dir, subset=args.subset)
     train_sub, valid = corpus.split_validation(train_all, args.valid_fraction, args.seed)
 
     artifacts = []
@@ -123,13 +120,12 @@ def cmd_prepare(args) -> int:
         _write_labels(labels, split_docs)
         artifacts.extend([cache, labels])
 
-    warnings = docs.warnings
     if args.with_unsup:
-        unsup = corpus.load_unsup(args.imdb_dir, subset=args.subset, workers=args.workers)
+        unsup, unsup_warnings = corpus.load_unsup(args.imdb_dir, subset=args.subset)
         unsup_cache = _out(args, "cache", "unsup.tsv")
-        corpus.write_token_cache(unsup.documents, unsup_cache)
+        corpus.write_token_cache(unsup, unsup_cache)
         artifacts.append(unsup_cache)
-        warnings = warnings + unsup.warnings
+        warnings += unsup_warnings
 
     _record_stage(args, "prepare", artifacts, {
         "prepare.seed": args.seed,
@@ -150,10 +146,10 @@ def cmd_train_ngram(args) -> int:
     train = _load_split(args, "train", args.subset)
     pos = [d for d in train if d.label == POSITIVE]
     neg = [d for d in train if d.label == NEGATIVE]
-    clf = ngram_lm.train_generative_classifier(
-        pos, neg, order=args.order, min_count=args.min_count,
-        oov_log_penalty=None if args.oov_penalty is None else math.log(args.oov_penalty))
-    artifacts = ngram_lm.save_model(_out(args, "models", ""), clf, args.oov_penalty)
+    clf = ngram_lm.train_generative_classifier(pos, neg, order=args.order,
+                                               min_count=args.min_count,
+                                               oov_penalty=args.oov_penalty)
+    artifacts = ngram_lm.save_model(_out(args, "models", ""), clf)
     _record_stage(args, "train-ngram", artifacts,
                   {"train-ngram.order": args.order,
                    "train-ngram.n_train": len(train)})
@@ -199,8 +195,7 @@ def cmd_train_pv(args) -> int:
     train = _load_split(args, "train", args.subset)
     pv_docs = list(train)
     if args.use_unsup:
-        pv_docs.extend(corpus.read_token_cache(_in(args, "cache", "unsup.tsv"),
-                                               "train"))
+        pv_docs.extend(corpus.read_token_cache(_in(args, "cache", "unsup.tsv")))
     vocab = corpus.build_vocab(pv_docs, min_count=args.min_count)
     config = pvec.PvConfig(dim=args.dim, epochs=args.epochs, lr0=args.lr, seed=args.seed)
     model = pvec.train_pv(pv_docs, vocab, config)
@@ -403,10 +398,7 @@ STAGES = {
         _flag("--seed", "in [0, 2**32)", type=int, default=42),
         _flag("--subset", "> 0", type=int, default=None, help="cap files per leaf directory"),
         _flag("--with-unsup", action="store_true",
-              help="also cache train/unsup for paragraph-vector training"),
-        _flag("--workers", "> 0", type=int, default=1,
-              help="tokenizing processes (1 = deterministic reference mode; "
-                   "the output is the same either way)"))),
+              help="also cache train/unsup for paragraph-vector training"))),
     "train-ngram": ("train the Kneser-Ney class models", cmd_train_ngram, (
         OUT_DIR,
         _flag("--order", "> 0", type=int, default=5),
@@ -482,8 +474,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
 def _read_config(argv: list[str]) -> dict:
     """The flag defaults of the last --config file in argv, as flag dest ->
-    int, float or string.  A key must name an optional flag of some stage:
-    any other key, which would have no effect, is a usage error."""
+    int, float or string.  Each line is blank, a # comment or key=value, and
+    a key must name an optional flag of some stage: any other line or key,
+    which would have no effect, is a usage error."""
     path = None
     for i, arg in enumerate(argv):
         if arg == "--config" and i + 1 < len(argv):
@@ -495,7 +488,14 @@ def _read_config(argv: list[str]) -> dict:
     known = {_dest(name) for _, _, flags in STAGES.values() for name, _, kwargs in flags
              if name.startswith("--") and not kwargs.get("required")}
     defaults = {}
-    for key, value in corpus.read_manifest(path).items():
+    with open(path, encoding="utf-8") as f:
+        lines = [line.strip() for line in f]
+    for lineno, line in enumerate(lines, 1):
+        if not line or line.startswith("#"):
+            continue
+        key, is_pair, value = line.partition("=")
+        if not is_pair:
+            raise UsageError(f"--config {path}: line {lineno} is not key=value")
         if _dest(key) not in known:
             raise UsageError(f"--config {path}: key {key!r} is no optional flag of any stage")
         for cast in (int, float):

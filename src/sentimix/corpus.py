@@ -1,8 +1,7 @@
 """IMDB corpus ingestion: tokenization, vocabularies, deterministic splits.
 
 The directory layout expected by :func:`load_imdb` is the standard one:
-``root/{train,test}/{pos,neg}/*.txt``.  Documents are immutable once built
-and safe to share across workers.
+``root/{train,test}/{pos,neg}/*.txt``.  Documents are immutable once built.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import re
 import zipfile
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -56,7 +55,6 @@ class Document:
     id: str
     tokens: tuple[str, ...]
     label: str  # positive / negative / unlabeled
-    split: str  # train / valid / test
 
 
 class _TokenIndex(dict):
@@ -98,20 +96,7 @@ class Vocabulary:
         return len(self.tokens) - 1
 
 
-@dataclass
-class DocumentSet:
-    documents: list[Document]
-    warnings: list[str] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def subset(self, split: str) -> list[Document]:
-        return [d for d in self.documents if d.split == split]
-
-
-def _read_and_tokenize(args):
-    leaf, name, rel, label, split = args
+def _read_and_tokenize(leaf: str, rel: str, name: str, label: str) -> Document:
     path = os.path.join(leaf, name)
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
@@ -120,15 +105,15 @@ def _read_and_tokenize(args):
         raise CorpusError(f"unreadable corpus file: {path}: {e}") from e
     # the name less ".txt", except that ".txt" itself keeps it (Path.stem)
     stem = name[:-4] if len(name) > 4 else name
-    return Document(id=f"{rel}/{stem}", tokens=tuple(tokenize(raw)), label=label,
-                    split=split)
+    return Document(id=f"{rel}/{stem}", tokens=tuple(tokenize(raw)), label=label)
 
 
-def _load_leaf(root: Path, rel: str, label: str, split: str,
-               subset: int | None, warnings: list[str], pool=None) -> list[Document]:
+def _load_leaf(root: Path, rel: str, label: str, subset: int | None,
+               warnings: list[str]) -> list[Document]:
     """The documents of root/rel: every entry whose name ends in ".txt"
     (dot-files too, directories too, which fail to read), in code-point
-    order of the name, which is the order of sorted(Path.glob("*.txt"))."""
+    order of the name, which is the order of sorted(Path.glob("*.txt")).
+    An empty leaf adds a warning to ``warnings``."""
     leaf = str(root / rel)
     if not os.path.isdir(leaf):
         raise CorpusError(f"missing corpus subdirectory: {rel}")
@@ -138,56 +123,35 @@ def _load_leaf(root: Path, rel: str, label: str, split: str,
         msg = f"empty corpus directory: {rel}"
         warnings.append(msg)
         log.warning(msg)
-    if subset is not None:
-        names = names[:subset]
-    jobs = [(leaf, name, rel, label, split) for name in names]
-    mapper = pool.map if pool is not None else map
-    return list(mapper(_read_and_tokenize, jobs))
+    return [_read_and_tokenize(leaf, rel, name, label) for name in names[:subset]]
 
 
-def _load_leaves(root: Path, leaves, subset: int | None, workers: int) -> DocumentSet:
-    """The documents of each (rel, label, split) leaf under root, in order.
-    Tokenization parallelizes per file when workers > 1; the result is
-    identical either way."""
-    warnings: list[str] = []
-    docs: list[Document] = []
-    pool = None
-    if workers > 1:
-        from multiprocessing import Pool
-        pool = Pool(workers)
-    try:
-        for rel, label, split in leaves:
-            docs.extend(_load_leaf(root, rel, label, split, subset, warnings, pool=pool))
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-    return DocumentSet(documents=docs, warnings=warnings)
-
-
-def load_imdb(root_dir, subset: int | None = None, workers: int = 1) -> DocumentSet:
-    """Load the IMDB layout, deterministically ordered (lexicographic by path).
+def load_imdb(root_dir, subset: int | None = None) -> tuple[list[Document], list[Document],
+                                                           list[str]]:
+    """(train, test, warnings) of the IMDB layout, each split in leaf order
+    (pos, then neg) and each leaf in name order.
 
     ``subset`` caps the number of files taken per leaf directory, for
-    desk-scale runs; ``workers`` tokenizing processes as in _load_leaves.
+    desk-scale runs.
     """
     root = Path(root_dir)
     if not root.is_dir():
         raise CorpusError(f"missing corpus root: {root}")
-    docs = _load_leaves(root, [(f"{split}/{leaf}", label, split)
-                               for split in ("train", "test")
-                               for leaf, label in (("pos", POSITIVE), ("neg", NEGATIVE))],
-                        subset, workers)
-    ids = [d.id for d in docs.documents]
+    warnings: list[str] = []
+    train, test = ([doc for leaf, label in (("pos", POSITIVE), ("neg", NEGATIVE))
+                    for doc in _load_leaf(root, f"{split}/{leaf}", label, subset, warnings)]
+                   for split in ("train", "test"))
+    ids = [d.id for d in train + test]
     if len(set(ids)) != len(ids):
         raise CorpusError("duplicate document ids in corpus")
-    return docs
+    return train, test, warnings
 
 
-def load_unsup(root_dir, subset: int | None = None, workers: int = 1) -> DocumentSet:
-    """Load the unlabeled train/unsup reviews (optional, for paragraph
-    vectors), with ``subset`` and ``workers`` as in load_imdb."""
-    return _load_leaves(Path(root_dir), [("train/unsup", UNLABELED, "train")], subset, workers)
+def load_unsup(root_dir, subset: int | None = None) -> tuple[list[Document], list[str]]:
+    """(documents, warnings) of the unlabeled train/unsup reviews (optional,
+    for paragraph vectors), with ``subset`` as in load_imdb."""
+    warnings: list[str] = []
+    return _load_leaf(Path(root_dir), "train/unsup", UNLABELED, subset, warnings), warnings
 
 
 def build_vocab(docs, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
@@ -294,7 +258,7 @@ def split_validation(train_docs, fraction: float, seed: int):
 
     Deterministic given the seed, in [0, 2**32): the same split that
     np.random.RandomState(seed) permutations give.  Returns (train_sub,
-    valid) lists of documents re-tagged with their new split.
+    valid), the given documents in two lists, each ordered by id.
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"validation fraction must be in (0, 1), got {fraction}")
@@ -306,8 +270,7 @@ def split_validation(train_docs, fraction: float, seed: int):
         group = sorted((d for d in documents if d.label == label), key=lambda d: d.id)
         chosen = set(_permutation(rng, len(group))[:int(len(group) * fraction)])
         for i, doc in enumerate(group):
-            split, out = ("valid", valid) if i in chosen else ("train", train_sub)
-            out.append(Document(id=doc.id, tokens=doc.tokens, label=doc.label, split=split))
+            (valid if i in chosen else train_sub).append(doc)
     train_sub.sort(key=lambda d: d.id)
     valid.sort(key=lambda d: d.id)
     return train_sub, valid
@@ -349,7 +312,7 @@ def write_token_cache(docs, path) -> None:
             f.write(f"{d.id}\t{d.label}\t{' '.join(d.tokens)}\n")
 
 
-def read_token_cache(path, split: str) -> list[Document]:
+def read_token_cache(path) -> list[Document]:
     """The documents write_token_cache wrote, holding one str object per
     distinct token.  Every line it writes ends in a newline, so a last line
     without one means the file was cut short."""
@@ -369,7 +332,7 @@ def read_token_cache(path, split: str) -> list[Document]:
                     from None
             words = text.split()
             docs.append(Document(id=doc_id, tokens=tuple(map(shared.setdefault, words, words)),
-                                 label=label, split=split))
+                                 label=label))
     return docs
 
 
@@ -389,6 +352,18 @@ def read_manifest(path) -> dict:
                 k, v = line.split("=", 1)
                 out[k] = v
     return out
+
+
+class ModelMeta(dict):
+    """The key=value lines of the meta file a training stage wrote; a key it
+    lacks raises ValueError naming the file and the key."""
+
+    def __init__(self, path, stage: str):
+        super().__init__(read_manifest(path))
+        self.path, self.stage = path, stage
+
+    def __missing__(self, key: str):
+        raise ValueError(f"{self.path}: no {key} key; run {self.stage} again")
 
 
 def file_digest(path) -> str:

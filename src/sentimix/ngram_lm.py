@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import ensemble
-from .corpus import (BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocab, length_blocks,
-                     read_manifest, write_manifest)
+from .corpus import (BOS_ID, EOS_ID, UNK_ID, ModelMeta, Vocabulary, build_vocab,
+                     length_blocks, write_manifest)
 
 log = logging.getLogger(__name__)
 
@@ -109,7 +109,7 @@ class KneserNeyModel:
     bow_logs: list[np.ndarray]
     unigram_floor_logp: float
     discounts: list[tuple[float, float, float]] | None = None
-    oov_log_penalty: float | None = None
+    oov_penalty: float | None = None
     warnings: list[str] = field(default_factory=list)
 
     def grams(self, k: int) -> np.ndarray:
@@ -154,8 +154,8 @@ class KneserNeyModel:
         return out
 
     def doc_logprobs(self, encoded_docs) -> np.ndarray:
-        """Each document's log-probability in nats (tokens + EOS, plus the OOV
-        penalty per unknown word when one is set).
+        """Each document's log-probability in nats (tokens + EOS, plus the log
+        of the OOV penalty probability per unknown word when one is set).
 
         One backoff query covers a block of documents, at most
         ``SCORE_BLOCK_CELLS`` predicted positions; each document's slice is
@@ -169,10 +169,10 @@ class KneserNeyModel:
             ends = np.cumsum(lengths[block])
             for i, start, end in zip(block, ends - lengths[block], ends):
                 totals[i] = logp[start:end].sum()
-        if self.oov_log_penalty is not None:
+        if self.oov_penalty is not None:
             n_unk = np.array([np.count_nonzero(np.asarray(ids) == UNK_ID)
                               for ids in encoded_docs], dtype=np.float64)
-            totals += n_unk * self.oov_log_penalty
+            totals += n_unk * math.log(self.oov_penalty)
         return totals
 
 
@@ -202,7 +202,7 @@ def _discount_of(adjusted: np.ndarray, d: tuple[float, float, float]) -> np.ndar
 
 
 def estimate_kneser_ney(counts: NGramCountTable, vocab: Vocabulary,
-                        oov_log_penalty: float | None = None) -> KneserNeyModel:
+                        oov_penalty: float | None = None) -> KneserNeyModel:
     """Interpolated modified Kneser-Ney estimation.
 
     The highest order keeps raw counts; each lower order uses continuation
@@ -280,13 +280,13 @@ def estimate_kneser_ney(counts: NGramCountTable, vocab: Vocabulary,
 
     return KneserNeyModel(order=n, vocab=vocab, keys=rows, logp=logp, bow_logs=bow_logs,
                           unigram_floor_logp=unigram_floor, discounts=discounts,
-                          oov_log_penalty=oov_log_penalty, warnings=warnings)
+                          oov_penalty=oov_penalty, warnings=warnings)
 
 
 def train_kn_model(docs, order: int, vocab: Vocabulary,
-                   oov_log_penalty: float | None = None) -> KneserNeyModel:
+                   oov_penalty: float | None = None) -> KneserNeyModel:
     return estimate_kneser_ney(count_ngrams(docs, order, vocab), vocab,
-                               oov_log_penalty=oov_log_penalty)
+                               oov_penalty=oov_penalty)
 
 
 @dataclass
@@ -355,21 +355,21 @@ def make_priors(n_pos: int, n_neg: int) -> tuple[float, float]:
 
 
 def train_generative_classifier(pos_docs, neg_docs, order: int,
-                                oov_log_penalty: float | None = None,
+                                oov_penalty: float | None = None,
                                 min_count: int = 1) -> GenerativeClassifier:
-    """Without ``oov_log_penalty``: one vocabulary over both halves, and no
+    """Without ``oov_penalty``: one vocabulary over both halves, and no
     penalty.  With it: each model is trained on its own vocabulary and
-    scores an out-of-vocabulary word with that log penalty instead.
+    scores an out-of-vocabulary word with that probability instead.
     """
     lp_pos, lp_neg = make_priors(len(pos_docs), len(neg_docs))
-    if oov_log_penalty is None:
+    if oov_penalty is None:
         pos_vocab = neg_vocab = build_vocab(list(pos_docs) + list(neg_docs),
                                             min_count=min_count)
     else:
         pos_vocab = build_vocab(pos_docs, min_count=min_count)
         neg_vocab = build_vocab(neg_docs, min_count=min_count)
-    pos_model = train_kn_model(pos_docs, order, pos_vocab, oov_log_penalty=oov_log_penalty)
-    neg_model = train_kn_model(neg_docs, order, neg_vocab, oov_log_penalty=oov_log_penalty)
+    pos_model = train_kn_model(pos_docs, order, pos_vocab, oov_penalty=oov_penalty)
+    neg_model = train_kn_model(neg_docs, order, neg_vocab, oov_penalty=oov_penalty)
     return GenerativeClassifier(pos_model=pos_model, neg_model=neg_model,
                                 log_prior_pos=lp_pos, log_prior_neg=lp_neg)
 
@@ -390,14 +390,16 @@ def score_documents(clf: GenerativeClassifier, docs):
             np.array([len(d.tokens) + 1 for d in docs]))
 
 
-def save_model(models_dir, clf: GenerativeClassifier, oov_penalty: float | None) -> list[Path]:
+def save_model(models_dir, clf: GenerativeClassifier) -> list[Path]:
     """ngram-pos.arpa, ngram-neg.arpa and ngram.meta (order, priors, whether
     each model has its own vocabulary and then its OOV penalty, the count of
-    estimation warnings) under models_dir; returns their paths.
-    ``oov_penalty`` is the probability the models charge an unseen word, or
-    None for shared-vocabulary models, which charge none."""
+    estimation warnings) under models_dir; returns their paths.  The models
+    of a trained classifier share their ``oov_penalty``: the probability
+    they charge an unseen word, or None for shared-vocabulary models, which
+    charge none."""
     from . import arpa
 
+    oov_penalty = clf.pos_model.oov_penalty
     paths = [Path(models_dir) / name
              for name in ("ngram-pos.arpa", "ngram-neg.arpa", "ngram.meta")]
     arpa.export_arpa_path(clf.pos_model, paths[0])
@@ -419,12 +421,12 @@ def load_model(models_dir) -> GenerativeClassifier:
     from . import arpa
 
     models_dir = Path(models_dir)
-    meta = read_manifest(models_dir / "ngram.meta")
-    penalty = math.log(float(meta["oov_penalty"])) if int(meta["separate_vocab"]) else None
+    meta = ModelMeta(models_dir / "ngram.meta", "train-ngram")
+    penalty = float(meta["oov_penalty"]) if int(meta["separate_vocab"]) else None
 
     def loader(name):
         return lambda: replace(arpa.import_arpa_path(models_dir / f"ngram-{name}.arpa"),
-                               oov_log_penalty=penalty)
+                               oov_penalty=penalty)
     return GenerativeClassifier(pos_model=loader("pos"), neg_model=loader("neg"),
                                 log_prior_pos=float(meta["log_prior_pos"]),
                                 log_prior_neg=float(meta["log_prior_neg"]))

@@ -352,21 +352,36 @@ def save_model(models_dir, pvc: PvClassifier) -> list[Path]:
 def load_model(models_dir) -> PvClassifier:
     """Inverse of save_model; the Huffman tree is rebuilt from the frequencies.
     An archive holding other arrays is refused, such as one with PV-DM's
-    word_vecs and mode, whose meta has the window in second place."""
+    word_vecs and mode, whose meta has the window in second place, and so is
+    one whose array shapes disagree with its words, documents and dim."""
     path = Path(models_dir) / "pv.npz"
     data = read_npz(path)
     if set(data) != set(PV_ARRAYS):
-        raise ValueError(f"{path}: not a PV-DBOW model archive (arrays: "
-                         f"{', '.join(sorted(data))}); run train-pv again")
+        raise _refused(path, f"not a PV-DBOW model archive (arrays: {', '.join(sorted(data))})")
     words = unpack_strings(data["words"])
-    freqs = data["word_freqs"].tolist()
+    doc_ids = unpack_strings(data["doc_ids"])
     meta = data["meta"]
+    if meta.shape != (3,):
+        raise _refused(path, f"meta {meta.shape} is not (dim, infer_steps, lr0)")
+    dim = int(meta[0])
+    shapes = {"node_vecs": (len(words) - 1, dim), "doc_vecs": (len(doc_ids), dim),
+              "word_freqs": (len(words),), "lr_w": (dim,), "lr_b": (1,)}
+    wrong = [f"{name} {data[name].shape}" for name, shape in shapes.items()
+             if data[name].shape != shape]
+    if wrong:
+        raise _refused(path, f"{', '.join(wrong)} disagree with {len(words)} words, "
+                             f"{len(doc_ids)} documents and dim {dim}")
+    freqs = data["word_freqs"].tolist()
     model = ParagraphVectorModel(
-        dim=int(meta[0]), words=words, word_index={w: i for i, w in enumerate(words)},
+        dim=dim, words=words, word_index={w: i for i, w in enumerate(words)},
         tree=build_huffman(freqs), node_vecs=data["node_vecs"], doc_vecs=data["doc_vecs"],
-        doc_ids=unpack_strings(data["doc_ids"]), word_freqs=freqs)
+        doc_ids=doc_ids, word_freqs=freqs)
     clf = nbsvm.LinearClassifier(w=data["lr_w"], b=float(data["lr_b"][0]), l2=0.0)
     return PvClassifier(model, clf, infer_steps=int(meta[1]), lr0=float(meta[2]))
+
+
+def _refused(path, problem: str) -> ValueError:
+    return ValueError(f"{path}: {problem}; run train-pv again")
 
 
 def write_vectors_text(path, doc_ids, vectors) -> None:

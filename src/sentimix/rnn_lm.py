@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, Vocabulary, length_blocks,
-                     read_manifest, read_vocab, write_manifest, write_vocab)
+from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, ModelMeta, Vocabulary,
+                     length_blocks, read_vocab, write_manifest, write_vocab)
 from .ngram_lm import GenerativeClassifier, fork_pair, make_priors
 
 log = logging.getLogger(__name__)
@@ -407,7 +407,7 @@ def load_model(models_dir) -> GenerativeClassifier:
     """The classifier train_classifier wrote."""
     models_dir = Path(models_dir)
     vocab = read_vocab(models_dir / "rnn.vocab")
-    meta = read_manifest(models_dir / "rnn.meta")
+    meta = ModelMeta(models_dir / "rnn.meta", "train-rnn")
     return GenerativeClassifier(pos_model=load_rnn(models_dir / "rnn-pos.bin", vocab),
                                 neg_model=load_rnn(models_dir / "rnn-neg.bin", vocab),
                                 log_prior_pos=float(meta["log_prior_pos"]),

@@ -23,10 +23,9 @@ settings.register_profile("ci", derandomize=True)
 settings.load_profile("ci")
 
 
-def make_docs(token_lists, labels=None, split="train"):
+def make_docs(token_lists, labels=None):
     labels = labels or ["positive"] * len(token_lists)
-    return [Document(id=f"doc{i:03d}", tokens=tuple(toks),
-                     label=lab, split=split)
+    return [Document(id=f"doc{i:03d}", tokens=tuple(toks), label=lab)
             for i, (toks, lab) in enumerate(zip(token_lists, labels))]
 
 

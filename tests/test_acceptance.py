@@ -380,7 +380,6 @@ def _check_double_run_digests(tmp_path):
             ["inspect-errors", "--models", "ngram,pv,nbsvm2"],
             ["report"],
         ]
-        stages[0].extend(["--workers", 1])  # deterministic mode; only prepare has workers
         for argv in stages:
             run_cli([*argv, "--out-dir", out])
         snapshot = {}

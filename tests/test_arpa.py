@@ -187,8 +187,7 @@ def _classifier(order, separate_vocab=False, seed=0):
                           for _ in range(n)], labels=[label] * n)
 
     return train_generative_classifier(docs(12, "positive"), docs(12, "negative"), order,
-                                       oov_log_penalty=math.log(1e-7) if separate_vocab
-                                       else None)
+                                       oov_penalty=1e-7 if separate_vocab else None)
 
 
 @pytest.mark.parametrize("separate_vocab", [False, True], ids=["shared", "separate"])

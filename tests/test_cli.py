@@ -2,15 +2,17 @@ import argparse
 import gc
 import json
 import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sentimix import nbsvm, ngram_lm, rnn_lm
-from sentimix.cli import build_parser, cli_dispatch
+from sentimix.cli import STAGES, build_parser, cli_dispatch
 from sentimix.corpus import pack_strings, read_manifest
 from sentimix.ensemble import write_scores_jsonl
 from conftest import assert_no_child_process, src_env
@@ -365,7 +367,7 @@ MINIMAL_ARGV = {
     "evaluate": ["s.jsonl", "labels.tsv"],
 }
 REJECTED = [pytest.param([cmd, *argv], "--workers", "1", id=cmd)
-            for cmd, argv in MINIMAL_ARGV.items() if cmd != "prepare"] + [
+            for cmd, argv in MINIMAL_ARGV.items()] + [
     pytest.param(["evaluate", *MINIMAL_ARGV["evaluate"]], "--out-dir", "1", id="evaluate")] + [
     # NB-SVM's one trainer, L-BFGS, is deterministic: no seed, epochs or optimizer
     pytest.param(["train-nbsvm", *MINIMAL_ARGV["train-nbsvm"]], flag, value,
@@ -387,6 +389,36 @@ class TestOptions:
             run([*argv, flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``sentimix ...`` line in README's pipeline
+    block, split as the shell splits them; a line naming ``$m`` once per
+    value of the block's ``for m in ...`` loop."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Running the pipeline", 1)[1].split("```bash\n", 1)[1]
+    block = block.split("```", 1)[0]
+    loop = re.search(r"^for m in (.+); do$", block, re.M).group(1).split()
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["sentimix"]:
+            commands += [[w.replace("$m", m) for w in words[1:]]
+                         for m in (loop if "$m" in line else [""])]
+    return commands
+
+
+class TestReadme:
+    def test_pipeline_commands_parse(self):
+        """Every stage command README shows parses, so a removed or renamed
+        flag cannot stay documented, and every stage is shown."""
+        commands = _readme_commands()
+        assert {argv[0] for argv in commands} == set(STAGES)
+        for argv in commands:
+            build_parser().parse_args(argv)
 
 
 class TestTemperature:
@@ -512,6 +544,21 @@ def _without_r(path):
         _rewrite_npz(path, **{name: data[name] for name in data.files if name != "r"})
 
 
+def _without_key(key):
+    """Drop the key=value line of ``key`` from a meta file."""
+    def damage(path):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith(key + "=")),
+                        encoding="utf-8")
+    return damage
+
+
+def _five_doc_vecs(path):
+    with np.load(path) as data:
+        arrays = dict(data)
+    _rewrite_npz(path, **{**arrays, "doc_vecs": arrays["doc_vecs"][:5]})
+
+
 FAULTS = {
     "nbsvm-npz-with-gram-texts": ("models/nbsvm2.npz", _gram_text_layout,
                                   ["score", "nbsvm2", "test"]),
@@ -521,6 +568,13 @@ FAULTS = {
                              ["score", "nbsvm2", "test"]),
     "truncated-pv-npz": ("models/pv.npz", _cut, ["score", "pv", "test"]),
     "pv-npz-with-word-vectors": ("models/pv.npz", _pv_dm_layout, ["score", "pv", "test"]),
+    "pv-npz-with-five-doc-vecs": ("models/pv.npz", _five_doc_vecs, ["score", "pv", "test"]),
+    "pv-npz-with-five-doc-vecs-train": ("models/pv.npz", _five_doc_vecs,
+                                        ["score", "pv", "train"]),
+    "rnn-meta-without-prior": ("models/rnn.meta", _without_key("log_prior_pos"),
+                               ["score", "rnn", "test"]),
+    "ngram-meta-without-separate-vocab": ("models/ngram.meta", _without_key("separate_vocab"),
+                                          ["score", "ngram", "test"]),
     "bad-magic-rnn": ("models/rnn-pos.bin", _bad_magic, ["score", "rnn", "test"]),
     "truncated-rnn": ("models/rnn-pos.bin", _cut, ["score", "rnn", "test"]),
     "truncated-rnn-header": ("models/rnn-pos.bin",
@@ -563,6 +617,21 @@ class TestFaultInjection:
         assert str(run_dir / rel) in err
         if rel.startswith("models/nbsvm"):
             assert err.endswith("; run train-nbsvm again\n"), err
+
+    @pytest.mark.parametrize("model, key", [
+        ("rnn", "log_prior_pos"), ("rnn", "log_prior_neg"), ("ngram", "separate_vocab"),
+        ("ngram", "log_prior_neg")])
+    def test_meta_without_a_key_is_1(self, pipeline_dir, tmp_path, capsys, model, key):
+        """A meta file that lacks a key the model reads fails the score stage
+        with one line naming the file and the key and the stage to run."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        meta = run_dir / "models" / f"{model}.meta"
+        _without_key(key)(meta)
+        capsys.readouterr()
+        assert run(["score", model, "test", "--out-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: ValueError: {meta}: no {key} key; run train-{model} again\n"
 
     def test_both_class_models_damaged_names_the_positive(self, pipeline_dir, tmp_path,
                                                           capsys):
@@ -735,7 +804,7 @@ class TestTrainFlags:
         (["prepare", "no-imdb", "--valid-fraction", "1"], "--valid-fraction", "in (0, 1)"),
         (["prepare", "no-imdb", "--valid-fraction", "nan"], "--valid-fraction", "in (0, 1)"),
         (["train-ngram", "--oov-penalty", "nan"], "--oov-penalty", "in (0, 1]"),
-        (["prepare", "no-imdb", "--workers", "0"], "--workers", "> 0"),
+        (["train-pv", "--dim", "0"], "--dim", "> 0"),
         *[([*stage, "--seed", value], "--seed", "in [0, 2**32)")
           for stage in (["prepare", "no-imdb"], ["train-pv"], ["train-rnn"])
           for value in ("-1", "4294967296")]])
@@ -804,17 +873,6 @@ class TestUnsupPath:
                     "--min-count", "2", "--use-unsup"]) == 0
         assert "31 documents" in capsys.readouterr().out  # 16 labeled train + 15 unsup
 
-    def test_unsup_cache_same_with_workers(self, tmp_path):
-        from synth import build_imdb_tree
-        tree = build_imdb_tree(tmp_path / "imdb", n_per_leaf=6, seed=3, n_unsup=15)
-        caches = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"run{workers}"
-            assert run(["prepare", str(tree), "--out-dir", str(out), "--with-unsup",
-                        "--workers", workers]) == 0
-            caches.append((out / "cache" / "unsup.tsv").read_bytes())
-        assert caches[0] == caches[1] and caches[0].count(b"\n") == 15
-
     def test_empty_unsup_warning_reaches_manifest(self, tmp_path):
         from synth import build_imdb_tree
         tree = build_imdb_tree(tmp_path / "imdb", n_per_leaf=4, seed=3)
@@ -852,7 +910,7 @@ class TestConfigFile:
         (["train-rnn"], "hiden"), (["score", "rnn", "test"], "hiden"),
         (["score", "nbsvm1", "valid"], "split"), (["train-rnn"], "out-dir"),
         (["train-pv"], "window"), (["score", "ngram", "valid"], "temperature"),
-        (["train-ngram"], "separate-vocab")])
+        (["train-ngram"], "separate-vocab"), (["prepare", "no-imdb"], "workers")])
     def test_key_without_effect_is_2(self, tmp_path, capsys, argv, key):
         """A key that is no optional flag of any stage, misspelt or naming an
         argument only the command line sets, is a usage error naming the key
@@ -863,6 +921,18 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and err.count("\n") == 1
         assert f"'{key}'" in err and str(cfg) in err
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("line", ["hiden 32", "epochs", "--epochs 2"])
+    def test_line_that_is_no_pair_is_2(self, tmp_path, capsys, line):
+        """Every line is blank, a # comment or key=value: another line would
+        be dropped, so it is a usage error naming the file and the line."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# defaults\n\nepochs=1\n{line}\n")
+        assert run(["train-nbsvm", "--out-dir", str(tmp_path / "none"),
+                    "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: usage: --config {cfg}: line 4 is not key=value\n"
         assert not (tmp_path / "none").exists()
 
     @pytest.mark.parametrize("config, separate_vocab, oov_penalty", [

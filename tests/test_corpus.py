@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,18 +42,25 @@ class TestTokenize:
         assert TOKENIZER_HASH == "57e32d9acb4e0893"
 
 
+def _ids(root, **kwargs) -> list[str]:
+    """The document ids of load_imdb(root), train then test."""
+    train, test, _ = load_imdb(root, **kwargs)
+    return [d.id for d in train + test]
+
+
 class TestLoadImdb:
     def test_single_file(self, tmp_path):
         for leaf in ("train/pos", "train/neg", "test/pos", "test/neg"):
             (tmp_path / leaf).mkdir(parents=True)
         (tmp_path / "train/pos/0_10.txt").write_text("good")
-        ds = load_imdb(tmp_path)
-        assert len(ds) == 1
-        doc = ds.documents[0]
+        train, test, warnings = load_imdb(tmp_path)
+        assert (len(train), len(test)) == (1, 0)
+        doc = train[0]
         assert doc.id == "train/pos/0_10"
         assert doc.label == "positive"
         assert doc.tokens == ("good",)
-        assert len(ds.warnings) == 3  # three empty leaves, recorded not fatal
+        assert [f.name for f in fields(doc)] == ["id", "tokens", "label"]
+        assert len(warnings) == 3  # three empty leaves, recorded not fatal
 
     def test_missing_subdirectory(self, tmp_path):
         (tmp_path / "train/pos").mkdir(parents=True)
@@ -60,35 +68,27 @@ class TestLoadImdb:
             load_imdb(tmp_path)
 
     def test_counts_match_disk(self, imdb_tree):
-        ds = load_imdb(imdb_tree)
+        train, test, _ = load_imdb(imdb_tree)
         # independent recount straight from the filesystem
         expected = sum(len(os.listdir(imdb_tree / s / l))
                        for s in ("train", "test") for l in ("pos", "neg"))
-        assert len(ds) == expected
-        train = ds.subset(split="train")
-        test = ds.subset(split="test")
         assert len(train) == len(test) == expected // 2
+        assert all(d.id.startswith("train/") for d in train)
+        assert all(d.id.startswith("test/") for d in test)
         assert sum(d.label == "positive" for d in train) == len(train) // 2
 
     def test_subset_cap(self, imdb_tree):
-        ds = load_imdb(imdb_tree, subset=5)
-        assert len(ds) == 20
-        assert sum(d.label == "positive" for d in ds.subset(split="train")) == 5
+        train, test, _ = load_imdb(imdb_tree, subset=5)
+        assert (len(train), len(test)) == (10, 10)
+        assert sum(d.label == "positive" for d in train) == 5
 
     def test_deterministic_order(self, imdb_tree):
-        a = [d.id for d in load_imdb(imdb_tree).documents]
-        b = [d.id for d in load_imdb(imdb_tree).documents]
-        assert a == b
-        per_leaf = [d.id for d in load_imdb(imdb_tree).documents
-                    if d.id.startswith("train/pos/")]
+        a = _ids(imdb_tree)
+        assert a == _ids(imdb_tree)
+        half = len(a) // 2
+        assert [d.split("/")[0] for d in a] == ["train"] * half + ["test"] * half
+        per_leaf = [d for d in a if d.startswith("train/pos/")]
         assert per_leaf == sorted(per_leaf)
-
-    def test_workers_equivalent(self, imdb_tree):
-        serial = load_imdb(imdb_tree, subset=6)
-        parallel = load_imdb(imdb_tree, subset=6, workers=2)
-        assert [d.id for d in serial.documents] == [d.id for d in parallel.documents]
-        assert [d.tokens for d in serial.documents] == \
-            [d.tokens for d in parallel.documents]
 
 
 class TestLoadUnsup:
@@ -96,26 +96,26 @@ class TestLoadUnsup:
     def tree(self, tmp_path):
         return build_imdb_tree(tmp_path / "imdb", n_per_leaf=2, seed=3, n_unsup=20)
 
-    def test_workers_equivalent(self, tree):
-        serial = load_unsup(tree, subset=15)
-        assert len(serial) == 15 and {d.label for d in serial.documents} == {"unlabeled"}
-        assert load_unsup(tree, subset=15, workers=2).documents == serial.documents
+    def test_subset_and_label(self, tree):
+        docs, warnings = load_unsup(tree, subset=15)
+        assert len(docs) == 15 and {d.label for d in docs} == {"unlabeled"}
+        assert [d.id for d in docs] == [d.id for d in load_unsup(tree)[0][:15]]
+        assert warnings == []
 
-    def test_tokenized_in_the_workers(self, tree, tmp_path, monkeypatch):
-        """Every unlabeled file is tokenized in a worker process, none in this
-        one (the workers are forked, so they call the recording tokenize)."""
-        pids = tmp_path / "pids"
+    def test_tokenized_through_the_module_attribute(self, tree, monkeypatch):
+        """Each file goes through corpus.tokenize as looked up when it is
+        read, so a wrapper set on the module (as perfbench/trace_stage.py
+        sets one) sees every document."""
+        seen = []
         tokenize_text = corpus.tokenize
 
         def recording(raw):
-            with open(pids, "a", encoding="utf-8") as f:
-                f.write(f"{os.getpid()}\n")
+            seen.append(raw)
             return tokenize_text(raw)
 
         monkeypatch.setattr(corpus, "tokenize", recording)
-        assert len(load_unsup(tree, workers=2)) == 20
-        seen = pids.read_text().split()
-        assert len(seen) == 20 and str(os.getpid()) not in seen
+        assert len(load_unsup(tree)[0]) == 20
+        assert len(seen) == 20
 
 
 class TestListingRule:
@@ -136,30 +136,22 @@ class TestListingRule:
 
     def test_ids_and_order(self, tmp_path):
         root = self._tree(tmp_path)
-        ids = [d.id for d in load_imdb(root).documents]
-        assert ids == [f"train/pos/{s}" for s in self.STEMS]
+        assert _ids(root) == [f"train/pos/{s}" for s in self.STEMS]
 
     def test_order_is_the_path_sort(self, tmp_path):
         root = self._tree(tmp_path)
         expected = [f"train/pos/{p.stem}" for p in sorted((root / "train/pos").glob("*.txt"))]
-        assert [d.id for d in load_imdb(root).documents] == expected
+        assert _ids(root) == expected
 
     def test_text_comes_from_the_named_file(self, tmp_path):
         root = self._tree(tmp_path)
-        tokens = {d.id: d.tokens for d in load_imdb(root).documents}
+        tokens = {d.id: d.tokens for d in load_imdb(root)[0]}
         assert tokens["train/pos/a.b"] == (f"word{self.NAMES.index('a.b.txt')}",)
         assert tokens["train/pos/.txt"] == (f"word{self.NAMES.index('.txt')}",)
 
     def test_subset_takes_the_first_n(self, tmp_path):
         root = self._tree(tmp_path)
-        ids = [d.id for d in load_imdb(root, subset=4).documents]
-        assert ids == [f"train/pos/{s}" for s in self.STEMS[:4]]
-
-    def test_workers_equivalent(self, tmp_path):
-        root = self._tree(tmp_path)
-        serial = load_imdb(root).documents
-        parallel = load_imdb(root, workers=2).documents
-        assert serial == parallel
+        assert _ids(root, subset=4) == [f"train/pos/{s}" for s in self.STEMS[:4]]
 
     def test_directory_named_txt_is_an_error(self, tmp_path):
         root = self._tree(tmp_path)
@@ -216,7 +208,8 @@ class TestSplitValidation:
         train, valid = split_validation(docs, 0.2, seed=42)
         assert len(train) == 80 and len(valid) == 20
         assert sum(d.label == "positive" for d in valid) == 10
-        assert {d.split for d in valid} == {"valid"}
+        # the given documents, partitioned: none is rebuilt
+        assert sorted(map(id, train + valid)) == sorted(map(id, docs))
 
     def test_deterministic(self):
         docs = self._docs(30, 30)
@@ -262,12 +255,12 @@ class TestSplitValidation:
     @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1])
     def test_split_is_the_random_state_split(self, seed):
         docs = self._docs(37, 23)
-        _, valid = split_validation(docs, 0.3, seed=seed)
+        train, valid = split_validation(docs, 0.3, seed=seed)
         neg_order, pos_order = permutations_reference(seed, [23, 37])  # labels sorted
         chosen = [f"doc{37 + i:03d}" for i in neg_order[:6]] + \
             [f"doc{i:03d}" for i in pos_order[:11]]
         assert [d.id for d in valid] == sorted(chosen)
-        assert all(d.split == "valid" for d in valid)
+        assert [d.id for d in train] == sorted({d.id for d in docs} - set(chosen))
 
     @pytest.mark.parametrize("seed", [-1, 2**32])
     def test_seed_out_of_range(self, seed):
@@ -281,7 +274,7 @@ class TestArtifacts:
                          labels=["positive", "negative"])
         path = tmp_path / "cache.tsv"
         write_token_cache(docs, path)
-        back = read_token_cache(path, "train")
+        back = read_token_cache(path)
         assert [d.id for d in back] == [d.id for d in docs]
         assert [d.tokens for d in back] == [d.tokens for d in docs]
         assert [d.label for d in back] == [d.label for d in docs]
@@ -295,7 +288,7 @@ class TestArtifacts:
                          labels=["positive", "negative"] * 10)
         path = tmp_path / "cache.tsv"
         write_token_cache(docs, path)
-        back = read_token_cache(path, "train")
+        back = read_token_cache(path)
         assert back == docs
         tokens = [t for d in back for t in d.tokens]
         assert len({id(t) for t in tokens}) == len(set(tokens))
@@ -310,13 +303,13 @@ class TestArtifacts:
         data = path.read_bytes()
         path.write_bytes(data[:cut % len(data)])
         with pytest.raises(ValueError, match="cache.tsv.*truncated"):
-            read_token_cache(path, "train")
+            read_token_cache(path)
 
     def test_malformed_token_cache_line_names_the_file(self, tmp_path):
         path = tmp_path / "cache.tsv"
         path.write_text("doc000\tpositive\tgood\nno-tabs-here\n")
         with pytest.raises(ValueError, match="cache.tsv.*line 2"):
-            read_token_cache(path, "train")
+            read_token_cache(path)
 
     def test_manifest_roundtrip(self, tmp_path):
         path = tmp_path / "manifest.txt"

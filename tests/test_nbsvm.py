@@ -304,10 +304,8 @@ class TestPipeline:
             assert np.array_equal(np.sort(ids), doc_gram_ids_reference(d.tokens, space))
 
     def test_synthetic_corpus_end_to_end(self, imdb_tree):
-        ds = load_imdb(imdb_tree)
-        train_all = ds.subset(split="train")
+        train_all, test, _ = load_imdb(imdb_tree)
         train, valid = split_validation(train_all, 0.25, seed=0)
-        test = ds.subset(split="test")
         scores = train_classifier(train, n_max=2).score(test)
         ids, p = scores.ids, scores.p_pos
         assert len(ids) == len(test)
@@ -320,12 +318,10 @@ class TestPipeline:
     def test_label_swap_mirrors_decision_boundary(self, imdb_tree):
         """Relabeling classes negates r and, from the symmetric zero
         initialization, mirrors every predicted probability."""
-        ds = load_imdb(imdb_tree, subset=15)
-        train = ds.subset(split="train")
-        test = ds.subset(split="test")
+        train, test, _ = load_imdb(imdb_tree, subset=15)
         swapped_train = [d.__class__(id=d.id, tokens=d.tokens,
                                      label=("negative" if d.label == "positive"
-                                            else "positive"), split=d.split)
+                                            else "positive"))
                          for d in train]
         scores = train_classifier(train, n_max=2).score(test)
         scores_swapped = train_classifier(swapped_train, n_max=2).score(test)
@@ -461,17 +457,15 @@ class TestScoring:
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_margins_equal_sparse_product(self, imdb_tree, n_max):
         """Scoring from gram ids equals the CSR product bit for bit."""
-        ds = load_imdb(imdb_tree, subset=15)
-        train = ds.subset(split="train")
+        train, test, _ = load_imdb(imdb_tree, subset=15)
         pos = [d for d in train if d.label == "positive"]
         neg = [d for d in train if d.label != "positive"]
         space = build_feature_space(pos, neg, n_max)
         weights = compute_log_ratio(space, 1.0)
         clf = train_linear(featurize_all(pos + neg, space, weights),
                            np.array([1] * len(pos) + [0] * len(neg)))
-        unseen = Document(id="unseen", tokens=("zzz", "qqq", "xxx"),
-                          label="negative", split="test")
-        docs = ds.subset(split="test") + [unseen]
+        unseen = Document(id="unseen", tokens=("zzz", "qqq", "xxx"), label="negative")
+        docs = test + [unseen]
         got = doc_margins(docs, space, weights, clf)
         want = np.asarray(to_csr(featurize_all(docs, space, weights)) @ clf.w).ravel() + clf.b
         assert np.array_equal(got, want)

@@ -232,7 +232,7 @@ class TestDocLogprob:
         docs = make_docs(TOY)
         vocab = build_vocab(docs)
         plain = train_kn_model(docs, 2, vocab)
-        penalized = train_kn_model(docs, 2, vocab, oov_log_penalty=math.log(1e-7))
+        penalized = train_kn_model(docs, 2, vocab, oov_penalty=1e-7)
         doc = ["the", "marmot", "sat", "weasel"]  # two OOV tokens
         assert doc_logprob(penalized, doc) == pytest.approx(
             doc_logprob(plain, doc) + 2 * math.log(1e-7), rel=1e-12)
@@ -293,20 +293,20 @@ class TestClassifier:
     def test_shared_vocab_is_default(self):
         clf = self._toy_clf()
         assert clf.pos_model.vocab is clf.neg_model.vocab
-        assert clf.pos_model.oov_log_penalty is None
+        assert clf.pos_model.oov_penalty is None
 
     def test_separate_vocab_mode(self):
         pos = make_docs([["good", "good"]])
         neg = make_docs([["bad", "bad"]], labels=["negative"])
-        clf = train_generative_classifier(pos, neg, order=2, oov_log_penalty=math.log(1e-7))
+        clf = train_generative_classifier(pos, neg, order=2, oov_penalty=1e-7)
         assert clf.pos_model.vocab is not clf.neg_model.vocab
-        assert clf.pos_model.oov_log_penalty == pytest.approx(math.log(1e-7))
+        assert clf.pos_model.oov_penalty == 1e-7
         label, _ = classify_generative(clf, ["good"])
         assert label == "positive"
 
     def test_score_documents_matches_single_scoring(self):
         clf = self._toy_clf()
-        docs = make_docs([["good"], ["bad"], []], labels=["positive"] * 3, split="test")
+        docs = make_docs([["good"], ["bad"], []], labels=["positive"] * 3)
         ids, lp_pos, lp_neg, ratios, lengths = score_documents(clf, docs)
         assert ids == [d.id for d in docs]
         assert list(lengths) == [2, 2, 1]
@@ -327,8 +327,8 @@ def _summed_positions(model, tokens):
     """One document's log-probability from its own per-position array."""
     ids = model.vocab.encode(tokens)
     total = float(logprob_positions(model, ids).sum())
-    if model.oov_log_penalty is not None:
-        total += float(np.count_nonzero(ids == UNK_ID)) * model.oov_log_penalty
+    if model.oov_penalty is not None:
+        total += float(np.count_nonzero(ids == UNK_ID)) * math.log(model.oov_penalty)
     return total
 
 
@@ -355,7 +355,7 @@ class TestBatchedScoring:
     def test_separate_vocab_with_oov_penalty(self):
         clf = train_generative_classifier(_review_docs(20, 4, n_words=30),
                                           _review_docs(20, 5, label="negative"),
-                                          order=3, oov_log_penalty=math.log(1e-7))
+                                          order=3, oov_penalty=1e-7)
         assert clf.pos_model.vocab is not clf.neg_model.vocab
         held_out = _review_docs(15, 6, n_words=50)
         self._check(clf, held_out)
@@ -376,8 +376,7 @@ def _class_models(order, separate_vocab):
     pos, neg = _review_docs(15, 10, n_words=12), _review_docs(15, 11, n_words=12,
                                                              label="negative")
     clf = train_generative_classifier(pos, neg, order=order,
-                                      oov_log_penalty=math.log(1e-7) if separate_vocab
-                                      else None)
+                                      oov_penalty=1e-7 if separate_vocab else None)
     return [(clf.pos_model, pos), (clf.neg_model, neg)]
 
 

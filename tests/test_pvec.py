@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -150,8 +151,7 @@ def _toy_corpus():
                      labels=["positive", "negative", "positive"])
     # a filler word keeps the trainable vocabulary size >= 2 per class
     filler = make_docs([["so", "so", "so"] * 4], labels=["positive"])
-    filler[0] = filler[0].__class__(id="filler", tokens=filler[0].tokens, label="positive",
-                                    split="train")
+    filler[0] = filler[0].__class__(id="filler", tokens=filler[0].tokens, label="positive")
     return docs + filler
 
 
@@ -450,6 +450,29 @@ class TestClassification:
                       meta=np.array([4, 10, 3, 0.05]), mode=np.array("dbow"))
         np.savez_compressed(tmp_path / "pv.npz", **arrays)
         with pytest.raises(ValueError, match="pv.npz: not a PV-DBOW model archive"):
+            load_model(tmp_path)
+
+    @pytest.mark.parametrize("name, cut", [
+        ("doc_vecs", lambda a: a[:2]), ("doc_vecs", lambda a: a[:, :3]),
+        ("node_vecs", lambda a: a[1:]), ("node_vecs", lambda a: a[:, 1:]),
+        ("word_freqs", lambda a: a[1:]), ("lr_w", lambda a: a[1:]),
+        ("lr_b", lambda a: np.append(a, 0.0)), ("meta", lambda a: a[:2]),
+        ("doc_ids", lambda a: a[:a.tolist().index(10)]),
+        ("words", lambda a: a[:a.tolist().index(10)])],
+        ids=["doc_vecs-rows", "doc_vecs-dim", "node_vecs-rows", "node_vecs-dim",
+             "word_freqs", "lr_w", "lr_b", "meta", "doc_ids", "words"])
+    def test_arrays_of_other_shapes_are_refused(self, tmp_path, name, cut):
+        """Each array's shape follows from the words, the document ids and
+        meta's dim; one that disagrees fails the load, naming the file."""
+        docs = _toy_corpus()
+        model = train_pv(docs, build_vocab(docs), PvConfig(dim=4, epochs=2, seed=3))
+        path = save_model(tmp_path, fit_classifier(model, docs, 0.05, infer_steps=3))[0]
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = cut(arrays[name])
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*; "
+                                             "run train-pv again$"):
             load_model(tmp_path)
 
 
