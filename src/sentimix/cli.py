@@ -373,8 +373,10 @@ RULES = {  # a flag's range rule -> its test; NaN passes none
 
 def _flag(name, rule=None, **kwargs) -> tuple:
     """One argument of a stage, as (name, rule, kwargs).  ``rule`` is a RULES
-    key, checked unless the value is None (an optional flag left unset).
-    ``kwargs`` go to ``add_argument``."""
+    key, checked unless the value is None (an optional flag left unset), and
+    stated in the help.  ``kwargs`` go to ``add_argument``."""
+    if rule:
+        kwargs["help"] = "; ".join(filter(None, (kwargs.get("help"), f"must be {rule}")))
     return name, rule, kwargs
 
 
@@ -384,7 +386,7 @@ def _dest(name: str) -> str:
 
 OUT_DIR = _flag("--out-dir", required=True, help="run directory for all artifacts")
 CONFIG = _flag("--config", default=None,
-               help="key=value file with flag defaults (flags override)")
+               help="key=value file of this stage's flags (flags given here override)")
 SUBSET = _flag("--subset", "> 0", type=int, default=None)
 MODELS_FLAG = _flag("--models", MODEL_LIST, default="auto",
                     help="model ids joined by commas (default: auto-detect)")
@@ -453,73 +455,59 @@ STAGES = {
 }
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """One subparser per STAGES row.  ``defaults`` (flag dest -> value, from
-    --config) replace the table's defaults wherever a stage has the flag;
-    each flag's help states its range rule."""
-    defaults = defaults or {}
+def _config_flags(command: str, path: str) -> list[str]:
+    """The lines of a --config file as the command's own flags.  A key names
+    an optional flag of some stage (vocab-cap or vocab_cap), left out where
+    the command lacks it; an on/off flag takes 1 (given) or 0.  Any other
+    key or line, which would have no effect, is a usage error."""
+    optional = {_dest(name): (name, kwargs.get("action") == "store_true")
+                for _, _, flags in STAGES.values() for name, _, kwargs in flags
+                if name.startswith("--") and not kwargs.get("required")}
+    own = {name for name, _, _ in STAGES[command][2]}
+    argv = []
+    try:
+        for lineno, key, value in corpus.read_pairs(path):
+            if _dest(key) not in optional:
+                raise UsageError(f"--config {path}: key {key!r} is no optional flag of any stage")
+            name, on_off = optional[_dest(key)]
+            if on_off and value not in ("0", "1"):
+                raise UsageError(f"--config {path}: line {lineno}: {key} takes 1 or 0, "
+                                 f"got {value!r}")
+            if name in own:
+                argv += [name] * (value == "1") if on_off else [f"{name}={value}"]
+    except ValueError as e:  # a line that is not key=value
+        raise UsageError(f"--config {e}") from None
+    return argv
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by one subparser per STAGES row, then again with the
+    --config file's flags between the command and argv's own flags, which
+    win; then every range rule is checked, before anything else is read."""
     parser = _Parser(prog="sentimix", description="IMDB sentiment models and ensemble")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _, flags) in STAGES.items():
         p = sub.add_parser(command, help=summary)
-        for name, rule, kwargs in (*flags, CONFIG):
-            kwargs = dict(kwargs)
-            if _dest(name) in defaults:
-                kwargs["default"] = defaults[_dest(name)]
-            if rule:
-                kwargs["help"] = "; ".join(filter(None, (kwargs.get("help"), f"must be {rule}")))
+        for name, _, kwargs in (*flags, CONFIG):
             p.add_argument(name, **kwargs)
-    return parser
-
-
-def _read_config(argv: list[str]) -> dict:
-    """The flag defaults of the last --config file in argv, as flag dest ->
-    int, float or string.  Each line is blank, a # comment or key=value, and
-    a key must name an optional flag of some stage: any other line or key,
-    which would have no effect, is a usage error."""
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg[len("--config="):]
-    if path is None:
-        return {}
-    known = {_dest(name) for _, _, flags in STAGES.values() for name, _, kwargs in flags
-             if name.startswith("--") and not kwargs.get("required")}
-    defaults = {}
-    with open(path, encoding="utf-8") as f:
-        lines = [line.strip() for line in f]
-    for lineno, line in enumerate(lines, 1):
-        if not line or line.startswith("#"):
-            continue
-        key, is_pair, value = line.partition("=")
-        if not is_pair:
-            raise UsageError(f"--config {path}: line {lineno} is not key=value")
-        if _dest(key) not in known:
-            raise UsageError(f"--config {path}: key {key!r} is no optional flag of any stage")
-        for cast in (int, float):
-            try:
-                value = cast(value)
-                break
-            except ValueError:
-                continue
-        defaults[_dest(key)] = value
-    return defaults
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        config = _config_flags(args.command, args.config)
+        args = parser.parse_args([*argv[:1], *config, *argv[1:]])
+    for name, rule, _ in STAGES[args.command][2]:
+        value = getattr(args, _dest(name))
+        if rule and value is not None and not RULES[rule](value):
+            raise UsageError(f"{name} must be {rule}, got {value}")
+    return args
 
 
 def cli_dispatch(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser(_read_config(argv)).parse_args(argv)
-        _, handler, flags = STAGES[args.command]
-        for name, rule, _ in flags:  # before anything is read
-            value = getattr(args, _dest(name))
-            if rule and value is not None and not RULES[rule](value):
-                raise UsageError(f"{name} must be {rule}, got {value}")
+        args = parse_args(argv)
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
         args.started = time.time()  # a stage's wall time in the manifest counts from here
-        return handler(args)
+        return STAGES[args.command][1](args)
     except UsageError as e:
         print(f"error: usage: {e}", file=sys.stderr)
         return 2

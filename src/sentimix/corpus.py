@@ -188,14 +188,14 @@ def read_vocab(path) -> Vocabulary:
     """Inverse of write_vocab: the same tokens at the same indices."""
     tokens, counts = [], []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            t, c = line.split("\t")
-            if t not in RESERVED:
-                tokens.append(t)
-                counts.append(int(c))
+        for lineno, line in enumerate(f, 1):
+            if line != "\n":
+                t, tab, c = line.rstrip("\n").partition("\t")
+                if not (tab and c.isdecimal()):
+                    raise ValueError(f"{path}: line {lineno} is not token<TAB>count")
+                if t not in RESERVED:
+                    tokens.append(t)
+                    counts.append(int(c))
     return Vocabulary(tokens, counts)
 
 
@@ -343,27 +343,38 @@ def write_manifest(path, entries: dict, append: bool = True) -> None:
             f.write(f"{k}={entries[k]}\n")
 
 
-def read_manifest(path) -> dict:
-    out = {}
+def read_pairs(path):
+    """(line number, key, value) of each key=value line of the file at path,
+    split at the first "="; blank lines and # comments are skipped, and any
+    other line raises ValueError naming the file and the line."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
-            if line and "=" in line:
-                k, v = line.split("=", 1)
-                out[k] = v
-    return out
+            if not line or line.startswith("#"):
+                continue
+            key, is_pair, value = line.partition("=")
+            if not is_pair:
+                raise ValueError(f"{path}: line {lineno} is not key=value")
+            yield lineno, key, value
 
 
-class ModelMeta(dict):
-    """The key=value lines of the meta file a training stage wrote; a key it
-    lacks raises ValueError naming the file and the key."""
+class ModelMeta:
+    """The key=value lines of a training stage's meta file.  number(key, cast)
+    reads a value as float or int, or raises ValueError naming the file, the
+    key and the stage to run again."""
 
     def __init__(self, path, stage: str):
-        super().__init__(read_manifest(path))
         self.path, self.stage = path, stage
+        self.values = {key: value for _, key, value in read_pairs(path)}
 
-    def __missing__(self, key: str):
-        raise ValueError(f"{self.path}: no {key} key; run {self.stage} again")
+    def number(self, key: str, cast=float):
+        try:
+            return cast(self.values[key])
+        except KeyError:
+            why = f"no {key} key"
+        except ValueError:
+            why = f"{key}={self.values[key]} is not {'an integer' if cast is int else 'a number'}"
+        raise ValueError(f"{self.path}: {why}; run {self.stage} again")
 
 
 def file_digest(path) -> str:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import NEGATIVE, POSITIVE
+from .corpus import NEGATIVE, POSITIVE, read_pairs
 
 log = logging.getLogger(__name__)
 
@@ -301,15 +301,10 @@ def write_weights(path, weights: EnsembleWeights) -> None:
 
 def read_weights(path) -> EnsembleWeights:
     model_ids, alphas = [], []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                m, a = line.split("=", 1)
-                alphas.append(float(a))
-            except ValueError:
-                raise ValueError(f"{path}: {line!r} is not model=weight") from None
-            model_ids.append(m)
+    for lineno, m, a in read_pairs(path):
+        try:
+            alphas.append(float(a))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno} is not model=weight") from None
+        model_ids.append(m)
     return EnsembleWeights(model_ids=model_ids, alphas=alphas)

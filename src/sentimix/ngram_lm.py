@@ -422,11 +422,11 @@ def load_model(models_dir) -> GenerativeClassifier:
 
     models_dir = Path(models_dir)
     meta = ModelMeta(models_dir / "ngram.meta", "train-ngram")
-    penalty = float(meta["oov_penalty"]) if int(meta["separate_vocab"]) else None
+    penalty = meta.number("oov_penalty") if meta.number("separate_vocab", int) else None
 
     def loader(name):
         return lambda: replace(arpa.import_arpa_path(models_dir / f"ngram-{name}.arpa"),
                                oov_penalty=penalty)
     return GenerativeClassifier(pos_model=loader("pos"), neg_model=loader("neg"),
-                                log_prior_pos=float(meta["log_prior_pos"]),
-                                log_prior_neg=float(meta["log_prior_neg"]))
+                                log_prior_pos=meta.number("log_prior_pos"),
+                                log_prior_neg=meta.number("log_prior_neg"))

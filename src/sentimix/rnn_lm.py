@@ -410,8 +410,8 @@ def load_model(models_dir) -> GenerativeClassifier:
     meta = ModelMeta(models_dir / "rnn.meta", "train-rnn")
     return GenerativeClassifier(pos_model=load_rnn(models_dir / "rnn-pos.bin", vocab),
                                 neg_model=load_rnn(models_dir / "rnn-neg.bin", vocab),
-                                log_prior_pos=float(meta["log_prior_pos"]),
-                                log_prior_neg=float(meta["log_prior_neg"]))
+                                log_prior_pos=meta.number("log_prior_pos"),
+                                log_prior_neg=meta.number("log_prior_neg"))
 
 
 def save_rnn(params: RnnLm, path) -> None:

@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # oracles / synth helpers
 
 import sentimix
 from sentimix import rnn_lm
-from sentimix.corpus import NEGATIVE, POSITIVE, Document
+from sentimix.corpus import NEGATIVE, POSITIVE, Document, read_pairs
 from sentimix.ensemble import clamp_p
 from sentimix.pvec import VEC_MAGIC, ParagraphVectorModel
 from oracles import rnn_states_and_logprobs
@@ -27,6 +27,11 @@ def make_docs(token_lists, labels=None):
     labels = labels or ["positive"] * len(token_lists)
     return [Document(id=f"doc{i:03d}", tokens=tuple(toks), label=lab)
             for i, (toks, lab) in enumerate(zip(token_lists, labels))]
+
+
+def read_kv(path) -> dict[str, str]:
+    """key -> value of a manifest or meta file, read by corpus.read_pairs."""
+    return {key: value for _, key, value in read_pairs(path)}
 
 
 def to_csr(X) -> sp.csr_matrix:

@@ -1,4 +1,3 @@
-import argparse
 import gc
 import json
 import re
@@ -12,10 +11,10 @@ import numpy as np
 import pytest
 
 from sentimix import nbsvm, ngram_lm, rnn_lm
-from sentimix.cli import STAGES, build_parser, cli_dispatch
-from sentimix.corpus import pack_strings, read_manifest
+from sentimix.cli import MODEL_LIST, STAGES, cli_dispatch, parse_args
+from sentimix.corpus import pack_strings
 from sentimix.ensemble import write_scores_jsonl
-from conftest import assert_no_child_process, src_env
+from conftest import assert_no_child_process, read_kv, src_env
 
 
 def run(argv):
@@ -107,7 +106,7 @@ class TestPipeline:
         assert acc >= 0.8  # the synthetic corpus is deliberately separable
 
     def test_manifest_records_stages(self, pipeline_dir):
-        manifest = read_manifest(pipeline_dir / "manifest.txt")
+        manifest = read_kv(pipeline_dir / "manifest.txt")
         assert manifest["prepare.seed"] == "7"
         assert "train-ngram.wall_time_s" in manifest
         assert any(k.startswith("prepare.digest.") for k in manifest)
@@ -135,7 +134,7 @@ class TestPipeline:
 
 
     def test_manifest_records_nbsvm_iterations(self, pipeline_dir):
-        manifest = read_manifest(pipeline_dir / "manifest.txt")
+        manifest = read_kv(pipeline_dir / "manifest.txt")
         for n in (1, 2, 3):
             assert 0 < int(manifest[f"train-nbsvm{n}.iterations"]) < nbsvm.MAX_ITER
 
@@ -377,11 +376,9 @@ REJECTED = [pytest.param([cmd, *argv], "--workers", "1", id=cmd)
 
 class TestOptions:
     def test_minimal_argv_covers_every_subcommand(self):
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == set(MINIMAL_ARGV)
+        assert set(STAGES) == set(MINIMAL_ARGV)
         for cmd, argv in MINIMAL_ARGV.items():
-            build_parser().parse_args([cmd, *argv])
+            assert parse_args([cmd, *argv]).command == cmd
 
     @pytest.mark.parametrize("argv, flag, value", REJECTED)
     def test_flag_the_stage_does_not_read_is_2(self, capsys, argv, flag, value):
@@ -418,7 +415,7 @@ class TestReadme:
         commands = _readme_commands()
         assert {argv[0] for argv in commands} == set(STAGES)
         for argv in commands:
-            build_parser().parse_args(argv)
+            parse_args(argv)
 
 
 class TestTemperature:
@@ -478,7 +475,7 @@ class TestTrainRnn:
         out = tmp_path / "run"
         assert run(["prepare", str(tree), "--out-dir", str(out),
                     "--valid-fraction", "0.01"]) == 0
-        assert read_manifest(out / "manifest.txt")["prepare.n_valid"] == "0"
+        assert read_kv(out / "manifest.txt")["prepare.n_valid"] == "0"
         assert run(["train-rnn", "--out-dir", str(out), "--hidden", "4", "--epochs", "2",
                     "--vocab-cap", "50"]) == 0
         rows = [line.split("\t") for line in
@@ -553,6 +550,22 @@ def _without_key(key):
     return damage
 
 
+def _with_value(key, value):
+    """Set the key=value line of ``key`` in a meta file to ``value``."""
+    def damage(path):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(f"{key}={value}\n" if l.startswith(key + "=") else l
+                                for l in lines), encoding="utf-8")
+    return damage
+
+
+def _space_for_tab(path):
+    """The fifth line of a vocabulary file with a space for its tab."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[4] = lines[4].replace("\t", " ")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 def _five_doc_vecs(path):
     with np.load(path) as data:
         arrays = dict(data)
@@ -575,6 +588,12 @@ FAULTS = {
                                ["score", "rnn", "test"]),
     "ngram-meta-without-separate-vocab": ("models/ngram.meta", _without_key("separate_vocab"),
                                           ["score", "ngram", "test"]),
+    "rnn-meta-prior-not-a-number": ("models/rnn.meta", _with_value("log_prior_neg", "abc"),
+                                    ["score", "rnn", "test"]),
+    "ngram-meta-prior-not-a-number": ("models/ngram.meta", _with_value("log_prior_pos", "abc"),
+                                      ["score", "ngram", "test"]),
+    "rnn-vocab-line-without-tab": ("models/rnn.vocab", _space_for_tab,
+                                   ["score", "rnn", "test"]),
     "bad-magic-rnn": ("models/rnn-pos.bin", _bad_magic, ["score", "rnn", "test"]),
     "truncated-rnn": ("models/rnn-pos.bin", _cut, ["score", "rnn", "test"]),
     "truncated-rnn-header": ("models/rnn-pos.bin",
@@ -632,6 +651,21 @@ class TestFaultInjection:
         assert run(["score", model, "test", "--out-dir", str(run_dir)]) == 1
         assert capsys.readouterr().err == \
             f"error: ValueError: {meta}: no {key} key; run train-{model} again\n"
+
+    @pytest.mark.parametrize("model, key, value, kind", [
+        ("rnn", "log_prior_pos", "abc", "a number"), ("rnn", "log_prior_neg", "", "a number"),
+        ("ngram", "log_prior_neg", "1,5", "a number"),
+        ("ngram", "separate_vocab", "1.0", "an integer")])
+    def test_meta_value_that_is_no_number_is_1(self, pipeline_dir, tmp_path, capsys, model,
+                                               key, value, kind):
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        meta = run_dir / "models" / f"{model}.meta"
+        _with_value(key, value)(meta)
+        capsys.readouterr()
+        assert run(["score", model, "test", "--out-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: ValueError: {meta}: {key}={value} is not {kind}; run train-{model} again\n"
 
     def test_both_class_models_damaged_names_the_positive(self, pipeline_dir, tmp_path,
                                                           capsys):
@@ -879,7 +913,7 @@ class TestUnsupPath:
         (tree / "train" / "unsup").mkdir()
         out = tmp_path / "run"
         assert run(["prepare", str(tree), "--out-dir", str(out), "--with-unsup"]) == 0
-        manifest = read_manifest(out / "manifest.txt")
+        manifest = read_kv(out / "manifest.txt")
         assert manifest["prepare.corpus_warnings"] == "empty corpus directory: train/unsup"
 
     def test_use_unsup_without_cache_is_3(self, imdb_tree, tmp_path, capsys):
@@ -897,13 +931,13 @@ class TestConfigFile:
         cfg.write_text("subset=3\nseed=5\n")
         assert run(["prepare", str(imdb_tree), "--out-dir", out,
                     "--config", str(cfg)]) == 0
-        manifest = read_manifest(tmp_path / "cfg-run" / "manifest.txt")
+        manifest = read_kv(tmp_path / "cfg-run" / "manifest.txt")
         assert manifest["prepare.seed"] == "5"
         assert manifest["prepare.n_test"] == "6"  # 3 per class from config
         out2 = str(tmp_path / "cfg-run2")
         assert run(["prepare", str(imdb_tree), "--out-dir", out2,
                     "--config", str(cfg), "--seed", "9"]) == 0
-        manifest2 = read_manifest(tmp_path / "cfg-run2" / "manifest.txt")
+        manifest2 = read_kv(tmp_path / "cfg-run2" / "manifest.txt")
         assert manifest2["prepare.seed"] == "9"
 
     @pytest.mark.parametrize("argv, key", [
@@ -947,7 +981,7 @@ class TestConfigFile:
         assert run(["prepare", str(imdb_tree), "--out-dir", out, "--subset", "4"]) == 0
         assert run(["train-ngram", "--out-dir", out, "--order", "2",
                     "--config", str(cfg)]) == 0
-        meta = read_manifest(tmp_path / "run" / "models" / "ngram.meta")
+        meta = read_kv(tmp_path / "run" / "models" / "ngram.meta")
         assert (meta["separate_vocab"], meta.get("oov_penalty")) == (separate_vocab, oov_penalty)
         model = ngram_lm.load_model(tmp_path / "run" / "models")
         pos, neg = model.pos_model(), model.neg_model()  # each parses its ARPA file
@@ -959,6 +993,98 @@ class TestConfigFile:
         cfg.write_text("subset=3\nseed=5\n")
         assert run(["prepare", str(imdb_tree), "--out-dir", str(tmp_path / "run"),
                     f"--config={cfg}"]) == 0
-        manifest = read_manifest(tmp_path / "run" / "manifest.txt")
+        manifest = read_kv(tmp_path / "run" / "manifest.txt")
         assert manifest["prepare.seed"] == "5"
         assert manifest["prepare.n_test"] == "6"
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["prepare", "{imdb}"], "seed", "5.0"), (["train-rnn"], "vocab-cap", "1e3"),
+        (["train-nbsvm"], "n-max", "4"), (["train-pv"], "mode", "dm")])
+    def test_value_the_flag_refuses_is_2(self, imdb_tree, tmp_path, capsys, argv, key, value):
+        """A config value goes through its flag's own type and choices: one
+        that the command line refuses is refused with the same line, naming
+        the flag, before anything is read."""
+        argv = [a.format(imdb=imdb_tree) for a in argv]
+        out = tmp_path / "none"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        errors = []
+        for extra in (["--config", str(cfg)], [f"--{key}", value]):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, "--out-dir", str(out), *extra])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: usage: argument --{key}: invalid ")
+        assert errors[0].count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, code, cached", [
+        ("1", 0, True), ("0", 0, False), ("false", 2, False), ("yes", 2, False)])
+    def test_on_off_key_takes_1_or_0(self, tmp_path, capsys, value, code, cached):
+        from synth import build_imdb_tree
+        tree = build_imdb_tree(tmp_path / "imdb", n_per_leaf=4, seed=3, n_unsup=5)
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# on/off\nwith-unsup={value}\n")
+        assert run(["prepare", str(tree), "--out-dir", str(out), "--config", str(cfg)]) == code
+        assert (out / "cache" / "unsup.tsv").exists() is cached
+        if code:
+            assert capsys.readouterr().err == (
+                f"error: usage: --config {cfg}: line 2: with-unsup takes 1 or 0, "
+                f"got {value!r}\n")
+            assert not out.exists()
+
+    def test_oov_penalty_key_writes_the_flags_meta(self, imdb_tree, tmp_path):
+        """oov-penalty=1 is read as --oov-penalty 1 is: the float 1.0."""
+        out = str(tmp_path / "run")
+        meta = tmp_path / "run" / "models" / "ngram.meta"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("oov-penalty=1\n")
+        assert run(["prepare", str(imdb_tree), "--out-dir", out, "--subset", "4"]) == 0
+        written = []
+        for extra in (["--config", str(cfg)], ["--oov-penalty", "1"]):
+            assert run(["train-ngram", "--out-dir", out, "--order", "2", *extra]) == 0
+            written.append(meta.read_bytes())
+        assert written[0] == written[1]
+        assert read_kv(meta)["oov_penalty"] == "1.0"
+
+
+# a range rule -> a value that passes it
+RULE_SAMPLES = {"> 0": "3", ">= 0": "2", "in (0, 1)": "0.5", "in (0, 1]": "1",
+                "in [0, 2**32)": "5", "> 0 and divides 1.0 evenly": "0.25",
+                MODEL_LIST: "ngram,pv"}
+OPTIONAL_FLAGS = [pytest.param(command, name, rule, kwargs, id=f"{command}{name}")
+                  for command, (_, _, flags) in STAGES.items()
+                  for name, rule, kwargs in flags
+                  if name.startswith("--") and not kwargs.get("required")]
+
+
+def _typed(args) -> dict:
+    return {dest: (type(value), value) for dest, value in vars(args).items()}
+
+
+class TestConfigMatchesFlags:
+    """Every optional flag of every stage, given as a --config line with a
+    valid value, parses to what the flag on the command line parses to."""
+
+    @pytest.mark.parametrize("spelling", ["-", "_"])
+    @pytest.mark.parametrize("command, name, rule, kwargs", OPTIONAL_FLAGS)
+    def test_config_line_parses_as_the_flag(self, tmp_path, command, name, rule, kwargs,
+                                            spelling):
+        if kwargs.get("action") == "store_true":
+            value, flag = "1", [name]
+        else:
+            value = str(kwargs["choices"][0]) if "choices" in kwargs else RULE_SAMPLES[rule]
+            flag = [name, value]
+        cfg = tmp_path / "run.cfg"
+        argv = [command, *MINIMAL_ARGV[command], "--config", str(cfg)]
+        cfg.write_text("")
+        unset, given = _typed(parse_args(argv)), _typed(parse_args([*argv, *flag]))
+        cfg.write_text(f"{name[2:].replace('-', spelling)}={value}\n")
+        assert _typed(parse_args(argv)) == given
+        dest = name[2:].replace("-", "_")
+        assert given[dest] != unset[dest] or value == str(kwargs["default"])
+        if flag == [name]:
+            cfg.write_text(f"{name[2:]}=0\n")
+            assert _typed(parse_args(argv)) == unset

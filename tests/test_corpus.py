@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from sentimix import corpus
 from sentimix.corpus import (
     BOS, EOS, TOKENIZER_HASH, UNK, CorpusError, _legacy_mt19937, _permutation,
-    build_vocab, file_digest, load_imdb, load_unsup, read_manifest, read_token_cache,
-    split_validation, tokenize, write_manifest, write_token_cache,
+    build_vocab, file_digest, load_imdb, load_unsup, read_pairs, read_token_cache,
+    read_vocab, split_validation, tokenize, write_manifest, write_token_cache, write_vocab,
 )
 from conftest import make_docs
 from oracles import permutations_reference
@@ -314,9 +314,37 @@ class TestArtifacts:
     def test_manifest_roundtrip(self, tmp_path):
         path = tmp_path / "manifest.txt"
         write_manifest(path, {"seed": 42, "fraction": 0.2})
-        write_manifest(path, {"stage2.x": "y"})
-        data = read_manifest(path)
-        assert data["seed"] == "42" and data["stage2.x"] == "y"
+        write_manifest(path, {"stage2.x": "y=z"})
+        assert list(read_pairs(path)) == [(1, "seed", "42"), (2, "fraction", "0.2"),
+                                          (3, "stage2.x", "y=z")]
+
+    def test_pairs_skip_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# defaults\n\n  epochs=2  \n#hidden=3\nlr=\n")
+        assert list(read_pairs(path)) == [(3, "epochs", "2"), (5, "lr", "")]
+
+    @pytest.mark.parametrize("line", ["hidden 32", "epochs", "  --epochs 2"])
+    def test_line_that_is_no_pair_names_the_file_and_line(self, tmp_path, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"epochs=2\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            list(read_pairs(path))
+        assert str(exc.value) == f"{path}: line 2 is not key=value"
+
+    def test_vocab_roundtrip(self, tmp_path):
+        vocab = build_vocab(make_docs([["good", "movie", "good"], ["bad"]]))
+        path = tmp_path / "rnn.vocab"
+        write_vocab(path, vocab)
+        back = read_vocab(path)
+        assert (back.tokens, back.counts) == (vocab.tokens, vocab.counts)
+
+    @pytest.mark.parametrize("line", ["good 2", "good\t2\textra", "good\ttwo", "good\t"])
+    def test_damaged_vocab_line_names_the_file_and_line(self, tmp_path, line):
+        path = tmp_path / "rnn.vocab"
+        path.write_text(f"<s>\t0\n</s>\t0\n<unk>\t0\n{line}\nbad\t1\n")
+        with pytest.raises(ValueError) as exc:
+            read_vocab(path)
+        assert str(exc.value) == f"{path}: line 4 is not token<TAB>count"
 
     def test_file_digest_stable(self, tmp_path):
         p = tmp_path / "f"
