@@ -14,6 +14,7 @@ import importlib
 import logging
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import corpus, ensemble
@@ -66,12 +67,12 @@ def _out(args, *parts) -> Path:
 
 
 def _record_stage(args, stage: str, artifacts: list[Path], extra: dict | None = None) -> None:
-    entries = dict(extra or {})
-    entries[f"{stage}.wall_time_s"] = f"{time.time() - args.started:.2f}"
+    """Appends to manifest.txt, under "<stage>.", extra, wall time and digests."""
+    entries = {**(extra or {}), "wall_time_s": f"{time.time() - args.started:.2f}"}
     for p in artifacts:
-        rel = p.relative_to(Path(args.out_dir))
-        entries[f"{stage}.digest.{rel}"] = corpus.file_digest(p)
-    corpus.write_manifest(_out(args, "manifest.txt"), entries)
+        entries[f"digest.{p.relative_to(Path(args.out_dir))}"] = corpus.file_digest(p)
+    corpus.write_manifest(_out(args, "manifest.txt"),
+                          {f"{stage}.{k}": v for k, v in entries.items()})
 
 
 def _load_split(args, split: str, subset: int | None = None) -> list[corpus.Document]:
@@ -94,15 +95,14 @@ def _write_labels(path, docs) -> None:
 
 def _read_labels(path) -> dict[str, str]:
     labels = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if line:
-                try:
-                    doc_id, label = line.split("\t")
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno} is not id<TAB>label") from None
-                labels[doc_id] = label
+    for lineno, line in corpus.text_lines(path):
+        line = line.rstrip("\n")
+        if line:
+            try:
+                doc_id, label = line.split("\t")
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} is not id<TAB>label") from None
+            labels[doc_id] = label
     return labels
 
 
@@ -128,89 +128,32 @@ def cmd_prepare(args) -> int:
         warnings += unsup_warnings
 
     _record_stage(args, "prepare", artifacts, {
-        "prepare.seed": args.seed,
-        "prepare.valid_fraction": args.valid_fraction,
-        "prepare.tokenizer_hash": corpus.TOKENIZER_HASH,
-        "prepare.n_train": len(train_sub),
-        "prepare.n_valid": len(valid),
-        "prepare.n_test": len(test),
-        "prepare.corpus_warnings": ";".join(warnings) or "none",
+        "seed": args.seed,
+        "valid_fraction": args.valid_fraction,
+        "tokenizer_hash": corpus.TOKENIZER_HASH,
+        "n_train": len(train_sub),
+        "n_valid": len(valid),
+        "n_test": len(test),
+        "corpus_warnings": ";".join(warnings) or "none",
     })
     print(f"prepared {len(train_sub)} train / {len(valid)} valid / {len(test)} test "
           "documents")
     return 0
 
 
-def cmd_train_ngram(args) -> int:
-    from . import ngram_lm
-    train = _load_split(args, "train", args.subset)
-    pos = [d for d in train if d.label == POSITIVE]
-    neg = [d for d in train if d.label == NEGATIVE]
-    clf = ngram_lm.train_generative_classifier(pos, neg, order=args.order,
-                                               min_count=args.min_count,
-                                               oov_penalty=args.oov_penalty)
-    artifacts = ngram_lm.save_model(_out(args, "models", ""), clf)
-    _record_stage(args, "train-ngram", artifacts,
-                  {"train-ngram.order": args.order,
-                   "train-ngram.n_train": len(train)})
-    print(f"trained order-{args.order} models on {len(pos)}+{len(neg)} documents")
-    return 0
+def cmd_train(module: str, args) -> int:
+    """A model module's train-* stage: ``train(load, out, **flags)`` returns
+    (model id, paths, manifest entries, summary line), recorded as train-<model id>."""
+    def load(split: str) -> list[corpus.Document]:
+        # --subset caps the labelled splits per class; unsup is read whole
+        return _load_split(args, split, None if split == "unsup" else args.subset)
 
-
-def cmd_train_rnn(args) -> int:
-    from . import rnn_lm
-    train = _load_split(args, "train", args.subset)
-    valid = _load_split(args, "valid", args.subset)
-    vocab = corpus.build_vocab(train, min_count=1, max_size=args.vocab_cap)
-    config = rnn_lm.RnnTrainConfig(hidden=args.hidden, epochs=args.epochs,
-                                   lr0=args.lr, truncation=args.truncation,
-                                   clip=args.clip, seed=args.seed)
-    artifacts = rnn_lm.train_classifier(train, valid, vocab, config,
-                                        _out(args, "models", ""))
-    _record_stage(args, "train-rnn", artifacts,
-                  {"train-rnn.hidden": args.hidden, "train-rnn.vocab": len(vocab)})
-    print(f"trained RNN models (H={args.hidden}, vocab {len(vocab)}) "
-          f"on {len(train)} documents")
-    return 0
-
-
-def cmd_train_nbsvm(args) -> int:
-    from . import nbsvm
-    train = _load_split(args, "train", args.subset)
-    space, _, clf = model = nbsvm.train_classifier(train, args.n_max, alpha=args.alpha,
-                                                   l2=args.l2)
-    model_id = f"nbsvm{args.n_max}"
-    artifacts = nbsvm.save_model(_out(args, "models", ""), model)
-    _record_stage(args, "train-" + model_id, artifacts,
-                  {f"train-{model_id}.features": len(space),
-                   f"train-{model_id}.iterations": len(clf.trace) - 1,
-                   f"train-{model_id}.final_loss": f"{clf.trace[-1]:.6f}"})
-    print(f"trained {model_id}: {len(space)} features, "
-          f"loss {clf.trace[0]:.4f} -> {clf.trace[-1]:.4f}")
-    return 0
-
-
-def cmd_train_pv(args) -> int:
-    from . import pvec
-    train = _load_split(args, "train", args.subset)
-    pv_docs = list(train)
-    if args.use_unsup:
-        pv_docs.extend(corpus.read_token_cache(_in(args, "cache", "unsup.tsv")))
-    vocab = corpus.build_vocab(pv_docs, min_count=args.min_count)
-    config = pvec.PvConfig(dim=args.dim, epochs=args.epochs, lr0=args.lr, seed=args.seed)
-    model = pvec.train_pv(pv_docs, vocab, config)
-    pvc = pvec.fit_classifier(model, train, args.lr, infer_steps=args.infer_steps, l2=args.l2)
-    artifacts = pvec.save_model(_out(args, "models", ""), pvc)
-    artifacts.append(_out(args, "vectors", "pv-train.tsv"))
-    pvec.write_vectors_text(artifacts[-1], model.doc_ids, model.doc_vecs)
-    artifacts.append(_out(args, "vectors", "pv-train.bin"))
-    pvec.write_vectors_binary(artifacts[-1], model.doc_vecs)
-    _record_stage(args, "train-pv", artifacts,
-                  {"train-pv.dim": args.dim, "train-pv.epochs": args.epochs,
-                   "train-pv.docs": len(pv_docs),
-                   "train-pv.final_loss": f"{model.train_log[-1]:.6f}"})
-    print(f"trained paragraph vectors: {len(pv_docs)} documents, dim {args.dim}, "
-          f"loss {model.train_log[0]:.4f} -> {model.train_log[-1]:.4f}")
+    flags = {_dest(name): getattr(args, _dest(name)) for name, _, _ in STAGES[args.command][2]
+             if name not in ("--out-dir", "--subset")}
+    train = importlib.import_module(f".{module}", __package__).train
+    model_id, artifacts, entries, summary = train(load, partial(_out, args), **flags)
+    _record_stage(args, f"train-{model_id}", artifacts, entries)
+    print(summary)
     return 0
 
 
@@ -274,8 +217,7 @@ def cmd_ensemble_search(args) -> int:
     report = _write_ensemble_tsv(args, "search.tsv", "models\tweights\tvalid_accuracy",
                                  [_weights_fields(models, weights) + [f"{v_acc:.4f}"]])
     _record_stage(args, "ensemble-search", [weights_path, report],
-                  {"ensemble-search.models": ",".join(models),
-                   "ensemble-search.valid_accuracy": f"{v_acc:.4f}"})
+                  {"models": ",".join(models), "valid_accuracy": f"{v_acc:.4f}"})
     print("weights " + " ".join(f"{m}={ensemble.format_alpha(a)}"
                                 for m, a in zip(models, weights.alphas))
           + f" valid accuracy {v_acc:.4f}")
@@ -401,7 +343,7 @@ STAGES = {
         _flag("--subset", "> 0", type=int, default=None, help="cap files per leaf directory"),
         _flag("--with-unsup", action="store_true",
               help="also cache train/unsup for paragraph-vector training"))),
-    "train-ngram": ("train the Kneser-Ney class models", cmd_train_ngram, (
+    "train-ngram": ("train the Kneser-Ney class models", partial(cmd_train, "ngram_lm"), (
         OUT_DIR,
         _flag("--order", "> 0", type=int, default=5),
         _flag("--min-count", "> 0", type=int, default=1),
@@ -409,7 +351,7 @@ STAGES = {
               help="train each class model on its own vocabulary and charge this "
                    "probability per unseen word (default: one vocabulary, no charge)"),
         SUBSET)),
-    "train-rnn": ("train the RNN class language models", cmd_train_rnn, (
+    "train-rnn": ("train the RNN class language models", partial(cmd_train, "rnn_lm"), (
         OUT_DIR,
         _flag("--hidden", "> 0", type=int, default=64),
         _flag("--epochs", "> 0", type=int, default=8),
@@ -419,13 +361,13 @@ STAGES = {
         _flag("--vocab-cap", "> 0", type=int, default=10000),
         _flag("--seed", "in [0, 2**32)", type=int, default=1),
         SUBSET)),
-    "train-nbsvm": ("train the log-count-ratio linear model", cmd_train_nbsvm, (
+    "train-nbsvm": ("train the log-count-ratio linear model", partial(cmd_train, "nbsvm"), (
         OUT_DIR,
         _flag("--n-max", type=int, default=3, choices=(1, 2, 3)),
         _flag("--alpha", "> 0", type=float, default=1.0),
         _flag("--l2", ">= 0", type=float, default=None),
         SUBSET)),
-    "train-pv": ("train paragraph vectors + linear classifier", cmd_train_pv, (
+    "train-pv": ("train paragraph vectors + linear classifier", partial(cmd_train, "pvec"), (
         OUT_DIR,
         _flag("--dim", "> 0", type=int, default=100),
         _flag("--epochs", "> 0", type=int, default=20),

@@ -187,15 +187,14 @@ def write_vocab(path, vocab: Vocabulary) -> None:
 def read_vocab(path) -> Vocabulary:
     """Inverse of write_vocab: the same tokens at the same indices."""
     tokens, counts = [], []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if line != "\n":
-                t, tab, c = line.rstrip("\n").partition("\t")
-                if not (tab and c.isdecimal()):
-                    raise ValueError(f"{path}: line {lineno} is not token<TAB>count")
-                if t not in RESERVED:
-                    tokens.append(t)
-                    counts.append(int(c))
+    for lineno, line in text_lines(path):
+        if line != "\n":
+            t, tab, c = line.rstrip("\n").partition("\t")
+            if not (tab and c.isdecimal()):
+                raise ValueError(f"{path}: line {lineno} is not token<TAB>count")
+            if t not in RESERVED:
+                tokens.append(t)
+                counts.append(int(c))
     return Vocabulary(tokens, counts)
 
 
@@ -305,6 +304,16 @@ def length_blocks(lengths, cells: int) -> list[np.ndarray]:
     return blocks
 
 
+def text_lines(path):
+    """(line number, line with its newline) of each line of the UTF-8 text
+    file at path; bytes that are not UTF-8 raise ValueError naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, 1)
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def write_token_cache(docs, path) -> None:
     """One document per line: id<TAB>label<TAB>space-separated tokens."""
     with open(path, "w", encoding="utf-8") as f:
@@ -318,21 +327,19 @@ def read_token_cache(path) -> list[Document]:
     without one means the file was cut short."""
     docs = []
     shared: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.endswith("\n"):
-                raise ValueError(f"{path}: truncated: line {lineno} has no newline")
-            line = line[:-1]
-            if not line:
-                continue
-            try:
-                doc_id, label, text = line.split("\t", 2)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno} is not id<TAB>label<TAB>tokens") \
-                    from None
-            words = text.split()
-            docs.append(Document(id=doc_id, tokens=tuple(map(shared.setdefault, words, words)),
-                                 label=label))
+    for lineno, line in text_lines(path):
+        if not line.endswith("\n"):
+            raise ValueError(f"{path}: truncated: line {lineno} has no newline")
+        line = line[:-1]
+        if not line:
+            continue
+        try:
+            doc_id, label, text = line.split("\t", 2)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno} is not id<TAB>label<TAB>tokens") from None
+        words = text.split()
+        docs.append(Document(id=doc_id, tokens=tuple(map(shared.setdefault, words, words)),
+                             label=label))
     return docs
 
 
@@ -347,15 +354,14 @@ def read_pairs(path):
     """(line number, key, value) of each key=value line of the file at path,
     split at the first "="; blank lines and # comments are skipped, and any
     other line raises ValueError naming the file and the line."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, is_pair, value = line.partition("=")
-            if not is_pair:
-                raise ValueError(f"{path}: line {lineno} is not key=value")
-            yield lineno, key, value
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, is_pair, value = line.partition("=")
+        if not is_pair:
+            raise ValueError(f"{path}: line {lineno} is not key=value")
+        yield lineno, key, value
 
 
 class ModelMeta:

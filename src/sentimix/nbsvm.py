@@ -385,6 +385,17 @@ def train_classifier(docs, n_max: int, alpha: float = 1.0,
     return NbsvmModel(space, weights, clf)
 
 
+def train(load, out, *, n_max: int, alpha: float, l2: float | None):
+    """The train-nbsvm stage (cli.cmd_train): train_classifier over
+    load("train"), saved under out("models", ...)."""
+    space, _, clf = model = train_classifier(load("train"), n_max, alpha=alpha, l2=l2)
+    return (f"nbsvm{n_max}", save_model(out("models", ""), model),
+            {"features": len(space), "iterations": len(clf.trace) - 1,
+             "final_loss": f"{clf.trace[-1]:.6f}"},
+            f"trained nbsvm{n_max}: {len(space)} features, "
+            f"loss {clf.trace[0]:.4f} -> {clf.trace[-1]:.4f}")
+
+
 def dump_feature_weights(space: NGramFeatureSpace, weights: LogRatioWeights, path) -> None:
     """gram<TAB>r, sorted by |r| descending (ties by gram) for inspection."""
     grams = space.grams

@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import ensemble
-from .corpus import (BOS_ID, EOS_ID, UNK_ID, ModelMeta, Vocabulary, build_vocab,
-                     length_blocks, write_manifest)
+from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, UNK_ID, ModelMeta, Vocabulary,
+                     build_vocab, length_blocks, write_manifest)
 
 log = logging.getLogger(__name__)
 
@@ -372,6 +372,18 @@ def train_generative_classifier(pos_docs, neg_docs, order: int,
     neg_model = train_kn_model(neg_docs, order, neg_vocab, oov_penalty=oov_penalty)
     return GenerativeClassifier(pos_model=pos_model, neg_model=neg_model,
                                 log_prior_pos=lp_pos, log_prior_neg=lp_neg)
+
+
+def train(load, out, *, order: int, min_count: int, oov_penalty: float | None):
+    """The train-ngram stage (cli.cmd_train): the classifier over
+    load("train"), saved under out("models", ...)."""
+    docs = load("train")
+    pos = [d for d in docs if d.label == POSITIVE]
+    neg = [d for d in docs if d.label == NEGATIVE]
+    clf = train_generative_classifier(pos, neg, order=order, min_count=min_count,
+                                      oov_penalty=oov_penalty)
+    return ("ngram", save_model(out("models", ""), clf), {"order": order, "n_train": len(docs)},
+            f"trained order-{order} models on {len(pos)}+{len(neg)} documents")
 
 
 def score_documents(clf: GenerativeClassifier, docs):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nbsvm
-from .corpus import (POSITIVE, RESERVED, length_blocks, pack_strings, read_npz,
+from .corpus import (POSITIVE, RESERVED, build_vocab, length_blocks, pack_strings, read_npz,
                      unpack_strings)
 from .ensemble import SplitScores
 
@@ -329,6 +329,28 @@ def fit_classifier(model: ParagraphVectorModel, train_docs, lr0: float,
     y = np.array([1 if d.label == POSITIVE else 0 for d in train_docs])
     clf = nbsvm.train_linear(nbsvm.dense_rows(X), y, l2=l2)
     return PvClassifier(model, clf, infer_steps, lr0)
+
+
+def train(load, out, *, dim: int, epochs: int, lr: float, mode: str, min_count: int,
+          l2: float | None, seed: int, infer_steps: int, use_unsup: bool):
+    """The train-pv stage (cli.cmd_train): paragraph vectors over
+    load("train"), plus load("unsup") with ``use_unsup``, and the classifier
+    over the train split's vectors, saved under out("models", ...), with the
+    trained vectors under out("vectors", ...).  ``mode`` is dbow, the one mode."""
+    train_docs = load("train")
+    pv_docs = train_docs + (load("unsup") if use_unsup else [])
+    config = PvConfig(dim=dim, epochs=epochs, lr0=lr, seed=seed)
+    model = train_pv(pv_docs, build_vocab(pv_docs, min_count=min_count), config)
+    pvc = fit_classifier(model, train_docs, lr, infer_steps=infer_steps, l2=l2)
+    paths = [*save_model(out("models", ""), pvc), out("vectors", "pv-train.tsv"),
+             out("vectors", "pv-train.bin")]
+    write_vectors_text(paths[-2], model.doc_ids, model.doc_vecs)
+    write_vectors_binary(paths[-1], model.doc_vecs)
+    loss = model.train_log
+    return ("pv", paths,
+            {"dim": dim, "epochs": epochs, "docs": len(pv_docs), "final_loss": f"{loss[-1]:.6f}"},
+            f"trained paragraph vectors: {len(pv_docs)} documents, dim {dim}, "
+            f"loss {loss[0]:.4f} -> {loss[-1]:.4f}")
 
 
 PV_ARRAYS = ("words", "node_vecs", "doc_vecs", "doc_ids", "word_freqs", "lr_w", "lr_b", "meta")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, ModelMeta, Vocabulary,
+from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, ModelMeta, Vocabulary, build_vocab,
                      length_blocks, read_vocab, write_manifest, write_vocab)
 from .ngram_lm import GenerativeClassifier, fork_pair, make_priors
 
@@ -357,19 +357,24 @@ def _train(docs, vocab: Vocabulary, config: RnnTrainConfig, valid_docs,
     return params, history
 
 
-def train_classifier(train_docs, valid_docs, vocab: Vocabulary, config: RnnTrainConfig,
-                     models_dir) -> list[Path]:
-    """Train one LM per class and write the classifier under models_dir:
+def train(load, out, *, hidden: int, epochs: int, lr: float, truncation: int, clip: float,
+          vocab_cap: int, seed: int):
+    """The train-rnn stage (cli.cmd_train): one LM per class over
+    load("train"), validated on load("valid"), with the vocab_cap most
+    frequent training tokens, written under out("models", ...) as
     rnn-{pos,neg}.bin, rnn.vocab, rnn.meta (sizes, seed and class priors) and
     rnn.log, which gains each class's training curve as soon as it is done.
-    Returns the paths written.
 
     The negative-class model trains in a forked child (ngram_lm.fork_pair)
     while this process trains the positive-class one.  The child sends back
     its model and history, or its divergence; files are written and errors
     raised here, in class order, as if the models had trained in turn.
     """
-    models_dir = Path(models_dir)
+    train_docs, valid_docs = load("train"), load("valid")
+    vocab = build_vocab(train_docs, min_count=1, max_size=vocab_cap)
+    config = RnnTrainConfig(hidden=hidden, epochs=epochs, lr0=lr, truncation=truncation,
+                            clip=clip, seed=seed)
+    models_dir = out("models", "")
     priors = make_priors(sum(d.label == POSITIVE for d in train_docs),
                          sum(d.label == NEGATIVE for d in train_docs))
     log_path = models_dir / "rnn.log"
@@ -390,7 +395,8 @@ def train_classifier(train_docs, valid_docs, vocab: Vocabulary, config: RnnTrain
     write_manifest(paths[3], {"hidden": config.hidden, "epochs": config.epochs,
                               "seed": config.seed, "log_prior_pos": priors[0],
                               "log_prior_neg": priors[1]}, append=False)
-    return paths
+    return ("rnn", paths, {"hidden": hidden, "vocab": len(vocab)},
+            f"trained RNN models (H={hidden}, vocab {len(vocab)}) on {len(train_docs)} documents")
 
 
 def _write_class(models_dir: Path, name: str, params: RnnLm, history: list[dict],
@@ -404,7 +410,7 @@ def _write_class(models_dir: Path, name: str, params: RnnLm, history: list[dict]
 
 
 def load_model(models_dir) -> GenerativeClassifier:
-    """The classifier train_classifier wrote."""
+    """The classifier train wrote."""
     models_dir = Path(models_dir)
     vocab = read_vocab(models_dir / "rnn.vocab")
     meta = ModelMeta(models_dir / "rnn.meta", "train-rnn")

@@ -1,4 +1,6 @@
 import gc
+import importlib
+import inspect
 import json
 import re
 import shlex
@@ -11,8 +13,8 @@ import numpy as np
 import pytest
 
 from sentimix import nbsvm, ngram_lm, rnn_lm
-from sentimix.cli import MODEL_LIST, STAGES, cli_dispatch, parse_args
-from sentimix.corpus import pack_strings
+from sentimix.cli import MODEL_LIST, STAGES, cli_dispatch, cmd_train, parse_args
+from sentimix.corpus import pack_strings, read_pairs
 from sentimix.ensemble import write_scores_jsonl
 from conftest import assert_no_child_process, read_kv, src_env
 
@@ -566,6 +568,13 @@ def _space_for_tab(path):
     path.write_text("".join(lines), encoding="utf-8")
 
 
+def _not_utf8(path):
+    """A 0xff byte, which UTF-8 never holds, at the start of the middle line."""
+    data = path.read_bytes()
+    at = data.index(b"\n", len(data) // 2) + 1
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+
+
 def _five_doc_vecs(path):
     with np.load(path) as data:
         arrays = dict(data)
@@ -594,6 +603,8 @@ FAULTS = {
                                       ["score", "ngram", "test"]),
     "rnn-vocab-line-without-tab": ("models/rnn.vocab", _space_for_tab,
                                    ["score", "rnn", "test"]),
+    "rnn-vocab-not-utf8": ("models/rnn.vocab", _not_utf8, ["score", "rnn", "test"]),
+    "ngram-meta-not-utf8": ("models/ngram.meta", _not_utf8, ["score", "ngram", "test"]),
     "bad-magic-rnn": ("models/rnn-pos.bin", _bad_magic, ["score", "rnn", "test"]),
     "truncated-rnn": ("models/rnn-pos.bin", _cut, ["score", "rnn", "test"]),
     "truncated-rnn-header": ("models/rnn-pos.bin",
@@ -606,6 +617,9 @@ FAULTS = {
     "truncated-cache": ("cache/test.tsv", _cut_mid_line, ["score", "pv", "test"]),
     "truncated-cache-inspect": ("cache/test.tsv", _cut_mid_line,
                                 ["inspect-errors", "--models", "ngram,pv,nbsvm3"]),
+    "cache-not-utf8": ("cache/train.tsv", _not_utf8, ["train-nbsvm", "--n-max", "1"]),
+    "labels-not-utf8": ("labels/valid.tsv", _not_utf8,
+                        ["ensemble-search", "--models", "ngram,pv,nbsvm3"]),
     "malformed-labels": ("labels/valid.tsv",
                          lambda p: p.write_text(p.read_text() + "no-label-here\n"),
                          ["ensemble-search", "--models", "ngram,pv,nbsvm3"]),
@@ -617,6 +631,45 @@ FAULTS = {
                          lambda p: p.write_text("{not json\n" + p.read_text()),
                          ["ablate", "--models", "ngram,pv,nbsvm3"]),
 }
+
+
+TRAIN_STAGES = [command for command in STAGES if command.startswith("train-")]
+# each training stage's manifest keys, less its stage prefix and wall time,
+# in the pipeline's runs
+TRAIN_MANIFEST_KEYS = {
+    "train-ngram": ["order", "n_train", "digest.models/ngram-pos.arpa",
+                    "digest.models/ngram-neg.arpa", "digest.models/ngram.meta"],
+    "train-rnn": ["hidden", "vocab", "digest.models/rnn-pos.bin", "digest.models/rnn-neg.bin",
+                  "digest.models/rnn.vocab", "digest.models/rnn.meta", "digest.models/rnn.log"],
+    **{f"train-nbsvm{n}": ["features", "iterations", "final_loss", f"digest.models/nbsvm{n}.npz"]
+       for n in (1, 2, 3)},
+    "train-pv": ["dim", "epochs", "docs", "final_loss", "digest.models/pv.npz",
+                 "digest.vectors/pv-train.tsv", "digest.vectors/pv-train.bin"],
+}
+
+
+class TestTrainInterface:
+    """Every train-* stage is cli.cmd_train over its model module's
+    train(load, out, **flags)."""
+
+    @pytest.mark.parametrize("command", TRAIN_STAGES)
+    def test_train_takes_the_stage_flags(self, command):
+        """train's parameters are load, out and the stage's own flags, less
+        --out-dir and --subset, in order: a flag no model reads fails here."""
+        handler = STAGES[command][1]
+        assert handler.func is cmd_train
+        module = importlib.import_module(f"sentimix.{handler.args[0]}")
+        flags = [name[2:].replace("-", "_") for name, _, _ in STAGES[command][2]
+                 if name not in ("--out-dir", "--subset")]
+        assert list(inspect.signature(module.train).parameters) == ["load", "out", *flags]
+
+    def test_manifest_keys(self, pipeline_dir):
+        written: dict[str, list[str]] = {}
+        for _, key, _ in read_pairs(pipeline_dir / "manifest.txt"):
+            stage, _, rest = key.partition(".")
+            if stage.startswith("train-") and rest != "wall_time_s":
+                written.setdefault(stage, []).append(rest)
+        assert written == TRAIN_MANIFEST_KEYS
 
 
 class TestFaultInjection:
@@ -907,6 +960,16 @@ class TestUnsupPath:
                     "--min-count", "2", "--use-unsup"]) == 0
         assert "31 documents" in capsys.readouterr().out  # 16 labeled train + 15 unsup
 
+    def test_subset_leaves_the_unlabeled_reviews_whole(self, tmp_path):
+        """--subset caps the labelled train split per class, not unsup."""
+        from synth import build_imdb_tree
+        tree = build_imdb_tree(tmp_path / "imdb", n_per_leaf=10, seed=3, n_unsup=15)
+        out = tmp_path / "run"
+        assert run(["prepare", str(tree), "--out-dir", str(out), "--with-unsup"]) == 0
+        assert run(["train-pv", "--out-dir", str(out), "--subset", "2", "--use-unsup",
+                    "--dim", "4", "--epochs", "1"]) == 0
+        assert read_kv(out / "manifest.txt")["train-pv.docs"] == str(2 * 2 + 15)
+
     def test_empty_unsup_warning_reaches_manifest(self, tmp_path):
         from synth import build_imdb_tree
         tree = build_imdb_tree(tmp_path / "imdb", n_per_leaf=4, seed=3)
@@ -967,6 +1030,15 @@ class TestConfigFile:
                     "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: usage: --config {cfg}: line 4 is not key=value\n"
+        assert not (tmp_path / "none").exists()
+
+    def test_file_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfeseed=3\n")
+        assert run(["train-nbsvm", "--out-dir", str(tmp_path / "none"),
+                    "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: usage: --config {cfg}: not UTF-8 text (invalid start byte)\n"
         assert not (tmp_path / "none").exists()
 
     @pytest.mark.parametrize("config, separate_vocab, oov_penalty", [

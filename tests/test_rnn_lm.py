@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sentimix import rnn_lm
-from sentimix.corpus import BOS_ID, EOS_ID, build_vocab
+from sentimix.corpus import BOS_ID, EOS_ID, build_vocab, read_vocab
 from sentimix.ngram_lm import GenerativeClassifier, score_documents
 from sentimix.rnn_lm import (
     RnnDivergenceError, RnnLm, RnnTrainConfig, clip_gradients, corpus_logprob,
@@ -328,9 +328,9 @@ class TestTraining:
 
 
 class TestTrainClassifier:
-    """The negative-class model trains in a forked child; what the parent
-    writes equals training both models here, one after the other, and no
-    child is left on any path."""
+    """rnn_lm.train, the train-rnn stage: the negative-class model trains in
+    a forked child; what the parent writes equals training both models here,
+    one after the other, and no child is left on any path."""
 
     def _data(self):
         pos = make_docs(TOY_SENTENCES)
@@ -339,28 +339,43 @@ class TestTrainClassifier:
         config = RnnTrainConfig(hidden=8, epochs=3, lr0=0.3, truncation=3, seed=2)
         return pos, neg, build_vocab(pos + neg), config
 
+    def _train(self, tmp_path, train_docs, valid_docs, config):
+        """rnn_lm.train on these splits, writing under tmp_path; returns the
+        models directory."""
+        def out(*parts):
+            tmp_path.joinpath(*parts[:-1]).mkdir(parents=True, exist_ok=True)
+            return tmp_path.joinpath(*parts)
+
+        rnn_lm.train({"train": train_docs, "valid": valid_docs}.__getitem__, out,
+                     hidden=config.hidden, epochs=config.epochs, lr=config.lr0,
+                     truncation=config.truncation, clip=config.clip, vocab_cap=1000,
+                     seed=config.seed)
+        return tmp_path / "models"
+
     def test_child_trains_the_same_bits(self, tmp_path):
         pos, neg, vocab, config = self._data()
-        rnn_lm.train_classifier(pos + neg, pos[:2] + neg[:2], vocab, config, tmp_path)
+        models = self._train(tmp_path, pos + neg, pos[:2] + neg[:2], config)
         assert_no_child_process()
+        assert read_vocab(models / "rnn.vocab").tokens == vocab.tokens
         log_rows = []
         for name, docs in (("pos", pos), ("neg", neg)):
             params, history = train_rnn_lm(docs, vocab, config, valid_docs=docs[:2])
             save_rnn(params, tmp_path / "here.bin")
-            assert ((tmp_path / f"rnn-{name}.bin").read_bytes()
+            assert ((models / f"rnn-{name}.bin").read_bytes()
                     == (tmp_path / "here.bin").read_bytes()), name
             log_rows += [f"{name}\t{h['epoch']}\t{h['lr']:.6f}\t{h['train_ppl']:.4f}"
                          f"\t{h['valid_ppl']:.4f}" for h in history]
-        assert (tmp_path / "rnn.log").read_text().splitlines()[1:] == log_rows
+        assert (models / "rnn.log").read_text().splitlines()[1:] == log_rows
 
     def test_child_error_raised_after_positive_model(self, tmp_path):
-        """A document the child cannot encode fails the negative model only."""
+        """A validation document the child cannot encode fails the negative
+        model only."""
         pos, neg, vocab, config = self._data()
         broken = [replace(neg[0], tokens=None)]
         with pytest.raises(TypeError, match="not iterable"):
-            rnn_lm.train_classifier(pos + broken, [], vocab, config, tmp_path)
-        assert (tmp_path / "rnn-pos.bin").exists()
-        assert not (tmp_path / "rnn-neg.bin").exists()
+            self._train(tmp_path, pos + neg, broken, config)
+        assert (tmp_path / "models" / "rnn-pos.bin").exists()
+        assert not (tmp_path / "models" / "rnn-neg.bin").exists()
         assert_no_child_process()
 
     def test_positive_error_stops_the_child(self, tmp_path):
@@ -369,10 +384,10 @@ class TestTrainClassifier:
         broken = [replace(pos[0], tokens=None)]
         started = time.monotonic()
         with pytest.raises(TypeError, match="not iterable"):
-            rnn_lm.train_classifier(broken + neg, [], vocab, config, tmp_path)
+            self._train(tmp_path, pos + neg, broken, config)
         assert time.monotonic() - started < 60
         assert_no_child_process()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["rnn.log"]
+        assert sorted(p.name for p in (tmp_path / "models").iterdir()) == ["rnn.log"]
 
 
 class TestModelFile:
