@@ -344,8 +344,7 @@ def import_arpa(fileobj) -> KneserNeyModel:
     unk = row_of(keys[0], np.array([vocab.index(UNK)]))[0]
     floor = logp[0][unk] if unk >= 0 and not np.isnan(logp[0][unk]) else PSEUDO_LOGP10 * LOG10
     return KneserNeyModel(order=order, vocab=vocab, keys=keys, logp=logp,
-                          bow_logs=bow_logs[:-1], unigram_floor_logp=float(floor),
-                          discounts=None)
+                          bow_logs=bow_logs[:-1], unigram_floor_logp=float(floor))
 
 
 def _row_tables(words, lps, bows, base: int):
@@ -379,9 +378,12 @@ def export_arpa_path(model: KneserNeyModel, path) -> None:
 
 
 def import_arpa_path(path) -> KneserNeyModel:
-    """import_arpa of the file at ``path``; a parse error names the file."""
+    """import_arpa of the file at ``path``; a parse error, or bytes that are
+    not UTF-8, name the file."""
     with open(path, encoding="utf-8") as f:
         try:
             return import_arpa(f)
         except ArpaParseError as e:
             raise ArpaParseError(f"{path}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None

@@ -286,7 +286,7 @@ def cmd_report(args) -> int:
     ablation = _in(args, "ensemble", "ablation.tsv")
     if ablation.exists():
         lines += ["", "# Ensemble combinations",
-                  ablation.read_text(encoding="utf-8").rstrip("\n")]
+                  "".join(line for _, line in corpus.text_lines(ablation)).rstrip("\n")]
     text = "\n".join(lines) + "\n"
     path = _out(args, "results", "report.txt")
     path.write_text(text, encoding="utf-8")

@@ -237,9 +237,13 @@ def write_scores_jsonl(path, model_id: str, doc_ids, p_pos,
 def read_scores_jsonl(path) -> dict[str, float]:
     """id -> clamped p_pos of the records write_scores_jsonl wrote, the last
     record of an id winning.  A line that is not a JSON object with an ``id``
-    and a numeric ``p_pos`` raises ValueError naming the file and the line."""
+    and a numeric ``p_pos`` raises ValueError naming the file and the line;
+    bytes that are not UTF-8, one naming the file."""
     with open(path, encoding="utf-8") as f:
-        lines = f.read().split("\n")
+        try:
+            lines = f.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
     try:
         return _score_records([line for line in lines if line.strip()])
     except (ValueError, KeyError, TypeError):

@@ -240,7 +240,11 @@ def featurize_all(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
         parts = [np.empty(0, dtype=np.int64)]
         for a, b in zip(cuts[:-1], cuts[1:]):
             key, counts = _gram_keys(*_token_ranks(docs[a:b], rank), len(rank) + 2, space.n_max)
-            at = np.searchsorted(keys, key)  # a gram unseen in training gets id len(space)
+            # looked up in sorted order, which is faster; a gram unseen in
+            # training gets id len(space)
+            order = np.argsort(key)
+            at = np.empty_like(order)
+            at[order] = np.searchsorted(keys, key[order])
             feature = np.where(keys[at] == key, ids[at], len(space))
             pairs = _doc_pairs(feature, counts, len(space) + 1)
             parts.append(pairs[pairs % (len(space) + 1) < len(space)] + a * (len(space) + 1))

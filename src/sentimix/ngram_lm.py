@@ -108,7 +108,6 @@ class KneserNeyModel:
     logp: list[np.ndarray]
     bow_logs: list[np.ndarray]
     unigram_floor_logp: float
-    discounts: list[tuple[float, float, float]] | None = None
     oov_penalty: float | None = None
     warnings: list[str] = field(default_factory=list)
 
@@ -279,8 +278,8 @@ def estimate_kneser_ney(counts: NGramCountTable, vocab: Vocabulary,
         bow_logs[k - 2][prefix[starts]] = np.log(gammas)
 
     return KneserNeyModel(order=n, vocab=vocab, keys=rows, logp=logp, bow_logs=bow_logs,
-                          unigram_floor_logp=unigram_floor, discounts=discounts,
-                          oov_penalty=oov_penalty, warnings=warnings)
+                          unigram_floor_logp=unigram_floor, oov_penalty=oov_penalty,
+                          warnings=warnings)
 
 
 def train_kn_model(docs, order: int, vocab: Vocabulary,

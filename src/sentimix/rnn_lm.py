@@ -35,7 +35,17 @@ HALVING_THRESHOLD = 0.001  # relative valid-ppl improvement below this halves lr
 
 
 class RnnDivergenceError(Exception):
-    pass
+    """Perplexity became non-finite in ``epoch``; ``params`` as they were
+    then, and the file they were dumped to, if any.  ``args`` rebuild the
+    error, so it survives pickling (and fork_pair's pipe)."""
+
+    def __init__(self, epoch: int, params: RnnLm, dump_path=None):
+        super().__init__(epoch, params, dump_path)
+        self.epoch, self.params, self.dump_path = epoch, params, dump_path
+
+    def __str__(self):
+        where = f"state dumped to {self.dump_path}" if self.dump_path else "no state dumped"
+        return f"perplexity became non-finite at epoch {self.epoch}; {where}"
 
 
 @dataclass
@@ -275,47 +285,17 @@ def corpus_logprob(params: RnnLm, encoded_docs) -> tuple[float, int]:
 
 
 def train_rnn_lm(docs, vocab: Vocabulary, config: RnnTrainConfig, valid_docs=None,
-                 dump_dir=None, name: str = "rnn") -> tuple[RnnLm, list[dict]]:
+                 name: str = "rnn") -> tuple[RnnLm, list[dict]]:
     """Online SGD over documents, shuffled each epoch; single-worker and
-    bit-deterministic for a fixed seed.
+    bit-deterministic for a fixed seed.  Writes no file.
 
     The learning rate halves whenever validation perplexity fails to improve
     by ``HALVING_THRESHOLD`` relative (training perplexity when no validation
     documents are given; the history's ``valid_ppl`` is then nan).  If
-    perplexity becomes non-finite, the parameters are dumped to an
-    ``rnn-diverged-*.npz`` file in ``dump_dir`` (none is written without one)
-    and RnnDivergenceError is raised.  ``name`` labels the per-epoch log lines.
+    perplexity becomes non-finite, RnnDivergenceError is raised with the
+    epoch and the parameters of that moment.  ``name`` labels the per-epoch
+    log lines.
     """
-    outcome = _train(docs, vocab, config, valid_docs, name)
-    if isinstance(outcome, _Divergence):
-        raise outcome.error(dump_dir)
-    return outcome
-
-
-@dataclass
-class _Divergence:
-    """Perplexity became non-finite in ``epoch``; ``params`` as they were then."""
-    epoch: int
-    params: RnnLm
-
-    def error(self, dump_dir=None) -> RnnDivergenceError:
-        """The error to raise, once the parameters are dumped into dump_dir."""
-        where = "no state dumped"
-        if dump_dir is not None:
-            import tempfile  # here, not at the top: only a divergence needs it
-
-            with tempfile.NamedTemporaryFile(prefix="rnn-diverged-", suffix=".npz",
-                                             dir=dump_dir, delete=False) as dump:
-                np.savez(dump, emb=self.params.emb, rec=self.params.rec,
-                         out=self.params.out, bias=self.params.bias)
-            where = f"state dumped to {dump.name}"
-        return RnnDivergenceError(
-            f"perplexity became non-finite at epoch {self.epoch}; {where}")
-
-
-def _train(docs, vocab: Vocabulary, config: RnnTrainConfig, valid_docs,
-           name: str) -> tuple[RnnLm, list[dict]] | _Divergence:
-    """train_rnn_lm's training loop, which writes no file."""
     encoded = [vocab.encode(d.tokens) for d in docs]
     if not encoded:
         raise ValueError("empty training corpus")
@@ -333,7 +313,7 @@ def _train(docs, vocab: Vocabulary, config: RnnTrainConfig, valid_docs,
             grads, lp = _gradients_and_logprob(params, ids, truncation=config.truncation)
             grads, _ = clip_gradients(grads, config.clip)
             if not math.isfinite(lp) or perplexity(lp, len(ids) + 1) == math.inf:
-                return _Divergence(epoch, params)
+                raise RnnDivergenceError(epoch, params)
             train_lp += lp
             train_n += len(ids) + 1
             params.emb -= lr * grads.emb
@@ -367,8 +347,9 @@ def train(load, out, *, hidden: int, epochs: int, lr: float, truncation: int, cl
 
     The negative-class model trains in a forked child (ngram_lm.fork_pair)
     while this process trains the positive-class one.  The child sends back
-    its model and history, or its divergence; files are written and errors
-    raised here, in class order, as if the models had trained in turn.
+    its model and history, or its error; files are written and errors raised
+    here, in class order, as if the models had trained in turn.  The first
+    model to diverge has its parameters dumped to models/rnn-diverged-*.npz.
     """
     train_docs, valid_docs = load("train"), load("valid")
     vocab = build_vocab(train_docs, min_count=1, max_size=vocab_cap)
@@ -377,18 +358,26 @@ def train(load, out, *, hidden: int, epochs: int, lr: float, truncation: int, cl
     models_dir = out("models", "")
     priors = make_priors(sum(d.label == POSITIVE for d in train_docs),
                          sum(d.label == NEGATIVE for d in train_docs))
+
+    def fit(label, name):
+        return train_rnn_lm([d for d in train_docs if d.label == label], vocab, config,
+                            valid_docs=[d for d in valid_docs if d.label == label], name=name)
+
     log_path = models_dir / "rnn.log"
     with open(log_path, "w", encoding="utf-8") as logf:
         logf.write("label\tepoch\tlr\ttrain_ppl\tvalid_ppl\n")
-        pos, neg = fork_pair(
-            lambda: _write_class(models_dir, "pos", *train_rnn_lm(
-                [d for d in train_docs if d.label == POSITIVE], vocab, config,
-                valid_docs=[d for d in valid_docs if d.label == POSITIVE],
-                dump_dir=models_dir, name="rnn-pos"), logf),
-            lambda: _train([d for d in train_docs if d.label == NEGATIVE], vocab, config,
-                           [d for d in valid_docs if d.label == NEGATIVE], "rnn-neg"))
-        if isinstance(neg, _Divergence):
-            raise neg.error(models_dir)
+        try:
+            pos, neg = fork_pair(
+                lambda: _write_class(models_dir, "pos", *fit(POSITIVE, "rnn-pos"), logf),
+                lambda: fit(NEGATIVE, "rnn-neg"))
+        except RnnDivergenceError as e:
+            import tempfile  # here, not at the top: only a divergence needs it
+
+            with tempfile.NamedTemporaryFile(prefix="rnn-diverged-", suffix=".npz",
+                                             dir=models_dir, delete=False) as dump:
+                np.savez(dump, emb=e.params.emb, rec=e.params.rec, out=e.params.out,
+                         bias=e.params.bias)
+            raise RnnDivergenceError(e.epoch, e.params, dump.name) from None
         paths = [pos, _write_class(models_dir, "neg", *neg, logf)]
     paths += [models_dir / "rnn.vocab", models_dir / "rnn.meta", log_path]
     write_vocab(paths[2], vocab)

@@ -237,12 +237,20 @@ def rnn_reference(emb, rec, out, bias, input_ids: list[int], bos_id: int, eos_id
 def rnn_states_and_logprobs(params, ids):
     """One document's inputs, targets, (T, H) hidden states and (T, V)
     float64 log predictive distributions, the log-softmax formed over all
-    rows at once.  The row-blocked output layer of ``sentimix.rnn_lm``, in
-    training and in scoring, must equal it bit for bit."""
+    rows at once.  The states come from this loop's own recurrence, one
+    position at a time in the parameters' dtype.  The recurrences of
+    ``sentimix.rnn_lm`` (one document at a time in training, in lockstep in
+    scoring) and its row-blocked output layer must equal it bit for bit."""
     import numpy as np
-    from sentimix.rnn_lm import _states
+    from sentimix.corpus import BOS_ID, EOS_ID
 
-    xs, ys, states = _states(params, ids)
+    xs, ys = [BOS_ID, *ids], [*ids, EOS_ID]
+    states = np.empty((len(xs), params.rec.shape[0]), dtype=params.emb.dtype)
+    h = np.zeros(params.rec.shape[0], dtype=params.emb.dtype)
+    for t, x in enumerate(xs):
+        h = 1.0 / (1.0 + np.exp(-(params.emb[x] + h @ params.rec)))
+        states[t] = h
+    xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
     logits = (states @ params.out + params.bias).astype(np.float64)
     mx = logits.max(axis=1, keepdims=True)
     logz = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))

@@ -605,6 +605,9 @@ FAULTS = {
                                    ["score", "rnn", "test"]),
     "rnn-vocab-not-utf8": ("models/rnn.vocab", _not_utf8, ["score", "rnn", "test"]),
     "ngram-meta-not-utf8": ("models/ngram.meta", _not_utf8, ["score", "ngram", "test"]),
+    "ngram-pos-not-utf8": ("models/ngram-pos.arpa", _not_utf8, ["score", "ngram", "test"]),
+    # parsed in the forked child: its error crosses the pipe
+    "ngram-neg-not-utf8": ("models/ngram-neg.arpa", _not_utf8, ["score", "ngram", "test"]),
     "bad-magic-rnn": ("models/rnn-pos.bin", _bad_magic, ["score", "rnn", "test"]),
     "truncated-rnn": ("models/rnn-pos.bin", _cut, ["score", "rnn", "test"]),
     "truncated-rnn-header": ("models/rnn-pos.bin",
@@ -627,6 +630,9 @@ FAULTS = {
                           ["inspect-errors", "--models", "ngram,pv,nbsvm3"]),
     "truncated-scores": ("scores/pv-valid.jsonl", _cut_mid_line,
                          ["ensemble-search", "--models", "ngram,pv,nbsvm3"]),
+    "scores-not-utf8": ("scores/pv-valid.jsonl", _not_utf8,
+                        ["ensemble-search", "--models", "ngram,pv,nbsvm3"]),
+    "ablation-not-utf8": ("ensemble/ablation.tsv", _not_utf8, ["report"]),
     "malformed-scores": ("scores/nbsvm3-test.jsonl",
                          lambda p: p.write_text("{not json\n" + p.read_text()),
                          ["ablate", "--models", "ngram,pv,nbsvm3"]),
@@ -687,6 +693,8 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(run_dir / rel) in err
+        if damage is _not_utf8:
+            assert err.endswith(f"{run_dir / rel}: not UTF-8 text (invalid start byte)\n"), err
         if rel.startswith("models/nbsvm"):
             assert err.endswith("; run train-nbsvm again\n"), err
 

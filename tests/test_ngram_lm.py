@@ -35,6 +35,16 @@ corpora = st.lists(
     min_size=1, max_size=12)
 
 
+def _train_seeing_discounts(monkeypatch, docs, order, vocab):
+    """train_kn_model, and the (D1, D2, D3+) discounts it estimated for each
+    order, lowest first."""
+    seen = []
+    estimate = ngram_lm._estimate_discounts
+    monkeypatch.setattr(ngram_lm, "_estimate_discounts",
+                        lambda *args: seen.append(estimate(*args)) or seen[-1])
+    return train_kn_model(docs, order, vocab), seen
+
+
 class TestCounting:
     def test_bigram_example(self):
         docs = make_docs([["a", "b", "a"]])
@@ -153,25 +163,26 @@ class TestKneserNey:
             total = sum(math.exp(clp[i]) for i, t in enumerate(vocab.tokens) if t != BOS)
             assert abs(total - 1.0) < 1e-6
 
-    def test_all_singletons_fallback_normalizes(self):
+    def test_all_singletons_fallback_normalizes(self, monkeypatch):
         docs = make_docs([["a", "b", "c", "d"]])
         vocab = build_vocab(docs)
-        model = train_kn_model(docs, 2, vocab)
+        model, discounts = _train_seeing_discounts(monkeypatch, docs, 2, vocab)
         assert model.warnings  # degenerate count-of-counts recorded
-        assert model.discounts[0] == (0.5, 1.0, 1.5)
+        assert discounts[0] == (0.5, 1.0, 1.5)
         clp = conditional_logprobs(model, vocab.encode(["a"]))
         total = sum(math.exp(clp[i]) for i, t in enumerate(vocab.tokens) if t != BOS)
         assert abs(total - 1.0) < 1e-6
 
-    def test_discount_bounds(self):
+    def test_discount_bounds(self, monkeypatch):
         # large-ish random corpus exercises the estimated-discount path
         rng = np.random.RandomState(0)
         token_lists = [[f"w{rng.randint(40)}" for _ in range(rng.randint(3, 30))]
                        for _ in range(150)]
         docs = make_docs(token_lists)
         vocab = build_vocab(docs)
-        model = train_kn_model(docs, 3, vocab)
-        for d1, d2, d3 in model.discounts:
+        _, discounts = _train_seeing_discounts(monkeypatch, docs, 3, vocab)
+        assert len(discounts) == 3
+        for d1, d2, d3 in discounts:
             assert 0.0 <= d1 <= 1.0
             assert 0.0 <= d2 <= 2.0
             assert 0.0 <= d3 <= 3.0

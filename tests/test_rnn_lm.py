@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 import tracemalloc
 from dataclasses import replace
@@ -279,12 +280,12 @@ TOY_SENTENCES = [["the", "cat", "sat", "down"], ["a", "dog", "ran", "away"]] * 4
 
 
 class TestTraining:
-    def _train(self, epochs=50, seed=5, lr0=0.5, clip=5.0, dump_dir=None):
+    def _train(self, epochs=50, seed=5, lr0=0.5, clip=5.0):
         docs = make_docs(TOY_SENTENCES)
         vocab = build_vocab(docs)
         config = RnnTrainConfig(hidden=8, epochs=epochs, lr0=lr0, truncation=4,
                                 clip=clip, seed=seed)
-        params, history = train_rnn_lm(docs, vocab, config, dump_dir=dump_dir)
+        params, history = train_rnn_lm(docs, vocab, config)
         return params, history, vocab, docs
 
     def test_beats_unigram_baseline(self):
@@ -313,13 +314,29 @@ class TestTraining:
         for a, b in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
 
-    def test_divergence_raises(self, tmp_path):
-        with pytest.raises(RnnDivergenceError, match="state dumped to"):
-            self._train(epochs=60, lr0=2e4, clip=1e9, dump_dir=tmp_path)
-        dumps = list(tmp_path.glob("rnn-diverged-*.npz"))
-        assert len(dumps) == 1
-        with np.load(dumps[0]) as state:
-            assert set(state.files) == {"emb", "rec", "out", "bias"}
+    def test_divergence_raises(self, tmp_path, monkeypatch):
+        """The error carries the epoch and the parameters of that moment;
+        training writes no file (the train-rnn stage dumps them)."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(RnnDivergenceError) as got:
+            self._train(epochs=60, lr0=2e4, clip=1e9)
+        e = got.value
+        assert str(e) == f"perplexity became non-finite at epoch {e.epoch}; no state dumped"
+        assert 1 <= e.epoch <= 60 and e.dump_path is None
+        assert e.params.emb.shape == (e.params.vocab_size, 8)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_divergence_error_pickles(self):
+        """The error crosses fork_pair's pipe whole: epoch, parameters,
+        dump path and message."""
+        params = _params(dtype=np.float32)
+        for dump_path in (None, "models/rnn-diverged-x.npz"):
+            e = RnnDivergenceError(3, params, dump_path)
+            back = pickle.loads(pickle.dumps(e))
+            assert type(back) is RnnDivergenceError
+            assert (back.epoch, back.dump_path, str(back)) == (3, dump_path, str(e))
+            for a, b in zip(back.params.arrays(), params.arrays()):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_empty_corpus_error(self):
         vocab = build_vocab(make_docs([["a"]]))
@@ -366,6 +383,25 @@ class TestTrainClassifier:
             log_rows += [f"{name}\t{h['epoch']}\t{h['lr']:.6f}\t{h['train_ppl']:.4f}"
                          f"\t{h['valid_ppl']:.4f}" for h in history]
         assert (models / "rnn.log").read_text().splitlines()[1:] == log_rows
+
+    def test_divergence_dumps_the_raised_parameters(self, tmp_path):
+        """The positive model diverges: its error is raised whatever the
+        child's, and its parameters, as train_rnn_lm raises them, are the
+        one dump."""
+        pos, neg, vocab, config = self._data()
+        config.lr0, config.clip, config.epochs = 2e4, 1e9, 60
+        with pytest.raises(RnnDivergenceError) as got:
+            self._train(tmp_path, pos + neg, pos[:2] + neg[:2], config)
+        assert_no_child_process()
+        with pytest.raises(RnnDivergenceError) as here:
+            train_rnn_lm(pos, vocab, config, valid_docs=pos[:2])
+        dumps = list((tmp_path / "models").glob("rnn-diverged-*.npz"))
+        assert [str(p) for p in dumps] == [got.value.dump_path]
+        assert got.value.epoch == here.value.epoch
+        with np.load(dumps[0]) as state:
+            assert state.files == ["emb", "rec", "out", "bias"]
+            for key, a in zip(state.files, here.value.params.arrays()):
+                assert np.array_equal(state[key], a), key
 
     def test_child_error_raised_after_positive_model(self, tmp_path):
         """A validation document the child cannot encode fails the negative
