@@ -7,6 +7,7 @@ The directory layout expected by :func:`load_imdb` is the standard one:
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 import os
 import random
@@ -16,6 +17,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 log = logging.getLogger(__name__)
 
@@ -389,3 +391,74 @@ def file_digest(path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def fork_pair(here: Callable, there: Callable) -> tuple:
+    """(here(), there()), with there() run in a forked child meanwhile (POSIX).
+    The child may write files of its own.  It sends back its pickled result,
+    or the exception that stopped it, and leaves through os._exit.  That
+    exception is raised here only once here() has returned, so an error of
+    here() comes first.  An outcome that does not cross the pipe whole (it
+    fails to pickle there or to unpickle here) is raised as
+    RuntimeError("<type>: <message>") of the child's error.  The child is
+    reaped on every path, killed first when its result is no longer wanted,
+    so a file it was writing when here() failed can be left partial."""
+    import pickle  # here, not at the top: most stages never fork
+    import signal
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(_outcome(there))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    data = None
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            mine = here()
+            data = pipe.read()
+    finally:
+        if data is None:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError("the forked child exited with code "
+                           f"{os.waitstatus_to_exitcode(status)} and no result")
+    stream = io.BytesIO(data)
+    error = pickle.load(stream)
+    try:
+        ok, theirs = pickle.load(stream)
+    except Exception as e:  # the outcome did not pickle there, or does not unpickle here
+        raise RuntimeError(error or _error_text(e)) from None
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
+def _outcome(there: Callable) -> bytes:
+    """fork_pair's message from its child: the pickled _error_text of the
+    error that stopped there(), or None, then the pickled (True, result) or
+    (False, error) when that pickles.  When a result does not pickle, the
+    pickling error becomes the child's error."""
+    import pickle
+
+    error = None
+    try:
+        outcome = (True, there())
+    except BaseException as e:  # raised by the parent, in its turn
+        outcome, error = (False, e), e
+    try:
+        payload = pickle.dumps(outcome)
+    except Exception as e:  # only the error's text crosses
+        payload = b""
+        if error is None:
+            error = e
+    return pickle.dumps(None if error is None else _error_text(error)) + payload
+
+
+def _error_text(e: BaseException) -> str:
+    return f"{type(e).__name__}: {e}"

@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import NEGATIVE, POSITIVE, pack_strings, read_npz, sorted_distinct, unpack_strings
+from .corpus import (NEGATIVE, POSITIVE, fork_pair, pack_strings, read_npz, sorted_distinct,
+                     unpack_strings)
 from .ensemble import SplitScores
 
 log = logging.getLogger(__name__)
@@ -67,7 +68,7 @@ class NGramFeatureSpace:
     n_neg_docs: int = 0
     # gram ids of each training document (positive ones first, each in gram
     # text order) as build_feature_space assigned them; empty once loaded and
-    # once train_classifier has featurized them
+    # once fit_classifier has featurized them
     train_ids: list[np.ndarray] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -373,27 +374,44 @@ def train_linear(X: SparseRows, labels, l2: float | None = None) -> LinearClassi
     return LinearClassifier(w=wb[:-1], b=float(wb[-1]), l2=l2, trace=trace)
 
 
-def train_classifier(docs, n_max: int, alpha: float = 1.0,
-                     l2: float | None = None) -> NbsvmModel:
-    """Gram space and log-count ratios over the positive and negative
-    documents, then the linear classifier on their features; documents with
-    any other label are left out."""
+def class_features(docs, n_max: int,
+                   alpha: float = 1.0) -> tuple[list, NGramFeatureSpace, LogRatioWeights]:
+    """The positive then the negative documents, and the gram space and
+    log-count ratios over them; documents with any other label are left out."""
     pos = [d for d in docs if d.label == POSITIVE]
     neg = [d for d in docs if d.label == NEGATIVE]
     space = build_feature_space(pos, neg, n_max)
-    weights = compute_log_ratio(space, alpha)
-    X = featurize_all(pos + neg, space, weights, cached_ids=space.train_ids)
+    return pos + neg, space, compute_log_ratio(space, alpha)
+
+
+def fit_classifier(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
+                   l2: float | None = None) -> NbsvmModel:
+    """The linear classifier on the features of class_features's documents,
+    featurized from the space's train_ids, which it empties."""
+    X = featurize_all(docs, space, weights, cached_ids=space.train_ids)
     space.train_ids = []
-    y = np.array([1] * len(pos) + [0] * len(neg))
-    clf = train_linear(X, y, l2=l2)
-    return NbsvmModel(space, weights, clf)
+    y = np.array([1] * space.n_pos_docs + [0] * space.n_neg_docs)
+    return NbsvmModel(space, weights, train_linear(X, y, l2=l2))
 
 
 def train(load, out, *, n_max: int, alpha: float, l2: float | None):
-    """The train-nbsvm stage (cli.cmd_train): train_classifier over
-    load("train"), saved under out("models", ...)."""
-    space, _, clf = model = train_classifier(load("train"), n_max, alpha=alpha, l2=l2)
-    return (f"nbsvm{n_max}", save_model(out("models", ""), model),
+    """The train-nbsvm stage (cli.cmd_train): class_features, then
+    fit_classifier, over load("train"), written under out("models", ...)
+    as nbsvm<n>.npz (save_model) and the nbsvm<n>-features.tsv dump for
+    reading.
+
+    Once the log-count ratios are known, a forked child (corpus.fork_pair)
+    writes the dump while this process fits and saves the classifier."""
+    docs, space, weights = class_features(load("train"), n_max, alpha)
+    models_dir = out("models", "")
+
+    def fit_and_save():
+        model = fit_classifier(docs, space, weights, l2)
+        return model.clf, save_model(models_dir, model)
+
+    (clf, paths), _ = fork_pair(fit_and_save, lambda: dump_feature_weights(
+        space, weights, models_dir / f"nbsvm{n_max}-features.tsv"))
+    return (f"nbsvm{n_max}", paths,
             {"features": len(space), "iterations": len(clf.trace) - 1,
              "final_loss": f"{clf.trace[-1]:.6f}"},
             f"trained nbsvm{n_max}: {len(space)} features, "
@@ -411,16 +429,14 @@ def dump_feature_weights(space: NGramFeatureSpace, weights: LogRatioWeights, pat
 
 def save_model(models_dir, model: NbsvmModel) -> list[Path]:
     """nbsvm<n>.npz, holding NBSVM_ARRAYS: the space's words (newline-joined
-    UTF-8 bytes) and gram_words, r, w, b and meta = (n_max, alpha, l2), and
-    the nbsvm<n>-features.tsv dump for reading; returns [the model file]."""
+    UTF-8 bytes) and gram_words, r, w, b and meta = (n_max, alpha, l2);
+    returns [its path]."""
     space, weights, clf = model
-    stem = Path(models_dir) / f"nbsvm{space.n_max}"
-    path = stem.with_suffix(".npz")
+    path = Path(models_dir) / f"nbsvm{space.n_max}.npz"
     np.savez_compressed(
         path, words=pack_strings(space.words), gram_words=space.gram_words,
         r=weights.r, w=clf.w, b=np.array([clf.b]),
         meta=np.array([space.n_max, weights.alpha, clf.l2]))
-    dump_feature_weights(space, weights, f"{stem}-features.tsv")
     return [path]
 
 

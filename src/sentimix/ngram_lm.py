@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import ensemble
 from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, UNK_ID, ModelMeta, Vocabulary,
-                     build_vocab, length_blocks, write_manifest)
+                     build_vocab, fork_pair, length_blocks, write_manifest)
 
 log = logging.getLogger(__name__)
 
@@ -307,45 +305,6 @@ class GenerativeClassifier:
         return ensemble.SplitScores(ids, p, lps, lns, table=(lps, lns, ratios))
 
 
-def fork_pair(here: Callable, there: Callable) -> tuple:
-    """(here(), there()), with there() run in a forked child meanwhile (POSIX).
-    The child writes no file: it sends back its pickled result, or the
-    exception that stopped it, and leaves through os._exit.  That exception
-    is raised here only once here() has returned, so an error of here()
-    comes first.  The child is reaped on every path, killed first when its
-    result is no longer wanted."""
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_end)
-            try:
-                outcome = (True, there())
-            except BaseException as e:  # raised by the parent, in its turn
-                outcome = (False, e)
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(outcome))
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    data = None
-    try:
-        with os.fdopen(read_end, "rb") as pipe:
-            mine = here()
-            data = pipe.read()
-    finally:
-        if data is None:
-            os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError("the forked child exited with code "
-                           f"{os.waitstatus_to_exitcode(status)} and no result")
-    ok, theirs = pickle.loads(data)
-    if not ok:
-        raise theirs
-    return mine, theirs
-
-
 def make_priors(n_pos: int, n_neg: int) -> tuple[float, float]:
     total = n_pos + n_neg
     if n_pos == 0 or n_neg == 0:
@@ -353,35 +312,57 @@ def make_priors(n_pos: int, n_neg: int) -> tuple[float, float]:
     return math.log(n_pos / total), math.log(n_neg / total)
 
 
-def train_generative_classifier(pos_docs, neg_docs, order: int,
-                                oov_penalty: float | None = None,
-                                min_count: int = 1) -> GenerativeClassifier:
-    """Without ``oov_penalty``: one vocabulary over both halves, and no
-    penalty.  With it: each model is trained on its own vocabulary and
-    scores an out-of-vocabulary word with that probability instead.
-    """
-    lp_pos, lp_neg = make_priors(len(pos_docs), len(neg_docs))
+def class_trainers(pos_docs, neg_docs, order: int, oov_penalty: float | None = None,
+                   min_count: int = 1) -> tuple[tuple[float, float], list[Callable]]:
+    """The class priors and, for the positive then the negative class, a
+    function of no arguments that trains its model.  Without
+    ``oov_penalty``: one vocabulary over both halves, and no penalty.  With
+    it: each model is trained on its own vocabulary and scores an
+    out-of-vocabulary word with that probability instead."""
+    priors = make_priors(len(pos_docs), len(neg_docs))
     if oov_penalty is None:
-        pos_vocab = neg_vocab = build_vocab(list(pos_docs) + list(neg_docs),
-                                            min_count=min_count)
+        vocabs = [build_vocab([*pos_docs, *neg_docs], min_count=min_count)] * 2
     else:
-        pos_vocab = build_vocab(pos_docs, min_count=min_count)
-        neg_vocab = build_vocab(neg_docs, min_count=min_count)
-    pos_model = train_kn_model(pos_docs, order, pos_vocab, oov_penalty=oov_penalty)
-    neg_model = train_kn_model(neg_docs, order, neg_vocab, oov_penalty=oov_penalty)
-    return GenerativeClassifier(pos_model=pos_model, neg_model=neg_model,
-                                log_prior_pos=lp_pos, log_prior_neg=lp_neg)
+        vocabs = [build_vocab(docs, min_count=min_count) for docs in (pos_docs, neg_docs)]
+    return priors, [partial(train_kn_model, docs, order, vocab, oov_penalty=oov_penalty)
+                    for docs, vocab in zip((pos_docs, neg_docs), vocabs)]
 
 
 def train(load, out, *, order: int, min_count: int, oov_penalty: float | None):
-    """The train-ngram stage (cli.cmd_train): the classifier over
-    load("train"), saved under out("models", ...)."""
+    """The train-ngram stage (cli.cmd_train): class_trainers over
+    load("train"), written under out("models", ...) as ngram-pos.arpa,
+    ngram-neg.arpa and ngram.meta (order, priors, whether each model has its
+    own vocabulary and then its OOV penalty, the count of estimation
+    warnings).
+
+    The negative-class model trains and writes its ARPA file in a forked
+    child (corpus.fork_pair), which sends back only its warning count,
+    while this process does the same for the positive-class one."""
+    from . import arpa
+
     docs = load("train")
     pos = [d for d in docs if d.label == POSITIVE]
     neg = [d for d in docs if d.label == NEGATIVE]
-    clf = train_generative_classifier(pos, neg, order=order, min_count=min_count,
-                                      oov_penalty=oov_penalty)
-    return ("ngram", save_model(out("models", ""), clf), {"order": order, "n_train": len(docs)},
+    priors, trainers = class_trainers(pos, neg, order, oov_penalty, min_count)
+    models_dir = out("models", "")
+    paths = [models_dir / name for name in ("ngram-pos.arpa", "ngram-neg.arpa", "ngram.meta")]
+
+    def export(fit, path) -> int:
+        model = fit()
+        arpa.export_arpa_path(model, path)
+        return len(model.warnings)
+
+    warnings = fork_pair(partial(export, trainers[0], paths[0]),
+                         partial(export, trainers[1], paths[1]))
+    write_manifest(paths[2], {
+        "order": order,
+        "log_prior_pos": priors[0],
+        "log_prior_neg": priors[1],
+        "separate_vocab": int(oov_penalty is not None),
+        **({} if oov_penalty is None else {"oov_penalty": oov_penalty}),
+        "warnings": sum(warnings),
+    }, append=False)
+    return ("ngram", paths, {"order": order, "n_train": len(docs)},
             f"trained order-{order} models on {len(pos)}+{len(neg)} documents")
 
 
@@ -401,34 +382,9 @@ def score_documents(clf: GenerativeClassifier, docs):
             np.array([len(d.tokens) + 1 for d in docs]))
 
 
-def save_model(models_dir, clf: GenerativeClassifier) -> list[Path]:
-    """ngram-pos.arpa, ngram-neg.arpa and ngram.meta (order, priors, whether
-    each model has its own vocabulary and then its OOV penalty, the count of
-    estimation warnings) under models_dir; returns their paths.  The models
-    of a trained classifier share their ``oov_penalty``: the probability
-    they charge an unseen word, or None for shared-vocabulary models, which
-    charge none."""
-    from . import arpa
-
-    oov_penalty = clf.pos_model.oov_penalty
-    paths = [Path(models_dir) / name
-             for name in ("ngram-pos.arpa", "ngram-neg.arpa", "ngram.meta")]
-    arpa.export_arpa_path(clf.pos_model, paths[0])
-    arpa.export_arpa_path(clf.neg_model, paths[1])
-    write_manifest(paths[2], {
-        "order": clf.pos_model.order,
-        "log_prior_pos": clf.log_prior_pos,
-        "log_prior_neg": clf.log_prior_neg,
-        "separate_vocab": int(oov_penalty is not None),
-        **({} if oov_penalty is None else {"oov_penalty": oov_penalty}),
-        "warnings": len(clf.pos_model.warnings) + len(clf.neg_model.warnings),
-    }, append=False)
-    return paths
-
-
 def load_model(models_dir) -> GenerativeClassifier:
-    """Inverse of save_model.  Only ngram.meta is read here; each ARPA file
-    is parsed when its model first scores."""
+    """The classifier train wrote under models_dir.  Only ngram.meta is read
+    here; each ARPA file is parsed when its model first scores."""
     from . import arpa
 
     models_dir = Path(models_dir)

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, ModelMeta, Vocabulary, build_vocab,
-                     length_blocks, read_vocab, write_manifest, write_vocab)
-from .ngram_lm import GenerativeClassifier, fork_pair, make_priors
+                     fork_pair, length_blocks, read_vocab, write_manifest, write_vocab)
+from .ngram_lm import GenerativeClassifier, make_priors
 
 log = logging.getLogger(__name__)
 
@@ -345,7 +345,7 @@ def train(load, out, *, hidden: int, epochs: int, lr: float, truncation: int, cl
     rnn-{pos,neg}.bin, rnn.vocab, rnn.meta (sizes, seed and class priors) and
     rnn.log, which gains each class's training curve as soon as it is done.
 
-    The negative-class model trains in a forked child (ngram_lm.fork_pair)
+    The negative-class model trains in a forked child (corpus.fork_pair)
     while this process trains the positive-class one.  The child sends back
     its model and history, or its error; files are written and errors raised
     here, in class order, as if the models had trained in turn.  The first

@@ -11,7 +11,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))  # oracles / synth helpers
 
 import sentimix
-from sentimix import rnn_lm
+from sentimix import nbsvm, ngram_lm, rnn_lm
 from sentimix.corpus import NEGATIVE, POSITIVE, Document, read_pairs
 from sentimix.ensemble import clamp_p
 from sentimix.pvec import VEC_MAGIC, ParagraphVectorModel
@@ -58,6 +58,29 @@ def failing_loader(message: str):
     def load():
         raise ValueError(message)
     return load
+
+
+def train_generative_classifier(pos_docs, neg_docs, order, oov_penalty=None, min_count=1):
+    """The classifier train-ngram trains, from ngram_lm.class_trainers,
+    with both class models trained here and kept in memory."""
+    priors, trainers = ngram_lm.class_trainers(pos_docs, neg_docs, order, oov_penalty,
+                                               min_count)
+    return ngram_lm.GenerativeClassifier(*(fit() for fit in trainers), *priors)
+
+
+def train_nbsvm(docs, n_max, alpha=1.0, l2=None) -> nbsvm.NbsvmModel:
+    """The model train-nbsvm trains (nbsvm.class_features, then
+    nbsvm.fit_classifier), kept in memory."""
+    return nbsvm.fit_classifier(*nbsvm.class_features(docs, n_max, alpha), l2)
+
+
+def stage_io(root: Path, docs):
+    """The load and out functions a model module's train(load, out, ...)
+    takes: every split loads ``docs``, and files go under ``root``."""
+    def out(*parts) -> Path:
+        root.joinpath(*parts[:-1]).mkdir(parents=True, exist_ok=True)
+        return root.joinpath(*parts)
+    return (lambda split: docs), out
 
 
 def assert_no_child_process():

@@ -7,10 +7,8 @@ import pytest
 from sentimix import arpa
 from sentimix.arpa import ArpaParseError, export_arpa, import_arpa
 from sentimix.corpus import EOS, build_vocab
-from sentimix.ngram_lm import (
-    KneserNeyModel, count_ngrams, estimate_kneser_ney, train_generative_classifier,
-)
-from conftest import doc_logprob, make_docs
+from sentimix.ngram_lm import KneserNeyModel, count_ngrams, estimate_kneser_ney
+from conftest import doc_logprob, make_docs, train_generative_classifier
 from oracles import (GramTable, export_arpa_reference, import_arpa_reference,
                      logprob_positions, model_table)
 

@@ -575,6 +575,13 @@ def _not_utf8(path):
     path.write_bytes(data[:at] + b"\xff" + data[at:])
 
 
+def _a_directory(path):
+    """The file replaced by an empty directory of its name, which no writer
+    can open as a file."""
+    path.unlink()
+    path.mkdir()
+
+
 def _five_doc_vecs(path):
     with np.load(path) as data:
         arrays = dict(data)
@@ -636,6 +643,11 @@ FAULTS = {
     "malformed-scores": ("scores/nbsvm3-test.jsonl",
                          lambda p: p.write_text("{not json\n" + p.read_text()),
                          ["ablate", "--models", "ngram,pv,nbsvm3"]),
+    # written in the training stage's forked child: its error crosses the pipe
+    "ngram-neg-arpa-a-directory": ("models/ngram-neg.arpa", _a_directory,
+                                   ["train-ngram", "--order", "3"]),
+    "nbsvm3-features-a-directory": ("models/nbsvm3-features.tsv", _a_directory,
+                                    ["train-nbsvm", "--n-max", "3"]),
 }
 
 
@@ -679,8 +691,8 @@ class TestTrainInterface:
 
 
 class TestFaultInjection:
-    """A damaged artifact fails the stage that reads it: exit 1 and one
-    stderr line, which names the file."""
+    """A damaged artifact fails the stage that reads or writes it: exit 1
+    and one stderr line, which names the file, and no child is left."""
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_damaged_artifact_is_1(self, pipeline_dir, tmp_path, capsys, fault):
@@ -695,8 +707,9 @@ class TestFaultInjection:
         assert str(run_dir / rel) in err
         if damage is _not_utf8:
             assert err.endswith(f"{run_dir / rel}: not UTF-8 text (invalid start byte)\n"), err
-        if rel.startswith("models/nbsvm"):
+        if rel.startswith("models/nbsvm") and rel.endswith(".npz"):
             assert err.endswith("; run train-nbsvm again\n"), err
+        assert_no_child_process()
 
     @pytest.mark.parametrize("model, key", [
         ("rnn", "log_prior_pos"), ("rnn", "log_prior_neg"), ("ngram", "separate_vocab"),

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 from dataclasses import fields
 
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from sentimix import corpus
 from sentimix.corpus import (
     BOS, EOS, TOKENIZER_HASH, UNK, CorpusError, _legacy_mt19937, _permutation,
-    build_vocab, file_digest, load_imdb, load_unsup, read_pairs, read_token_cache,
+    build_vocab, file_digest, fork_pair, load_imdb, load_unsup, read_pairs, read_token_cache,
     read_vocab, split_validation, tokenize, write_manifest, write_token_cache, write_vocab,
 )
-from conftest import make_docs
+from conftest import assert_no_child_process, make_docs
 from oracles import permutations_reference
 from synth import build_imdb_tree
 
@@ -350,3 +351,44 @@ class TestArtifacts:
         p = tmp_path / "f"
         p.write_text("abc")
         assert file_digest(p) == file_digest(p)
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but does not unpickle: unpickling calls it with its args,
+    which hold the message alone."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+def _raise(error):
+    raise error
+
+
+NOT_PICKLED = lambda: 1  # noqa: E731  (pickle finds no global named <lambda>)
+
+
+class TestForkPair:
+    """An outcome of the child that does not cross the pipe whole is raised
+    as one RuntimeError naming the child's error, and no child is left."""
+
+    @pytest.mark.parametrize("there, message", [
+        (lambda: _raise(TwoArgumentError("x", 1)), "TwoArgumentError: x"),
+        (lambda: _raise(ValueError(NOT_PICKLED)), f"ValueError: {NOT_PICKLED}"),
+        (lambda: NOT_PICKLED, "PicklingError: Can't pickle "),
+        (lambda: TwoArgumentError("x", 1),
+         "TypeError: .*missing 1 required positional argument: 'code'"),
+    ], ids=["error-not-unpickled", "error-not-pickled", "result-not-pickled",
+            "result-not-unpickled"])
+    def test_outcome_that_does_not_cross(self, there, message):
+        pattern = message if message.startswith("TypeError") else re.escape(message)
+        with pytest.raises(RuntimeError, match=f"^{pattern}"):
+            fork_pair(lambda: None, there)
+        assert_no_child_process()
+
+    def test_result_and_error_cross(self):
+        assert fork_pair(lambda: 1, lambda: [2, "b"]) == (1, [2, "b"])
+        with pytest.raises(KeyError, match="^'k'$"):
+            fork_pair(lambda: None, lambda: {}["k"])
+        assert_no_child_process()

@@ -13,10 +13,10 @@ from sentimix.nbsvm import (
     LinearClassifier, LogRatioWeights, NbsvmModel, NGramFeatureSpace, SparseRows,
     TrainingError,
     build_feature_space, compute_log_ratio, dense_rows, doc_margins, dump_feature_weights,
-    featurize_all, load_model, save_model, train_classifier, train_linear,
+    featurize_all, load_model, save_model, train_linear,
 )
 import sentimix.nbsvm as nbsvm_module
-from conftest import make_docs, to_csr
+from conftest import assert_no_child_process, make_docs, stage_io, to_csr, train_nbsvm
 from oracles import (
     doc_gram_ids_reference, feature_space_reference, from_grams_reference,
     log_count_ratio_reference, logistic_objective_reference, train_linear_reference,
@@ -293,7 +293,7 @@ class TestPipeline:
         not counted as negative."""
         docs = make_docs([["good", "film"], ["bad", "film"], ["meh"]],
                          labels=["positive", "negative", "unlabeled"])
-        model = train_classifier(docs, n_max=1)
+        model = train_nbsvm(docs, n_max=1)
         assert (model.space.n_pos_docs, model.space.n_neg_docs) == (1, 1)
         assert "meh" not in model.space.grams
 
@@ -306,7 +306,7 @@ class TestPipeline:
     def test_synthetic_corpus_end_to_end(self, imdb_tree):
         train_all, test, _ = load_imdb(imdb_tree)
         train, valid = split_validation(train_all, 0.25, seed=0)
-        scores = train_classifier(train, n_max=2).score(test)
+        scores = train_nbsvm(train, n_max=2).score(test)
         ids, p = scores.ids, scores.p_pos
         assert len(ids) == len(test)
         assert np.all((p > 0.0) & (p < 1.0))
@@ -323,12 +323,30 @@ class TestPipeline:
                                      label=("negative" if d.label == "positive"
                                             else "positive"))
                          for d in train]
-        scores = train_classifier(train, n_max=2).score(test)
-        scores_swapped = train_classifier(swapped_train, n_max=2).score(test)
+        scores = train_nbsvm(train, n_max=2).score(test)
+        scores_swapped = train_nbsvm(swapped_train, n_max=2).score(test)
         p = dict(zip(scores.ids, scores.p_pos))
         q = dict(zip(scores_swapped.ids, scores_swapped.p_pos))
         for doc_id in p:
             assert q[doc_id] == pytest.approx(1.0 - p[doc_id], abs=1e-5)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_stage_files_match_in_process(self, imdb_tree, tmp_path, n_max):
+        """train writes the feature dump in a forked child while it fits:
+        the nbsvm<n>-features.tsv of dump_feature_weights called here, and
+        the nbsvm<n>.npz of save_model over train_nbsvm's model."""
+        docs, _, _ = load_imdb(imdb_tree, subset=15)
+        load, out = stage_io(tmp_path / "run", docs)
+        assert nbsvm_module.train(load, out, n_max=n_max, alpha=0.5, l2=None)[1] == [
+            tmp_path / "run" / "models" / f"nbsvm{n_max}.npz"]
+        assert_no_child_process()
+        model = train_nbsvm(docs, n_max, alpha=0.5)
+        save_model(tmp_path, model)
+        dump_feature_weights(model.space, model.weights, tmp_path / "features.tsv")
+        for name, in_process in ((f"nbsvm{n_max}.npz", f"nbsvm{n_max}.npz"),
+                                 (f"nbsvm{n_max}-features.tsv", "features.tsv")):
+            assert (tmp_path / "run" / "models" / name).read_bytes() == \
+                (tmp_path / in_process).read_bytes(), name
 
     def test_feature_dump_sorted_by_magnitude(self, tmp_path):
         _, _, space = _toy_space()
@@ -389,9 +407,10 @@ class TestIntegerKeys:
 
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_saved_bytes_match_string_reference(self, tmp_path, n_max):
-        """save_model writes the same nbsvm<n>.npz and -features.tsv bytes
-        whether the grams come from keys or from the reference's strings;
-        ratios of seven values give many ties, which the dump orders by gram."""
+        """save_model and dump_feature_weights write the same nbsvm<n>.npz
+        and -features.tsv bytes whether the grams come from keys or from the
+        reference's strings; ratios of seven values give many ties, which the
+        dump orders by gram."""
         rng = np.random.RandomState(n_max)
         for trial in range(10):
             pos, neg = _random_corpus(rng, max_docs=8)
@@ -404,6 +423,7 @@ class TestIntegerKeys:
             for name, sp in (("keys", space), ("text", by_text)):
                 (tmp_path / name).mkdir(exist_ok=True)
                 save_model(tmp_path / name, NbsvmModel(sp, weights, clf))
+                dump_feature_weights(sp, weights, tmp_path / name / f"nbsvm{n_max}-features.tsv")
                 out[name] = [(tmp_path / name / f"nbsvm{n_max}{suffix}").read_bytes()
                              for suffix in (".npz", "-features.tsv")]
             assert out["keys"] == out["text"], trial
@@ -419,7 +439,7 @@ class TestIntegerKeys:
         with pytest.raises(ValueError, match="token " + re.escape(repr(token))):
             build_feature_space(pos, neg, 2)
         with pytest.raises(ValueError, match="token " + re.escape(repr(token))):
-            train_classifier(pos + neg, n_max=1)
+            train_nbsvm(pos + neg, n_max=1)
 
     def test_vocabulary_beyond_the_key_range_is_rejected(self, monkeypatch):
         """(V + 2)^n_max keys must fit below _KEY_BOUND: past that, training

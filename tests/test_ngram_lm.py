@@ -1,19 +1,20 @@
 import math
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentimix import ngram_lm
+from sentimix import arpa, ngram_lm
 from sentimix.corpus import BOS, BOS_ID, EOS, UNK, EOS_ID, UNK_ID, build_vocab
 from sentimix.ngram_lm import (
     CountError, GenerativeClassifier, KneserNeyModel, NGramCountTable, count_ngrams,
-    estimate_kneser_ney, make_priors, score_documents, train_generative_classifier,
-    train_kn_model,
+    estimate_kneser_ney, make_priors, score_documents, train_kn_model,
 )
 from conftest import (assert_no_child_process, classify_generative, doc_logprob,
-                      failing_loader, log_ratio, make_docs)
+                      failing_loader, log_ratio, make_docs, read_kv, stage_io,
+                      train_generative_classifier)
 from oracles import KneserNeyReference, conditional_logprobs, logprob_positions, model_table
 
 
@@ -462,3 +463,43 @@ class TestForkedScoring:
         with pytest.raises(ValueError, match=f"^{raised}$"):
             score_documents(clf, _review_docs(4, 5))
         assert_no_child_process()
+
+
+class TestForkedTraining:
+    """train-ngram trains and writes each class model on its own side of the
+    fork: the bytes of exporting train_generative_classifier's models here."""
+
+    @pytest.mark.parametrize("oov_penalty", [None, 1e-3], ids=["shared-vocab", "own-vocab"])
+    def test_files_match_in_process(self, tmp_path, oov_penalty):
+        pos, neg = _review_docs(12, 1), _review_docs(9, 2, n_words=30, label="negative")
+        load, out = stage_io(tmp_path / "run", pos + neg)
+        paths = ngram_lm.train(load, out, order=3, min_count=2, oov_penalty=oov_penalty)[1]
+        assert_no_child_process()
+        clf = train_generative_classifier(pos, neg, 3, oov_penalty=oov_penalty, min_count=2)
+        assert (len(clf.pos_model.vocab) == len(clf.neg_model.vocab)) == (oov_penalty is None)
+        for model, path in zip((clf.pos_model, clf.neg_model), paths):
+            arpa.export_arpa_path(model, tmp_path / "in-process.arpa")
+            assert path.read_bytes() == (tmp_path / "in-process.arpa").read_bytes()
+        penalty = "" if oov_penalty is None else f"oov_penalty={oov_penalty}\n"
+        assert paths[2].read_text() == (
+            f"order=3\nlog_prior_pos={clf.log_prior_pos}\nlog_prior_neg={clf.log_prior_neg}\n"
+            f"separate_vocab={int(oov_penalty is not None)}\n{penalty}"
+            f"warnings={len(clf.pos_model.warnings) + len(clf.neg_model.warnings)}\n")
+
+    def test_warnings_of_the_child_reach_the_meta(self, tmp_path, monkeypatch):
+        """A warning raised only in the negative class's child, one per
+        order, counts in ngram.meta."""
+        pos, neg = _review_docs(12, 1), _review_docs(9, 2, label="negative")
+        clf = train_generative_classifier(pos, neg, 3)
+        stage, estimate = os.getpid(), ngram_lm._estimate_discounts
+
+        def warning_in_the_child(adjusted, order_k, warnings):
+            if os.getpid() != stage:
+                warnings.append(f"order {order_k}: raised in the child")
+            return estimate(adjusted, order_k, warnings)
+        monkeypatch.setattr(ngram_lm, "_estimate_discounts", warning_in_the_child)
+        load, out = stage_io(tmp_path, pos + neg)
+        meta = ngram_lm.train(load, out, order=3, min_count=1, oov_penalty=None)[1][2]
+        assert_no_child_process()
+        assert read_kv(meta)["warnings"] == \
+            str(len(clf.pos_model.warnings) + len(clf.neg_model.warnings) + 3)
