@@ -12,9 +12,11 @@ import logging
 import os
 import random
 import re
+import tempfile
 import zipfile
 import zlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -366,6 +368,11 @@ def read_pairs(path):
         yield lineno, key, value
 
 
+def refused(stage: str, path, problem: str) -> ValueError:
+    """The error of a model file that ``stage`` wrote and a reader cannot use."""
+    return ValueError(f"{path}: {problem}; run {stage} again")
+
+
 class ModelMeta:
     """The key=value lines of a training stage's meta file.  number(key, cast)
     reads a value as float or int, or raises ValueError naming the file, the
@@ -382,7 +389,7 @@ class ModelMeta:
             why = f"no {key} key"
         except ValueError:
             why = f"{key}={self.values[key]} is not {'an integer' if cast is int else 'a number'}"
-        raise ValueError(f"{self.path}: {why}; run {self.stage} again")
+        raise refused(self.stage, self.path, why)
 
 
 def file_digest(path) -> str:
@@ -391,6 +398,18 @@ def file_digest(path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+@contextmanager
+def staged(directory, names):
+    """A new directory inside ``directory`` to write the files ``names`` in.
+    When the block ends without error they replace their namesakes in
+    ``directory``, in that order; the new directory is removed either way,
+    so a block that raises changes nothing."""
+    with tempfile.TemporaryDirectory(dir=directory, prefix=".staged-") as tmp:
+        yield Path(tmp)
+        for name in names:
+            os.replace(Path(tmp, name), Path(directory, name))
 
 
 def fork_pair(here: Callable, there: Callable) -> tuple:

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import (NEGATIVE, POSITIVE, fork_pair, pack_strings, read_npz, sorted_distinct,
-                     unpack_strings)
+from .corpus import (NEGATIVE, POSITIVE, fork_pair, pack_strings, read_npz, refused,
+                     sorted_distinct, staged, unpack_strings)
 from .ensemble import SplitScores
 
 log = logging.getLogger(__name__)
@@ -51,28 +51,29 @@ class TrainingError(Exception):
 
 @dataclass(eq=False)
 class NGramFeatureSpace:
-    """The grams observed in training, with per-class presence document
-    frequencies; ``len`` is the feature count.
+    """The grams observed in training; ``len`` is the feature count.
 
     Each gram is a row of ``gram_words``: the 1-based ranks of its words in
     ``words`` (the distinct training tokens in string order), padded with 0
     to n_max words.  ``grams`` (each gram's words joined by spaces) is built
-    on first use."""
+    on first use.  Only build_feature_space sets the training fields, which
+    a loaded space lacks."""
 
     n_max: int
-    df_pos: np.ndarray
-    df_neg: np.ndarray
     words: list[str]
     gram_words: np.ndarray
+    # per-class presence document frequencies and document counts
+    df_pos: np.ndarray | None = None
+    df_neg: np.ndarray | None = None
     n_pos_docs: int = 0
     n_neg_docs: int = 0
     # gram ids of each training document (positive ones first, each in gram
-    # text order) as build_feature_space assigned them; empty once loaded and
-    # once fit_classifier has featurized them
+    # text order) as build_feature_space assigned them; emptied by
+    # fit_classifier once it has featurized them
     train_ids: list[np.ndarray] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.df_pos)
+        return len(self.gram_words)
 
     @cached_property
     def sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,13 +180,7 @@ def build_feature_space(pos_docs, neg_docs, n_max: int) -> NGramFeatureSpace:
                              train_ids=[ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
 
 
-@dataclass
-class LogRatioWeights:
-    r: np.ndarray
-    alpha: float
-
-
-def compute_log_ratio(space: NGramFeatureSpace, alpha: float = 1.0) -> LogRatioWeights:
+def compute_log_ratio(space: NGramFeatureSpace, alpha: float = 1.0) -> np.ndarray:
     """r_i = ln((p_i/||p||_1) / (q_i/||q||_1)) over smoothed presence counts."""
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
@@ -193,8 +188,7 @@ def compute_log_ratio(space: NGramFeatureSpace, alpha: float = 1.0) -> LogRatioW
         raise TrainingError("both classes need at least one document")
     p = alpha + space.df_pos.astype(np.float64)
     q = alpha + space.df_neg.astype(np.float64)
-    r = np.log(p / p.sum()) - np.log(q / q.sum())
-    return LogRatioWeights(r=r, alpha=alpha)
+    return np.log(p / p.sum()) - np.log(q / q.sum())
 
 
 class SparseRows(NamedTuple):
@@ -225,12 +219,12 @@ def dense_rows(X) -> SparseRows:
     return SparseRows(np.repeat(np.arange(n), d), np.tile(np.arange(d), n), X.ravel(), (n, d))
 
 
-def featurize_all(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
-                  cached_ids=None) -> SparseRows:
+def featurize_all(docs, space: NGramFeatureSpace, r: np.ndarray, cached_ids=None) -> SparseRows:
     """One row per document: r_i where gram i is present, grams unseen in
-    training dropped, each row's ids ascending; ``cached_ids`` replaces each
-    document's gram ids."""
+    training dropped, each row's ids ascending; ``cached_ids`` (one row's
+    gram ids each) replaces the documents."""
     if cached_ids is not None:
+        docs = cached_ids
         cols = np.concatenate(cached_ids) if cached_ids else np.empty(0, dtype=np.int64)
         rows = np.repeat(np.arange(len(cached_ids)), [len(i) for i in cached_ids])
     else:
@@ -250,7 +244,7 @@ def featurize_all(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
             pairs = _doc_pairs(feature, counts, len(space) + 1)
             parts.append(pairs[pairs % (len(space) + 1) < len(space)] + a * (len(space) + 1))
         rows, cols = np.divmod(np.concatenate(parts), len(space) + 1)
-    return SparseRows(rows, cols, weights.r[cols], (len(docs), len(space)))
+    return SparseRows(rows, cols, r[cols], (len(docs), len(space)))
 
 
 @dataclass
@@ -268,21 +262,15 @@ def sigmoid(m) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(m, -500, 500)))
 
 
-def doc_margins(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
-                clf: LinearClassifier) -> np.ndarray:
-    """``featurize_all(docs) @ w + b``: each document's r_i * w_i terms summed
-    in ascending gram-id order from zero, as a CSR product sums them."""
-    return featurize_all(docs, space, weights) @ clf.w + clf.b
-
-
 class NbsvmModel(NamedTuple):
     space: NGramFeatureSpace
-    weights: LogRatioWeights
+    r: np.ndarray
+    alpha: float
     clf: LinearClassifier
 
     def score(self, docs) -> SplitScores:
         """Fitted probabilities, also kept in the side table."""
-        p = sigmoid(doc_margins(docs, self.space, self.weights, self.clf))
+        p = self.clf.predict_proba(featurize_all(docs, self.space, self.r))
         return SplitScores([d.id for d in docs], p, table=(p,))
 
 
@@ -374,97 +362,86 @@ def train_linear(X: SparseRows, labels, l2: float | None = None) -> LinearClassi
     return LinearClassifier(w=wb[:-1], b=float(wb[-1]), l2=l2, trace=trace)
 
 
-def class_features(docs, n_max: int,
-                   alpha: float = 1.0) -> tuple[list, NGramFeatureSpace, LogRatioWeights]:
-    """The positive then the negative documents, and the gram space and
-    log-count ratios over them; documents with any other label are left out."""
-    pos = [d for d in docs if d.label == POSITIVE]
-    neg = [d for d in docs if d.label == NEGATIVE]
-    space = build_feature_space(pos, neg, n_max)
-    return pos + neg, space, compute_log_ratio(space, alpha)
-
-
-def fit_classifier(docs, space: NGramFeatureSpace, weights: LogRatioWeights,
+def fit_classifier(space: NGramFeatureSpace, r: np.ndarray, alpha: float,
                    l2: float | None = None) -> NbsvmModel:
-    """The linear classifier on the features of class_features's documents,
-    featurized from the space's train_ids, which it empties."""
-    X = featurize_all(docs, space, weights, cached_ids=space.train_ids)
+    """The linear classifier on the features of the space's training
+    documents, featurized from its train_ids, which it empties."""
+    X = featurize_all(None, space, r, cached_ids=space.train_ids)
     space.train_ids = []
     y = np.array([1] * space.n_pos_docs + [0] * space.n_neg_docs)
-    return NbsvmModel(space, weights, train_linear(X, y, l2=l2))
+    return NbsvmModel(space, r, alpha, train_linear(X, y, l2=l2))
 
 
 def train(load, out, *, n_max: int, alpha: float, l2: float | None):
-    """The train-nbsvm stage (cli.cmd_train): class_features, then
-    fit_classifier, over load("train"), written under out("models", ...)
-    as nbsvm<n>.npz (save_model) and the nbsvm<n>-features.tsv dump for
-    reading.
+    """The train-nbsvm stage (cli.cmd_train): the gram space over
+    load("train")'s positive and negative documents (any other label is
+    left out), its log-count ratios and fit_classifier, written under
+    out("models", ...) as nbsvm<n>.npz (save_model) and the
+    nbsvm<n>-features.tsv dump for reading.
 
     Once the log-count ratios are known, a forked child (corpus.fork_pair)
-    writes the dump while this process fits and saves the classifier."""
-    docs, space, weights = class_features(load("train"), n_max, alpha)
+    writes the dump while this process fits and saves the classifier, both
+    into a corpus.staged directory: a failed stage leaves the old files."""
+    docs = load("train")
+    space = build_feature_space([d for d in docs if d.label == POSITIVE],
+                                [d for d in docs if d.label == NEGATIVE], n_max)
+    r = compute_log_ratio(space, alpha)
     models_dir = out("models", "")
+    names = [f"nbsvm{n_max}-features.tsv", f"nbsvm{n_max}.npz"]  # the model last
 
-    def fit_and_save():
-        model = fit_classifier(docs, space, weights, l2)
-        return model.clf, save_model(models_dir, model)
+    def fit_and_save(tmp):
+        model = fit_classifier(space, r, alpha, l2)
+        return model.clf, save_model(tmp, model)
 
-    (clf, paths), _ = fork_pair(fit_and_save, lambda: dump_feature_weights(
-        space, weights, models_dir / f"nbsvm{n_max}-features.tsv"))
-    return (f"nbsvm{n_max}", paths,
+    with staged(models_dir, names) as tmp:
+        (clf, _), _ = fork_pair(lambda: fit_and_save(tmp),
+                                lambda: dump_feature_weights(space, r, tmp / names[0]))
+    return (f"nbsvm{n_max}", [models_dir / names[1]],
             {"features": len(space), "iterations": len(clf.trace) - 1,
              "final_loss": f"{clf.trace[-1]:.6f}"},
             f"trained nbsvm{n_max}: {len(space)} features, "
             f"loss {clf.trace[0]:.4f} -> {clf.trace[-1]:.4f}")
 
 
-def dump_feature_weights(space: NGramFeatureSpace, weights: LogRatioWeights, path) -> None:
+def dump_feature_weights(space: NGramFeatureSpace, r: np.ndarray, path) -> None:
     """gram<TAB>r, sorted by |r| descending (ties by gram) for inspection."""
     grams = space.grams
-    order = np.lexsort((*space.gram_words.T[::-1], -np.abs(weights.r)))
+    order = np.lexsort((*space.gram_words.T[::-1], -np.abs(r)))
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(f"{grams[i]}\t{x:.6f}\n"
-                     for i, x in zip(order.tolist(), weights.r[order].tolist()))
+        f.writelines(f"{grams[i]}\t{x:.6f}\n" for i, x in zip(order.tolist(), r[order].tolist()))
 
 
 def save_model(models_dir, model: NbsvmModel) -> list[Path]:
     """nbsvm<n>.npz, holding NBSVM_ARRAYS: the space's words (newline-joined
     UTF-8 bytes) and gram_words, r, w, b and meta = (n_max, alpha, l2);
     returns [its path]."""
-    space, weights, clf = model
+    space, r, alpha, clf = model
     path = Path(models_dir) / f"nbsvm{space.n_max}.npz"
     np.savez_compressed(
         path, words=pack_strings(space.words), gram_words=space.gram_words,
-        r=weights.r, w=clf.w, b=np.array([clf.b]),
-        meta=np.array([space.n_max, weights.alpha, clf.l2]))
+        r=r, w=clf.w, b=np.array([clf.b]), meta=np.array([space.n_max, alpha, clf.l2]))
     return [path]
 
 
 def load_model(models_dir, n_max: int) -> NbsvmModel:
-    """Inverse of save_model; document frequencies are not stored and load
-    as zeros.  An archive that is not the n_max-gram model save_model writes
-    is refused: other arrays (such as the gram texts of an older layout),
-    another n_max, shapes that disagree or word ranks past ``words``."""
+    """Inverse of save_model; the space has no training fields.  An archive
+    that is not the n_max-gram model save_model writes is refused: other
+    arrays (such as the gram texts of an older layout), another n_max,
+    shapes that disagree or word ranks past ``words``."""
     path = Path(models_dir) / f"nbsvm{n_max}.npz"
     data = read_npz(path)
     if set(data) != set(NBSVM_ARRAYS):
-        raise _refused(path, f"not an NB-SVM model archive (arrays: {', '.join(sorted(data))})")
+        raise refused("train-nbsvm", path,
+                      f"not an NB-SVM model archive (arrays: {', '.join(sorted(data))})")
     gram_words, r, w, b, meta = (data[name] for name in NBSVM_ARRAYS[1:])
     if meta.shape != (3,) or meta[0] != n_max:
-        raise _refused(path, f"holds no {n_max}-gram model (meta {meta.tolist()})")
+        raise refused("train-nbsvm", path, f"holds no {n_max}-gram model (meta {meta.tolist()})")
     if (r.ndim != 1 or w.shape != r.shape or b.shape != (1,) or gram_words.dtype != np.int32
             or gram_words.shape != (len(r), n_max)):
-        raise _refused(path, f"gram_words {gram_words.dtype} {gram_words.shape}, r {r.shape}, "
-                             f"w {w.shape} and b {b.shape} are no {n_max}-gram model")
+        raise refused("train-nbsvm", path, f"gram_words {gram_words.dtype} {gram_words.shape}, "
+                      f"r {r.shape}, w {w.shape} and b {b.shape} are no {n_max}-gram model")
     words = unpack_strings(data["words"])
     if gram_words.size and not 0 <= gram_words.min() <= gram_words.max() <= len(words):
-        raise _refused(path, f"a gram's word rank lies outside 0..{len(words)}")
-    zeros = np.zeros(len(r), dtype=np.int64)
-    space = NGramFeatureSpace(n_max, zeros, zeros.copy(), words, gram_words)
-    weights = LogRatioWeights(r=r, alpha=float(meta[1]))
+        raise refused("train-nbsvm", path, f"a gram's word rank lies outside 0..{len(words)}")
     clf = LinearClassifier(w=w, b=float(b[0]), l2=float(meta[2]))
-    return NbsvmModel(space, weights, clf)
-
-
-def _refused(path, problem: str) -> ValueError:
-    return ValueError(f"{path}: {problem}; run train-nbsvm again")
+    return NbsvmModel(NGramFeatureSpace(n_max, words, gram_words), r, float(meta[1]), clf)

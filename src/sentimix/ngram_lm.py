@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ensemble
 from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, UNK_ID, ModelMeta, Vocabulary,
-                     build_vocab, fork_pair, length_blocks, write_manifest)
+                     build_vocab, fork_pair, length_blocks, staged, write_manifest)
 
 log = logging.getLogger(__name__)
 
@@ -337,7 +337,8 @@ def train(load, out, *, order: int, min_count: int, oov_penalty: float | None):
 
     The negative-class model trains and writes its ARPA file in a forked
     child (corpus.fork_pair), which sends back only its warning count,
-    while this process does the same for the positive-class one."""
+    while this process does the same for the positive-class one, both into
+    a corpus.staged directory: a failed stage leaves the old files."""
     from . import arpa
 
     docs = load("train")
@@ -345,24 +346,25 @@ def train(load, out, *, order: int, min_count: int, oov_penalty: float | None):
     neg = [d for d in docs if d.label == NEGATIVE]
     priors, trainers = class_trainers(pos, neg, order, oov_penalty, min_count)
     models_dir = out("models", "")
-    paths = [models_dir / name for name in ("ngram-pos.arpa", "ngram-neg.arpa", "ngram.meta")]
+    names = ("ngram-pos.arpa", "ngram-neg.arpa", "ngram.meta")  # the meta last
 
     def export(fit, path) -> int:
         model = fit()
         arpa.export_arpa_path(model, path)
         return len(model.warnings)
 
-    warnings = fork_pair(partial(export, trainers[0], paths[0]),
-                         partial(export, trainers[1], paths[1]))
-    write_manifest(paths[2], {
-        "order": order,
-        "log_prior_pos": priors[0],
-        "log_prior_neg": priors[1],
-        "separate_vocab": int(oov_penalty is not None),
-        **({} if oov_penalty is None else {"oov_penalty": oov_penalty}),
-        "warnings": sum(warnings),
-    }, append=False)
-    return ("ngram", paths, {"order": order, "n_train": len(docs)},
+    with staged(models_dir, names) as tmp:
+        warnings = fork_pair(partial(export, trainers[0], tmp / names[0]),
+                             partial(export, trainers[1], tmp / names[1]))
+        write_manifest(tmp / names[2], {
+            "order": order,
+            "log_prior_pos": priors[0],
+            "log_prior_neg": priors[1],
+            "separate_vocab": int(oov_penalty is not None),
+            **({} if oov_penalty is None else {"oov_penalty": oov_penalty}),
+            "warnings": sum(warnings),
+        }, append=False)
+    return ("ngram", [models_dir / n for n in names], {"order": order, "n_train": len(docs)},
             f"trained order-{order} models on {len(pos)}+{len(neg)} documents")
 
 

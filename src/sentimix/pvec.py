@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nbsvm
 from .corpus import (POSITIVE, RESERVED, build_vocab, length_blocks, pack_strings, read_npz,
-                     unpack_strings)
+                     refused, unpack_strings)
 from .ensemble import SplitScores
 
 log = logging.getLogger(__name__)
@@ -379,20 +379,21 @@ def load_model(models_dir) -> PvClassifier:
     path = Path(models_dir) / "pv.npz"
     data = read_npz(path)
     if set(data) != set(PV_ARRAYS):
-        raise _refused(path, f"not a PV-DBOW model archive (arrays: {', '.join(sorted(data))})")
+        raise refused("train-pv", path,
+                      f"not a PV-DBOW model archive (arrays: {', '.join(sorted(data))})")
     words = unpack_strings(data["words"])
     doc_ids = unpack_strings(data["doc_ids"])
     meta = data["meta"]
     if meta.shape != (3,):
-        raise _refused(path, f"meta {meta.shape} is not (dim, infer_steps, lr0)")
+        raise refused("train-pv", path, f"meta {meta.shape} is not (dim, infer_steps, lr0)")
     dim = int(meta[0])
     shapes = {"node_vecs": (len(words) - 1, dim), "doc_vecs": (len(doc_ids), dim),
               "word_freqs": (len(words),), "lr_w": (dim,), "lr_b": (1,)}
     wrong = [f"{name} {data[name].shape}" for name, shape in shapes.items()
              if data[name].shape != shape]
     if wrong:
-        raise _refused(path, f"{', '.join(wrong)} disagree with {len(words)} words, "
-                             f"{len(doc_ids)} documents and dim {dim}")
+        raise refused("train-pv", path, f"{', '.join(wrong)} disagree with {len(words)} words, "
+                      f"{len(doc_ids)} documents and dim {dim}")
     freqs = data["word_freqs"].tolist()
     model = ParagraphVectorModel(
         dim=dim, words=words, word_index={w: i for i, w in enumerate(words)},
@@ -400,10 +401,6 @@ def load_model(models_dir) -> PvClassifier:
         doc_ids=doc_ids, word_freqs=freqs)
     clf = nbsvm.LinearClassifier(w=data["lr_w"], b=float(data["lr_b"][0]), l2=0.0)
     return PvClassifier(model, clf, infer_steps=int(meta[1]), lr0=float(meta[2]))
-
-
-def _refused(path, problem: str) -> ValueError:
-    return ValueError(f"{path}: {problem}; run train-pv again")
 
 
 def write_vectors_text(path, doc_ids, vectors) -> None:

@@ -69,9 +69,18 @@ def train_generative_classifier(pos_docs, neg_docs, order, oov_penalty=None, min
 
 
 def train_nbsvm(docs, n_max, alpha=1.0, l2=None) -> nbsvm.NbsvmModel:
-    """The model train-nbsvm trains (nbsvm.class_features, then
-    nbsvm.fit_classifier), kept in memory."""
-    return nbsvm.fit_classifier(*nbsvm.class_features(docs, n_max, alpha), l2)
+    """The model train-nbsvm trains (the gram space of the positive and the
+    negative documents, its log-count ratios, then nbsvm.fit_classifier),
+    kept in memory."""
+    space = nbsvm.build_feature_space([d for d in docs if d.label == POSITIVE],
+                                      [d for d in docs if d.label == NEGATIVE], n_max)
+    return nbsvm.fit_classifier(space, nbsvm.compute_log_ratio(space, alpha), alpha, l2)
+
+
+def dir_bytes(directory: Path) -> dict:
+    """Each entry of the directory by name: a file's bytes, or None for
+    anything else."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
 
 
 def stage_io(root: Path, docs):

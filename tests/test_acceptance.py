@@ -324,8 +324,8 @@ def _check_nbsvm_antisymmetry():
     neg = make_docs(neg_lists, labels=["negative"] * 5)
     s1 = nbsvm.build_feature_space(pos, neg, 2)
     s2 = nbsvm.build_feature_space(neg, pos, 2)
-    r1 = nbsvm.compute_log_ratio(s1, 1.0).r
-    r2 = nbsvm.compute_log_ratio(s2, 1.0).r
+    r1 = nbsvm.compute_log_ratio(s1, 1.0)
+    r2 = nbsvm.compute_log_ratio(s2, 1.0)
     aligned = np.array([r2[s2.grams.index(g)] for g in s1.grams])
     assert np.allclose(r1, -aligned, atol=1e-12), "label-swap antisymmetry violated"
 

@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 import re
 import tracemalloc
 
@@ -10,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 from sentimix.corpus import Document, load_imdb, pack_strings, split_validation, unpack_strings
 from sentimix.nbsvm import (
     FTOL, GTOL, MAX_ITER,
-    LinearClassifier, LogRatioWeights, NbsvmModel, NGramFeatureSpace, SparseRows,
-    TrainingError,
-    build_feature_space, compute_log_ratio, dense_rows, doc_margins, dump_feature_weights,
-    featurize_all, load_model, save_model, train_linear,
+    LinearClassifier, NbsvmModel, NGramFeatureSpace, SparseRows, TrainingError,
+    build_feature_space, compute_log_ratio, dense_rows, dump_feature_weights, featurize_all,
+    load_model, save_model, sigmoid, train_linear,
 )
 import sentimix.nbsvm as nbsvm_module
-from conftest import assert_no_child_process, make_docs, stage_io, to_csr, train_nbsvm
+from conftest import assert_no_child_process, dir_bytes, make_docs, stage_io, to_csr, train_nbsvm
 from oracles import (
     doc_gram_ids_reference, feature_space_reference, from_grams_reference,
     log_count_ratio_reference, logistic_objective_reference, train_linear_reference,
@@ -24,11 +24,9 @@ from oracles import (
 
 
 def space_of_texts(n_max: int, grams: list[str]) -> NGramFeatureSpace:
-    """The space whose feature i is the gram text ``grams[i]``, with document
-    frequencies of zero, its words and ranks parsed by from_grams_reference."""
-    words, gram_words = from_grams_reference(n_max, grams)
-    zeros = np.zeros(len(grams), dtype=np.int64)
-    return NGramFeatureSpace(n_max, zeros, zeros.copy(), words, gram_words)
+    """The space whose feature i is the gram text ``grams[i]``, without
+    training fields, its words and ranks parsed by from_grams_reference."""
+    return NGramFeatureSpace(n_max, *from_grams_reference(n_max, grams))
 
 
 def extract_grams(tokens, n_max: int) -> set[str]:
@@ -76,8 +74,7 @@ class TestLogRatio:
     def test_toy_frozen_values(self):
         """p = (1+df), q likewise; balanced norms make film exactly zero."""
         _, _, space = _toy_space()
-        w = compute_log_ratio(space, alpha=1.0)
-        r = dict(zip(space.grams, w.r))
+        r = dict(zip(space.grams, compute_log_ratio(space, alpha=1.0)))
         assert r["good"] == pytest.approx(math.log(3.0), rel=1e-12)
         assert r["bad"] == pytest.approx(-math.log(3.0), rel=1e-12)
         assert r["film"] == pytest.approx(0.0, abs=1e-12)
@@ -87,16 +84,16 @@ class TestLogRatio:
         pos_sets = [{"good"}, {"good", "film"}]
         neg_sets = [{"bad"}, {"bad", "film"}]
         _, _, space = _toy_space()
-        w = compute_log_ratio(space, alpha=1.0)
+        r = compute_log_ratio(space, alpha=1.0)
         expected = log_count_ratio_reference(pos_sets, neg_sets, space.grams, alpha=1.0)
-        assert np.allclose(w.r, expected, atol=1e-12)
+        assert np.allclose(r, expected, atol=1e-12)
 
     def test_equal_presence_balanced_is_zero(self):
         pos = make_docs([["w", "x"], ["w", "y"]])
         neg = make_docs([["w", "p"], ["w", "q"]], labels=["negative"] * 2)
         space = build_feature_space(pos, neg, 1)
-        w = compute_log_ratio(space, alpha=1.0)
-        assert w.r[space.grams.index("w")] == pytest.approx(0.0, abs=1e-12)
+        r = compute_log_ratio(space, alpha=1.0)
+        assert r[space.grams.index("w")] == pytest.approx(0.0, abs=1e-12)
 
     @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6),
                     min_size=1, max_size=5),
@@ -108,8 +105,8 @@ class TestLogRatio:
         neg = make_docs(neg_lists, labels=["negative"] * len(neg_lists))
         s1 = build_feature_space(pos, neg, 2)
         s2 = build_feature_space(neg, pos, 2)
-        r1 = compute_log_ratio(s1, alpha=1.0).r
-        r2 = compute_log_ratio(s2, alpha=1.0).r
+        r1 = compute_log_ratio(s1, alpha=1.0)
+        r2 = compute_log_ratio(s2, alpha=1.0)
         aligned = np.array([r2[s2.grams.index(g)] for g in s1.grams])
         assert np.allclose(r1, -aligned, atol=1e-12)
 
@@ -123,12 +120,12 @@ class TestLogRatio:
         pos = make_docs(pos_lists)
         neg = make_docs(neg_lists, labels=["negative"] * len(neg_lists))
         space = build_feature_space(pos, neg, 2)
-        w = compute_log_ratio(space, alpha=1.0)
+        r = compute_log_ratio(space, alpha=1.0)
         maxcount = max(len(pos_lists), len(neg_lists))
         p_norm = (1.0 + space.df_pos).sum()
         q_norm = (1.0 + space.df_neg).sum()
         bound = math.log((1.0 + maxcount) / 1.0) + abs(math.log(q_norm / p_norm))
-        assert np.all(np.abs(w.r) <= bound + 1e-9)
+        assert np.all(np.abs(r) <= bound + 1e-9)
 
     def test_alpha_validation(self):
         _, _, space = _toy_space()
@@ -142,31 +139,31 @@ class TestLogRatio:
             compute_log_ratio(space, alpha=1.0)
 
 
-def featurize(tokens, space, weights):
+def featurize(tokens, space, r):
     """One document's feature row, as a CSR matrix."""
-    return to_csr(featurize_all(make_docs([tokens]), space, weights))
+    return to_csr(featurize_all(make_docs([tokens]), space, r))
 
 
 class TestFeaturize:
     def test_toy_values(self):
         _, _, space = _toy_space()
-        w = compute_log_ratio(space, alpha=1.0)
-        row = featurize(["good", "film"], space, w).toarray().ravel()
+        r = compute_log_ratio(space, alpha=1.0)
+        row = featurize(["good", "film"], space, r).toarray().ravel()
         assert row[space.grams.index("good")] == pytest.approx(math.log(3.0))
         assert row[space.grams.index("film")] == 0.0
         assert row[space.grams.index("bad")] == 0.0
 
     def test_out_of_space_doc_is_zero(self):
         _, _, space = _toy_space()
-        w = compute_log_ratio(space, alpha=1.0)
-        row = featurize(["zzz", "qqq"], space, w)
+        r = compute_log_ratio(space, alpha=1.0)
+        row = featurize(["zzz", "qqq"], space, r)
         assert row.nnz == 0
 
     def test_unseen_grams_inert(self):
         _, _, space = _toy_space()
-        w = compute_log_ratio(space, alpha=1.0)
-        a = featurize(["good", "film"], space, w).toarray()
-        b = featurize(["good", "film", "zzz"], space, w).toarray()
+        r = compute_log_ratio(space, alpha=1.0)
+        a = featurize(["good", "film"], space, r).toarray()
+        b = featurize(["good", "film", "zzz"], space, r).toarray()
         assert np.array_equal(a, b)
 
     def test_sparsity_bound(self):
@@ -175,18 +172,18 @@ class TestFeaturize:
         neg = make_docs([[f"w{rng.randint(20)}" for _ in range(15)] for _ in range(5)],
                         labels=["negative"] * 5)
         space = build_feature_space(pos, neg, 2)
-        w = compute_log_ratio(space, 1.0)
+        r = compute_log_ratio(space, 1.0)
         for d in pos + neg:
-            row = featurize(d.tokens, space, w)
+            row = featurize(d.tokens, space, r)
             assert row.nnz <= len(doc_gram_ids_reference(d.tokens, space))
 
     def test_featurize_all_matches_single(self):
         pos, neg, space = _toy_space()
-        w = compute_log_ratio(space, alpha=1.0)
-        X = to_csr(featurize_all(pos + neg, space, w))
+        r = compute_log_ratio(space, alpha=1.0)
+        X = to_csr(featurize_all(pos + neg, space, r))
         for i, d in enumerate(pos + neg):
             assert np.array_equal(X[i].toarray(),
-                                  featurize(d.tokens, space, w).toarray())
+                                  featurize(d.tokens, space, r).toarray())
 
 
 SEPARABLE_X = dense_rows([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-2.0, -1.0]])
@@ -342,17 +339,36 @@ class TestPipeline:
         assert_no_child_process()
         model = train_nbsvm(docs, n_max, alpha=0.5)
         save_model(tmp_path, model)
-        dump_feature_weights(model.space, model.weights, tmp_path / "features.tsv")
+        dump_feature_weights(model.space, model.r, tmp_path / "features.tsv")
         for name, in_process in ((f"nbsvm{n_max}.npz", f"nbsvm{n_max}.npz"),
                                  (f"nbsvm{n_max}-features.tsv", "features.tsv")):
             assert (tmp_path / "run" / "models" / name).read_bytes() == \
                 (tmp_path / in_process).read_bytes(), name
 
+    def test_failed_child_keeps_the_earlier_files(self, imdb_tree, tmp_path, monkeypatch):
+        """When the child's feature dump fails, the stage raises its error
+        and models/ holds the earlier run's files, byte for byte, and
+        nothing else."""
+        docs, _, _ = load_imdb(imdb_tree, subset=15)
+        load, out = stage_io(tmp_path, docs)
+        nbsvm_module.train(load, out, n_max=2, alpha=1.0, l2=None)
+        before = dir_bytes(tmp_path / "models")
+        stage, dump = os.getpid(), nbsvm_module.dump_feature_weights
+
+        def failing_in_the_child(*args):
+            if os.getpid() != stage:
+                raise RuntimeError("the dump failed")
+            return dump(*args)
+        monkeypatch.setattr(nbsvm_module, "dump_feature_weights", failing_in_the_child)
+        with pytest.raises(RuntimeError, match="^the dump failed$"):
+            nbsvm_module.train(load, out, n_max=2, alpha=0.5, l2=None)
+        assert_no_child_process()
+        assert dir_bytes(tmp_path / "models") == before
+
     def test_feature_dump_sorted_by_magnitude(self, tmp_path):
         _, _, space = _toy_space()
-        w = compute_log_ratio(space, alpha=1.0)
         path = tmp_path / "features.tsv"
-        dump_feature_weights(space, w, path)
+        dump_feature_weights(space, compute_log_ratio(space, alpha=1.0), path)
         lines = path.read_text().splitlines()
         mags = [abs(float(l.split("\t")[1])) for l in lines]
         assert mags == sorted(mags, reverse=True)
@@ -365,7 +381,7 @@ class TestPipeline:
         r = np.array([0.5, -0.5, 0.5, 1.25, -0.0, 1.25, 0.0, -2.0])
         space = space_of_texts(2, grams)
         path = tmp_path / "features.tsv"
-        dump_feature_weights(space, LogRatioWeights(r=r, alpha=1.0), path)
+        dump_feature_weights(space, r, path)
         order = sorted(range(len(grams)), key=lambda i: (-abs(r[i]), grams[i]))
         assert path.read_text(encoding="utf-8") == "".join(
             f"{grams[i]}\t{r[i]:.6f}\n" for i in order)
@@ -417,13 +433,13 @@ class TestIntegerKeys:
             space = build_feature_space(pos, neg, n_max)
             grams = feature_space_reference(pos, neg, n_max)[0]
             by_text = space_of_texts(n_max, grams)
-            weights = LogRatioWeights(r=rng.randint(-3, 4, size=len(grams)) / 2, alpha=1.0)
+            r = rng.randint(-3, 4, size=len(grams)) / 2
             clf = LinearClassifier(w=rng.standard_normal(len(grams)), b=0.5, l2=0.25)
             out = {}
             for name, sp in (("keys", space), ("text", by_text)):
                 (tmp_path / name).mkdir(exist_ok=True)
-                save_model(tmp_path / name, NbsvmModel(sp, weights, clf))
-                dump_feature_weights(sp, weights, tmp_path / name / f"nbsvm{n_max}-features.tsv")
+                save_model(tmp_path / name, NbsvmModel(sp, r, 1.0, clf))
+                dump_feature_weights(sp, r, tmp_path / name / f"nbsvm{n_max}-features.tsv")
                 out[name] = [(tmp_path / name / f"nbsvm{n_max}{suffix}").read_bytes()
                              for suffix in (".npz", "-features.tsv")]
             assert out["keys"] == out["text"], trial
@@ -476,20 +492,21 @@ class TestIntegerKeys:
 class TestScoring:
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_margins_equal_sparse_product(self, imdb_tree, n_max):
-        """Scoring from gram ids equals the CSR product bit for bit."""
+        """Scoring from gram ids gives the sigmoid of the CSR product bit for
+        bit; a document of tokens unseen in training scores at the bias."""
         train, test, _ = load_imdb(imdb_tree, subset=15)
         pos = [d for d in train if d.label == "positive"]
         neg = [d for d in train if d.label != "positive"]
         space = build_feature_space(pos, neg, n_max)
-        weights = compute_log_ratio(space, 1.0)
-        clf = train_linear(featurize_all(pos + neg, space, weights),
+        r = compute_log_ratio(space, 1.0)
+        clf = train_linear(featurize_all(pos + neg, space, r),
                            np.array([1] * len(pos) + [0] * len(neg)))
         unseen = Document(id="unseen", tokens=("zzz", "qqq", "xxx"), label="negative")
         docs = test + [unseen]
-        got = doc_margins(docs, space, weights, clf)
-        want = np.asarray(to_csr(featurize_all(docs, space, weights)) @ clf.w).ravel() + clf.b
-        assert np.array_equal(got, want)
-        assert got[-1] == clf.b
+        got = NbsvmModel(space, r, 1.0, clf).score(docs).p_pos
+        margins = np.asarray(to_csr(featurize_all(docs, space, r)) @ clf.w).ravel() + clf.b
+        assert np.array_equal(got, sigmoid(margins))
+        assert margins[-1] == clf.b
 
     def test_rows_equal_string_reference(self, tmp_path):
         """Each row's ids are those of the document's grams looked up by
@@ -500,27 +517,27 @@ class TestScoring:
             pos, neg = _random_corpus(rng)
             n_max = int(rng.randint(1, 4))
             space = build_feature_space(pos, neg, n_max)
-            weights = LogRatioWeights(r=rng.standard_normal(len(space)), alpha=1.0)
+            r = rng.standard_normal(len(space))
             clf = LinearClassifier(w=np.zeros(len(space)), b=0.0, l2=1.0)
-            save_model(tmp_path, NbsvmModel(space, weights, clf))
+            save_model(tmp_path, NbsvmModel(space, r, 1.0, clf))
             loaded = load_model(tmp_path, n_max).space
             docs = pos + neg + make_docs(
                 [[*d.tokens[:rng.randint(len(d.tokens) + 1)], "new", *d.tokens, "a\u00e9b"]
                  for d in pos + neg] + [["new"], []])
             for sp in (space, loaded):
-                X = featurize_all(docs, sp, weights)
+                X = featurize_all(docs, sp, r)
                 assert X.shape == (len(docs), len(space))
                 want = [doc_gram_ids_reference(d.tokens, space) for d in docs]
                 lengths = [len(ids) for ids in want]
                 assert np.array_equal(X.rows, np.repeat(np.arange(len(docs)), lengths))
                 assert np.array_equal(X.cols, np.concatenate(want)), trial
-                assert np.array_equal(X.values, weights.r[X.cols])
+                assert np.array_equal(X.values, r[X.cols])
 
     def test_no_documents(self):
         pos, neg, space = _toy_space()
-        w = compute_log_ratio(space, alpha=1.0)
         clf = LinearClassifier(w=np.ones(len(space)), b=0.5, l2=0.0)
-        assert doc_margins([], space, w, clf).shape == (0,)
+        model = NbsvmModel(space, compute_log_ratio(space, alpha=1.0), 1.0, clf)
+        assert model.score([]).p_pos.shape == (0,)
 
     def test_gramless_model_roundtrip(self, tmp_path):
         """A model with an empty feature space saves, loads with zero grams,
@@ -528,28 +545,40 @@ class TestScoring:
         pos = make_docs([[]])
         neg = make_docs([[]], labels=["negative"])
         space = build_feature_space(pos, neg, 2)
-        weights = compute_log_ratio(space, alpha=1.0)
         clf = LinearClassifier(w=np.zeros(0), b=0.25, l2=0.5)
-        save_model(tmp_path, NbsvmModel(space, weights, clf))
-        space2, weights2, clf2 = load_model(tmp_path, 2)
-        assert len(space2) == 0 and space2.grams == [] and space2.n_max == 2
+        save_model(tmp_path, NbsvmModel(space, compute_log_ratio(space, alpha=1.0), 1.0, clf))
+        model = load_model(tmp_path, 2)
+        assert len(model.space) == 0 and model.space.grams == [] and model.space.n_max == 2
         docs = make_docs([["good", "film"], []])
-        assert np.array_equal(doc_margins(docs, space2, weights2, clf2), [0.25, 0.25])
+        assert np.array_equal(model.score(docs).p_pos, sigmoid(np.array([0.25, 0.25])))
 
     def test_model_roundtrip(self, tmp_path):
         pos, neg, space = _toy_space()
-        weights = compute_log_ratio(space, alpha=0.5)
+        r = compute_log_ratio(space, alpha=0.5)
         clf = LinearClassifier(w=np.arange(len(space), dtype=np.float64), b=-0.125, l2=0.25)
-        assert save_model(tmp_path, NbsvmModel(space, weights, clf)) == [
-            tmp_path / f"nbsvm{space.n_max}.npz"]
-        space2, weights2, clf2 = load_model(tmp_path, space.n_max)
+        model = NbsvmModel(space, r, 0.5, clf)
+        assert save_model(tmp_path, model) == [tmp_path / f"nbsvm{space.n_max}.npz"]
+        space2, r2, alpha2, clf2 = load_model(tmp_path, space.n_max)
         assert space2.grams == space.grams and space2.words == space.words
         assert np.array_equal(space2.gram_words, space.gram_words)
-        assert np.array_equal(weights2.r, weights.r) and weights2.alpha == 0.5
+        assert np.array_equal(r2, r) and alpha2 == 0.5
         assert np.array_equal(clf2.w, clf.w) and clf2.b == clf.b and clf2.l2 == 0.25
         docs = pos + neg + make_docs([["good", "unseen", "film"], []])
-        assert np.array_equal(doc_margins(docs, space2, weights2, clf2),
-                              doc_margins(docs, space, weights, clf))
+        assert np.array_equal(NbsvmModel(space2, r2, alpha2, clf2).score(docs).p_pos,
+                              model.score(docs).p_pos)
+
+    def test_loaded_space_has_no_training_fields(self, tmp_path):
+        """A loaded space holds no frequencies, document counts or ids, and
+        log-count ratios over it are a TrainingError."""
+        _, _, space = _toy_space()
+        clf = LinearClassifier(w=np.ones(len(space)), b=0.5, l2=0.25)
+        save_model(tmp_path, NbsvmModel(space, compute_log_ratio(space), 1.0, clf))
+        loaded = load_model(tmp_path, space.n_max).space
+        assert len(loaded) == len(space)
+        assert (loaded.df_pos, loaded.df_neg, loaded.n_pos_docs, loaded.n_neg_docs,
+                loaded.train_ids) == (None, None, 0, 0, [])
+        with pytest.raises(TrainingError):
+            compute_log_ratio(loaded)
 
 
 def _with(**changes):
@@ -598,9 +627,8 @@ class TestModelArchive:
         pos = make_docs([["good", "film"], ["a", "good", "one"]])
         neg = make_docs([["bad", "film"]], labels=["negative"])
         space = build_feature_space(pos, neg, 2)
-        weights = compute_log_ratio(space, alpha=1.0)
         clf = LinearClassifier(w=np.ones(len(space)), b=0.5, l2=0.25)
-        return save_model(tmp_path, NbsvmModel(space, weights, clf))[0]
+        return save_model(tmp_path, NbsvmModel(space, compute_log_ratio(space), 1.0, clf))[0]
 
     def test_saved_arrays(self, tmp_path):
         with np.load(self._save(tmp_path)) as data:

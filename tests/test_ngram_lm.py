@@ -12,7 +12,7 @@ from sentimix.ngram_lm import (
     CountError, GenerativeClassifier, KneserNeyModel, NGramCountTable, count_ngrams,
     estimate_kneser_ney, make_priors, score_documents, train_kn_model,
 )
-from conftest import (assert_no_child_process, classify_generative, doc_logprob,
+from conftest import (assert_no_child_process, classify_generative, dir_bytes, doc_logprob,
                       failing_loader, log_ratio, make_docs, read_kv, stage_io,
                       train_generative_classifier)
 from oracles import KneserNeyReference, conditional_logprobs, logprob_positions, model_table
@@ -503,3 +503,23 @@ class TestForkedTraining:
         assert_no_child_process()
         assert read_kv(meta)["warnings"] == \
             str(len(clf.pos_model.warnings) + len(clf.neg_model.warnings) + 3)
+
+    def test_failed_child_keeps_the_earlier_files(self, tmp_path, monkeypatch):
+        """When the negative class's child fails, the stage raises its error
+        and models/ holds the earlier run's files, byte for byte, and
+        nothing else: no order-3 positive model beside an order-2 meta."""
+        pos, neg = _review_docs(12, 1), _review_docs(9, 2, label="negative")
+        load, out = stage_io(tmp_path, pos + neg)
+        ngram_lm.train(load, out, order=2, min_count=1, oov_penalty=None)
+        before = dir_bytes(tmp_path / "models")
+        stage, estimate = os.getpid(), ngram_lm._estimate_discounts
+
+        def failing_in_the_child(adjusted, order_k, warnings):
+            if os.getpid() != stage:
+                raise RuntimeError("the estimate failed")
+            return estimate(adjusted, order_k, warnings)
+        monkeypatch.setattr(ngram_lm, "_estimate_discounts", failing_in_the_child)
+        with pytest.raises(RuntimeError, match="^the estimate failed$"):
+            ngram_lm.train(load, out, order=3, min_count=1, oov_penalty=None)
+        assert_no_child_process()
+        assert dir_bytes(tmp_path / "models") == before
