@@ -10,7 +10,7 @@ whole section with one ``%`` operation, and import takes each line's field
 count from the section's bytes, then splits its text and converts columns of
 fields a block of lines at a time.  Import reads one order at a time, so
 only one section's bytes and one block's fields are held at once; each
-order's word rows then become row keys (ngram_lm) in one pass per order.
+order's word rows then become row keys (sentimix.grams) in one pass per order.
 Only a malformed section is walked line by line, to report its first bad
 line.
 """
@@ -21,8 +21,9 @@ import math
 
 import numpy as np
 
-from .corpus import BOS_ID, UNK, RESERVED, Vocabulary, sorted_distinct
-from .ngram_lm import KneserNeyModel, row_of
+from .corpus import BOS_ID, UNK, RESERVED, Vocabulary
+from .grams import row_of, sorted_distinct, words_of
+from .ngram_lm import KneserNeyModel
 
 LOG10 = math.log(10.0)
 PSEUDO_LOGP10 = -99.0
@@ -80,7 +81,7 @@ def _section_text(model: KneserNeyModel, k: int) -> tuple[int, str]:
         bow[keys] = model.bow_logs[0]
         return len(rows), _format_lines(tokens, rows, lp10, bow / LOG10, ~np.isnan(bow))
 
-    rows = model.grams(k)
+    rows = words_of(model.keys, k, len(vocab))
     if k == n:
         return int(entry.sum()), _format_lines(tokens, rows[entry], logp[entry] / LOG10)
     bow = model.bow_logs[k - 1]

@@ -279,18 +279,6 @@ def split_validation(train_docs, fraction: float, seed: int):
     return train_sub, valid
 
 
-def sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a`` in ascending order; sorts ``a`` in place
-    (np.unique hashes integers first, many times slower)."""
-    import numpy as np
-
-    a.sort()
-    keep = np.empty(len(a), dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
-
-
 def length_blocks(lengths, cells: int) -> list[np.ndarray]:
     """Document indices by descending length (ties in input order), cut into
     blocks whose size times their longest length stays within ``cells``;
@@ -405,9 +393,12 @@ def staged(directory, names):
     """A new directory inside ``directory`` to write the files ``names`` in.
     When the block ends without error they replace their namesakes in
     ``directory``, in that order; the new directory is removed either way,
-    so a block that raises changes nothing."""
+    so a block that raises, or a namesake that is a directory, changes
+    nothing."""
     with tempfile.TemporaryDirectory(dir=directory, prefix=".staged-") as tmp:
         yield Path(tmp)
+        for path in filter(Path.is_dir, (Path(directory, name) for name in names)):
+            raise IsADirectoryError(f"{path}: a directory, not a file; nothing was replaced")
         for name in names:
             os.replace(Path(tmp, name), Path(directory, name))
 

@@ -20,9 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import (NEGATIVE, POSITIVE, fork_pair, pack_strings, read_npz, refused,
-                     sorted_distinct, staged, unpack_strings)
+from .corpus import (NEGATIVE, POSITIVE, fork_pair, pack_strings, read_npz, refused, staged,
+                     unpack_strings)
 from .ensemble import SplitScores
+from .grams import find, row_of, sorted_distinct, words_of
 
 log = logging.getLogger(__name__)
 
@@ -31,8 +32,6 @@ GRAM_SEP = " "
 # could alias a gram, and one holding a character <= " " after its first
 # would sort its grams' texts apart from their word ranks
 _BAD_TOKEN = re.compile(r"^$|\s|.[\x00- ]", re.S)
-# gram keys (_gram_keys) stay below this
-_KEY_BOUND = 2 ** 63
 # L-BFGS stops: at MAX_ITER iterations, when an iteration lowers the objective
 # f by at most FTOL * max(|f|, 1), or when no gradient entry exceeds GTOL
 MAX_ITER = 200
@@ -41,7 +40,7 @@ GTOL = 1e-8
 MEMORY = 10  # correction pairs kept by the two-loop recursion
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 MAX_HALVINGS = 20  # step halvings before the line search gives up
-SCORE_BLOCK_TOKENS = 1 << 13  # about as many document tokens are keyed at once in scoring
+SCORE_BLOCK_TOKENS = 1 << 13  # about as many document tokens are looked up at once in scoring
 NBSVM_ARRAYS = ("words", "gram_words", "r", "w", "b", "meta")  # of nbsvm<n>.npz
 
 
@@ -76,14 +75,28 @@ class NGramFeatureSpace:
         return len(self.gram_words)
 
     @cached_property
-    def sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """The features' keys (_gram_keys) ascending, and the feature id of
-        each; a last key, above every other, has id ``len``."""
-        key = np.zeros(len(self), dtype=np.int64)
-        for j in range(self.n_max):
-            key = key * (len(self.words) + 2) + self.gram_words[:, j]
-        ids = np.argsort(key)
-        return np.append(key[ids], np.iinfo(np.int64).max), np.append(ids, len(self))
+    def tables(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Each order's row keys (sentimix.grams, base len(words) + 2) of the
+        features and their prefixes, and each row's feature id, ``len`` for
+        a row that is only a prefix, followed by ``len`` for row -1."""
+        g = self.gram_words
+        n_words = np.full(len(self), self.n_max)  # of each feature
+        for j in range(self.n_max - 1, 0, -1):
+            n_words[g[:, j] == 0] = j
+        rows = g[:, 0].astype(np.int64) - 1  # of each feature, in the last order it reaches
+        tables = [np.arange(1, len(self.words) + 1)]  # order 1 is the words, ranks 1..V
+        for k in range(2, self.n_max + 1):  # one sort of the features of k words or more
+            at = np.flatnonzero(n_words >= k)
+            keys = rows[at] * (len(self.words) + 2) + g[at, k - 1]
+            order = np.argsort(keys)
+            keys = keys[order]
+            new = np.diff(keys, prepend=-1) != 0
+            tables.append(keys[new])
+            rows[at[order]] = np.cumsum(new) - 1
+        ids = [np.full(len(table) + 1, len(self)) for table in tables]
+        for k, table_ids in enumerate(ids, 1):
+            table_ids[rows[n_words == k]] = np.flatnonzero(n_words == k)
+        return tables, ids
 
     @cached_property
     def grams(self) -> list[str]:
@@ -95,52 +108,23 @@ class NGramFeatureSpace:
         return texts.tolist()
 
 
-def _token_ranks(docs, rank: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Each document's token count, and each token's rank in ``rank`` (V distinct
-    training tokens in string order -> 1..V), or V + 1."""
+def _stream(docs, rank: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The documents end to end as their tokens' ranks in ``rank`` (V
+    distinct training tokens in string order -> 1..V) or V + 1, with a 0
+    after each document (int64), and the document of each position."""
     lengths = np.fromiter(map(len, (d.tokens for d in docs)), dtype=np.int64, count=len(docs))
-    tokens = chain.from_iterable(d.tokens for d in docs)
-    return lengths, np.fromiter(map(rank.get, tokens, repeat(len(rank) + 1)), dtype=np.int64,
-                                count=int(lengths.sum()))
-
-
-def _gram_keys(lengths, ranks, base: int, n_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Every gram occurrence as an int64 key: n_max base-(V + 2) digits, its
-    words' ranks (_token_ranks) padded with 0, so that keys sort as the gram
-    texts do (see _BAD_TOKEN).  Keys come by order, unigrams first, each in
-    document order, with each document's count of each order."""
-    if base ** n_max > _KEY_BOUND:
-        raise ValueError(f"{base - 2} distinct tokens overflow NB-SVM's {n_max}-gram keys")
-    counts = [np.maximum(lengths - j, 0) for j in range(n_max)]
-    # the first position of every occurrence; occurrences from offsets[j] on
-    # have a word j (counted from 0)
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ranks))
-    start = np.concatenate([np.flatnonzero(room >= n) for n in range(1, n_max + 1)])
-    del room
-    offsets = np.cumsum([0] + [int(c.sum()) for c in counts])
-    key = np.zeros(len(start), dtype=np.int64)
-    for j in range(n_max):
-        key *= base
-        key[offsets[j]:] += ranks[start[offsets[j]:] + j]
-    return key, counts
-
-
-def _doc_pairs(values: np.ndarray, counts: list[np.ndarray], width: int) -> np.ndarray:
-    """The distinct (document, value) pairs of occurrence values laid out as
-    _gram_keys's keys, as document * width + value ascending; overwrites values."""
-    at = 0
-    for c in counts:
-        n = int(c.sum())
-        values[at:at + n] += np.repeat(np.arange(len(c)) * width, c)
-        at += n
-    return sorted_distinct(values)
+    ranks = chain.from_iterable(chain(map(rank.get, d.tokens, repeat(len(rank) + 1)), (0,))
+                                for d in docs)
+    return (np.fromiter(ranks, dtype=np.int64, count=int(lengths.sum()) + len(docs)),
+            np.repeat(np.arange(len(docs)), lengths + 1))
 
 
 def build_feature_space(pos_docs, neg_docs, n_max: int) -> NGramFeatureSpace:
-    """Feature space over all grams observed in training (told apart by their
-    _gram_keys), with per-class presence document frequencies.  Feature ids
-    go to grams in order of first appearance, positive documents first and
-    each document's grams in text order."""
+    """Feature space over all grams observed in training, with per-class
+    presence document frequencies.  Feature ids go to grams in order of
+    first appearance, positive documents first and each document's grams in
+    text order.  Order k's table (sentimix.grams, base V + 2) holds the keys
+    where an order-(k-1) gram of the _stream starts and a word follows it."""
     if n_max not in (1, 2, 3):
         raise ValueError(f"n_max must be 1, 2 or 3, got {n_max}")
     docs = [*pos_docs, *neg_docs]
@@ -149,31 +133,47 @@ def build_feature_space(pos_docs, neg_docs, n_max: int) -> NGramFeatureSpace:
     if bad is not None:
         raise ValueError(f"NB-SVM cannot train on token {bad!r}: tokens must be non-empty, "
                          "hold no whitespace and no character <= ' ' after their first")
-    lengths, ranks = _token_ranks(docs, dict(zip(words, range(1, len(words) + 1))))
-    key, counts = _gram_keys(lengths, ranks, len(words) + 2, n_max)
-    del ranks
-    distinct = sorted_distinct(key.copy())  # the grams in text order
-    gram = np.searchsorted(distinct, key)
-    del key
-    n_feat = len(distinct)
-    gram_words = np.empty((n_feat, n_max), dtype=np.int32)  # by gram for now
-    for j in reversed(range(n_max)):
-        distinct, gram_words[:, j] = np.divmod(distinct, len(words) + 2)
-    del distinct
-    pairs = _doc_pairs(gram, counts, n_feat)  # sorted by document, then gram
-    del gram
+    x, doc = _stream(docs, dict(zip(words, range(1, len(words) + 1))))
+    base, width = len(words) + 2, len(x)  # every order has fewer rows than x has positions
+    tables = [np.arange(1, len(words) + 1)]
+    at = np.flatnonzero(x)  # where the current order's occurrences start
+    rows = x[at] - 1
+    doc_rows = [sorted_distinct(doc[at] * width + rows)]  # each order's (document, row) pairs
+    for k in range(2, n_max + 1):
+        more = x[at + k - 1] != 0
+        at, keys = at[more], rows[more] * base + x[at[more] + k - 1]
+        tables.append(sorted_distinct(keys.copy()))
+        rows = row_of(tables[-1], keys)
+        doc_rows.append(sorted_distinct(doc[at] * width + rows))
+        del more, keys
+    del x, doc, at, rows
+    gram_words = np.concatenate([np.pad(words_of(tables, k, base), ((0, 0), (0, n_max - k)))
+                                 for k in range(1, n_max + 1)])  # by order, then row
+    n_feat = len(gram_words)
+    by_text = np.lexsort(gram_words.T[::-1])
+    gram_words = gram_words[by_text]  # in gram-text order from here on
+    text = np.empty(n_feat, dtype=np.int64)  # the place of each order's rows in it
+    text[by_text] = np.arange(n_feat)
+    del by_text
+    for pairs, offset in zip(doc_rows, np.cumsum([0] + [len(t) for t in tables])):
+        pairs[:] = pairs // width * n_feat + text[pairs % width + offset]
+    pairs = np.concatenate(doc_rows)  # the (document, gram) pairs as document * n_feat + gram
+    del doc_rows, tables, text
+    pairs.sort()
     bounds = np.searchsorted(pairs, np.arange(len(docs) + 1) * n_feat).tolist()
     pairs %= max(n_feat, 1)
     first = np.full(n_feat, len(pairs))
     np.minimum.at(first, pairs, np.arange(len(pairs)))
-    by_id = np.argsort(first)  # the gram of each feature id
+    by_id = np.argsort(first)  # the gram (in text order) of each feature id
     del first
     feature_id = np.empty(n_feat, dtype=np.int64)
     feature_id[by_id] = np.arange(n_feat)
     ids = feature_id[pairs]
     del pairs, feature_id
+    gram_words = gram_words[by_id]
+    del by_id
     n_pos_pairs = bounds[len(pos_docs)]
-    return NGramFeatureSpace(n_max=n_max, words=words, gram_words=gram_words[by_id],
+    return NGramFeatureSpace(n_max=n_max, words=words, gram_words=gram_words,
                              df_pos=np.bincount(ids[:n_pos_pairs], minlength=n_feat),
                              df_neg=np.bincount(ids[n_pos_pairs:], minlength=n_feat),
                              n_pos_docs=len(pos_docs), n_neg_docs=len(docs) - len(pos_docs),
@@ -221,29 +221,30 @@ def dense_rows(X) -> SparseRows:
 
 def featurize_all(docs, space: NGramFeatureSpace, r: np.ndarray, cached_ids=None) -> SparseRows:
     """One row per document: r_i where gram i is present, grams unseen in
-    training dropped, each row's ids ascending; ``cached_ids`` (one row's
-    gram ids each) replaces the documents."""
+    training dropped, each row's ids ascending.  ``cached_ids`` (one row's
+    gram ids each) replaces the documents, each row's ids in their given
+    order: train_ids keep each document's gram-text order, which the fit
+    sums in, so nbsvm<n>.npz depends on it."""
     if cached_ids is not None:
         docs = cached_ids
         cols = np.concatenate(cached_ids) if cached_ids else np.empty(0, dtype=np.int64)
         rows = np.repeat(np.arange(len(cached_ids)), [len(i) for i in cached_ids])
     else:
-        keys, ids = space.sorted_keys
+        tables, table_ids = space.tables
         rank = dict(zip(space.words, range(1, len(space.words) + 1)))
+        width = len(space) + 1
         block = np.cumsum([len(d.tokens) for d in docs]) // SCORE_BLOCK_TOKENS
         cuts = [*np.flatnonzero(np.diff(block, prepend=-1)), len(docs)]
         parts = [np.empty(0, dtype=np.int64)]
         for a, b in zip(cuts[:-1], cuts[1:]):
-            key, counts = _gram_keys(*_token_ranks(docs[a:b], rank), len(rank) + 2, space.n_max)
-            # looked up in sorted order, which is faster; a gram unseen in
-            # training gets id len(space)
-            order = np.argsort(key)
-            at = np.empty_like(order)
-            at[order] = np.searchsorted(keys, key[order])
-            feature = np.where(keys[at] == key, ids[at], len(space))
-            pairs = _doc_pairs(feature, counts, len(space) + 1)
-            parts.append(pairs[pairs % (len(space) + 1) < len(space)] + a * (len(space) + 1))
-        rows, cols = np.divmod(np.concatenate(parts), len(space) + 1)
+            x, doc = _stream(docs[a:b], rank)
+            pairs = []
+            for found, ids in zip(find(tables, x, len(rank) + 2), table_ids):
+                feature = ids[found]
+                hit = feature < len(space)
+                pairs.append((doc[hit] + a) * width + feature[hit])
+            parts.append(sorted_distinct(np.concatenate(pairs)))
+        rows, cols = np.divmod(np.concatenate(parts), width)
     return SparseRows(rows, cols, r[cols], (len(docs), len(space)))
 
 
@@ -427,7 +428,8 @@ def load_model(models_dir, n_max: int) -> NbsvmModel:
     """Inverse of save_model; the space has no training fields.  An archive
     that is not the n_max-gram model save_model writes is refused: other
     arrays (such as the gram texts of an older layout), another n_max,
-    shapes that disagree or word ranks past ``words``."""
+    shapes that disagree, or a gram that is not word ranks in
+    1..len(words) padded with 0s."""
     path = Path(models_dir) / f"nbsvm{n_max}.npz"
     data = read_npz(path)
     if set(data) != set(NBSVM_ARRAYS):
@@ -441,7 +443,9 @@ def load_model(models_dir, n_max: int) -> NbsvmModel:
         raise refused("train-nbsvm", path, f"gram_words {gram_words.dtype} {gram_words.shape}, "
                       f"r {r.shape}, w {w.shape} and b {b.shape} are no {n_max}-gram model")
     words = unpack_strings(data["words"])
-    if gram_words.size and not 0 <= gram_words.min() <= gram_words.max() <= len(words):
-        raise refused("train-nbsvm", path, f"a gram's word rank lies outside 0..{len(words)}")
+    filled = gram_words > 0  # a gram's ranks, then 0s, as the lookup tables need
+    if gram_words.size and not (0 <= gram_words.min() and gram_words.max() <= len(words)
+                                and filled[:, 0].all() and (filled[:, :-1] >= filled[:, 1:]).all()):
+        raise refused("train-nbsvm", path, f"a gram is not ranks in 1..{len(words)}, then 0s")
     clf = LinearClassifier(w=w, b=float(b[0]), l2=float(meta[2]))
     return NbsvmModel(NGramFeatureSpace(n_max, words, gram_words), r, float(meta[1]), clf)

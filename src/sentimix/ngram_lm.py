@@ -1,10 +1,9 @@
 """Count-based n-gram language models with interpolated modified Kneser-Ney
 smoothing, used in positive/negative pairs as a generative classifier.
 
-Each order's grams are sorted int64 row keys: a unigram's key is its word
-id, a k-gram's key the row of its (k-1)-word prefix in order k-1's table
-times the vocabulary size, plus its last word.  Keys sort as the grams do,
-so counting, estimation and scoring are numpy array passes.
+Each order's grams are sorted int64 row keys (sentimix.grams) over word
+ids, with the vocabulary size as base, so counting, estimation and scoring
+are numpy array passes.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import numpy as np
 from . import ensemble
 from .corpus import (BOS_ID, EOS_ID, NEGATIVE, POSITIVE, UNK_ID, ModelMeta, Vocabulary,
                      build_vocab, fork_pair, length_blocks, staged, write_manifest)
+from .grams import find, row_of
 
 log = logging.getLogger(__name__)
 
@@ -32,13 +32,6 @@ SCORE_BLOCK_CELLS = 1 << 18  # predicted positions per backoff query
 
 class CountError(Exception):
     pass
-
-
-def row_of(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The row of each query in the sorted ``keys``, or -1 where it is absent
-    (keys and queries are >= 0)."""
-    pos = np.searchsorted(keys, queries)
-    return np.where(np.append(keys, -1)[pos] == queries, pos, -1)
 
 
 def _stream(encoded_docs, head: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,32 +102,16 @@ class KneserNeyModel:
     oov_penalty: float | None = None
     warnings: list[str] = field(default_factory=list)
 
-    def grams(self, k: int) -> np.ndarray:
-        """The (rows, k) word ids of order k's rows."""
-        rows, base = self.keys[k - 1], len(self.vocab)
-        words = np.empty((len(rows), k), dtype=np.uint32)
-        for j in range(k, 0, -1):
-            words[:, j - 1] = rows % base
-            rows = self.keys[j - 2][rows // base] if j > 1 else rows
-        return words
-
     def stream_logprobs(self, x: np.ndarray, predicted: np.ndarray) -> np.ndarray:
         """Natural-log probability of each word x[j], j in ``predicted``, given
-        the order-1 words before it in the int64 stream x.  found[k-1][t] is
-        the row of x[t:t+k], or -1, looked up only where x[t:t+k-1] was
-        found; the backoff reads gram and context rows out of it."""
-        n, base = self.order, len(self.vocab)
-        found = [row_of(self.keys[0], x)]
-        for k in range(2, n + 1):
-            t = np.flatnonzero(found[-1][:len(x) - k + 1] >= 0)
-            rows = np.full(len(x), -1, dtype=np.int64)
-            rows[t] = row_of(self.keys[k - 1], found[-1][t] * base + x[t + k - 1])
-            found.append(rows)
+        the order-1 words before it in the int64 stream x.  The backoff reads
+        gram and context rows out of grams.find's rows of every gram of x."""
+        found = find(self.keys, x, len(self.vocab))
         m = len(predicted)
         out = np.empty(m)
         bow_acc = np.zeros(m)
         active = np.arange(m)
-        for k in range(n, 0, -1):
+        for k in range(self.order, 0, -1):
             start = predicted[active] - k + 1
             lp = np.append(self.logp[k - 1], np.nan)[found[k - 1][start]]  # row -1: NaN
             hit = ~np.isnan(lp)

@@ -457,17 +457,6 @@ class TestIntegerKeys:
         with pytest.raises(ValueError, match="token " + re.escape(repr(token))):
             train_nbsvm(pos + neg, n_max=1)
 
-    def test_vocabulary_beyond_the_key_range_is_rejected(self, monkeypatch):
-        """(V + 2)^n_max keys must fit below _KEY_BOUND: past that, training
-        raises, naming its count of distinct tokens."""
-        pos = make_docs([["a", "b"], ["c"]])
-        neg = make_docs([["d"]], labels=["negative"])
-        monkeypatch.setattr(nbsvm_module, "_KEY_BOUND", 6 ** 3)
-        assert len(build_feature_space(pos, neg, 3)) == 5
-        monkeypatch.setattr(nbsvm_module, "_KEY_BOUND", 6 ** 3 - 1)
-        with pytest.raises(ValueError, match="^4 distinct tokens overflow NB-SVM's 3-gram keys$"):
-            build_feature_space(pos, neg, 3)
-
     def test_gram_space_peaks_at_half_the_reference(self):
         """Building the gram space of a fixed corpus (Zipfian words, 200
         tokens per document) allocates at most half the reference's peak."""
@@ -593,10 +582,10 @@ def _with(**changes):
     return edit
 
 
-def _set_rank(rank):
+def _set_rank(rank, column=-1):
     def edit(arrays):
         arrays["gram_words"] = arrays["gram_words"].copy()
-        arrays["gram_words"][-1, -1] = rank(len(unpack_strings(arrays["words"])))
+        arrays["gram_words"][-1, column] = rank(len(unpack_strings(arrays["words"])))
     return edit
 
 
@@ -615,6 +604,8 @@ REFUSED = {
     "b-empty": _with(b=np.zeros(0)),
     "rank-past-words": _set_rank(lambda n_words: n_words + 1),
     "rank-negative": _set_rank(lambda n_words: -1),
+    # a first word of rank 0: the gram would take the row -1 that marks no gram
+    "first-rank-zero": _set_rank(lambda n_words: 0, column=0),
 }
 
 

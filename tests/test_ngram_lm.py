@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sentimix import arpa, ngram_lm
 from sentimix.corpus import BOS, BOS_ID, EOS, UNK, EOS_ID, UNK_ID, build_vocab
+from sentimix.grams import words_of
 from sentimix.ngram_lm import (
     CountError, GenerativeClassifier, KneserNeyModel, NGramCountTable, count_ngrams,
     estimate_kneser_ney, make_priors, score_documents, train_kn_model,
@@ -403,7 +404,7 @@ class TestRowKeys:
             grams = model_table(model).grams
             for k in range(1, order + 1):
                 assert np.all(np.diff(model.keys[k - 1]) > 0)
-                rows = [tuple(g) for g in model.grams(k).tolist()]
+                rows = [tuple(g) for g in words_of(model.keys, k, len(model.vocab)).tolist()]
                 assert rows == sorted(rows) and set(rows) == {g for g in grams if len(g) == k}
             for gram, (lp, bow) in grams.items():
                 if len(gram) > 1:
@@ -523,3 +524,21 @@ class TestForkedTraining:
             ngram_lm.train(load, out, order=3, min_count=1, oov_penalty=None)
         assert_no_child_process()
         assert dir_bytes(tmp_path / "models") == before
+
+    def test_destination_that_is_a_directory_moves_nothing(self, tmp_path):
+        """When a later file's destination is a directory, the stage fails
+        naming it before its first move: models/ holds the earlier run's
+        files, byte for byte, not an order-2 positive model beside an order-3
+        meta."""
+        pos, neg = _review_docs(12, 1), _review_docs(9, 2, label="negative")
+        load, out = stage_io(tmp_path, pos + neg)
+        ngram_lm.train(load, out, order=3, min_count=1, oov_penalty=None)
+        blocked = tmp_path / "models" / "ngram-neg.arpa"
+        blocked.unlink()
+        blocked.mkdir()
+        before = dir_bytes(tmp_path / "models")
+        with pytest.raises(IsADirectoryError) as raised:
+            ngram_lm.train(load, out, order=2, min_count=1, oov_penalty=None)
+        assert_no_child_process()
+        assert dir_bytes(tmp_path / "models") == before
+        assert str(raised.value).startswith(f"{blocked}: ")
