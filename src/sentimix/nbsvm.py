@@ -10,7 +10,6 @@ them (Liu & Nocedal 1989).
 from __future__ import annotations
 
 import logging
-import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,10 +27,6 @@ from .grams import find, row_of, sorted_distinct, words_of
 log = logging.getLogger(__name__)
 
 GRAM_SEP = " "
-# a token that NB-SVM cannot train on: an empty one or one holding whitespace
-# could alias a gram, and one holding a character <= " " after its first
-# would sort its grams' texts apart from their word ranks
-_BAD_TOKEN = re.compile(r"^$|\s|.[\x00- ]", re.S)
 # L-BFGS stops: at MAX_ITER iterations, when an iteration lowers the objective
 # f by at most FTOL * max(|f|, 1), or when no gradient entry exceeds GTOL
 MAX_ITER = 200
@@ -41,7 +36,7 @@ MEMORY = 10  # correction pairs kept by the two-loop recursion
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 MAX_HALVINGS = 20  # step halvings before the line search gives up
 SCORE_BLOCK_TOKENS = 1 << 13  # about as many document tokens are looked up at once in scoring
-NBSVM_ARRAYS = ("words", "gram_words", "r", "w", "b", "meta")  # of nbsvm<n>.npz
+NBSVM_ARRAYS = ("words", "keys", "sizes", "r", "w", "b", "meta")  # of nbsvm<n>.npz
 
 
 class TrainingError(Exception):
@@ -52,59 +47,49 @@ class TrainingError(Exception):
 class NGramFeatureSpace:
     """The grams observed in training; ``len`` is the feature count.
 
-    Each gram is a row of ``gram_words``: the 1-based ranks of its words in
-    ``words`` (the distinct training tokens in string order), padded with 0
-    to n_max words.  ``grams`` (each gram's words joined by spaces) is built
-    on first use.  Only build_feature_space sets the training fields, which
-    a loaded space lacks."""
+    ``keys[k-1]`` is order k's sorted table of row keys (sentimix.grams,
+    base len(words) + 2) over the 1-based ranks of ``words``, the distinct
+    training tokens in string order; order 1's table is the ranks 1..V.
+    Feature ids follow the tables: order 1's rows first, then each higher
+    order's, so a gram's id is the row count of the orders below plus its
+    row.  ``grams`` (each gram's words joined by spaces) is built on first
+    use.  Only build_feature_space sets the training fields, which a
+    loaded space lacks."""
 
     n_max: int
     words: list[str]
-    gram_words: np.ndarray
+    keys: list[np.ndarray]
     # per-class presence document frequencies and document counts
     df_pos: np.ndarray | None = None
     df_neg: np.ndarray | None = None
     n_pos_docs: int = 0
     n_neg_docs: int = 0
-    # gram ids of each training document (positive ones first, each in gram
-    # text order) as build_feature_space assigned them; emptied by
-    # fit_classifier once it has featurized them
-    train_ids: list[np.ndarray] = field(default_factory=list)
+    # the (document, feature) pairs of training, each document * (len + 1)
+    # + feature, ascending (positive documents first); emptied by
+    # fit_classifier
+    train_pairs: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.gram_words)
+        return sum(map(len, self.keys))
 
-    @cached_property
-    def tables(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Each order's row keys (sentimix.grams, base len(words) + 2) of the
-        features and their prefixes, and each row's feature id, ``len`` for
-        a row that is only a prefix, followed by ``len`` for row -1."""
-        g = self.gram_words
-        n_words = np.full(len(self), self.n_max)  # of each feature
-        for j in range(self.n_max - 1, 0, -1):
-            n_words[g[:, j] == 0] = j
-        rows = g[:, 0].astype(np.int64) - 1  # of each feature, in the last order it reaches
-        tables = [np.arange(1, len(self.words) + 1)]  # order 1 is the words, ranks 1..V
-        for k in range(2, self.n_max + 1):  # one sort of the features of k words or more
-            at = np.flatnonzero(n_words >= k)
-            keys = rows[at] * (len(self.words) + 2) + g[at, k - 1]
-            order = np.argsort(keys)
-            keys = keys[order]
-            new = np.diff(keys, prepend=-1) != 0
-            tables.append(keys[new])
-            rows[at[order]] = np.cumsum(new) - 1
-        ids = [np.full(len(table) + 1, len(self)) for table in tables]
-        for k, table_ids in enumerate(ids, 1):
-            table_ids[rows[n_words == k]] = np.flatnonzero(n_words == k)
-        return tables, ids
+    def offsets(self) -> np.ndarray:
+        """Each order's first feature id."""
+        return np.cumsum([0, *map(len, self.keys[:-1])])
+
+    def word_ranks(self) -> np.ndarray:
+        """The (len, n_max) int32 word ranks of each feature, 0-padded."""
+        base = len(self.words) + 2
+        return np.concatenate([np.pad(words_of(self.keys, k, base), ((0, 0), (0, self.n_max - k)))
+                               for k in range(1, self.n_max + 1)])
 
     @cached_property
     def grams(self) -> list[str]:
+        ranks = self.word_ranks()
         words = np.array(["", *self.words], dtype=object)  # rank 0 pads
         spaced = np.array(["", *(GRAM_SEP + w for w in self.words)], dtype=object)
-        texts = words[self.gram_words[:, 0]]
+        texts = words[ranks[:, 0]]
         for j in range(1, self.n_max):
-            texts += spaced[self.gram_words[:, j]]
+            texts += spaced[ranks[:, j]]
         return texts.tolist()
 
 
@@ -121,63 +106,41 @@ def _stream(docs, rank: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
 
 def build_feature_space(pos_docs, neg_docs, n_max: int) -> NGramFeatureSpace:
     """Feature space over all grams observed in training, with per-class
-    presence document frequencies.  Feature ids go to grams in order of
-    first appearance, positive documents first and each document's grams in
-    text order.  Order k's table (sentimix.grams, base V + 2) holds the keys
+    presence document frequencies and the training (document, feature)
+    pairs.  Order k's table (sentimix.grams, base V + 2) holds the keys
     where an order-(k-1) gram of the _stream starts and a word follows it."""
     if n_max not in (1, 2, 3):
         raise ValueError(f"n_max must be 1, 2 or 3, got {n_max}")
     docs = [*pos_docs, *neg_docs]
     words = sorted(set(chain.from_iterable(d.tokens for d in docs)))
-    bad = next(filter(_BAD_TOKEN.search, words), None)
-    if bad is not None:
-        raise ValueError(f"NB-SVM cannot train on token {bad!r}: tokens must be non-empty, "
-                         "hold no whitespace and no character <= ' ' after their first")
     x, doc = _stream(docs, dict(zip(words, range(1, len(words) + 1))))
     base, width = len(words) + 2, len(x)  # every order has fewer rows than x has positions
-    tables = [np.arange(1, len(words) + 1)]
+    keys = [np.arange(1, len(words) + 1)]
     at = np.flatnonzero(x)  # where the current order's occurrences start
     rows = x[at] - 1
     doc_rows = [sorted_distinct(doc[at] * width + rows)]  # each order's (document, row) pairs
     for k in range(2, n_max + 1):
         more = x[at + k - 1] != 0
-        at, keys = at[more], rows[more] * base + x[at[more] + k - 1]
-        tables.append(sorted_distinct(keys.copy()))
-        rows = row_of(tables[-1], keys)
+        at, grams = at[more], rows[more] * base + x[at[more] + k - 1]
+        keys.append(sorted_distinct(grams.copy()))
+        rows = row_of(keys[-1], grams)
         doc_rows.append(sorted_distinct(doc[at] * width + rows))
-        del more, keys
+        del more, grams
     del x, doc, at, rows
-    gram_words = np.concatenate([np.pad(words_of(tables, k, base), ((0, 0), (0, n_max - k)))
-                                 for k in range(1, n_max + 1)])  # by order, then row
-    n_feat = len(gram_words)
-    by_text = np.lexsort(gram_words.T[::-1])
-    gram_words = gram_words[by_text]  # in gram-text order from here on
-    text = np.empty(n_feat, dtype=np.int64)  # the place of each order's rows in it
-    text[by_text] = np.arange(n_feat)
-    del by_text
-    for pairs, offset in zip(doc_rows, np.cumsum([0] + [len(t) for t in tables])):
-        pairs[:] = pairs // width * n_feat + text[pairs % width + offset]
-    pairs = np.concatenate(doc_rows)  # the (document, gram) pairs as document * n_feat + gram
-    del doc_rows, tables, text
+    space = NGramFeatureSpace(n_max=n_max, words=words, keys=keys,
+                              n_pos_docs=len(pos_docs), n_neg_docs=len(docs) - len(pos_docs))
+    n_feat = len(space)
+    for pairs, offset in zip(doc_rows, space.offsets()):
+        pairs[:] = pairs // width * (n_feat + 1) + pairs % width + offset
+    pairs = np.concatenate(doc_rows)
+    del doc_rows
     pairs.sort()
-    bounds = np.searchsorted(pairs, np.arange(len(docs) + 1) * n_feat).tolist()
-    pairs %= max(n_feat, 1)
-    first = np.full(n_feat, len(pairs))
-    np.minimum.at(first, pairs, np.arange(len(pairs)))
-    by_id = np.argsort(first)  # the gram (in text order) of each feature id
-    del first
-    feature_id = np.empty(n_feat, dtype=np.int64)
-    feature_id[by_id] = np.arange(n_feat)
-    ids = feature_id[pairs]
-    del pairs, feature_id
-    gram_words = gram_words[by_id]
-    del by_id
-    n_pos_pairs = bounds[len(pos_docs)]
-    return NGramFeatureSpace(n_max=n_max, words=words, gram_words=gram_words,
-                             df_pos=np.bincount(ids[:n_pos_pairs], minlength=n_feat),
-                             df_neg=np.bincount(ids[n_pos_pairs:], minlength=n_feat),
-                             n_pos_docs=len(pos_docs), n_neg_docs=len(docs) - len(pos_docs),
-                             train_ids=[ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+    features = pairs % (n_feat + 1)
+    n_pos_pairs = np.searchsorted(pairs, len(pos_docs) * (n_feat + 1))
+    space.df_pos = np.bincount(features[:n_pos_pairs], minlength=n_feat)
+    space.df_neg = np.bincount(features[n_pos_pairs:], minlength=n_feat)
+    space.train_pairs = pairs
+    return space
 
 
 def compute_log_ratio(space: NGramFeatureSpace, alpha: float = 1.0) -> np.ndarray:
@@ -219,32 +182,23 @@ def dense_rows(X) -> SparseRows:
     return SparseRows(np.repeat(np.arange(n), d), np.tile(np.arange(d), n), X.ravel(), (n, d))
 
 
-def featurize_all(docs, space: NGramFeatureSpace, r: np.ndarray, cached_ids=None) -> SparseRows:
+def featurize_all(docs, space: NGramFeatureSpace, r: np.ndarray) -> SparseRows:
     """One row per document: r_i where gram i is present, grams unseen in
-    training dropped, each row's ids ascending.  ``cached_ids`` (one row's
-    gram ids each) replaces the documents, each row's ids in their given
-    order: train_ids keep each document's gram-text order, which the fit
-    sums in, so nbsvm<n>.npz depends on it."""
-    if cached_ids is not None:
-        docs = cached_ids
-        cols = np.concatenate(cached_ids) if cached_ids else np.empty(0, dtype=np.int64)
-        rows = np.repeat(np.arange(len(cached_ids)), [len(i) for i in cached_ids])
-    else:
-        tables, table_ids = space.tables
-        rank = dict(zip(space.words, range(1, len(space.words) + 1)))
-        width = len(space) + 1
-        block = np.cumsum([len(d.tokens) for d in docs]) // SCORE_BLOCK_TOKENS
-        cuts = [*np.flatnonzero(np.diff(block, prepend=-1)), len(docs)]
-        parts = [np.empty(0, dtype=np.int64)]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            x, doc = _stream(docs[a:b], rank)
-            pairs = []
-            for found, ids in zip(find(tables, x, len(rank) + 2), table_ids):
-                feature = ids[found]
-                hit = feature < len(space)
-                pairs.append((doc[hit] + a) * width + feature[hit])
-            parts.append(sorted_distinct(np.concatenate(pairs)))
-        rows, cols = np.divmod(np.concatenate(parts), width)
+    training dropped, each row's ids ascending.  Over the training
+    documents these are the rows fit_classifier fits."""
+    rank = dict(zip(space.words, range(1, len(space.words) + 1)))
+    width, offsets = len(space) + 1, space.offsets()
+    block = np.cumsum([len(d.tokens) for d in docs]) // SCORE_BLOCK_TOKENS
+    cuts = [*np.flatnonzero(np.diff(block, prepend=-1)), len(docs)]
+    parts = [np.empty(0, dtype=np.int64)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        x, doc = _stream(docs[a:b], rank)
+        pairs = []
+        for rows, offset in zip(find(space.keys, x, len(rank) + 2), offsets):
+            hit = rows >= 0
+            pairs.append((doc[hit] + a) * width + offset + rows[hit])
+        parts.append(sorted_distinct(np.concatenate(pairs)))
+    rows, cols = np.divmod(np.concatenate(parts), width)
     return SparseRows(rows, cols, r[cols], (len(docs), len(space)))
 
 
@@ -275,11 +229,18 @@ class NbsvmModel(NamedTuple):
         return SplitScores([d.id for d in docs], p, table=(p,))
 
 
+def _dot(a, b) -> float:
+    """a . b by numpy's own pairwise sum: ``a @ b`` goes to BLAS, whose
+    threads split a long vector and so change its last bits with their
+    count.  Every feature-length product of the fit is taken here."""
+    return float(np.add.reduce(a * b))
+
+
 def _logistic_objective(wb, X: SparseRows, y_signed, l2):
     w, b = wb[:-1], wb[-1]
     m = y_signed * (X @ w + b)
     # log(1 + exp(-m)) computed stably
-    loss = np.mean(np.logaddexp(0.0, -m)) + 0.5 * l2 * float(w @ w)
+    loss = np.mean(np.logaddexp(0.0, -m)) + 0.5 * l2 * _dot(w, w)
     s = -y_signed / (1.0 + np.exp(np.clip(m, -500, 500)))
     gw = X.rmatvec(s) / len(y_signed) + l2 * w
     gb = s.mean()
@@ -292,13 +253,13 @@ def _two_loop(g, pairs) -> np.ndarray:
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        alphas.append(rho * float(s @ q))
+        alphas.append(rho * _dot(s, q))
         q -= alphas[-1] * y
     if pairs:
         s, y, rho = pairs[-1]
-        q /= rho * float(y @ y)
+        q /= rho * _dot(y, y)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * float(y @ q)) * s
+        q += (a - rho * _dot(y, q)) * s
     return q
 
 
@@ -319,10 +280,10 @@ def _lbfgs(objective, x, trace: list[float]) -> np.ndarray:
             log.warning("L-BFGS stopped unconverged at its cap of %d iterations", MAX_ITER)
             break
         d = -_two_loop(g, pairs)
-        slope = float(g @ d)
+        slope = _dot(g, d)
         if slope >= 0:  # rounding spoilt the estimate: restart from the gradient
             pairs.clear()
-            d, slope = -g, -float(g @ g)
+            d, slope = -g, -_dot(g, g)
         step = 1.0 if pairs else 1.0 / np.sqrt(-slope)
         for _ in range(MAX_HALVINGS):
             x_new = x + step * d
@@ -335,7 +296,7 @@ def _lbfgs(objective, x, trace: list[float]) -> np.ndarray:
                         "found no decrease in %d step halvings", it, MAX_HALVINGS)
             break
         s, y = x_new - x, g_new - g
-        sy = float(s @ y)
+        sy = _dot(s, y)
         if sy > 0:
             pairs.append((s, y, 1.0 / sy))
         x, f_old, f, g = x_new, f, f_new, g_new
@@ -365,10 +326,11 @@ def train_linear(X: SparseRows, labels, l2: float | None = None) -> LinearClassi
 
 def fit_classifier(space: NGramFeatureSpace, r: np.ndarray, alpha: float,
                    l2: float | None = None) -> NbsvmModel:
-    """The linear classifier on the features of the space's training
-    documents, featurized from its train_ids, which it empties."""
-    X = featurize_all(None, space, r, cached_ids=space.train_ids)
-    space.train_ids = []
+    """The linear classifier on the space's training pairs, which it
+    empties: the rows featurize_all gives the training documents."""
+    rows, cols = np.divmod(space.train_pairs, len(space) + 1)
+    space.train_pairs = None
+    X = SparseRows(rows, cols, r[cols], (space.n_pos_docs + space.n_neg_docs, len(space)))
     y = np.array([1] * space.n_pos_docs + [0] * space.n_neg_docs)
     return NbsvmModel(space, r, alpha, train_linear(X, y, l2=l2))
 
@@ -405,21 +367,25 @@ def train(load, out, *, n_max: int, alpha: float, l2: float | None):
 
 
 def dump_feature_weights(space: NGramFeatureSpace, r: np.ndarray, path) -> None:
-    """gram<TAB>r, sorted by |r| descending (ties by gram) for inspection."""
+    """gram<TAB>r, sorted by |r| descending for inspection, ties by the
+    grams' 0-padded word ranks: their text order while no token holds a
+    character <= " " after its first, as no token from tokenize does."""
     grams = space.grams
-    order = np.lexsort((*space.gram_words.T[::-1], -np.abs(r)))
+    order = np.lexsort((*space.word_ranks().T[::-1], -np.abs(r)))
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(f"{grams[i]}\t{x:.6f}\n" for i, x in zip(order.tolist(), r[order].tolist()))
 
 
 def save_model(models_dir, model: NbsvmModel) -> list[Path]:
     """nbsvm<n>.npz, holding NBSVM_ARRAYS: the space's words (newline-joined
-    UTF-8 bytes) and gram_words, r, w, b and meta = (n_max, alpha, l2);
-    returns [its path]."""
+    UTF-8 bytes), its key tables end to end as keys with each table's
+    length in sizes, r, w, b and meta = (n_max, alpha, l2); returns [its
+    path]."""
     space, r, alpha, clf = model
     path = Path(models_dir) / f"nbsvm{space.n_max}.npz"
     np.savez_compressed(
-        path, words=pack_strings(space.words), gram_words=space.gram_words,
+        path, words=pack_strings(space.words), keys=np.concatenate(space.keys),
+        sizes=np.array([len(k) for k in space.keys], dtype=np.int64),
         r=r, w=clf.w, b=np.array([clf.b]), meta=np.array([space.n_max, alpha, clf.l2]))
     return [path]
 
@@ -427,25 +393,40 @@ def save_model(models_dir, model: NbsvmModel) -> list[Path]:
 def load_model(models_dir, n_max: int) -> NbsvmModel:
     """Inverse of save_model; the space has no training fields.  An archive
     that is not the n_max-gram model save_model writes is refused: other
-    arrays (such as the gram texts of an older layout), another n_max,
-    shapes that disagree, or a gram that is not word ranks in
-    1..len(words) padded with 0s."""
+    arrays (such as the gram_words of an older layout), another n_max,
+    shapes that disagree, sizes that are not counts of the features, or
+    key tables that are not a gram space over len(words) words (order 1
+    of len(words) keys; each order strictly ascending, each key's prefix a
+    row of the order below and its last word a rank in 1..len(words))."""
     path = Path(models_dir) / f"nbsvm{n_max}.npz"
     data = read_npz(path)
     if set(data) != set(NBSVM_ARRAYS):
         raise refused("train-nbsvm", path,
                       f"not an NB-SVM model archive (arrays: {', '.join(sorted(data))})")
-    gram_words, r, w, b, meta = (data[name] for name in NBSVM_ARRAYS[1:])
+    keys, sizes, r, w, b, meta = (data[name] for name in NBSVM_ARRAYS[1:])
     if meta.shape != (3,) or meta[0] != n_max:
         raise refused("train-nbsvm", path, f"holds no {n_max}-gram model (meta {meta.tolist()})")
-    if (r.ndim != 1 or w.shape != r.shape or b.shape != (1,) or gram_words.dtype != np.int32
-            or gram_words.shape != (len(r), n_max)):
-        raise refused("train-nbsvm", path, f"gram_words {gram_words.dtype} {gram_words.shape}, "
-                      f"r {r.shape}, w {w.shape} and b {b.shape} are no {n_max}-gram model")
+    if (r.ndim != 1 or w.shape != r.shape or b.shape != (1,) or keys.dtype != np.int64
+            or keys.shape != r.shape or sizes.dtype != np.int64 or sizes.shape != (n_max,)):
+        raise refused("train-nbsvm", path, f"keys {keys.dtype} {keys.shape}, sizes {sizes.dtype} "
+                      f"{sizes.shape}, r {r.shape}, w {w.shape} and b {b.shape} are no "
+                      f"{n_max}-gram model")
+    if sizes.min() < 0 or sizes.sum() != len(r):
+        raise refused("train-nbsvm", path,
+                      f"sizes {sizes.tolist()} are not counts of the {len(r)} features")
     words = unpack_strings(data["words"])
-    filled = gram_words > 0  # a gram's ranks, then 0s, as the lookup tables need
-    if gram_words.size and not (0 <= gram_words.min() and gram_words.max() <= len(words)
-                                and filled[:, 0].all() and (filled[:, :-1] >= filled[:, 1:]).all()):
-        raise refused("train-nbsvm", path, f"a gram is not ranks in 1..{len(words)}, then 0s")
+    if sizes[0] != len(words):
+        raise refused("train-nbsvm", path, f"order 1 holds {sizes[0]} keys for {len(words)} words")
+    tables = np.split(keys, np.cumsum(sizes)[:-1])
+    for k, (table, rows_below) in enumerate(zip(tables, [1, *sizes[:-1].tolist()]), 1):
+        prefix, word = np.divmod(table, len(words) + 2)  # order 1's one prefix: row 0
+        if np.any(table[1:] <= table[:-1]):
+            raise refused("train-nbsvm", path, f"order {k}'s keys are not strictly ascending")
+        if np.any((prefix < 0) | (prefix >= rows_below)):
+            raise refused("train-nbsvm", path,
+                          f"an order-{k} key's prefix row is outside 0..{rows_below - 1}")
+        if np.any((word < 1) | (word > len(words))):
+            raise refused("train-nbsvm", path,
+                          f"an order-{k} key's last word is outside 1..{len(words)}")
     clf = LinearClassifier(w=w, b=float(b[0]), l2=float(meta[2]))
-    return NbsvmModel(NGramFeatureSpace(n_max, words, gram_words), r, float(meta[1]), clf)
+    return NbsvmModel(NGramFeatureSpace(n_max, words, tables), r, float(meta[1]), clf)

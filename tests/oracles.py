@@ -562,49 +562,45 @@ def log_count_ratio_reference(pos_sets, neg_sets, feature_order, alpha=1.0):
 
 
 def feature_space_reference(pos_docs, neg_docs, n_max):
-    """NB-SVM's gram space keyed by joined gram strings, as
-    ``sentimix.nbsvm.build_feature_space`` built it before its integer keys:
-    (grams by feature id, df_pos, df_neg, each training document's ids).
-    Ids go to grams in order of first appearance, positive documents first
-    and each document's distinct grams in string order."""
+    """NB-SVM's gram space keyed by each gram's tuple of word strings:
+    (grams by feature id, df_pos, df_neg, each training document's ids
+    ascending).  Ids go to grams sorted by word count, then by their words
+    in string order."""
     import numpy as np
 
-    index: dict[str, int] = {}
-    per_class_ids = []
-    for docs in (pos_docs, neg_docs):
-        id_lists = []
-        for d in docs:
-            toks = list(d.tokens)
-            grams = sorted({" ".join(toks[i:i + n]) for n in range(1, n_max + 1)
-                            for i in range(len(toks) - n + 1)})
-            ids = np.empty(len(grams), dtype=np.int64)
-            for j, g in enumerate(grams):
-                ids[j] = index.setdefault(g, len(index))
-            id_lists.append(ids)
-        per_class_ids.append(id_lists)
-    df_pos = np.zeros(len(index), dtype=np.int64)
-    df_neg = np.zeros(len(index), dtype=np.int64)
-    for ids in per_class_ids[0]:
-        df_pos[ids] += 1
-    for ids in per_class_ids[1]:
-        df_neg[ids] += 1
-    return list(index), df_pos, df_neg, per_class_ids[0] + per_class_ids[1]
+    doc_grams = [{tuple(d.tokens[i:i + n]) for n in range(1, n_max + 1)
+                  for i in range(len(d.tokens) - n + 1)} for d in [*pos_docs, *neg_docs]]
+    grams = sorted(set().union(*doc_grams), key=lambda g: (len(g), g))
+    index = {g: i for i, g in enumerate(grams)}
+    ids = [np.array(sorted(index[g] for g in gs), dtype=np.int64) for gs in doc_grams]
+    df_pos = np.zeros(len(grams), dtype=np.int64)
+    df_neg = np.zeros(len(grams), dtype=np.int64)
+    for i, doc_ids in enumerate(ids):
+        (df_pos if i < len(pos_docs) else df_neg)[doc_ids] += 1
+    return [" ".join(g) for g in grams], df_pos, df_neg, ids
 
 
 def from_grams_reference(n_max: int, grams: list[str]):
-    """The (words, gram_words) of the NB-SVM space whose feature i is the gram
-    text ``grams[i]``: the unigram texts in string order, and each gram's
-    1-based word ranks padded with 0 to n_max, one split per gram."""
+    """The (words, keys) of the NB-SVM space whose grams are the texts
+    ``grams`` (a prefix-closed set): the unigram texts in string order, and
+    each order's sorted keys up to n_max, a k-gram's key being its
+    (k-1)-word prefix's place among the sorted (k-1)-grams times
+    len(words) + 2, plus its last word's 1-based rank."""
     import numpy as np
-    from itertools import chain, repeat
 
     words = sorted(g for g in grams if " " not in g)
-    rank = dict(zip(["", *words], range(len(words) + 1)))  # "" pads
-    pad = [" " * (n_max - 1 - k) for k in range(n_max)]  # by the count of " "
-    padded = map(str.split, (g + pad[g.count(" ")] for g in grams), repeat(" "))
-    gram_words = np.fromiter(map(rank.__getitem__, chain.from_iterable(padded)),
-                             dtype=np.int32, count=len(grams) * n_max)
-    return words, gram_words.reshape(len(grams), n_max)
+    rank = {w: i for i, w in enumerate(words, 1)}
+    by_order: dict[int, list[tuple[int, ...]]] = {}
+    for g in grams:
+        ranks = tuple(rank[w] for w in g.split(" "))
+        by_order.setdefault(len(ranks), []).append(ranks)
+    keys, row = [], {(): 0}
+    for k in range(1, n_max + 1):
+        order = sorted(by_order.get(k, []))
+        keys.append(np.array([row[g[:-1]] * (len(words) + 2) + g[-1] for g in order],
+                             dtype=np.int64))
+        row = {g: i for i, g in enumerate(order)}
+    return words, keys
 
 
 def doc_gram_ids_reference(tokens, space):

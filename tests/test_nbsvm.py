@@ -2,13 +2,16 @@ import logging
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentimix.corpus import Document, load_imdb, pack_strings, split_validation, unpack_strings
+from sentimix.corpus import (Document, load_imdb, pack_strings, split_validation, unpack_strings,
+                             write_token_cache)
 from sentimix.nbsvm import (
     FTOL, GTOL, MAX_ITER,
     LinearClassifier, NbsvmModel, NGramFeatureSpace, SparseRows, TrainingError,
@@ -16,7 +19,8 @@ from sentimix.nbsvm import (
     load_model, save_model, sigmoid, train_linear,
 )
 import sentimix.nbsvm as nbsvm_module
-from conftest import assert_no_child_process, dir_bytes, make_docs, stage_io, to_csr, train_nbsvm
+from conftest import (assert_no_child_process, dir_bytes, make_docs, src_env, stage_io, to_csr,
+                      train_nbsvm)
 from oracles import (
     doc_gram_ids_reference, feature_space_reference, from_grams_reference,
     log_count_ratio_reference, logistic_objective_reference, train_linear_reference,
@@ -24,8 +28,8 @@ from oracles import (
 
 
 def space_of_texts(n_max: int, grams: list[str]) -> NGramFeatureSpace:
-    """The space whose feature i is the gram text ``grams[i]``, without
-    training fields, its words and ranks parsed by from_grams_reference."""
+    """The space of the gram texts ``grams``, without training fields, its
+    words and keys built by from_grams_reference."""
     return NGramFeatureSpace(n_max, *from_grams_reference(n_max, grams))
 
 
@@ -296,9 +300,10 @@ class TestPipeline:
 
     def test_training_ids_are_the_featurization(self):
         pos, neg, space = _toy_space()
-        assert len(space.train_ids) == len(pos + neg)
-        for ids, d in zip(space.train_ids, pos + neg):
-            assert np.array_equal(np.sort(ids), doc_gram_ids_reference(d.tokens, space))
+        rows, ids = np.divmod(space.train_pairs, len(space) + 1)
+        want = [doc_gram_ids_reference(d.tokens, space) for d in pos + neg]
+        assert np.array_equal(rows, np.repeat(np.arange(len(want)), [len(i) for i in want]))
+        assert np.array_equal(ids, np.concatenate(want))
 
     def test_synthetic_corpus_end_to_end(self, imdb_tree):
         train_all, test, _ = load_imdb(imdb_tree)
@@ -365,6 +370,27 @@ class TestPipeline:
         assert_no_child_process()
         assert dir_bytes(tmp_path / "models") == before
 
+    @pytest.mark.skipif(os.cpu_count() == 1, reason="one core: OpenBLAS would run one "
+                        "thread whatever OPENBLAS_NUM_THREADS says")
+    def test_model_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """train-nbsvm --n-max 3 writes the same nbsvm3.npz at one and at two
+        BLAS threads, on a corpus of about 100k features: OpenBLAS splits a
+        dot product that long across its threads, which moves its last bits."""
+        rng = np.random.RandomState(0)
+        lists = [[f"w{j}" for j in rng.randint(2500, size=250)] for _ in range(200)]
+        docs = make_docs(lists, labels=["positive", "negative"] * 100)
+        archives = []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / threads
+            (run_dir / "cache").mkdir(parents=True)
+            write_token_cache(docs, run_dir / "cache" / "train.tsv")
+            subprocess.run([sys.executable, "-m", "sentimix.cli", "train-nbsvm", "--n-max", "3",
+                            "--out-dir", str(run_dir)],
+                           env=dict(src_env(), OPENBLAS_NUM_THREADS=threads), check=True,
+                           capture_output=True, timeout=300)
+            archives.append((run_dir / "models" / "nbsvm3.npz").read_bytes())
+        assert archives[0] == archives[1]
+
     def test_feature_dump_sorted_by_magnitude(self, tmp_path):
         _, _, space = _toy_space()
         path = tmp_path / "features.tsv"
@@ -381,16 +407,17 @@ class TestPipeline:
         r = np.array([0.5, -0.5, 0.5, 1.25, -0.0, 1.25, 0.0, -2.0])
         space = space_of_texts(2, grams)
         path = tmp_path / "features.tsv"
-        dump_feature_weights(space, r, path)
+        dump_feature_weights(space, r[[grams.index(g) for g in space.grams]], path)
         order = sorted(range(len(grams)), key=lambda i: (-abs(r[i]), grams[i]))
         assert path.read_text(encoding="utf-8") == "".join(
             f"{grams[i]}\t{r[i]:.6f}\n" for i in order)
 
 
-# unicode words, single control characters (allowed first), prefixes of one
-# another and a character <= " " past a prefix's end
+# unicode words, control characters, prefixes of one another and a
+# character <= " " past a prefix's end, which sorts a gram's text apart from
+# its words
 ALPHABET = ["a", "b", "ab", "abc", "\x01", "\x1b", "\x7f", "\u00e9", "a\u00e9", "zz",
-            "\U0001f600", "!", "b!"]
+            "\U0001f600", "!", "b!", "a\x01", "ab\x1b"]
 
 
 def _random_corpus(rng, max_docs=5, max_len=9):
@@ -418,8 +445,32 @@ class TestIntegerKeys:
             assert space.grams == grams
             assert np.array_equal(space.df_pos, df_pos)
             assert np.array_equal(space.df_neg, df_neg)
-            assert len(space.train_ids) == len(ids)
-            assert all(np.array_equal(a, b) for a, b in zip(space.train_ids, ids))
+            rows, cols = np.divmod(space.train_pairs, len(space) + 1)
+            assert np.array_equal(rows, np.repeat(np.arange(len(ids)), [len(i) for i in ids]))
+            assert np.array_equal(cols, np.concatenate([np.empty(0, dtype=np.int64), *ids]))
+
+    def test_fit_rows_are_the_featurization(self, monkeypatch):
+        """fit_classifier fits exactly the rows, columns and values that
+        featurize_all gives the training documents, positive ones first."""
+        fitted = []
+
+        def train_linear(X, y, l2):
+            fitted.append((X, y))
+            return LinearClassifier(w=np.zeros(X.shape[1]), b=0.0, l2=1.0)
+        monkeypatch.setattr(nbsvm_module, "train_linear", train_linear)
+        rng = np.random.RandomState(5)
+        for trial in range(100):
+            pos, neg = _random_corpus(rng)
+            space = build_feature_space(pos, neg, int(rng.randint(1, 4)))
+            r = rng.standard_normal(len(space))
+            nbsvm_module.fit_classifier(space, r, 1.0)
+            (X, y), = fitted
+            fitted.clear()
+            want = featurize_all(pos + neg, space, r)
+            assert X.shape == want.shape == (len(pos + neg), len(space))
+            for got, expected in zip(X[:3], want[:3]):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), trial
+            assert np.array_equal(y, [1] * len(pos) + [0] * len(neg))
 
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_saved_bytes_match_string_reference(self, tmp_path, n_max):
@@ -446,16 +497,23 @@ class TestIntegerKeys:
 
     @pytest.mark.parametrize("token", ["a b", "a\tb", "a\xa0b", "", " ", "a\x01", "ab\x1b",
                                        "\u00e9\x00"])
-    def test_token_that_could_alias_a_gram_is_rejected(self, token):
-        """A token with whitespace, or a character <= " " after its first,
-        would share a feature with a gram of other words or sort apart
-        from it: training names it instead."""
+    def test_token_that_could_alias_a_gram_is_a_feature(self, token, tmp_path):
+        """A token that is empty, holds whitespace, or holds a character
+        <= " " after its first trains as a feature of its own, apart from
+        the gram of other words its text may equal, and scores the same
+        after a save and load."""
         pos = make_docs([["a", "b"], [token, "c"]])
         neg = make_docs([["c"]], labels=["negative"])
-        with pytest.raises(ValueError, match="token " + re.escape(repr(token))):
-            build_feature_space(pos, neg, 2)
-        with pytest.raises(ValueError, match="token " + re.escape(repr(token))):
-            train_nbsvm(pos + neg, n_max=1)
+        space = build_feature_space(pos, neg, 2)
+        grams, df_pos, df_neg, ids = feature_space_reference(pos, neg, 2)
+        assert len(space) == 6 and space.grams == grams
+        assert np.array_equal(space.df_pos, df_pos) and np.array_equal(space.df_neg, df_neg)
+        assert np.array_equal(space.train_pairs % (len(space) + 1), np.concatenate(ids))
+        r = np.arange(6.0)
+        save_model(tmp_path, NbsvmModel(space, r, 1.0, LinearClassifier(r, 0.5, 1.0)))
+        loaded = load_model(tmp_path, 2).space
+        for sp in (space, loaded):
+            assert featurize_all(pos + neg, sp, r).cols.tolist() == np.concatenate(ids).tolist()
 
     def test_gram_space_peaks_at_half_the_reference(self):
         """Building the gram space of a fixed corpus (Zipfian words, 200
@@ -549,7 +607,7 @@ class TestScoring:
         assert save_model(tmp_path, model) == [tmp_path / f"nbsvm{space.n_max}.npz"]
         space2, r2, alpha2, clf2 = load_model(tmp_path, space.n_max)
         assert space2.grams == space.grams and space2.words == space.words
-        assert np.array_equal(space2.gram_words, space.gram_words)
+        assert [k.tolist() for k in space2.keys] == [k.tolist() for k in space.keys]
         assert np.array_equal(r2, r) and alpha2 == 0.5
         assert np.array_equal(clf2.w, clf.w) and clf2.b == clf.b and clf2.l2 == 0.25
         docs = pos + neg + make_docs([["good", "unseen", "film"], []])
@@ -565,7 +623,7 @@ class TestScoring:
         loaded = load_model(tmp_path, space.n_max).space
         assert len(loaded) == len(space)
         assert (loaded.df_pos, loaded.df_neg, loaded.n_pos_docs, loaded.n_neg_docs,
-                loaded.train_ids) == (None, None, 0, 0, [])
+                loaded.train_pairs) == (None, None, 0, 0, None)
         with pytest.raises(TrainingError):
             compute_log_ratio(loaded)
 
@@ -582,30 +640,68 @@ def _with(**changes):
     return edit
 
 
-def _set_rank(rank, column=-1):
+def _set_word(order, at, word):
+    """Set the last word of order ``order``'s key ``at`` to word(V)."""
     def edit(arrays):
-        arrays["gram_words"] = arrays["gram_words"].copy()
-        arrays["gram_words"][-1, column] = rank(len(unpack_strings(arrays["words"])))
+        sizes, keys = arrays["sizes"], arrays["keys"].copy()
+        i = sizes[:order - 1].sum() + range(sizes[order - 1])[at]
+        base = len(unpack_strings(arrays["words"])) + 2
+        keys[i] = keys[i] // base * base + word(base - 2)
+        arrays["keys"] = keys
     return edit
+
+
+def _swap_keys(arrays):
+    """Swap order 2's first two keys."""
+    keys, i = arrays["keys"].copy(), arrays["sizes"][0]
+    keys[[i, i + 1]] = keys[[i + 1, i]]
+    arrays["keys"] = keys
+
+
+def _prefix_past_order_1(arrays):
+    """Give order 2's last key the prefix row just past order 1's rows."""
+    keys, base = arrays["keys"].copy(), len(unpack_strings(arrays["words"])) + 2
+    keys[-1] = arrays["sizes"][0] * base + 1
+    arrays["keys"] = keys
 
 
 # what is done to a saved nbsvm2.npz
 REFUSED = {
-    "gram-text-layout": _with(words=None, gram_words=None, grams=pack_strings(["a", "a b"])),
+    "gram-text-layout": _with(words=None, keys=None, sizes=None,
+                              grams=pack_strings(["a", "a b"])),
     "gram-texts-added": _with(grams=pack_strings(["a", "a b"])),
+    # the layout before the key tables: each feature's word ranks
+    "gram-words-layout": _with(keys=None, sizes=None, gram_words=np.ones((9, 2), np.int32)),
     "r-missing": _with(r=None),
     "meta-of-a-unigram-model": _with(meta=lambda m: np.array([1, *m[1:]])),
     "meta-short": _with(meta=lambda m: m[:2]),
-    "unigram-ranks": _with(gram_words=lambda g: g[:, :1].copy()),
-    "trigram-ranks": _with(gram_words=lambda g: np.pad(g, ((0, 0), (0, 1)))),
-    "a-rank-row-short": _with(gram_words=lambda g: g[:-1]),
-    "int64-ranks": _with(gram_words=lambda g: g.astype(np.int64)),
+    "sizes-of-one-order": _with(sizes=lambda n: np.array([n.sum()])),
+    "int32-sizes": _with(sizes=lambda n: n.astype(np.int32)),
+    "a-key-short": _with(keys=lambda k: k[:-1]),
+    "int32-keys": _with(keys=lambda k: k.astype(np.int32)),
+    "sizes-not-summing-to-r": _with(sizes=lambda n: n - [0, 1]),
+    "sizes-negative": _with(sizes=lambda n: n + [n[1] + 1, -n[1] - 1]),
     "w-longer": _with(w=lambda w: np.append(w, 0.0)),
     "b-empty": _with(b=np.zeros(0)),
-    "rank-past-words": _set_rank(lambda n_words: n_words + 1),
-    "rank-negative": _set_rank(lambda n_words: -1),
-    # a first word of rank 0: the gram would take the row -1 that marks no gram
-    "first-rank-zero": _set_rank(lambda n_words: 0, column=0),
+    # a token holding a newline comes back as two words
+    "a-word-more": _with(words=lambda w: pack_strings([*unpack_strings(w), "zzz"])),
+    "keys-not-ascending": _swap_keys,
+    "prefix-past-the-order-below": _prefix_past_order_1,
+    "rank-past-words": _set_word(2, -1, lambda n_words: n_words + 1),
+    "rank-negative": _set_word(1, 0, lambda n_words: -1),
+    # rank 0 ends each document of a scored stream
+    "first-rank-zero": _set_word(1, 0, lambda n_words: 0),
+}
+# the problem load_model names for the faults of the key tables
+KEY_PROBLEMS = {
+    "sizes-not-summing-to-r": "sizes [5, 3] are not counts of the 9 features",
+    "sizes-negative": "sizes [10, -1] are not counts of the 9 features",
+    "a-word-more": "order 1 holds 5 keys for 6 words",
+    "keys-not-ascending": "order 2's keys are not strictly ascending",
+    "prefix-past-the-order-below": "an order-2 key's prefix row is outside 0..4",
+    "rank-past-words": "an order-2 key's last word is outside 1..5",
+    "rank-negative": "an order-1 key's prefix row is outside 0..0",
+    "first-rank-zero": "an order-1 key's last word is outside 1..5",
 }
 
 
@@ -624,16 +720,17 @@ class TestModelArchive:
     def test_saved_arrays(self, tmp_path):
         with np.load(self._save(tmp_path)) as data:
             assert sorted(data.files) == sorted(nbsvm_module.NBSVM_ARRAYS)
-            assert data["gram_words"].dtype == np.int32
+            assert data["keys"].dtype == data["sizes"].dtype == np.int64
+            assert data["sizes"].tolist() == [5, 4]
 
     def test_highest_rank_loads(self, tmp_path):
         path = self._save(tmp_path)
         with np.load(path) as data:
             arrays = dict(data)
-        _set_rank(lambda n_words: n_words)(arrays)
+        _set_word(2, -1, lambda n_words: n_words)(arrays)
         np.savez_compressed(path, **arrays)
         space = load_model(tmp_path, 2).space
-        assert space.gram_words[-1, -1] == len(space.words) == 5
+        assert space.word_ranks()[-1, -1] == len(space.words) == 5
 
     @pytest.mark.parametrize("fault", REFUSED)
     def test_other_archive_is_refused(self, tmp_path, fault):
@@ -642,6 +739,7 @@ class TestModelArchive:
             arrays = dict(data)
         REFUSED[fault](arrays)
         np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*; "
+        problem = re.escape(KEY_PROBLEMS.get(fault, "")) or ".*"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {problem}; "
                                              "run train-nbsvm again$"):
             load_model(tmp_path, 2)
