@@ -202,17 +202,29 @@ def read_vocab(path) -> Vocabulary:
     return Vocabulary(tokens, counts)
 
 
-def pack_strings(strings) -> np.ndarray:
-    """Newline-joined UTF-8 bytes as a uint8 array, for storing in an npz."""
+def pack_strings(name: str, strings) -> dict[str, np.ndarray]:
+    """npz arrays holding any strings: ``name``, their UTF-8 bytes end to end
+    (uint8), and ``name_lengths``, each one's byte count (int64)."""
     import numpy as np
 
-    return np.frombuffer("\n".join(strings).encode("utf-8"), dtype=np.uint8)
+    encoded = [s.encode("utf-8") for s in strings]
+    return {name: np.frombuffer(b"".join(encoded), dtype=np.uint8),
+            f"{name}_lengths": np.array([len(e) for e in encoded], dtype=np.int64)}
 
 
-def unpack_strings(data) -> list[str]:
-    """Inverse of pack_strings; an empty array holds no strings."""
-    text = bytes(data).decode("utf-8")
-    return text.split("\n") if text else []
+def unpack_strings(arrays, name: str, path, stage: str) -> list[str]:
+    """Inverse of pack_strings over an npz's arrays; the model file at path
+    is refused (naming ``stage``) where they are no such strings."""
+    data, lengths = arrays[name], arrays[f"{name}_lengths"]
+    if (data.dtype != "uint8" or data.ndim != 1 or lengths.dtype != "int64" or lengths.ndim != 1
+            or lengths.min(initial=0) < 0 or lengths.sum() != len(data)):
+        raise refused(stage, path, f"{name} {data.dtype} {data.shape} and {name}_lengths "
+                      f"{lengths.dtype} {lengths.shape} are no strings' bytes and lengths")
+    raw, ends = bytes(data), lengths.cumsum().tolist()
+    try:
+        return [raw[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)]
+    except UnicodeDecodeError:
+        raise refused(stage, path, f"{name} are not UTF-8 strings") from None
 
 
 def read_npz(path) -> dict[str, np.ndarray]:

@@ -3,14 +3,14 @@ classified with L2-regularized logistic regression.
 
 Feature values are the log-ratio entries wherever a gram is present, zero
 elsewhere; grams unseen in training are dropped.  Feature matrices are
-``SparseRows`` records, and the regression is fitted by a numpy L-BFGS over
-them (Liu & Nocedal 1989).
+``SparseRows`` records, and the regression is fitted over them by trust-region
+Newton, as liblinear fits it (Lin, Weng & Keerthi 2008).
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -27,16 +27,15 @@ from .grams import find, row_of, sorted_distinct, words_of
 log = logging.getLogger(__name__)
 
 GRAM_SEP = " "
-# L-BFGS stops: at MAX_ITER iterations, when an iteration lowers the objective
+# the fit stops at MAX_ITER iterations, when an iteration lowers the objective
 # f by at most FTOL * max(|f|, 1), or when no gradient entry exceeds GTOL
 MAX_ITER = 200
 FTOL = 1e-12
 GTOL = 1e-8
-MEMORY = 10  # correction pairs kept by the two-loop recursion
-ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
-MAX_HALVINGS = 20  # step halvings before the line search gives up
+CG_TOL = 0.1  # conjugate gradients stop once the residual is this share of |g|
 SCORE_BLOCK_TOKENS = 1 << 13  # about as many document tokens are looked up at once in scoring
-NBSVM_ARRAYS = ("words", "keys", "sizes", "r", "w", "b", "meta")  # of nbsvm<n>.npz
+# the arrays of nbsvm<n>.npz
+NBSVM_ARRAYS = ("words", "words_lengths", "keys", "sizes", "r", "w", "b", "meta")
 
 
 class TrainingError(Exception):
@@ -236,89 +235,110 @@ def _dot(a, b) -> float:
     return float(np.add.reduce(a * b))
 
 
-def _logistic_objective(wb, X: SparseRows, y_signed, l2):
-    w, b = wb[:-1], wb[-1]
-    m = y_signed * (X @ w + b)
-    # log(1 + exp(-m)) computed stably
-    loss = np.mean(np.logaddexp(0.0, -m)) + 0.5 * l2 * _dot(w, w)
-    s = -y_signed / (1.0 + np.exp(np.clip(m, -500, 500)))
-    gw = X.rmatvec(s) / len(y_signed) + l2 * w
-    gb = s.mean()
-    return loss, np.concatenate([gw, [gb]])
+def _logistic(X: SparseRows, y_signed, l2):
+    """wb = (w, b) -> (f, its gradient, v -> H v) for the fit's objective f,
+    the mean logistic loss plus l2/2 * |w|^2, and its Hessian H."""
+
+    def transpose_times(s, w):  # [X 1].T @ s, plus l2 * w in the w entries
+        out = np.empty(X.shape[1] + 1)
+        out[:-1] = X.rmatvec(s)
+        out[:-1] += l2 * w
+        out[-1] = s.sum()
+        return out
+
+    def objective(wb):
+        w, m = wb[:-1], y_signed * (X @ wb[:-1] + wb[-1])
+        p = 1.0 / (1.0 + np.exp(np.clip(m, -500, 500)))  # sigmoid(-m)
+        curvature = p * (1.0 - p) / len(m)
+        return (np.mean(np.logaddexp(0.0, -m)) + 0.5 * l2 * _dot(w, w),
+                transpose_times(-y_signed * p / len(m), w),
+                lambda v: transpose_times(curvature * (X @ v[:-1] + v[-1]), v[:-1]))
+    return objective
 
 
-def _two_loop(g, pairs) -> np.ndarray:
-    """The L-BFGS inverse-Hessian estimate times g, from the (s, y, 1/(s.y))
-    correction pairs, oldest first, scaled by the newest pair's s.y / y.y."""
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alphas.append(rho * _dot(s, q))
-        q -= alphas[-1] * y
-    if pairs:
-        s, y, rho = pairs[-1]
-        q /= rho * _dot(y, y)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * _dot(y, q)) * s
-    return q
+def _cg_step(g, hess, delta):
+    """Steihaug's truncated conjugate gradients on H s = -g in |s| <= delta,
+    stopped once the residual r = -g - H s has |r| <= CG_TOL * |g|: (s, the
+    decrease -(g.s + s.Hs/2) it predicts, whether s ends on the boundary, as
+    a step out of the region or along no positive curvature does)."""
+    s, r = np.zeros_like(g), -g
+    d, rr, boundary = r.copy(), _dot(r, r), False
+    stop = CG_TOL * CG_TOL * rr
+    while rr > stop:
+        hd = hess(d)
+        dhd = _dot(d, hd)
+        alpha = rr / dhd if dhd > 0 else 0.0
+        s += alpha * d
+        boundary = dhd <= 0 or _dot(s, s) > delta * delta
+        if boundary:  # back to s, then along d to the boundary
+            s -= alpha * d
+            sd, ss, dd = _dot(s, d), _dot(s, s), _dot(d, d)
+            rad = math.sqrt(sd * sd + dd * (delta * delta - ss))
+            alpha = (delta * delta - ss) / (sd + rad) if sd >= 0 else (rad - sd) / dd
+            s += alpha * d
+            r -= alpha * hd
+            break
+        r -= alpha * hd
+        rr, rr_old = _dot(r, r), rr
+        d *= rr / rr_old
+        d += r
+    return s, -0.5 * (_dot(g, s) - _dot(s, r)), boundary
 
 
-def _lbfgs(objective, x, trace: list[float]) -> np.ndarray:
-    """Minimize ``objective(x) -> (f, gradient)`` from x by L-BFGS with a
-    backtracking (Armijo) line search and the module's stopping rules.  The
-    line search tries the full quasi-Newton step first, or a move of unit
-    length while no correction pair is kept, as scipy's L-BFGS-B does.
-    Appends f at the start and after every iteration to ``trace``, and logs a
-    warning when it stops before a convergence test holds."""
-    f, g = objective(x)
+def _trust_region_newton(objective, x, trace: list[float]) -> np.ndarray:
+    """Minimize ``objective`` (as _logistic gives it) from x by trust-region
+    Newton with liblinear's radius rules and the module's stops.  Appends f
+    at the start and after every iteration (an accepted step) to ``trace``;
+    logs a warning when it stops at MAX_ITER or where no step can lower f."""
+    f, g, hess = objective(x)
     trace.append(f)
-    pairs: deque = deque(maxlen=MEMORY)
-    for it in range(MAX_ITER + 1):
-        if not np.any(np.abs(g) > GTOL):
+    delta = math.sqrt(_dot(g, g))
+    while np.any(np.abs(g) > GTOL):
+        if len(trace) > MAX_ITER:
+            log.warning("trust-region Newton stopped unconverged at its cap of %d iterations",
+                        MAX_ITER)
             break
-        if it == MAX_ITER:
-            log.warning("L-BFGS stopped unconverged at its cap of %d iterations", MAX_ITER)
-            break
-        d = -_two_loop(g, pairs)
-        slope = _dot(g, d)
-        if slope >= 0:  # rounding spoilt the estimate: restart from the gradient
-            pairs.clear()
-            d, slope = -g, -_dot(g, g)
-        step = 1.0 if pairs else 1.0 / np.sqrt(-slope)
-        for _ in range(MAX_HALVINGS):
-            x_new = x + step * d
-            f_new, g_new = objective(x_new)
-            if f_new <= f + ARMIJO * step * slope:
-                break
-            step *= 0.5
+        s, predicted, boundary = _cg_step(g, hess, delta)
+        gs, s_norm = _dot(g, s), math.sqrt(_dot(s, s))
+        x_new = np.add(x, s, out=s)  # the trial point, in s's memory
+        f_new, g_new, hess_new = objective(x_new)
+        actual, excess = f - f_new, f_new - f - gs  # excess: f's change past its linear part
+        alpha = 4.0 if excess <= 0 else max(0.25, -0.5 * gs / excess)
+        if len(trace) == 1:
+            delta = min(delta, s_norm)
+        if actual < 1e-4 * predicted:
+            delta = min(max(alpha, 0.25) * s_norm, 0.5 * delta)
+        elif actual < 0.25 * predicted:
+            delta = max(0.25 * delta, min(alpha * s_norm, 0.5 * delta))
+        elif actual < 0.75 * predicted:
+            delta = max(0.25 * delta, min(alpha * s_norm, 4.0 * delta))
         else:
-            log.warning("L-BFGS stopped unconverged after %d iterations: the line search "
-                        "found no decrease in %d step halvings", it, MAX_HALVINGS)
-            break
-        s, y = x_new - x, g_new - g
-        sy = _dot(s, y)
-        if sy > 0:
-            pairs.append((s, y, 1.0 / sy))
-        x, f_old, f, g = x_new, f, f_new, g_new
-        trace.append(f)
-        if f_old - f <= FTOL * max(abs(f_old), abs(f), 1.0):
+            delta = 4.0 * delta if boundary else max(delta, min(alpha * s_norm, 4.0 * delta))
+        if actual > 1e-4 * predicted:
+            x, g, hess, f_old, f = x_new, g_new, hess_new, f, f_new
+            trace.append(f)
+            if f_old - f <= FTOL * max(abs(f_old), abs(f), 1.0):
+                break
+        elif predicted <= 0 or max(abs(actual), predicted) <= FTOL * max(abs(f), 1.0):
+            log.warning("trust-region Newton stopped unconverged after %d iterations: its "
+                        "region shrank to radius %.3g with no decrease possible",
+                        len(trace) - 1, delta)
             break
     return x
 
 
 def train_linear(X: SparseRows, labels, l2: float | None = None) -> LinearClassifier:
-    """L2-regularized logistic regression by deterministic full-batch L-BFGS;
-    labels are 1 (positive) / 0 (negative) and l2 defaults to 1/n_docs.
-    ``trace`` holds the objective at the start and after every iteration."""
-    y = np.asarray(labels)
+    """L2-regularized logistic regression, bias unpenalized, by deterministic
+    trust-region Newton; labels are 1 (positive) / 0 (negative) and l2
+    defaults to 1/n_docs.  ``trace`` holds the objective at the start and
+    after every iteration."""
     if X.shape[0] == 0:
         raise TrainingError("empty training set")
-    y_signed = np.where(y > 0, 1.0, -1.0)
     if l2 is None:
         l2 = 1.0 / X.shape[0]
     trace: list[float] = []
-    wb = _lbfgs(lambda wb: _logistic_objective(wb, X, y_signed, l2),
-                np.zeros(X.shape[1] + 1), trace)
+    objective = _logistic(X, np.where(np.asarray(labels) > 0, 1.0, -1.0), l2)
+    wb = _trust_region_newton(objective, np.zeros(X.shape[1] + 1), trace)
     if trace[-1] > trace[0] + 1e-12:
         raise TrainingError("training failed to reduce the loss")
     return LinearClassifier(w=wb[:-1], b=float(wb[-1]), l2=l2, trace=trace)
@@ -377,14 +397,14 @@ def dump_feature_weights(space: NGramFeatureSpace, r: np.ndarray, path) -> None:
 
 
 def save_model(models_dir, model: NbsvmModel) -> list[Path]:
-    """nbsvm<n>.npz, holding NBSVM_ARRAYS: the space's words (newline-joined
-    UTF-8 bytes), its key tables end to end as keys with each table's
-    length in sizes, r, w, b and meta = (n_max, alpha, l2); returns [its
-    path]."""
+    """nbsvm<n>.npz, holding NBSVM_ARRAYS: the space's words (as
+    corpus.pack_strings stores them), its key tables end to end as keys with
+    each table's length in sizes, r, w, b and meta = (n_max, alpha, l2);
+    returns [its path]."""
     space, r, alpha, clf = model
     path = Path(models_dir) / f"nbsvm{space.n_max}.npz"
     np.savez_compressed(
-        path, words=pack_strings(space.words), keys=np.concatenate(space.keys),
+        path, **pack_strings("words", space.words), keys=np.concatenate(space.keys),
         sizes=np.array([len(k) for k in space.keys], dtype=np.int64),
         r=r, w=clf.w, b=np.array([clf.b]), meta=np.array([space.n_max, alpha, clf.l2]))
     return [path]
@@ -403,7 +423,7 @@ def load_model(models_dir, n_max: int) -> NbsvmModel:
     if set(data) != set(NBSVM_ARRAYS):
         raise refused("train-nbsvm", path,
                       f"not an NB-SVM model archive (arrays: {', '.join(sorted(data))})")
-    keys, sizes, r, w, b, meta = (data[name] for name in NBSVM_ARRAYS[1:])
+    keys, sizes, r, w, b, meta = (data[name] for name in NBSVM_ARRAYS[2:])
     if meta.shape != (3,) or meta[0] != n_max:
         raise refused("train-nbsvm", path, f"holds no {n_max}-gram model (meta {meta.tolist()})")
     if (r.ndim != 1 or w.shape != r.shape or b.shape != (1,) or keys.dtype != np.int64
@@ -414,7 +434,7 @@ def load_model(models_dir, n_max: int) -> NbsvmModel:
     if sizes.min() < 0 or sizes.sum() != len(r):
         raise refused("train-nbsvm", path,
                       f"sizes {sizes.tolist()} are not counts of the {len(r)} features")
-    words = unpack_strings(data["words"])
+    words = unpack_strings(data, "words", path, "train-nbsvm")
     if sizes[0] != len(words):
         raise refused("train-nbsvm", path, f"order 1 holds {sizes[0]} keys for {len(words)} words")
     tables = np.split(keys, np.cumsum(sizes)[:-1])

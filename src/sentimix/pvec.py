@@ -353,7 +353,8 @@ def train(load, out, *, dim: int, epochs: int, lr: float, mode: str, min_count: 
             f"loss {loss[0]:.4f} -> {loss[-1]:.4f}")
 
 
-PV_ARRAYS = ("words", "node_vecs", "doc_vecs", "doc_ids", "word_freqs", "lr_w", "lr_b", "meta")
+PV_ARRAYS = ("words", "words_lengths", "node_vecs", "doc_vecs", "doc_ids", "doc_ids_lengths",
+             "word_freqs", "lr_w", "lr_b", "meta")
 
 
 def save_model(models_dir, pvc: PvClassifier) -> list[Path]:
@@ -363,8 +364,8 @@ def save_model(models_dir, pvc: PvClassifier) -> list[Path]:
     m = pvc.model
     path = Path(models_dir) / "pv.npz"
     np.savez_compressed(
-        path, words=pack_strings(m.words), node_vecs=m.node_vecs,
-        doc_vecs=m.doc_vecs, doc_ids=pack_strings(m.doc_ids),
+        path, **pack_strings("words", m.words), node_vecs=m.node_vecs,
+        doc_vecs=m.doc_vecs, **pack_strings("doc_ids", m.doc_ids),
         word_freqs=np.array(m.word_freqs, dtype=np.int64),
         lr_w=pvc.clf.w, lr_b=np.array([pvc.clf.b]),
         meta=np.array([m.dim, pvc.infer_steps, pvc.lr0], dtype=np.float64))
@@ -381,8 +382,8 @@ def load_model(models_dir) -> PvClassifier:
     if set(data) != set(PV_ARRAYS):
         raise refused("train-pv", path,
                       f"not a PV-DBOW model archive (arrays: {', '.join(sorted(data))})")
-    words = unpack_strings(data["words"])
-    doc_ids = unpack_strings(data["doc_ids"])
+    words = unpack_strings(data, "words", path, "train-pv")
+    doc_ids = unpack_strings(data, "doc_ids", path, "train-pv")
     meta = data["meta"]
     if meta.shape != (3,):
         raise refused("train-pv", path, f"meta {meta.shape} is not (dim, infer_steps, lr0)")

@@ -14,7 +14,7 @@ import pytest
 
 from sentimix import nbsvm, ngram_lm, rnn_lm
 from sentimix.cli import MODEL_LIST, STAGES, cli_dispatch, cmd_train, parse_args
-from sentimix.corpus import pack_strings, read_pairs
+from sentimix.corpus import read_pairs
 from sentimix.ensemble import write_scores_jsonl
 from conftest import assert_no_child_process, read_kv, src_env
 
@@ -370,7 +370,7 @@ MINIMAL_ARGV = {
 REJECTED = [pytest.param([cmd, *argv], "--workers", "1", id=cmd)
             for cmd, argv in MINIMAL_ARGV.items()] + [
     pytest.param(["evaluate", *MINIMAL_ARGV["evaluate"]], "--out-dir", "1", id="evaluate")] + [
-    # NB-SVM's one trainer, L-BFGS, is deterministic: no seed, epochs or optimizer
+    # NB-SVM's one trainer, trust-region Newton, is deterministic: no seed, epochs or optimizer
     pytest.param(["train-nbsvm", *MINIMAL_ARGV["train-nbsvm"]], flag, value,
                  id=f"train-nbsvm{flag}")
     for flag, value in (("--optimizer", "sgd"), ("--epochs", "5"), ("--seed", "3"))]
@@ -534,8 +534,9 @@ def _gram_text_layout(path):
     with np.load(path) as data:
         arrays = dict(data)
     grams = nbsvm.load_model(path.parent, int(arrays["meta"][0])).space.grams
-    del arrays["words"], arrays["keys"], arrays["sizes"]
-    _rewrite_npz(path, grams=pack_strings(grams), **arrays)
+    del arrays["words"], arrays["words_lengths"], arrays["keys"], arrays["sizes"]
+    _rewrite_npz(path, grams=np.frombuffer("\n".join(grams).encode("utf-8"), np.uint8),
+                 **arrays)
 
 
 def _gram_words_layout(path):
@@ -546,6 +547,19 @@ def _gram_words_layout(path):
     gram_words = nbsvm.load_model(path.parent, int(arrays["meta"][0])).space.word_ranks()
     del arrays["keys"], arrays["sizes"]
     _rewrite_npz(path, gram_words=gram_words, **arrays)
+
+
+def _newline_joined_strings(path):
+    """Rewrite nbsvm<n>.npz or pv.npz in the layout before strings were
+    stored with their byte lengths: each string array newline-joined, and
+    no *_lengths arrays."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    for name in [name for name in arrays if name.endswith("_lengths")]:
+        ends, data = np.cumsum(arrays.pop(name)).tolist(), arrays[name[:-8]].tobytes()
+        joined = b"\n".join(data[a:b] for a, b in zip([0, *ends], ends))
+        arrays[name[:-8]] = np.frombuffer(joined, np.uint8)
+    _rewrite_npz(path, **arrays)
 
 
 def _without_r(path):
@@ -604,11 +618,15 @@ FAULTS = {
     "nbsvm-npz-with-gram-words": ("models/nbsvm3.npz", _gram_words_layout,
                                   ["score", "nbsvm3", "test"]),
     "nbsvm-npz-without-r": ("models/nbsvm1.npz", _without_r, ["score", "nbsvm1", "valid"]),
+    "nbsvm-npz-with-newline-joined-words": ("models/nbsvm2.npz", _newline_joined_strings,
+                                            ["score", "nbsvm2", "test"]),
     "nbsvm1-npz-as-nbsvm2": ("models/nbsvm2.npz",
                              lambda p: shutil.copyfile(p.with_name("nbsvm1.npz"), p),
                              ["score", "nbsvm2", "test"]),
     "truncated-pv-npz": ("models/pv.npz", _cut, ["score", "pv", "test"]),
     "pv-npz-with-word-vectors": ("models/pv.npz", _pv_dm_layout, ["score", "pv", "test"]),
+    "pv-npz-with-newline-joined-strings": ("models/pv.npz", _newline_joined_strings,
+                                           ["score", "pv", "test"]),
     "pv-npz-with-five-doc-vecs": ("models/pv.npz", _five_doc_vecs, ["score", "pv", "test"]),
     "pv-npz-with-five-doc-vecs-train": ("models/pv.npz", _five_doc_vecs,
                                         ["score", "pv", "train"]),

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentimix.corpus import (Document, load_imdb, pack_strings, split_validation, unpack_strings,
-                             write_token_cache)
+from sentimix.corpus import Document, load_imdb, split_validation, write_token_cache
 from sentimix.nbsvm import (
     FTOL, GTOL, MAX_ITER,
     LinearClassifier, NbsvmModel, NGramFeatureSpace, SparseRows, TrainingError,
@@ -249,43 +248,111 @@ def _random_problem(kind: str, seed: int, n: int = 300):
 
 
 class TestLbfgsOracle:
-    """The numpy L-BFGS against scipy's L-BFGS-B (``tests/oracles.py``) on
-    the same objective, from the same start, with the same stops."""
+    """The trust-region Newton fit against scipy's L-BFGS-B
+    (``tests/oracles.py``) on the same objective, from the same start: it
+    reaches scipy's objective within rel=1e-9, or goes below it."""
+
+    @staticmethod
+    def _check(X, y, l2):
+        clf = train_linear(X, y, l2=l2)
+        ref = train_linear_reference(to_csr(X), y, clf.l2)
+        assert clf.trace[-1] <= ref.fun or clf.trace[-1] == pytest.approx(ref.fun, rel=1e-9)
+        f, grad = logistic_objective_reference(np.append(clf.w, clf.b), to_csr(X), y, clf.l2)
+        assert clf.trace[-1] == pytest.approx(f, rel=1e-12)
+        assert np.all(np.diff(clf.trace) <= 0.0)
+        return clf, np.abs(grad).max()
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("l2", [0.0, None, 0.1])
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
     def test_matches_scipy(self, kind, l2, seed):
-        X, y = _random_problem(kind, seed)
-        clf = train_linear(X, y, l2=l2)
-        ref = train_linear_reference(to_csr(X), y, clf.l2)
-        assert clf.trace[-1] == pytest.approx(ref.fun, rel=1e-9)
-        f, grad = logistic_objective_reference(np.append(clf.w, clf.b), to_csr(X), y, clf.l2)
-        assert clf.trace[-1] == pytest.approx(f, rel=1e-12)
-        # stopped by one of its rules: gradient, iteration cap or decrease
-        gmax = np.abs(grad).max()
+        clf, gmax = self._check(*_random_problem(kind, seed), l2)
+        # stopped by one of its rules: gradient or decrease
         last = clf.trace[-2] - clf.trace[-1]
-        assert (gmax <= GTOL or len(clf.trace) - 1 == MAX_ITER
-                or last <= FTOL * max(abs(clf.trace[-2]), abs(clf.trace[-1]), 1.0))
+        assert gmax <= GTOL or last <= FTOL * max(abs(clf.trace[-2]), abs(clf.trace[-1]), 1.0)
         # a stop on FTOL leaves f about 1e-12 above its minimum, and so the
         # gradient about sqrt(1e-12) from zero: 1e-5 allows for curvature
         assert gmax <= 1e-5
-        assert np.all(np.diff(clf.trace) <= 0.0)
 
-    def test_stop_before_convergence_is_logged(self, caplog):
-        """Unpenalized, with three columns' values near zero, the fit runs
-        into MAX_ITER and says so; a well-posed fit logs nothing."""
-        X, y = _random_problem("sparse", 0)
-        X = X._replace(values=np.where(X.cols < 3, 1e-4, 1.0) * X.values)
+    def test_ill_conditioned_matches_scipy(self):
+        """Unpenalized, with three columns' values near zero (weights of
+        order 1e4): L-BFGS-B stops at its 200-iteration cap, while the fit
+        converges well within its own cap, to scipy's objective or below."""
+        clf, gmax = self._check(*_ill_conditioned_problem(), 0.0)
+        assert len(clf.trace) - 1 < MAX_ITER and gmax <= 1e-5
+
+    def test_stop_before_convergence_is_logged(self, caplog, monkeypatch):
+        """A fit that needs more iterations than MAX_ITER (here cut to 20)
+        stops there and says so; a well-posed fit logs nothing."""
+        monkeypatch.setattr(nbsvm_module, "MAX_ITER", 20)
         with caplog.at_level(logging.WARNING, logger="sentimix.nbsvm"):
-            clf = train_linear(X, y, l2=0.0)
-        assert len(clf.trace) - 1 == MAX_ITER
+            clf = train_linear(*_ill_conditioned_problem(), l2=0.0)
+        assert len(clf.trace) - 1 == 20
         assert [r.getMessage() for r in caplog.records] == [
-            f"L-BFGS stopped unconverged at its cap of {MAX_ITER} iterations"]
+            "trust-region Newton stopped unconverged at its cap of 20 iterations"]
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="sentimix.nbsvm"):
             train_linear(*_random_problem("sparse", 0), l2=None)
         assert not caplog.records
+
+
+def _ill_conditioned_problem():
+    X, y = _random_problem("sparse", 0)
+    return X._replace(values=np.where(X.cols < 3, 1e-4, 1.0) * X.values), y
+
+
+class TestTrustRegionNewton:
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_derivatives_match_finite_differences(self, kind, l2):
+        """The gradient is the reference's, and the Hessian-vector product
+        is the central difference of the gradient along v."""
+        X, y = _random_problem(kind, 1)
+        objective = nbsvm_module._logistic(X, np.where(y > 0, 1.0, -1.0), l2)
+        rng = np.random.RandomState(2)
+        wb, v = rng.randn(X.shape[1] + 1), rng.randn(X.shape[1] + 1)
+        f, g, hess = objective(wb)
+        ref_f, ref_g = logistic_objective_reference(wb, to_csr(X), y, l2)
+        assert f == pytest.approx(ref_f, rel=1e-12)
+        np.testing.assert_allclose(g, ref_g, rtol=1e-10, atol=1e-14)
+        eps = 1e-5
+        diff = (objective(wb + eps * v)[1] - objective(wb - eps * v)[1]) / (2 * eps)
+        np.testing.assert_allclose(hess(v), diff, rtol=1e-6, atol=1e-9)
+
+    def test_stop_with_no_decrease_possible_is_logged(self, caplog):
+        """f = 1e12 + |x - c|^2 / 2 with c = 1e-3: the decrease of the
+        Newton step is lost in f's rounding, so the region shrinks and the
+        fit stops where it started, saying so."""
+        c = np.full(3, 1e-3)
+
+        def objective(x):
+            return 1e12 + 0.5 * float((x - c) @ (x - c)), x - c, lambda v: v
+        trace: list[float] = []
+        with caplog.at_level(logging.WARNING, logger="sentimix.nbsvm"):
+            x = nbsvm_module._trust_region_newton(objective, np.zeros(3), trace)
+        assert trace == [1e12] and np.array_equal(x, np.zeros(3))
+        assert [r.getMessage() for r in caplog.records] == [
+            "trust-region Newton stopped unconverged after 0 iterations: its region shrank "
+            "to radius 0.000866 with no decrease possible"]
+
+    def test_fit_peaks_under_100_bytes_per_feature(self):
+        """The fit keeps a few feature-length vectors and no history: its
+        tracemalloc peak over 60,000 features, each in 1.5 rows on average,
+        stays under 100 bytes per feature."""
+        rng = np.random.RandomState(0)
+        n_docs, n_feat, per_doc = 600, 60_000, 150
+        cols = np.concatenate([np.sort(rng.choice(n_feat, per_doc, replace=False))
+                               for _ in range(n_docs)])
+        X = SparseRows(np.repeat(np.arange(n_docs), per_doc), cols,
+                       rng.uniform(-2, 2, len(cols)), (n_docs, n_feat))
+        y = rng.randint(0, 2, n_docs)
+        tracemalloc.start()
+        try:
+            train_linear(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * n_feat
 
 
 class TestPipeline:
@@ -614,6 +681,17 @@ class TestScoring:
         assert np.array_equal(NbsvmModel(space2, r2, alpha2, clf2).score(docs).p_pos,
                               model.score(docs).p_pos)
 
+    def test_token_holding_a_newline_roundtrips(self, tmp_path):
+        """Words are stored with their byte lengths: a model trained on the
+        token "a\\nb" saves, loads with that one word, and scores as before."""
+        docs = make_docs([["a\nb", "c"], ["c", "d"]], labels=["positive", "negative"])
+        model = train_nbsvm(docs, n_max=2)
+        save_model(tmp_path, model)
+        loaded = load_model(tmp_path, 2)
+        assert loaded.space.words == model.space.words == ["a\nb", "c", "d"]
+        assert loaded.space.grams == model.space.grams
+        assert np.array_equal(loaded.score(docs).p_pos, model.score(docs).p_pos)
+
     def test_loaded_space_has_no_training_fields(self, tmp_path):
         """A loaded space holds no frequencies, document counts or ids, and
         log-count ratios over it are a TrainingError."""
@@ -645,7 +723,7 @@ def _set_word(order, at, word):
     def edit(arrays):
         sizes, keys = arrays["sizes"], arrays["keys"].copy()
         i = sizes[:order - 1].sum() + range(sizes[order - 1])[at]
-        base = len(unpack_strings(arrays["words"])) + 2
+        base = len(arrays["words_lengths"]) + 2
         keys[i] = keys[i] // base * base + word(base - 2)
         arrays["keys"] = keys
     return edit
@@ -660,16 +738,24 @@ def _swap_keys(arrays):
 
 def _prefix_past_order_1(arrays):
     """Give order 2's last key the prefix row just past order 1's rows."""
-    keys, base = arrays["keys"].copy(), len(unpack_strings(arrays["words"])) + 2
+    keys, base = arrays["keys"].copy(), len(arrays["words_lengths"]) + 2
     keys[-1] = arrays["sizes"][0] * base + 1
     arrays["keys"] = keys
 
 
+def _a_word_more(arrays):
+    """Store the word "zzz" after the others."""
+    arrays["words"] = np.append(arrays["words"], np.frombuffer(b"zzz", np.uint8))
+    arrays["words_lengths"] = np.append(arrays["words_lengths"], 3)
+
+
 # what is done to a saved nbsvm2.npz
 REFUSED = {
-    "gram-text-layout": _with(words=None, keys=None, sizes=None,
-                              grams=pack_strings(["a", "a b"])),
-    "gram-texts-added": _with(grams=pack_strings(["a", "a b"])),
+    "gram-text-layout": _with(words=None, words_lengths=None, keys=None, sizes=None,
+                              grams=np.frombuffer(b"a\na b", np.uint8)),
+    "gram-texts-added": _with(grams=np.frombuffer(b"a\na b", np.uint8)),
+    # the layout before words_lengths: the words newline-joined
+    "newline-joined-words": _with(words_lengths=None),
     # the layout before the key tables: each feature's word ranks
     "gram-words-layout": _with(keys=None, sizes=None, gram_words=np.ones((9, 2), np.int32)),
     "r-missing": _with(r=None),
@@ -683,8 +769,9 @@ REFUSED = {
     "sizes-negative": _with(sizes=lambda n: n + [n[1] + 1, -n[1] - 1]),
     "w-longer": _with(w=lambda w: np.append(w, 0.0)),
     "b-empty": _with(b=np.zeros(0)),
-    # a token holding a newline comes back as two words
-    "a-word-more": _with(words=lambda w: pack_strings([*unpack_strings(w), "zzz"])),
+    "a-word-more": _a_word_more,
+    "words-lengths-past-the-bytes": _with(words_lengths=lambda n: np.append(n[:-1], n[-1] + 1)),
+    "words-not-utf8": _with(words=lambda w: np.append(w[:-1], np.uint8(0xFF))),
     "keys-not-ascending": _swap_keys,
     "prefix-past-the-order-below": _prefix_past_order_1,
     "rank-past-words": _set_word(2, -1, lambda n_words: n_words + 1),
@@ -697,6 +784,9 @@ KEY_PROBLEMS = {
     "sizes-not-summing-to-r": "sizes [5, 3] are not counts of the 9 features",
     "sizes-negative": "sizes [10, -1] are not counts of the 9 features",
     "a-word-more": "order 1 holds 5 keys for 6 words",
+    "words-lengths-past-the-bytes": "words uint8 (15,) and words_lengths int64 (5,) are no "
+                                    "strings' bytes and lengths",
+    "words-not-utf8": "words are not UTF-8 strings",
     "keys-not-ascending": "order 2's keys are not strictly ascending",
     "prefix-past-the-order-below": "an order-2 key's prefix row is outside 0..4",
     "rank-past-words": "an order-2 key's last word is outside 1..5",

@@ -430,6 +430,20 @@ class TestClassification:
         held_out = [replace(d, id="new-" + d.id) for d in docs]
         assert np.array_equal(back.score(held_out).p_pos, pvc.score(held_out).p_pos)
 
+    def test_strings_holding_newlines_roundtrip(self, tmp_path):
+        """Document ids and words are stored with their byte lengths, so a
+        newline inside one does not split it."""
+        docs = [replace(d, id=f"line\n{d.id}", tokens=tuple(w.replace("o", "o\n")
+                                                            for w in d.tokens))
+                for d in _toy_corpus()]
+        model = train_pv(docs, build_vocab(docs), PvConfig(dim=4, epochs=2, seed=3))
+        pvc = fit_classifier(model, docs, 0.05, infer_steps=3)
+        save_model(tmp_path, pvc)
+        back = load_model(tmp_path)
+        assert back.model.doc_ids == model.doc_ids == [d.id for d in docs]
+        assert back.model.words == model.words and any("\n" in w for w in model.words)
+        assert np.array_equal(back.score(docs).p_pos, pvc.score(docs).p_pos)
+
     def test_model_file_holds_no_word_vectors(self, tmp_path):
         docs = _toy_corpus()
         model = train_pv(docs, build_vocab(docs), PvConfig(dim=4, epochs=2, seed=3))
@@ -457,8 +471,9 @@ class TestClassification:
         ("node_vecs", lambda a: a[1:]), ("node_vecs", lambda a: a[:, 1:]),
         ("word_freqs", lambda a: a[1:]), ("lr_w", lambda a: a[1:]),
         ("lr_b", lambda a: np.append(a, 0.0)), ("meta", lambda a: a[:2]),
-        ("doc_ids", lambda a: a[:a.tolist().index(10)]),
-        ("words", lambda a: a[:a.tolist().index(10)])],
+        # the last two strings read as one
+        ("doc_ids_lengths", lambda a: np.append(a[:-2], a[-2:].sum())),
+        ("words_lengths", lambda a: np.append(a[:-2], a[-2:].sum()))],
         ids=["doc_vecs-rows", "doc_vecs-dim", "node_vecs-rows", "node_vecs-dim",
              "word_freqs", "lr_w", "lr_b", "meta", "doc_ids", "words"])
     def test_arrays_of_other_shapes_are_refused(self, tmp_path, name, cut):
